@@ -108,11 +108,7 @@ class TrajectorySample:
 def _plan_mean_map(frame: SubspaceFrame | None, d: int, N: int, dim: int) -> np.ndarray:
     if frame is not None:
         return frame.mean_map
-    m = np.zeros((d, d, dim), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            m[i, j, i * d + j] = 1.0
-    return m
+    return np.eye(d * d, dim, dtype=complex).reshape(d, d, dim)
 
 
 def make_plan(

@@ -62,10 +62,19 @@ def rng_for(cfg: ExperimentConfig) -> np.random.Generator:
 
 
 def write_text_atomic(path: Path, text: str) -> None:
+    """fsync a uniquely named sibling (umask mode, unlike mkstemp's 0600), then rename it."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fh = open(tmp, "x")
+    try:
+        with fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink()
+        raise
 
 
 def _fmt(x) -> str:
@@ -329,7 +338,7 @@ def run_bench(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False) -> int:
         if not quiet:
             print(
                 f"bench m={m}: dim {plan.dim}, build {t_build * 1e3:.1f} ms, "
-                f"solve {t_solve * 1e3:.2f} ms, rk4 step {t_step * 1e3:.2f} ms, crossover t*={crossover:.3f}"
+                f"solve {t_solve * 1e3:.2f} ms, rk4 step {t_step * 1e3:.2f} ms, crossover t*={crossover:.3g}"
             )
     cols = ("degree", "dim_subspace", "plan_build_s", "solve_per_time_s", "rk4_per_step_s", "crossover_t")
     write_text_atomic(out_dir / "bench.csv", _csv(cols, rows, cfg))

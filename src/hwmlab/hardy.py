@@ -32,6 +32,7 @@ __all__ = [
     "l2_norm",
     "evaluate_grid",
     "fit_series",
+    "shift_backward_matrix",
     "reproduce_check",
 ]
 
@@ -249,6 +250,11 @@ def fit_series(g: GridSamples, N: int) -> FourierSeries:
     return FourierSeries(g.d, N, out)
 
 
+def shift_backward_matrix(d: int, N: int) -> np.ndarray:
+    """S* on stacked coordinates (mode-major, then row-major matrix entries)."""
+    return np.eye((N + 1) * d * d, k=d * d)
+
+
 def reproduce_check(f: HardyElement, z: complex) -> np.ndarray:
     """Evaluate F(z) through the resolvent identity F(z) = M((I - z S*)^{-1} F).
 
@@ -258,13 +264,7 @@ def reproduce_check(f: HardyElement, z: complex) -> np.ndarray:
     """
     if abs(z) >= 1.0:
         raise ValueError(f"reproduce_check needs |z| < 1, got |z| = {abs(z)}")
-    n = f.N + 1
-    d2 = f.d * f.d
-    # stacked coordinates: mode-major, then row-major matrix entries
-    vec = f.coeffs.reshape(n * d2)
-    sstar = np.zeros((n, n))
-    for j in range(n - 1):
-        sstar[j, j + 1] = 1.0
-    A = np.eye(n * d2) - z * np.kron(sstar, np.eye(d2))
+    vec = f.coeffs.reshape(-1)
+    A = np.eye(vec.size) - z * shift_backward_matrix(f.d, f.N)
     x = np.linalg.solve(A, vec)
-    return x.reshape(n, f.d, f.d)[0]
+    return x.reshape(f.N + 1, f.d, f.d)[0]

@@ -17,7 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hardy import FourierSeries, HardyElement, fractional_derivative, sobolev_energy
+from .hardy import (
+    FourierSeries,
+    HardyElement,
+    fractional_derivative,
+    shift_backward_matrix,
+    sobolev_energy,
+)
 from .grassmann import GrassmannLoop
 
 __all__ = [
@@ -162,32 +168,37 @@ class SubspaceFrame:
         return self.mean_map @ coords
 
 
-def _mode_blocks(sym: FourierSeries, rows, cols) -> np.ndarray:
-    """Assemble kron(symbol mode, I_d) blocks for the given row/col mode maps."""
+def _gather_modes(sym: FourierSeries, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """(R, C, d, d) array of symbol modes rows[i] - cols[j]; all-zero modes stay +0."""
+    d = sym.d
+    idx = rows[:, None] - cols[None, :]
+    live = np.abs(idx) <= sym.N
+    live[live] = np.any(sym.coeffs, axis=(1, 2))[idx[live] + sym.N]
+    blocks = np.zeros(idx.shape + (d, d), dtype=complex)
+    blocks[live] = sym.coeffs[idx[live] + sym.N]
+    return blocks
+
+
+def _mode_blocks(sym: FourierSeries, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Assemble kron(symbol mode, I_d) blocks for the given integer row/col mode maps."""
     d = sym.d
     eye = np.eye(d)
-    out = np.zeros((len(rows) * d * d, len(cols) * d * d), dtype=complex)
-    for i, m in enumerate(rows):
-        for j, n in enumerate(cols):
-            blk = sym.coeff(m - n)
-            if np.any(blk):
-                out[i * d * d : (i + 1) * d * d, j * d * d : (j + 1) * d * d] = np.kron(blk, eye)
-    return out
+    blocks = _gather_modes(sym, rows, cols).transpose(0, 2, 1, 3)
+    out = blocks[:, :, None, :, :, None] * eye[None, None, :, None, None, :]
+    return out.reshape(len(rows) * d * d, len(cols) * d * d)
 
 
 def build_toeplitz(u, N: int) -> BlockToeplitz:
     """Finite section of the Toeplitz operator with the given symbol."""
     sym = symbol_of(u)
-    modes = list(range(N + 1))
+    modes = np.arange(N + 1)
     return BlockToeplitz(sym.d, N, _mode_blocks(sym, modes, modes), sym)
 
 
 def build_hankel(u, N: int) -> BlockHankel:
     """Finite section of the Hankel operator; block (m, n) is mode -(m+1) - n."""
     sym = symbol_of(u)
-    rows = [-(m + 1) for m in range(N)]
-    cols = list(range(N + 1))
-    return BlockHankel(sym.d, N, _mode_blocks(sym, rows, cols), sym)
+    return BlockHankel(sym.d, N, _mode_blocks(sym, -np.arange(1, N + 1), np.arange(N + 1)), sym)
 
 
 def hankel_vector_section(u, N: int) -> np.ndarray:
@@ -200,22 +211,8 @@ def hankel_vector_section(u, N: int) -> np.ndarray:
     half-order energy.
     """
     sym = symbol_of(u)
-    d = sym.d
-    out = np.zeros((N * d, (N + 1) * d), dtype=complex)
-    for m in range(N):
-        for n in range(N + 1):
-            blk = sym.coeff(-(m + 1) - n)
-            if np.any(blk):
-                out[m * d : (m + 1) * d, n * d : (n + 1) * d] = blk
-    return out
-
-
-def shift_backward_matrix(d: int, N: int) -> np.ndarray:
-    n = N + 1
-    s = np.zeros((n, n))
-    for j in range(n - 1):
-        s[j, j + 1] = 1.0
-    return np.kron(s, np.eye(d * d))
+    blocks = _gather_modes(sym, -np.arange(1, N + 1), np.arange(N + 1))
+    return blocks.transpose(0, 2, 1, 3).reshape(N * sym.d, (N + 1) * sym.d)
 
 
 def shift_forward_matrix(d: int, N: int) -> np.ndarray:

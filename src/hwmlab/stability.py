@@ -75,14 +75,6 @@ class IsometryModel:
         return v[: self.e_dim]
 
 
-def _shift_down(d: int, N: int) -> np.ndarray:
-    e = d * d
-    s = np.zeros(((N + 1) * e, (N + 1) * e))
-    for j in range(N * e):
-        s[j, j + e] = 1.0
-    return s
-
-
 def isometry_model(L: np.ndarray, t: float, d: int, N: int, label: str = "") -> IsometryModel:
     """Model from an explicit Hermitian generator on the truncated space."""
     dim = (N + 1) * d * d
@@ -96,7 +88,10 @@ def isometry_model(L: np.ndarray, t: float, d: int, N: int, label: str = "") -> 
 
 def _with_time(d, N, t, lam, vecs, time_scale, label) -> IsometryModel:
     expo = (vecs * np.exp(-1j * time_scale * t * lam)) @ vecs.conj().T
-    sigma_star = expo @ _shift_down(d, N)
+    # expo @ S*: column block n of the product is column block n - 1 of expo
+    e = d * d
+    sigma_star = np.zeros_like(expo)
+    sigma_star[:, e:] = expo[:, :-e]
     return IsometryModel(
         d=d, N=N, t=t, lam=lam, vecs=vecs, sigma_star=sigma_star,
         time_scale=time_scale, label=label,

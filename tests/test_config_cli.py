@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from click.testing import CliRunner
 
 from hwmlab.cli import main
 from hwmlab.config import ConfigError, config_hash, parse_config
-from hwmlab.experiments import build_datum, rng_for, run_evolve
+from hwmlab.experiments import build_datum, rng_for, run_bench, run_evolve, write_text_atomic
 from hwmlab.grassmann import loop_to_json
 
 pytestmark = pytest.mark.filterwarnings("ignore::hwmlab.evolution.DegenerateEigenvalueWarning")
@@ -187,3 +188,45 @@ def test_cli_validate_reduced_cutoff_downgrades(tmp_path):
     res = runner.invoke(main, ["validate", "--config", str(cfg_file), "--out", str(tmp_path / "v")])
     assert res.exit_code == 0, res.output
     assert "FAIL" not in res.output
+
+
+def test_bench_console_prints_measured_crossover(tmp_path, capsys):
+    cfg = parse_config(BASE_CFG + "bench_degrees = 1\n")
+    assert run_bench(cfg, tmp_path) == 0
+    printed = capsys.readouterr().out.split("crossover t*=")[1].split()[0]
+    header, row = (tmp_path / "bench.csv").read_text().splitlines()[1:]
+    crossover = float(row.split(",")[header.split(",").index("crossover_t")])
+    assert printed == f"{crossover:.3g}"
+    assert float(printed) > 0.0
+
+
+def test_write_text_atomic_uses_unique_temp_files(tmp_path, monkeypatch):
+    sources = []
+    real_replace = os.replace
+
+    def recording_replace(src, dst):
+        sources.append(src)
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", recording_replace)
+    target = tmp_path / "out" / "a.csv"
+    write_text_atomic(target, "first\n")
+    write_text_atomic(target, "second\n")
+    assert len(set(sources)) == 2
+    assert all(os.path.dirname(src) == str(target.parent) for src in sources)
+    assert target.read_text() == "second\n"
+    assert not list(target.parent.glob("*.tmp"))
+
+
+def test_write_text_atomic_failure_leaves_target_and_no_temp(tmp_path, monkeypatch):
+    target = tmp_path / "a.csv"
+    write_text_atomic(target, "kept\n")
+
+    def failing_fsync(fd):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "fsync", failing_fsync)
+    with pytest.raises(OSError, match="disk full"):
+        write_text_atomic(target, "lost\n")
+    assert target.read_text() == "kept\n"
+    assert not list(tmp_path.glob("*.tmp"))

@@ -58,6 +58,57 @@ def nonrational_loop(rng, N=32):
     return project_to_grassmann(FourierSeries(2, N, c), 2, 1, sq_tol=1e-7, herm_tol=1e-11)
 
 
+def reference_mode_blocks(sym, rows, cols):
+    """The per-block kron loop that the vectorized assembly replaced."""
+    d = sym.d
+    out = np.zeros((len(rows) * d * d, len(cols) * d * d), dtype=complex)
+    for i, m in enumerate(rows):
+        for j, n in enumerate(cols):
+            blk = sym.coeff(m - n)
+            if np.any(blk):
+                out[i * d * d : (i + 1) * d * d, j * d * d : (j + 1) * d * d] = np.kron(blk, np.eye(d))
+    return out
+
+
+def reference_hankel_vector_section(sym, N):
+    d = sym.d
+    out = np.zeros((N * d, (N + 1) * d), dtype=complex)
+    for m in range(N):
+        for n in range(N + 1):
+            blk = sym.coeff(-(m + 1) - n)
+            if np.any(blk):
+                out[m * d : (m + 1) * d, n * d : (n + 1) * d] = blk
+    return out
+
+
+def assert_same_bytes(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+SYMBOL_BAND = 3
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("N", [0, 1, SYMBOL_BAND - 1, SYMBOL_BAND, 3 * SYMBOL_BAND])
+def test_section_assembly_matches_block_loop(rng, d, N):
+    c = random_series(rng, d, SYMBOL_BAND).coeffs.copy()
+    c[SYMBOL_BAND - 1] = -0.0 * np.abs(c[SYMBOL_BAND - 1])  # an all-zero mode with signed zeros
+    sym = FourierSeries(d, SYMBOL_BAND, c)
+    modes = list(range(N + 1))
+    assert_same_bytes(build_toeplitz(sym, N).matrix, reference_mode_blocks(sym, modes, modes))
+    rows = [-(m + 1) for m in range(N)]
+    assert_same_bytes(build_hankel(sym, N).matrix, reference_mode_blocks(sym, rows, modes))
+    assert_same_bytes(hankel_vector_section(sym, N), reference_hankel_vector_section(sym, N))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("N", [0, 1, 5])
+def test_shift_backward_matrix_is_block_shift(d, N):
+    expected = np.kron(np.eye(N + 1, k=1), np.eye(d * d))
+    assert_same_bytes(shift_backward_matrix(d, N), expected)
+
+
 def test_toeplitz_constant_symbol_blocks():
     T = build_toeplitz(series_from(2, 2, {0: SIGMA3}), 3)
     expected = np.kron(np.eye(4), np.kron(SIGMA3, np.eye(2)))
