@@ -5,8 +5,9 @@ finite-dimensional invariant subspace for rational data (or on the whole
 truncated Hardy space otherwise).  Each output Fourier mode is one
 application of ``exp(-i t T) S*`` followed by extraction of the zeroth
 coefficient; the evolved loop is ``analytic part + adjoint - zeroth mode``.
-Per-time work is a diagonal phase plus small matrix-vector products, with no
-step-size error.
+Per-time work is one step matrix from the cached eigenpairs, then one
+matrix-vector product per mode, with no step-size error.  The step matrix
+and the mode loop are the contraction kernel of :mod:`hwmlab.stability`.
 """
 
 from __future__ import annotations
@@ -15,10 +16,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
-from .hardy import FourierSeries, sobolev_energy, sobolev_norm
-from .grassmann import GrassmannLoop
+from .hardy import FourierSeries, project_plus, sobolev_energy, sobolev_norm
+from .grassmann import GrassmannLoop, constraint_residuals
 from .operators import (
     SubspaceFrame,
     bandwidth,
@@ -29,8 +29,8 @@ from .operators import (
     invariant_subspace,
     kronecker_rank,
     schatten_norm,
-    shift_backward_matrix,
 )
+from .stability import contraction_matrix, emit, standard_mean_map
 
 __all__ = [
     "EvolutionPlan",
@@ -66,7 +66,11 @@ class DegenerateEigenvalueWarning(UserWarning):
 
 @dataclass(frozen=True)
 class EvolutionPlan:
-    """Frozen eigen-data driving the flow of one initial loop."""
+    """Frozen eigen-data driving the flow of one initial loop.
+
+    ``sstar`` is the compressed backward shift of a rational plan; truncated
+    plans leave it ``None`` and use the standard backward shift.
+    """
 
     d: int
     k: int
@@ -76,7 +80,7 @@ class EvolutionPlan:
     frame: SubspaceFrame | None
     lam: np.ndarray
     vecs: np.ndarray
-    sstar: np.ndarray
+    sstar: np.ndarray | None
     c0: np.ndarray
     mean_map: np.ndarray
     mean0: np.ndarray
@@ -87,28 +91,12 @@ class EvolutionPlan:
     def dim(self) -> int:
         return self.lam.size
 
-    def propagator(self, t: float) -> np.ndarray:
-        """exp(-i t T) on the plan's space, from the cached eigen-pairs."""
-        return (self.vecs * np.exp(-1j * t * self.lam)) @ self.vecs.conj().T
-
-    def step_matrix(self, t: float) -> np.ndarray:
-        return self.propagator(t) @ self.sstar
-
-    def mean_of(self, coords: np.ndarray) -> np.ndarray:
-        return self.mean_map @ coords
-
 
 @dataclass(frozen=True)
 class TrajectorySample:
     t: float
     loop: GrassmannLoop
     diagnostics: dict
-
-
-def _plan_mean_map(frame: SubspaceFrame | None, d: int, N: int, dim: int) -> np.ndarray:
-    if frame is not None:
-        return frame.mean_map
-    return np.eye(d * d, dim, dtype=complex).reshape(d, d, dim)
 
 
 def make_plan(
@@ -134,21 +122,20 @@ def make_plan(
         N_op = max(2 * band + 2, 8) if mode == "rational" else max(sym.N, 8)
     d = u0.d
 
-    pu = np.zeros((N_op + 1, d, d), dtype=complex)
-    for n in range(min(N_op, sym.N) + 1):
-        pu[n] = sym.coeff(n)
-    pu_vec = pu.reshape(-1)
+    pu_vec = project_plus(sym.with_cutoff(N_op)).coeffs.reshape(-1)
 
     if mode == "rational":
         frame = invariant_subspace(u0, N_op, rank_tol=rank_tol)
         t_small = frame.t_restricted
         sstar = frame.sstar_restricted
         c0 = frame.coordinates(pu_vec)
+        mean_map = frame.mean_map
     else:
         frame = None
         t_small = build_toeplitz(sym, N_op).matrix
-        sstar = shift_backward_matrix(d, N_op)
+        sstar = None
         c0 = pu_vec
+        mean_map = standard_mean_map(d, pu_vec.size)
 
     lam, vecs = np.linalg.eigh(0.5 * (t_small + t_small.conj().T))
     recon = float(np.linalg.norm((vecs * lam) @ vecs.conj().T - t_small, ord=2))
@@ -162,7 +149,6 @@ def make_plan(
             stacklevel=2,
         )
 
-    mean_map = _plan_mean_map(frame, d, N_op, lam.size)
     return EvolutionPlan(
         d=d,
         k=u0.k,
@@ -181,54 +167,43 @@ def make_plan(
     )
 
 
-def _iterate_coefficients(plan: EvolutionPlan, t: float, n_max: int, tail_tol: float):
-    """Modes of the analytic part at time t, stopping on the measured tail."""
-    phases = np.exp(-1j * t * plan.lam)
-    vh = plan.vecs.conj().T
-    v = plan.c0.copy()
-    coeffs = [plan.mean_of(v)]
-    norms = [float(np.linalg.norm(v))]
-    for _ in range(n_max):
-        v = plan.vecs @ (phases * (vh @ (plan.sstar @ v)))
-        nv = float(np.linalg.norm(v))
-        coeffs.append(plan.mean_of(v))
-        norms.append(nv)
-        if nv <= tail_tol:
-            break
-    return np.array(coeffs), np.array(norms)
+def _step_matrix(plan: EvolutionPlan, t: float) -> np.ndarray:
+    return contraction_matrix(plan.lam, plan.vecs, t, plan.d * plan.d, plan.sstar)
 
 
 def fourier_coefficient(plan: EvolutionPlan, t: float, n: int) -> np.ndarray:
     """The n-th analytic Fourier coefficient of the evolved loop."""
     if n < 0:
         raise ValueError("fourier_coefficient is defined for modes n >= 0")
-    coeffs, _ = _iterate_coefficients(plan, t, n, tail_tol=0.0)
-    if n < coeffs.shape[0]:
-        return coeffs[n]
-    return np.zeros((plan.d, plan.d), dtype=complex)
+    coeffs, _ = emit(_step_matrix(plan, t), plan.mean_map, plan.c0, n)
+    return coeffs[n]
+
+
+def _checked_spectrum(A: np.ndarray, t: float) -> tuple[np.ndarray, float]:
+    mu = np.linalg.eigvals(A)
+    r = float(np.max(np.abs(mu))) if mu.size else 0.0
+    if r >= 1.0:
+        raise SpectralRadiusError(f"contraction spectral radius {r} >= 1 at t = {t}")
+    return mu, r
 
 
 def contraction_spectrum(plan: EvolutionPlan, t: float) -> np.ndarray:
     """Eigenvalues of exp(-i t T) S* on the plan's space; all must stay inside
     the unit circle, else the rank/truncation data is unusable."""
-    mu = np.linalg.eigvals(plan.step_matrix(t))
-    r = float(np.max(np.abs(mu))) if mu.size else 0.0
-    if r >= 1.0:
-        raise SpectralRadiusError(f"contraction spectral radius {r} >= 1 at t = {t}")
-    return mu
+    return _checked_spectrum(_step_matrix(plan, t), t)[0]
 
 
 def solve_at_time(plan: EvolutionPlan, t: float) -> TrajectorySample:
     """Evolved loop at time t with recomputed diagnostics."""
-    mu = contraction_spectrum(plan, t)
-    r = float(np.max(np.abs(mu))) if mu.size else 0.0
+    A = _step_matrix(plan, t)
+    _, r = _checked_spectrum(A, t)
     if r > 1.0 - 1e-3:
         warnings.warn(
             f"contraction spectral radius {r:.6f} at t = {t}; mode tail decays slowly",
             SlowDecayWarning,
             stacklevel=2,
         )
-    coeffs, norms = _iterate_coefficients(plan, t, plan.N_out, plan.tail_tol)
+    coeffs, norms = emit(A, plan.mean_map, plan.c0, plan.N_out, plan.tail_tol)
     n_used = coeffs.shape[0] - 1
     tail = norms[-1]
     if tail > plan.tail_tol and n_used >= plan.N_out:
@@ -241,13 +216,9 @@ def solve_at_time(plan: EvolutionPlan, t: float) -> TrajectorySample:
     d = plan.d
     series_coeffs = np.zeros((2 * n_used + 1, d, d), dtype=complex)
     series_coeffs[n_used] = coeffs[0] + coeffs[0].conj().T - plan.mean0
-    for n in range(1, n_used + 1):
-        series_coeffs[n_used + n] = coeffs[n]
-        series_coeffs[n_used - n] = coeffs[n].conj().T
+    series_coeffs[n_used + 1 :] = coeffs[1:]
+    series_coeffs[:n_used] = coeffs[:0:-1].conj().transpose(0, 2, 1)
     series = FourierSeries(d, n_used, series_coeffs)
-
-    from .grassmann import constraint_residuals
-
     check = constraint_residuals(d, plan.k, series)
     loop = GrassmannLoop(d, plan.k, series, check)
     diagnostics = {
@@ -341,23 +312,14 @@ def intertwining_check(plan: EvolutionPlan, t: float, vectors=None, n_modes: int
         vectors = [plan.c0, plan_coordinates_of_constant(plan, np.eye(plan.d))]
 
     worst = 0.0
-    A = plan.step_matrix(t)
+    A = _step_matrix(plan, t)
     for c in vectors:
-        coeffs_f = _coeffs_from(plan, A, np.asarray(c, dtype=complex), n_modes + 1)
-        shifted = coeffs_f[1:]
-        coeffs_g = _coeffs_from(plan, A, A @ np.asarray(c, dtype=complex), n_modes)
+        c = np.asarray(c, dtype=complex)
+        shifted = emit(A, plan.mean_map, c, n_modes)[0][1:]
+        coeffs_g = emit(A, plan.mean_map, A @ c, n_modes - 1)[0]
         gap = float(np.sqrt(np.sum(np.abs(shifted - coeffs_g) ** 2)))
         worst = max(worst, gap)
     return worst
-
-
-def _coeffs_from(plan: EvolutionPlan, A: np.ndarray, v0: np.ndarray, count: int) -> np.ndarray:
-    v = v0.copy()
-    out = [plan.mean_of(v)]
-    for _ in range(count - 1):
-        v = A @ v
-        out.append(plan.mean_of(v))
-    return np.array(out)
 
 
 def lax_residual(
@@ -415,20 +377,17 @@ def recurrence_search(
     if eps is None:
         eps = 1e-3 * norm0
 
-    def distance(t: float) -> float:
+    def sample(t: float) -> tuple[float, FourierSeries]:
         series = solve_at_time(plan, float(t)).loop.series
         N = max(series.N, u0.N)
         diff = series.with_cutoff(N).coeffs - u0.with_cutoff(N).coeffs
-        return sobolev_norm(FourierSeries(u0.d, N, diff), 0.5)
+        return sobolev_norm(FourierSeries(u0.d, N, diff), 0.5), series
 
     ts = np.arange(t_min, horizon + coarse_dt, coarse_dt)
     dists = np.empty(ts.size)
     sup_norm = 0.0
     for i, t in enumerate(ts):
-        series = solve_at_time(plan, float(t)).loop.series
-        N = max(series.N, u0.N)
-        diff = series.with_cutoff(N).coeffs - u0.with_cutoff(N).coeffs
-        dists[i] = sobolev_norm(FourierSeries(u0.d, N, diff), 0.5)
+        dists[i], series = sample(t)
         sup_norm = max(sup_norm, sobolev_norm(series, 0.5))
 
     arm_level = max(4.0 * eps, 0.05 * norm0)
@@ -445,12 +404,15 @@ def recurrence_search(
         result["t_star"], result["distance"] = float(ts[0]), float(dists[0])
         return result
 
+    # scipy.optimize alone costs most of the package import time
+    from scipy.optimize import minimize_scalar
+
     armed_from = int(np.argmax(dists > arm_level))
     refine_level = max(10.0 * eps, 1.5 * float(np.min(dists[armed_from:])))
     for i in range(max(armed_from, 1), ts.size - 1):
         if dists[i] <= refine_level and dists[i] <= dists[i - 1] and dists[i] <= dists[i + 1]:
             res = minimize_scalar(
-                distance,
+                lambda t: sample(t)[0],
                 bounds=(float(ts[i - 1]), float(ts[i + 1])),
                 method="bounded",
                 options={"xatol": 1e-10},

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig, config_hash
-from .hardy import FourierSeries, sobolev_energy
+from .hardy import FourierSeries, project_plus, sobolev_energy
 from .grassmann import (
     BlaschkeProduct,
     GrassmannLoop,
@@ -232,9 +232,7 @@ def run_stability(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False) -> 
     loop = build_datum(cfg)
     N = cfg.N
     base = hwm_model(loop, 0.0, N)
-    pu = np.zeros((N + 1, cfg.d, cfg.d), dtype=complex)
-    for n in range(min(N, loop.series.N) + 1):
-        pu[n] = loop.series.coeff(n)
+    pu = project_plus(loop.series.with_cutoff(N)).coeffs
     rng = rng_for(cfg)
     probe = np.zeros((N + 1, cfg.d, cfg.d), dtype=complex)
     probe[:4] = rng.standard_normal((4, cfg.d, cfg.d)) + 1j * rng.standard_normal((4, cfg.d, cfg.d))

@@ -224,8 +224,9 @@ def evaluate_grid(f: FourierSeries, M: int) -> GridSamples:
             stacklevel=2,
         )
     spec = np.zeros((M, f.d, f.d), dtype=complex)
-    for n in range(-f.N, f.N + 1):
-        spec[n % M] += f.coeffs[n + f.N]
+    # np.add.at is unbuffered and runs in mode order, so modes that alias onto
+    # one grid frequency accumulate in a fixed order
+    np.add.at(spec, np.arange(-f.N, f.N + 1) % M, f.coeffs)
     values = np.fft.ifft(spec, axis=0) * M
     return GridSamples(f.d, M, values)
 
@@ -243,10 +244,9 @@ def fit_series(g: GridSamples, N: int) -> FourierSeries:
         )
     spec = np.fft.fft(g.values, axis=0) / g.M
     out = np.zeros((2 * N + 1, g.d, g.d), dtype=complex)
-    lo, hi = -(g.M // 2), (g.M - 1) // 2  # canonical alias window of the M-point DFT
-    for n in range(-N, N + 1):
-        if lo <= n <= hi:
-            out[n + N] = spec[n % g.M]
+    n = np.arange(-N, N + 1)
+    keep = (n >= -(g.M // 2)) & (n <= (g.M - 1) // 2)  # canonical alias window of the M-point DFT
+    out[keep] = spec[n[keep] % g.M]
     return FourierSeries(g.d, N, out)
 
 

@@ -21,6 +21,7 @@ from .hardy import (
     FourierSeries,
     HardyElement,
     fractional_derivative,
+    project_plus,
     shift_backward_matrix,
     sobolev_energy,
 )
@@ -163,10 +164,6 @@ class SubspaceFrame:
                 raise ValueError(f"vector is not in the invariant subspace (residual {residual:.2e})")
         return c
 
-    def mean_of(self, coords: np.ndarray) -> np.ndarray:
-        """Zeroth Fourier coefficient of the element with the given coordinates."""
-        return self.mean_map @ coords
-
 
 def _gather_modes(sym: FourierSeries, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """(R, C, d, d) array of symbol modes rows[i] - cols[j]; all-zero modes stay +0."""
@@ -297,10 +294,7 @@ def commutator_rank_one_check(u, N: int, f: HardyElement) -> float:
     fc[: m + 1] = f.coeffs[: m + 1]
     vec = fc.reshape(-1)
     lhs = S @ (T.matrix @ vec) - T.matrix @ (S @ vec)
-    pu = np.zeros((N + 1, sym.d, sym.d), dtype=complex)
-    top = min(N, sym.N)
-    for n in range(1, top + 2):
-        pu[n - 1] = sym.coeff(n)  # backward shift of the analytic part
+    pu = project_plus(sym.with_cutoff(N + 1)).coeffs[1:]  # backward shift of the analytic part
     rhs = np.einsum("nij,jk->nik", pu, f.coeff(0)).reshape(-1)
     band = bandwidth(sym)
     idx = interior_indices(sym.d, N, band + 1)
@@ -380,10 +374,7 @@ def invariant_subspace(u, N: int, rank_tol: float = 1e-8, gap_ratio: float = 1e3
         r = 0
     basis = [Vh[j].conj() for j in range(r)]
 
-    pu = np.zeros((N + 1, d, d), dtype=complex)
-    for n in range(min(N, sym.N) + 1):
-        pu[n] = sym.coeff(n)
-    extra = [pu.reshape(-1)]
+    extra = [project_plus(sym.with_cutoff(N)).coeffs.reshape(-1)]
     ident = np.zeros((N + 1, d, d), dtype=complex)
     ident[0] = np.eye(d)
     extra.append(ident.reshape(-1))

@@ -93,6 +93,18 @@ def test_coefficients_at_time_zero_reproduce_datum():
         assert np.max(np.abs(fourier_coefficient(plan, 0.0, n) - q.series.coeff(n))) < 1e-12
 
 
+def test_fourier_coefficient_matches_solve_bitwise(twist_plan):
+    loop, plan = twist_plan
+    for pl in (plan, make_plan(loop, mode="truncated")):
+        for t in (0.7, 3.1):
+            series = solve_at_time(pl, t).loop.series
+            assert series.N >= 2
+            # the loop's zeroth mode is assembled as mode + adjoint - frozen mean
+            assert np.max(np.abs(fourier_coefficient(pl, t, 0) - series.coeff(0))) < 1e-13
+            for n in range(1, series.N + 1):
+                assert np.array_equal(fourier_coefficient(pl, t, n), series.coeff(n))
+
+
 def test_constant_datum_is_fixed_point():
     loop = constant_loop((1.0, 0.0, 0.0))
     plan = make_plan(loop)

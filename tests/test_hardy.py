@@ -179,6 +179,38 @@ def test_grid_aliasing_warning(rng):
         fit_series(GridSamples(2, 5, np.zeros((5, 2, 2))), 4)
 
 
+def reference_evaluate_grid(f, M):
+    """The per-mode accumulation loop that the scatter-add replaced."""
+    spec = np.zeros((M, f.d, f.d), dtype=complex)
+    for n in range(-f.N, f.N + 1):
+        spec[n % M] += f.coeffs[n + f.N]
+    return np.fft.ifft(spec, axis=0) * M
+
+
+def reference_fit_series(g, N):
+    """The per-mode copy loop that the masked gather replaced."""
+    spec = np.fft.fft(g.values, axis=0) / g.M
+    out = np.zeros((2 * N + 1, g.d, g.d), dtype=complex)
+    lo, hi = -(g.M // 2), (g.M - 1) // 2
+    for n in range(-N, N + 1):
+        if lo <= n <= hi:
+            out[n + N] = spec[n % g.M]
+    return out
+
+
+@pytest.mark.filterwarnings("ignore::hwmlab.hardy.AliasingWarning")
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("N, M", [(4, 16), (4, 9), (4, 7), (5, 4), (6, 2), (3, 1)])
+def test_grid_transforms_match_mode_loops(rng, d, N, M):
+    # M < 2N+1 folds several modes onto one grid frequency, so the sums'
+    # order shows in the bytes
+    f = random_series(rng, d, N)
+    g = evaluate_grid(f, M)
+    assert g.values.tobytes() == reference_evaluate_grid(f, M).tobytes()
+    for cutoff in (0, 1, N, 2 * N + 3):
+        assert fit_series(g, cutoff).coeffs.tobytes() == reference_fit_series(g, cutoff).tobytes()
+
+
 def test_reproduce_at_zero(rng):
     f = random_hardy(rng, 2, 5)
     assert np.max(np.abs(reproduce_check(f, 0.0) - f.coeffs[0])) < 1e-14

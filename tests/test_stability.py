@@ -94,8 +94,12 @@ def test_zero_generator_reproduces_input(rng):
     N = 12
     m = isometry_model(np.zeros((N + 1, N + 1)), 1.0, d=1, N=N)
     v = rng.standard_normal(N + 1) + 1j * rng.standard_normal(N + 1)
-    out = apply_u_sigma(m, v, N)
-    assert np.max(np.abs(out.coeffs[:, 0, 0] - v)) < 1e-13
+    for n_max in (N, 2 * N):
+        out = apply_u_sigma(m, v, n_max)
+        # the pure shift is nilpotent: past N the output holds zeros, not fewer modes
+        assert out.coeffs.shape == (n_max + 1, 1, 1)
+        assert np.max(np.abs(out.coeffs[: N + 1, 0, 0] - v)) < 1e-13
+        assert not np.any(out.coeffs[N + 1 :])
 
 
 def test_constant_scalar_symbol_is_unitary(rng):
