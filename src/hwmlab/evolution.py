@@ -6,8 +6,10 @@ truncated Hardy space otherwise).  Each output Fourier mode is one
 application of ``exp(-i t T) S*`` followed by extraction of the zeroth
 coefficient; the evolved loop is ``analytic part + adjoint - zeroth mode``.
 Per-time work is one step matrix from the cached eigenpairs, then one
-matrix-vector product per mode, with no step-size error.  The step matrix
-and the mode loop are the contraction kernel of :mod:`hwmlab.stability`.
+matrix-vector product per mode, with no step-size error.  The plan's
+eigen-data is an :class:`~hwmlab.stability.IsometryModel`; its
+:meth:`~hwmlab.stability.IsometryModel.step` and :func:`~hwmlab.stability.emit`
+are the contraction kernel shared with the stability experiments.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .operators import (
     kronecker_rank,
     schatten_norm,
 )
-from .stability import contraction_matrix, emit, standard_mean_map
+from .stability import IsometryModel, emit, standard_mean_map
 
 __all__ = [
     "EvolutionPlan",
@@ -68,8 +70,10 @@ class DegenerateEigenvalueWarning(UserWarning):
 class EvolutionPlan:
     """Frozen eigen-data driving the flow of one initial loop.
 
-    ``sstar`` is the compressed backward shift of a rational plan; truncated
-    plans leave it ``None`` and use the standard backward shift.
+    ``model`` is the contraction ``exp(-itT) S*``: on the invariant
+    subspace with the frame's compressions for rational plans, on the whole
+    truncated space with the standard shift otherwise.  ``c0`` holds the
+    coordinates of the initial analytic part in the model's space.
     """
 
     d: int
@@ -78,18 +82,15 @@ class EvolutionPlan:
     N_op: int
     source: FourierSeries
     frame: SubspaceFrame | None
-    lam: np.ndarray
-    vecs: np.ndarray
-    sstar: np.ndarray | None
+    model: IsometryModel
     c0: np.ndarray
-    mean_map: np.ndarray
     mean0: np.ndarray
     N_out: int
     tail_tol: float
 
     @property
     def dim(self) -> int:
-        return self.lam.size
+        return self.model.dim
 
 
 @dataclass(frozen=True)
@@ -156,26 +157,19 @@ def make_plan(
         N_op=N_op,
         source=sym,
         frame=frame,
-        lam=lam,
-        vecs=vecs,
-        sstar=sstar,
+        model=IsometryModel(d, N_op, lam, vecs, mean_map, sstar),
         c0=c0,
-        mean_map=mean_map,
         mean0=sym.coeff(0).copy(),
         N_out=N_out,
         tail_tol=tail_tol,
     )
 
 
-def _step_matrix(plan: EvolutionPlan, t: float) -> np.ndarray:
-    return contraction_matrix(plan.lam, plan.vecs, t, plan.d * plan.d, plan.sstar)
-
-
 def fourier_coefficient(plan: EvolutionPlan, t: float, n: int) -> np.ndarray:
     """The n-th analytic Fourier coefficient of the evolved loop."""
     if n < 0:
         raise ValueError("fourier_coefficient is defined for modes n >= 0")
-    coeffs, _ = emit(_step_matrix(plan, t), plan.mean_map, plan.c0, n)
+    coeffs, _ = emit(plan.model.step(t), plan.model.mean_map, plan.c0, n)
     return coeffs[n]
 
 
@@ -190,12 +184,12 @@ def _checked_spectrum(A: np.ndarray, t: float) -> tuple[np.ndarray, float]:
 def contraction_spectrum(plan: EvolutionPlan, t: float) -> np.ndarray:
     """Eigenvalues of exp(-i t T) S* on the plan's space; all must stay inside
     the unit circle, else the rank/truncation data is unusable."""
-    return _checked_spectrum(_step_matrix(plan, t), t)[0]
+    return _checked_spectrum(plan.model.step(t), t)[0]
 
 
 def solve_at_time(plan: EvolutionPlan, t: float) -> TrajectorySample:
     """Evolved loop at time t with recomputed diagnostics."""
-    A = _step_matrix(plan, t)
+    A = plan.model.step(t)
     _, r = _checked_spectrum(A, t)
     if r > 1.0 - 1e-3:
         warnings.warn(
@@ -203,7 +197,7 @@ def solve_at_time(plan: EvolutionPlan, t: float) -> TrajectorySample:
             SlowDecayWarning,
             stacklevel=2,
         )
-    coeffs, norms = emit(A, plan.mean_map, plan.c0, plan.N_out, plan.tail_tol)
+    coeffs, norms = emit(A, plan.model.mean_map, plan.c0, plan.N_out, plan.tail_tol)
     n_used = coeffs.shape[0] - 1
     tail = norms[-1]
     if tail > plan.tail_tol and n_used >= plan.N_out:
@@ -312,11 +306,11 @@ def intertwining_check(plan: EvolutionPlan, t: float, vectors=None, n_modes: int
         vectors = [plan.c0, plan_coordinates_of_constant(plan, np.eye(plan.d))]
 
     worst = 0.0
-    A = _step_matrix(plan, t)
+    A = plan.model.step(t)
     for c in vectors:
         c = np.asarray(c, dtype=complex)
-        shifted = emit(A, plan.mean_map, c, n_modes)[0][1:]
-        coeffs_g = emit(A, plan.mean_map, A @ c, n_modes - 1)[0]
+        shifted = emit(A, plan.model.mean_map, c, n_modes)[0][1:]
+        coeffs_g = emit(A, plan.model.mean_map, A @ c, n_modes - 1)[0]
         gap = float(np.sqrt(np.sum(np.abs(shifted - coeffs_g) ** 2)))
         worst = max(worst, gap)
     return worst
@@ -395,7 +389,7 @@ def recurrence_search(
         "t_star": None,
         "distance": None,
         "eps": eps,
-        "frequencies": plan.lam.copy(),
+        "frequencies": plan.model.lam.copy(),
         "sup_h_half": sup_norm,
         "samples_scanned": int(ts.size),
     }

@@ -192,15 +192,6 @@ def blaschke_eval(b: BlaschkeProduct, z) -> np.ndarray | complex:
     return out if out.shape else complex(out)
 
 
-def blaschke_cutoff(b: BlaschkeProduct, tail_tol: float = 1e-12, minimum: int = 8) -> int:
-    """Cutoff so the geometric coefficient tail (max |a_j|)^N falls below tol."""
-    rho = max((abs(a) for a in b.zeros), default=0.0)
-    if rho == 0.0:
-        return max(minimum, b.degree)
-    n = int(np.ceil(np.log(tail_tol) / np.log(rho))) + b.degree
-    return max(minimum, n)
-
-
 def blaschke_series(b: BlaschkeProduct, N: int, tail_tol: float = 1e-12) -> np.ndarray:
     """Hardy coefficients of the boundary trace, by sampling and FFT.
 
@@ -230,9 +221,9 @@ def _offdiag_loop(b: BlaschkeProduct, diag: float, U: np.ndarray | None, N: int,
     coeffs = np.zeros((2 * N + 1, 2, 2), dtype=complex)
     coeffs[N, 0, 0] = diag
     coeffs[N, 1, 1] = -diag
-    for n in range(N + 1):
-        coeffs[N + n, 1, 0] += s * bc[n]
-        coeffs[N - n, 0, 1] += s * np.conj(bc[n])
+    # += rather than =, so zero entries keep the +0.0 sign of 0 + x
+    coeffs[N:, 1, 0] += s * bc
+    coeffs[N::-1, 0, 1] += s * np.conj(bc)
     if U is not None:
         U = np.asarray(U, dtype=complex)
         if np.max(np.abs(U @ U.conj().T - np.eye(2))) > 1e-12:

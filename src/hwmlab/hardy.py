@@ -106,6 +106,14 @@ class HardyElement:
             return np.zeros((self.d, self.d), dtype=complex)
         return self.coeffs[n]
 
+    def with_cutoff(self, N: int) -> "HardyElement":
+        """Pad with zeros or truncate to cutoff N; dropping a nonzero mode sets ``truncated``."""
+        out = np.zeros((N + 1, self.d, self.d), dtype=complex)
+        m = min(N, self.N)
+        out[: m + 1] = self.coeffs[: m + 1]
+        dropped = bool(np.any(self.coeffs[m + 1 :]))
+        return HardyElement(self.d, N, out, truncated=self.truncated or dropped)
+
     def eval_at(self, z: complex) -> np.ndarray:
         """Horner evaluation of the polynomial at a point of the closed disk."""
         acc = np.zeros((self.d, self.d), dtype=complex)
@@ -132,10 +140,6 @@ class GridSamples:
 
     def __post_init__(self):
         object.__setattr__(self, "values", _as_coeff_array(self.values, self.M, self.d))
-
-    @property
-    def thetas(self) -> np.ndarray:
-        return 2.0 * np.pi * np.arange(self.M) / self.M
 
 
 def project_plus(f: FourierSeries) -> HardyElement:

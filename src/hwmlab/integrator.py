@@ -100,6 +100,12 @@ def step_rk4(state: IntegratorState, dt: float | None = None) -> IntegratorState
     return IntegratorState(loop=loop, t=state.t + dt, dt=dt, stats=stats)
 
 
+def _initial_state(u0: GrassmannLoop, dt: float) -> IntegratorState:
+    """State at t = 0 with zero drifts, measured against the datum's energy."""
+    stats = {"steps": 0, "energy0": sobolev_energy(u0.series), "constraint_drift": 0.0, "energy_drift": 0.0}
+    return IntegratorState(loop=u0, t=0.0, dt=dt, stats=stats)
+
+
 def integrate(
     u0: GrassmannLoop,
     t_end: float,
@@ -123,12 +129,7 @@ def integrate(
     n_steps = int(round(t_end / dt))
     if abs(n_steps * dt - t_end) > 1e-12 * max(1.0, abs(t_end)):
         n_steps = int(np.ceil(t_end / dt))
-    state = IntegratorState(
-        loop=u0,
-        t=0.0,
-        dt=dt,
-        stats={"steps": 0, "energy0": sobolev_energy(u0.series), "constraint_drift": 0.0, "energy_drift": 0.0},
-    )
+    state = _initial_state(u0, dt)
     out = [state]
     for j in range(n_steps):
         step_dt = min(dt, t_end - state.t)
@@ -162,12 +163,7 @@ def cross_validate(
     if N is not None and N > u0.series.N:
         u0 = GrassmannLoop(u0.d, u0.k, u0.series.with_cutoff(N), u0.grid_check)
     check_ts = np.linspace(0.0, t_end, n_checks + 1)[1:]
-    state = IntegratorState(
-        loop=u0,
-        t=0.0,
-        dt=dt,
-        stats={"steps": 0, "energy0": sobolev_energy(u0.series), "constraint_drift": 0.0, "energy_drift": 0.0},
-    )
+    state = _initial_state(u0, dt)
     worst = 0.0
     curve = []
     for tc in check_ts:

@@ -39,7 +39,6 @@ __all__ = [
     "build_hankel",
     "hankel_vector_section",
     "shift_backward_matrix",
-    "shift_forward_matrix",
     "derivative_matrix",
     "interior_indices",
     "stack",
@@ -212,10 +211,6 @@ def hankel_vector_section(u, N: int) -> np.ndarray:
     return blocks.transpose(0, 2, 1, 3).reshape(N * sym.d, (N + 1) * sym.d)
 
 
-def shift_forward_matrix(d: int, N: int) -> np.ndarray:
-    return shift_backward_matrix(d, N).T
-
-
 def derivative_matrix(d: int, N: int) -> np.ndarray:
     """D = -i d/dtheta, diagonal with the mode index on the truncated space."""
     return np.kron(np.diag(np.arange(N + 1.0)), np.eye(d * d))
@@ -240,11 +235,7 @@ def apply_toeplitz_grid(u, f: HardyElement, oversample: int = 3) -> HardyElement
     fv = evaluate_grid(f.to_series(N), M).values
     prod = np.einsum("mij,mjk->mik", uv, fv)
     series = fit_series(GridSamples(sym.d, M, prod), N)
-    out = project_plus(series)
-    trimmed = np.zeros((f.N + 1, sym.d, sym.d), dtype=complex)
-    m = min(f.N, N)
-    trimmed[: m + 1] = out.coeffs[: m + 1]
-    return HardyElement(sym.d, f.N, trimmed, truncated=True)
+    return HardyElement(sym.d, f.N, project_plus(series).with_cutoff(f.N).coeffs, truncated=True)
 
 
 def key_identity_check(u, N: int) -> dict:
@@ -289,10 +280,7 @@ def commutator_rank_one_check(u, N: int, f: HardyElement) -> float:
     sym = symbol_of(u)
     T = build_toeplitz(sym, N)
     S = shift_backward_matrix(sym.d, N)
-    fc = np.zeros((N + 1, sym.d, sym.d), dtype=complex)
-    m = min(N, f.N)
-    fc[: m + 1] = f.coeffs[: m + 1]
-    vec = fc.reshape(-1)
+    vec = f.with_cutoff(N).coeffs.reshape(-1)
     lhs = S @ (T.matrix @ vec) - T.matrix @ (S @ vec)
     pu = project_plus(sym.with_cutoff(N + 1)).coeffs[1:]  # backward shift of the analytic part
     rhs = np.einsum("nij,jk->nik", pu, f.coeff(0)).reshape(-1)

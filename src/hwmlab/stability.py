@@ -8,9 +8,10 @@ emitted norm tells whether the propagator is unitary (strong stability of
 operator of the initial datum; the scalar zero-dispersion model is the
 counterexample where norm loss appears after the first breaking time.
 
-The same contraction drives the exact flow: ``evolution`` builds its
-per-time step with :func:`contraction_matrix` and reads the output modes
-with :func:`emit`, the one loop that iterates any contraction here.
+The same contraction drives the exact flow: an ``evolution`` plan holds an
+:class:`IsometryModel`, builds its per-time step with
+:meth:`IsometryModel.step` and reads the output modes with :func:`emit`,
+the one loop that iterates any contraction here.
 
 On the truncated space the backward shift and mean projection satisfy their
 defining identities exactly, so the telescoping norm balance holds to
@@ -23,7 +24,8 @@ demand agreement across several cutoffs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -32,7 +34,6 @@ from .grassmann import GrassmannLoop
 from .operators import build_toeplitz
 
 __all__ = [
-    "contraction_matrix",
     "emit",
     "standard_mean_map",
     "IsometryModel",
@@ -48,24 +49,6 @@ __all__ = [
     "zd_bo_norm_curve",
     "wold_decomposition_estimate",
 ]
-
-
-def contraction_matrix(
-    lam: np.ndarray, vecs: np.ndarray, phase: float, e: int, sstar: np.ndarray | None = None
-) -> np.ndarray:
-    """``exp(-i phase L) S*`` from the eigenpairs ``lam``, ``vecs`` of ``L``.
-
-    ``sstar`` is a dense (compressed) backward shift.  Without it ``S*`` is
-    the standard backward shift on stacked coordinates with ``e`` entries per
-    mode, applied by shifting columns: column block n of the product is
-    column block n - 1 of the exponential.
-    """
-    expo = (vecs * np.exp(-1j * phase * lam)) @ vecs.conj().T
-    if sstar is not None:
-        return expo @ sstar
-    out = np.zeros_like(expo)
-    out[:, e:] = expo[:, :-e]
-    return out
 
 
 def emit(A: np.ndarray, mean_map: np.ndarray, v: np.ndarray, n_max: int, stop_tol: float | None = None):
@@ -94,35 +77,58 @@ def standard_mean_map(d: int, dim: int) -> np.ndarray:
 class IsometryModel:
     """Truncated Hardy-space contraction ``Sigma* = exp(-i t_scale t L) S*``.
 
-    ``d`` is the coefficient matrix dimension (1 for scalar models); the
-    space dimension is ``(N+1) d^2``.  ``lam``/``vecs`` hold the
-    eigendecomposition of the Hermitian generator, so the model can be
-    re-timed without refactorizing.  ``time_scale`` converts model time into
-    generator phase (the zero-dispersion model transports at twice the
-    profile, so it carries 2).
+    ``d`` is the coefficient matrix dimension (1 for scalar models) and
+    ``N`` the Hardy-space cutoff; ``dim`` is ``(N+1) d^2`` on the whole
+    truncated space and the frame dimension on an invariant subspace.
+    ``lam``/``vecs`` hold the eigendecomposition of the Hermitian generator,
+    so the model can be re-timed without refactorizing.  ``mean_map`` is
+    P_Sigma, the defect projection onto the zeroth coefficient, shape
+    ``(d, d, dim)``.  ``sstar`` is a dense compressed backward shift (an
+    exact flow's invariant subspace); ``None`` means the standard backward
+    shift on the whole truncated space.  ``time_scale`` converts model time
+    into generator phase (the zero-dispersion model transports at twice the
+    profile, so it carries 2).  ``sigma_star`` is formed on first use.
     """
 
     d: int
     N: int
-    t: float
     lam: np.ndarray
     vecs: np.ndarray
-    sigma_star: np.ndarray
+    mean_map: np.ndarray
+    sstar: np.ndarray | None = None
+    t: float = 0.0
     time_scale: float = 1.0
     label: str = ""
 
     @property
-    def e_dim(self) -> int:
-        return self.d * self.d
-
-    @property
     def dim(self) -> int:
-        return (self.N + 1) * self.e_dim
+        return self.lam.size
 
-    @property
-    def mean_map(self) -> np.ndarray:
-        """P_Sigma, the defect projection onto the zeroth coefficient."""
-        return standard_mean_map(self.d, self.dim)
+    def step(self, t: float) -> np.ndarray:
+        """``exp(-i time_scale t L) S*`` as a dense matrix.
+
+        The standard backward shift is applied by shifting columns: column
+        block n of the product is column block n - 1 of the exponential.
+        """
+        expo = (self.vecs * np.exp(-1j * (self.time_scale * t) * self.lam)) @ self.vecs.conj().T
+        if self.sstar is not None:
+            return expo @ self.sstar
+        e = self.d * self.d
+        out = np.zeros_like(expo)
+        out[:, e:] = expo[:, :-e]
+        return out
+
+    @cached_property
+    def sigma_star(self) -> np.ndarray:
+        return self.step(self.t)
+
+
+def _standard_model(L: np.ndarray, d: int, N: int, t: float, time_scale: float, label: str) -> IsometryModel:
+    """Model with the standard shift and mean map, from a Hermitian generator."""
+    lam, vecs = np.linalg.eigh(L)
+    return IsometryModel(
+        d, N, lam, vecs, standard_mean_map(d, lam.size), t=t, time_scale=time_scale, label=label
+    )
 
 
 def isometry_model(L: np.ndarray, t: float, d: int, N: int, label: str = "") -> IsometryModel:
@@ -132,28 +138,17 @@ def isometry_model(L: np.ndarray, t: float, d: int, N: int, label: str = "") -> 
         raise ValueError(f"generator must be {dim}x{dim}, got {L.shape}")
     if np.max(np.abs(L - L.conj().T)) > 1e-10:
         raise ValueError("generator must be Hermitian")
-    lam, vecs = np.linalg.eigh(L)
-    return _with_time(d, N, t, lam, vecs, 1.0, label)
-
-
-def _with_time(d, N, t, lam, vecs, time_scale, label) -> IsometryModel:
-    sigma_star = contraction_matrix(lam, vecs, time_scale * t, d * d)
-    return IsometryModel(
-        d=d, N=N, t=t, lam=lam, vecs=vecs, sigma_star=sigma_star,
-        time_scale=time_scale, label=label,
-    )
+    return _standard_model(L, d, N, t, 1.0, label)
 
 
 def model_at_time(model: IsometryModel, t: float) -> IsometryModel:
     """Same generator, new time; reuses the cached eigendecomposition."""
-    return _with_time(model.d, model.N, t, model.lam, model.vecs, model.time_scale, model.label)
+    return replace(model, t=t)
 
 
 def hwm_model(u0: GrassmannLoop, t: float, N: int) -> IsometryModel:
     """Flow model: L is the block Toeplitz section of the initial loop."""
-    T = build_toeplitz(u0.series, N)
-    lam, vecs = np.linalg.eigh(T.matrix)
-    return _with_time(u0.d, N, t, lam, vecs, 1.0, f"hwm d={u0.d} N={N}")
+    return _standard_model(build_toeplitz(u0.series, N).matrix, u0.d, N, t, 1.0, f"hwm d={u0.d} N={N}")
 
 
 def zd_bo_model(N: int, u0: FourierSeries, t: float = 0.0) -> IsometryModel:
@@ -167,12 +162,9 @@ def zd_bo_model(N: int, u0: FourierSeries, t: float = 0.0) -> IsometryModel:
     """
     if u0.d != 1:
         raise ValueError("zero-dispersion model expects a scalar symbol (d = 1)")
-    vals = u0.coeffs[:, 0, 0]
-    if np.max(np.abs(vals - np.conj(vals[::-1]))) > 1e-12:
+    if not u0.is_hermitian_symbol(1e-12):
         raise ValueError("symbol must be real-valued on the circle")
-    T = build_toeplitz(u0, N)
-    lam, vecs = np.linalg.eigh(T.matrix)
-    return _with_time(1, N, t, lam, vecs, 2.0, f"zd-bo N={N}")
+    return _standard_model(build_toeplitz(u0, N).matrix, 1, N, t, 2.0, f"zd-bo N={N}")
 
 
 def breaking_time(u0: FourierSeries, grid: int = 4096) -> float:
@@ -209,10 +201,7 @@ def _as_vector(model: IsometryModel, f) -> np.ndarray:
     if isinstance(f, HardyElement):
         if f.d != model.d:
             raise ValueError("element dimension does not match the model")
-        coeffs = np.zeros((model.N + 1, model.d, model.d), dtype=complex)
-        m = min(model.N, f.N)
-        coeffs[: m + 1] = f.coeffs[: m + 1]
-        return coeffs.reshape(-1)
+        f = f.with_cutoff(model.N).coeffs
     vec = np.asarray(f, dtype=complex).reshape(-1)
     if vec.size != model.dim:
         raise ValueError(f"expected a vector of length {model.dim}, got {vec.size}")
@@ -342,7 +331,7 @@ def wold_decomposition_estimate(model: IsometryModel, budget: int, tol: float = 
     within the budget, so singular values below tol flag directions that
     keep essentially all their norm (the unitary part at this resolution).
     """
-    e = model.e_dim
+    e = model.d * model.d
     W = np.zeros((budget * e, model.dim), dtype=complex)
     block = model.mean_map.reshape(e, model.dim)
     for j in range(budget):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hwmlab.hardy import FourierSeries
+from hwmlab.hardy import FourierSeries, project_plus
 from hwmlab.grassmann import (
     TRAVELING_SIGN,
     BlaschkeProduct,
@@ -12,6 +12,7 @@ from hwmlab.grassmann import (
     validate_loop,
 )
 from hwmlab.operators import NotRationalError
+from hwmlab.stability import apply_u_sigma, model_at_time
 from hwmlab.evolution import (
     DegenerateEigenvalueWarning,
     conservation_report,
@@ -50,18 +51,18 @@ def twist_plan():
 def test_plan_constant_datum():
     plan = make_plan(constant_loop())
     assert plan.dim == 2
-    assert np.allclose(np.sort(plan.lam), [-1.0, 1.0])
+    assert np.allclose(np.sort(plan.model.lam), [-1.0, 1.0])
 
 
 def test_plan_ground_state_dimension():
     plan = make_plan(half_harmonic_map(BlaschkeProduct(0.0, (0.0,)), N=8))
     assert plan.dim <= 4
-    assert np.max(np.abs(plan.lam)) <= 1.0 + 1e-8
+    assert np.max(np.abs(plan.model.lam)) <= 1.0 + 1e-8
 
 
 def test_plan_soliton_frequencies():
     plan = make_plan(soliton(0.5))
-    assert np.allclose(np.sort(plan.lam), [-1.0, -0.5, -0.5, 1.0], atol=1e-12)
+    assert np.allclose(np.sort(plan.model.lam), [-1.0, -0.5, -0.5, 1.0], atol=1e-12)
 
 
 def test_plan_truncated_mode_full_dimension(rng):
@@ -70,6 +71,24 @@ def test_plan_truncated_mode_full_dimension(rng):
     loop = nonrational_loop(rng)
     plan = make_plan(loop, mode="truncated")
     assert plan.dim == 4 * (loop.N + 1)
+
+
+@pytest.mark.parametrize("mode", ["rational", "truncated"])
+def test_plan_step_matches_retimed_model(mode):
+    plan = make_plan(soliton(0.5, N=12), mode=mode)
+    for t in (0.0, 0.9, 3.7):
+        A = plan.model.step(t)
+        assert np.array_equal(A, model_at_time(plan.model, t).sigma_star)
+    assert (plan.model.sstar is None) == (mode == "truncated")
+
+
+def test_rational_model_rejects_hardy_element():
+    # a HardyElement lives on the whole truncated space, not on the frame
+    plan = make_plan(soliton(0.5, N=12))
+    f = project_plus(plan.source.with_cutoff(plan.N_op))
+    assert f.coeffs.size != plan.dim
+    with pytest.raises(ValueError, match="length"):
+        apply_u_sigma(plan.model, f, 4)
 
 
 def test_plan_propagates_not_rational(rng):
@@ -256,7 +275,7 @@ def test_recurrence_commensurate_frequencies():
     # soliton frequencies {±1, ±v} are commensurate for v = 0.5: gcd grid 0.5
     v = 0.5
     plan = make_plan(soliton(v, N=12))
-    lam = plan.lam
+    lam = plan.model.lam
     scaled = lam / v
     assert np.allclose(scaled, np.round(scaled), atol=1e-9)
     period = 2 * np.pi / v

@@ -26,6 +26,7 @@ from hwmlab.grassmann import (
     traveling_profile,
     validate_loop,
 )
+from hwmlab.grassmann import _offdiag_loop
 
 E21 = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -220,3 +221,37 @@ def test_constraint_residuals_quantify_violation():
     c[1] = np.diag([1.0, -1.0]) * (1.0 + 1e-3)
     res = constraint_residuals(2, 1, FourierSeries(2, 1, c))
     assert 1e-3 < res["involution"] < 5e-3
+
+
+def offdiag_loop_reference(b, diag, U, N):
+    # the per-mode loop that _offdiag_loop replaced, kept as a bitwise reference
+    s = np.sqrt(max(0.0, 1.0 - diag * diag))
+    bc = blaschke_series(b, N)
+    coeffs = np.zeros((2 * N + 1, 2, 2), dtype=complex)
+    coeffs[N, 0, 0] = diag
+    coeffs[N, 1, 1] = -diag
+    for n in range(N + 1):
+        coeffs[N + n, 1, 0] += s * bc[n]
+        coeffs[N - n, 0, 1] += s * np.conj(bc[n])
+    if U is not None:
+        coeffs = np.einsum("ij,mjk,kl->mil", U, coeffs, U.conj().T)
+    return coeffs
+
+
+@pytest.mark.parametrize("with_u", [False, True])
+# diag = 1 makes s = 0, so s * bc carries -0.0 entries that only += turns into +0.0
+@pytest.mark.parametrize("diag", [0.0, 0.4, -0.7, 1.0])
+@pytest.mark.parametrize(
+    "b",
+    [
+        BlaschkeProduct(0.0, (0.0,)),
+        BlaschkeProduct(0.3, (0.2,)),
+        BlaschkeProduct(1.1, (0.5, -0.3 + 0.3j, 0.2j)),
+        BlaschkeProduct(-2.0, (0.6j, -0.45, 0.1 - 0.5j, 0.3)),
+    ],
+)
+def test_offdiag_loop_matches_mode_loop(rng, b, diag, with_u):
+    N = 64
+    U = random_unitary(rng, 2) if with_u else None
+    out = _offdiag_loop(b, diag, U, N, 1e-12)
+    assert out.coeffs.tobytes() == offdiag_loop_reference(b, diag, U, N).tobytes()

@@ -91,6 +91,19 @@ def test_forward_shift_sets_sticky_truncation_flag(rng):
     assert shift_backward(shift_forward(f)).truncated
 
 
+def test_hardy_with_cutoff_pads_and_truncates(rng):
+    f = random_hardy(rng, 2, 3)
+    padded = f.with_cutoff(5)
+    assert padded.N == 5 and not padded.truncated
+    assert np.array_equal(padded.coeffs[:4], f.coeffs)
+    assert np.all(padded.coeffs[4:] == 0)
+    cut = f.with_cutoff(1)
+    assert cut.truncated
+    assert np.array_equal(cut.coeffs, f.coeffs[:2])
+    assert not random_hardy(rng, 2, 3, zero_top=True).with_cutoff(2).truncated
+    assert padded.with_cutoff(3).coeffs.tobytes() == f.coeffs.tobytes()
+
+
 def test_backward_shift_index():
     f = HardyElement(2, 3, np.stack([np.zeros((2, 2)), E21, np.zeros((2, 2)), np.zeros((2, 2))]))
     g = shift_backward(f)

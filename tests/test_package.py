@@ -33,3 +33,14 @@ def test_traced_functions_resolve():
     assert targets
     for _, module, name in targets:
         assert callable(getattr(importlib.import_module(module), name, None)), f"{module}.{name}"
+
+
+def test_public_names_resolve():
+    # a deletion that leaves a stale __all__ entry breaks `from ... import *`
+    package = Path(hwmlab.__file__).parent
+    modules = ["hwmlab"] + [f"hwmlab.{p.stem}" for p in package.glob("*.py") if p.stem != "__init__"]
+    assert len(modules) > 10
+    for name in modules:
+        module = importlib.import_module(name)
+        for public in getattr(module, "__all__", ()):
+            assert hasattr(module, public), f"{name}.{public}"

@@ -197,6 +197,14 @@ def test_wold_flip_model_and_zdbo():
     assert w["dim_unitary"] >= 1
 
 
+def test_model_at_time_reuses_eigendata():
+    base = zd_bo_model(16, minus_cosine())
+    m = model_at_time(base, 0.4)
+    assert m.lam is base.lam and m.vecs is base.vecs and m.mean_map is base.mean_map
+    assert (m.t, base.t) == (0.4, 0.0)
+    assert np.array_equal(m.sigma_star, base.step(0.4))
+
+
 def test_coefficients_converge_with_generator(rng):
     # entrywise generator convergence moves the output coefficients continuously
     N = 16
