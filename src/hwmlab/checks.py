@@ -1,226 +1,69 @@
-"""Named invariant suite behind the validate command.
+"""Invariant checks behind the validate command, on the configured datum.
 
-Each check returns its worst residual; checks that depend on resolving
-Fourier tails are downgraded to warnings when the configured cutoff is too
-small to resolve them, while the exact algebraic identities must always
-pass.
+The datum and its plan are built exactly as ``evolve`` builds them, and each
+check reads a residual the library already measures: the loop's pointwise
+constraints, the key identity T^2 + H*H = I and its trace, the invariance
+residual of the plan's frame, conservation of the energy, the Schatten sums,
+the mean and the Hankel rank between the ends ``t0`` and ``t1`` of the
+configured window, the contraction's spectral radius, isospectrality of the
+Toeplitz section, and the bit-exact JSON round trip.  A loop file that fails
+validation yields the single failed check ``loop_file_constraints``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .config import ExperimentConfig
-from .hardy import (
-    FourierSeries,
-    half_norm_sq,
-    l2_norm,
-    project_minus,
-    project_plus,
-    reproduce_check,
-    shift_backward,
-    shift_forward,
-)
-from .grassmann import (
-    BlaschkeProduct,
-    ValidationError,
-    blaschke_eval,
-    half_harmonic_map,
-    loop_from_json,
-    loop_to_json,
-    pauli_decode,
-    pauli_encode,
-    random_blaschke,
-    random_unitary,
-    traveling_profile,
-)
-from .operators import (
-    build_toeplitz,
-    eig_hermitian,
-    invariant_subspace,
-    key_identity_check,
-    commutator_rank_one_check,
-    toeplitz_product_identity,
-)
-from .evolution import fourier_coefficient, make_plan, solve_at_time
-from .integrator import rhs
+from .grassmann import ValidationError, loop_from_json, loop_to_json
+from .operators import key_identity_check
+from .evolution import conservation_report, lax_isospectrality_check, make_plan
+from .experiments import build_datum
 
 __all__ = ["CheckResult", "run_invariant_suite"]
-
-TAIL_SAFE_CUTOFF = 32
 
 
 @dataclass(frozen=True)
 class CheckResult:
     name: str
     passed: bool
-    warned: bool
     detail: str
 
 
-def _random_series(rng, d: int, N: int, hermitian: bool = False) -> FourierSeries:
-    c = rng.standard_normal((2 * N + 1, d, d)) + 1j * rng.standard_normal((2 * N + 1, d, d))
-    c /= np.sqrt(c.size)
-    if hermitian:
-        c = 0.5 * (c + np.conj(np.transpose(c[::-1], (0, 2, 1))))
-    return FourierSeries(d, N, c)
-
-
-def _random_hardy(rng, d: int, N: int):
-    return project_plus(_random_series(rng, d, N))
+def _below(name: str, residual: float, tol: float) -> CheckResult:
+    return CheckResult(name, residual < tol, f"residual {residual:.3e} vs {tol:.1e}")
 
 
 def run_invariant_suite(cfg: ExperimentConfig) -> list[CheckResult]:
-    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
-    N = max(4, min(cfg.N, 24))
-    d = cfg.d
-    out: list[CheckResult] = []
-    tail_ok = cfg.N >= TAIL_SAFE_CUTOFF
-
-    def check(name: str, residual: float, tol: float, tail_sensitive: bool = False):
-        good = residual < tol
-        warned = (not good) and tail_sensitive and not tail_ok
-        out.append(
-            CheckResult(
-                name=name,
-                passed=good,
-                warned=warned,
-                detail=f"residual {residual:.3e} vs {tol:.1e}"
-                + (" [tail-limited cutoff]" if warned else ""),
-            )
-        )
-
-    if cfg.datum == "file" and cfg.file:
-        try:
-            loop_from_json(Path(cfg.file).read_text())
-            out.append(CheckResult("loop_file_constraints", True, False, "all pointwise constraints hold"))
-        except ValidationError as exc:
-            out.append(CheckResult("loop_file_constraints", False, False, str(exc)))
-        except Exception as exc:
-            out.append(CheckResult("loop_file_constraints", False, False, f"unreadable: {exc}"))
-
-    # shift algebra: S* S = I and S S* = I - mean, with adjointness;
-    # exactness needs headroom for the forward shift, so the top mode is zero
-    worst_identity = 0.0
-    worst_adjoint = 0.0
-    for _ in range(20):
-        f = _random_hardy(rng, d, N)
-        fc = f.coeffs.copy()
-        fc[-1] = 0.0
-        f = type(f)(d, N, fc)
-        g = _random_hardy(rng, d, N)
-        back_fwd = shift_backward(shift_forward(f))
-        worst_identity = max(worst_identity, float(np.max(np.abs(back_fwd.coeffs - f.coeffs))))
-        fwd_back = shift_forward(shift_backward(f))
-        target = f.coeffs.copy()
-        target[0] = 0.0
-        worst_identity = max(worst_identity, float(np.max(np.abs(fwd_back.coeffs - target))))
-        sf = shift_forward(f)
-        ip_left = np.sum(sf.coeffs * np.conj(g.coeffs))
-        ip_right = np.sum(f.coeffs * np.conj(shift_backward(g).coeffs))
-        worst_adjoint = max(worst_adjoint, abs(ip_left - ip_right))
-    check("shift_defect_identities", worst_identity, 1e-14)
-    check("shift_adjointness", worst_adjoint, 1e-13)
-
-    # analytic projection is orthogonal
-    worst = 0.0
-    for _ in range(10):
-        u = _random_series(rng, d, N)
-        gap = abs(l2_norm(project_plus(u)) ** 2 + l2_norm(project_minus(u)) ** 2 - l2_norm(u) ** 2)
-        worst = max(worst, gap)
-    check("projection_orthogonality", worst, 1e-13)
-
-    # Hermitian symbols split the half norm evenly
-    worst = 0.0
-    for _ in range(10):
-        u = _random_series(rng, d, N, hermitian=True)
-        worst = max(worst, abs(half_norm_sq(project_minus(u)) - 0.5 * half_norm_sq(u)))
-    check("hermitian_half_norm_split", worst, 1e-13)
-
-    # resolvent reproduction against Horner evaluation
-    worst = 0.0
-    for _ in range(20):
-        f = _random_hardy(rng, d, N)
-        z = 0.9 * np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
-        worst = max(worst, float(np.max(np.abs(reproduce_check(f, z) - f.eval_at(z)))))
-    check("reproducing_formula", worst, 1e-10)
-
-    # Pauli encoding round trip
-    worst = 0.0
-    for _ in range(25):
-        v = rng.standard_normal(3)
-        v /= np.linalg.norm(v)
-        worst = max(worst, float(np.max(np.abs(pauli_decode(pauli_encode(v)) - v))))
-    check("pauli_roundtrip", worst, 1e-14)
-
-    # Blaschke boundary unimodularity
-    b = random_blaschke(rng, 3)
-    zs = np.exp(2j * np.pi * np.arange(64) / 64)
-    check("blaschke_unimodular", float(np.max(np.abs(np.abs(blaschke_eval(b, zs)) - 1.0))), 1e-12)
-
-    # energy quantization and stationarity (need the tail resolved, so these
-    # run with guards off and degrade to warnings at reduced cutoffs)
-    b2 = random_blaschke(rng, 2)
-    q2 = half_harmonic_map(
-        b2, U=random_unitary(rng), N=max(cfg.N, 16),
-        tail_tol=np.inf, sq_tol=np.inf,
-    )
-    check("energy_quantization", abs(q2.energy() - 2.0), 1e-8, tail_sensitive=True)
-    check("half_harmonic_constraints", q2.grid_check["involution"], 1e-10, tail_sensitive=True)
-    check(
-        "half_harmonic_stationarity",
-        l2_norm(rhs(q2)),
-        1e-8,
-        tail_sensitive=True,
-    )
-    qv = traveling_profile(BlaschkeProduct(0.0, (0.0,)), 0.5, N=8)
-    check("traveling_energy_law", abs(qv.energy() - 0.75), 1e-10)
-
-    # operator identities on a rational loop
-    rep = key_identity_check(qv, max(2 * qv.series.N + 2, 8))
-    check("key_identity_interior", rep["interior_residual"], 1e-9)
-    check("key_identity_trace", rep["trace_gap"], 1e-9)
-
-    worst = 0.0
-    Nop = max(8, N)
-    for _ in range(10):
-        f = _random_hardy(rng, d, Nop)
-        worst = max(worst, commutator_rank_one_check(_random_series(rng, d, 2, hermitian=True), Nop, f))
-    check("commutator_rank_one", worst, 1e-9)
-
-    worst = 0.0
-    for _ in range(5):
-        fsym = _random_series(rng, d, 2)
-        gsym = _random_series(rng, d, 2)
-        worst = max(worst, toeplitz_product_identity(fsym, gsym, Nop))
-    check("toeplitz_product_identity", worst, 1e-9)
-
-    spec = eig_hermitian(build_toeplitz(qv.series, Nop))
-    check("toeplitz_contraction_bound", max(0.0, float(np.max(np.abs(spec.eigenvalues))) - 1.0), 1e-8)
-
-    frame = invariant_subspace(qv, Nop)
-    check("invariant_subspace_residual", frame.invariance_residual, 1e-8)
-
-    # short evolution: conserved energy and frozen zeroth mode
-    plan = make_plan(qv, mode="rational")
-    m0 = fourier_coefficient(plan, 0.0, 0)
-    worst_mode0 = 0.0
-    worst_energy = 0.0
-    for t in np.linspace(0.0, 5.0, 6):
-        worst_mode0 = max(worst_mode0, float(np.max(np.abs(fourier_coefficient(plan, float(t), 0) - m0))))
-        worst_energy = max(worst_energy, abs(solve_at_time(plan, float(t)).diagnostics["energy"] - qv.energy()))
-    check("flow_mean_frozen", worst_mode0, 1e-13)
-    check("flow_energy_conserved", worst_energy, 1e-9)
-
-    # serialization is bit-exact
-    text = loop_to_json(qv)
-    back = loop_from_json(text)
-    exact = bool(np.array_equal(back.series.coeffs, qv.series.coeffs))
-    out.append(
-        CheckResult("loop_serialization_roundtrip", exact, False,
-                    "bit-exact" if exact else "coefficients differ")
-    )
-    return out
+    try:
+        loop = build_datum(cfg)
+    except ValidationError as exc:
+        if cfg.datum != "file":
+            raise
+        return [CheckResult("loop_file_constraints", False, str(exc))]
+    plan = make_plan(loop, mode="rational", N_out=cfg.N_out, rank_tol=cfg.rank_tol, tail_tol=cfg.tail_tol)
+    key = key_identity_check(loop, plan.N_op)
+    start, end = conservation_report(plan, (cfg.t0, cfg.t1))
+    mean_frozen = bool(np.array_equal(start["mean"], end["mean"]))
+    radius = max(start["spectral_radius"], end["spectral_radius"])
+    exact = bool(np.array_equal(loop_from_json(loop_to_json(loop)).series.coeffs, loop.series.coeffs))
+    return [
+        _below("loop_constraints", max(loop.grid_check.values()), 1e-10),
+        _below("key_identity_interior", key["interior_residual"], 1e-9),
+        _below("key_identity_trace", key["trace_gap"], 1e-9),
+        _below("invariant_subspace_residual", plan.frame.invariance_residual, 1e-8),
+        _below("flow_energy_conserved", abs(end["energy"] - start["energy"]), 1e-9),
+        _below("flow_I1_conserved", abs(end["I1"] - start["I1"]), 1e-9),
+        _below("flow_I2_conserved", abs(end["I2"] - start["I2"]), 1e-9),
+        CheckResult("flow_mean_frozen", mean_frozen, "bit-exact" if mean_frozen else "zeroth mode moved"),
+        CheckResult(
+            "hankel_rank_conserved",
+            start["hankel_rank"] == end["hankel_rank"],
+            f"rank {start['hankel_rank']} at t0, {end['hankel_rank']} at t1",
+        ),
+        CheckResult("contraction_spectral_radius", radius < 1.0, f"max radius {radius:.6f} vs 1"),
+        _below("lax_isospectrality", lax_isospectrality_check(plan, (cfg.t1,))["max_gap"], 1e-6),
+        CheckResult("loop_serialization_roundtrip", exact, "bit-exact" if exact else "coefficients differ"),
+    ]

@@ -92,7 +92,7 @@ def zdbo(config_path, out_dir, seed, quiet):
 @main.command()
 @_common
 def validate(config_path, out_dir, seed, quiet):
-    """Run the named invariant suite; nonzero exit on any failure."""
+    """Check the configured datum's invariants along its flow; nonzero exit on any failure."""
     _dispatch(experiments.run_validate, config_path, "validate", seed, out_dir, quiet)
 
 
@@ -107,7 +107,7 @@ def bench(config_path, out_dir, seed, quiet):
 @click.argument("path", type=click.Path())
 def init_config(path):
     """Write a template config file."""
-    Path(path).write_text(DEFAULT_TEXT)
+    experiments.write_text_atomic(Path(path), DEFAULT_TEXT)
     click.echo(f"wrote {path}")
 
 

@@ -54,8 +54,6 @@ class ExperimentConfig:
     samples: int = 50
     rank_tol: float = 1e-8
     tail_tol: float = 1e-12
-    eps_recurrence: float = 1e-3     # relative to the initial Sobolev norm
-    horizon: float = 1000.0
     stability_times: tuple = (0.5, 1.0, 2.0)
     stability_n_max: int = 1024
     stability_tol: float = 1e-6
@@ -109,8 +107,6 @@ _PARSERS = {
     "t1": float,
     "rank_tol": float,
     "tail_tol": float,
-    "eps_recurrence": float,
-    "horizon": float,
     "stability_tol": float,
     "dt": float,
     "conjugate_random": lambda s: s.strip().lower() in ("1", "true", "yes", "on"),

@@ -288,17 +288,13 @@ def run_validate(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False) -> i
 
     results = run_invariant_suite(cfg)
     lines = []
-    failed = 0
     for res in results:
-        status = "PASS" if res.passed else ("WARN" if res.warned else "FAIL")
-        if not res.passed and not res.warned:
-            failed += 1
-        lines.append(f"{status} {res.name} ({res.detail})")
+        lines.append(f"{'PASS' if res.passed else 'FAIL'} {res.name} ({res.detail})")
         if not quiet:
             print(lines[-1])
     write_text_atomic(out_dir / "validate.txt", "\n".join(
         [f"# hwmlab {__version__} config={config_hash(cfg)}"] + lines) + "\n")
-    return 0 if failed == 0 else 1
+    return 0 if all(res.passed for res in results) else 1
 
 
 def run_bench(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False) -> int:

@@ -317,9 +317,12 @@ def toeplitz_product_identity(f: FourierSeries, g: FourierSeries, N: int) -> flo
 
 
 def kronecker_rank(u, N: int, rank_tol: float = 1e-8) -> tuple[int, np.ndarray]:
-    """Numerical rank of the Hankel section, with the singular spectrum for audit."""
-    H = build_hankel(u, N)
-    sv = np.linalg.svd(H.matrix, compute_uv=False)
+    """Numerical rank of the Hankel section, with the singular spectrum for audit.
+
+    The spectrum is that of the matrix-valued section, taken as the vector
+    section's singular values each repeated d times.
+    """
+    sv = np.repeat(np.linalg.svd(hankel_vector_section(u, N), compute_uv=False), symbol_of(u).d)
     if sv.size == 0 or sv[0] <= 0.0:
         return 0, sv
     rank = int(np.count_nonzero(sv > rank_tol * sv[0]))

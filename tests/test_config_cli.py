@@ -6,7 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from hwmlab.cli import main
-from hwmlab.config import ConfigError, config_hash, parse_config
+from hwmlab.config import DEFAULT_TEXT, ConfigError, config_hash, load_config, parse_config
 from hwmlab.experiments import build_datum, rng_for, run_bench, run_evolve, write_text_atomic
 from hwmlab.grassmann import loop_to_json
 
@@ -188,6 +188,41 @@ def test_cli_validate_reduced_cutoff_downgrades(tmp_path):
     res = runner.invoke(main, ["validate", "--config", str(cfg_file), "--out", str(tmp_path / "v")])
     assert res.exit_code == 0, res.output
     assert "FAIL" not in res.output
+
+
+def test_cli_validate_reads_datum(tmp_path):
+    from hwmlab.evolution import make_plan
+    from hwmlab.operators import kronecker_rank
+
+    cfg_file = tmp_path / "v.cfg"
+    cfg_file.write_text("experiment = validate\ndatum = random_rational\nd = 3\ntwists = 2\n")
+    out = tmp_path / "v"
+    res = CliRunner().invoke(main, ["validate", "--config", str(cfg_file), "--out", str(out), "--quiet"])
+    assert res.exit_code == 0, res.output
+    cfg = load_config(cfg_file)
+    loop = build_datum(cfg)
+    plan = make_plan(loop, N_out=cfg.N_out, rank_tol=cfg.rank_tol, tail_tol=cfg.tail_tol)
+    rank = kronecker_rank(loop, plan.N_op)[0]
+    lines = (out / "validate.txt").read_text().splitlines()
+    (line,) = [ln for ln in lines if " hankel_rank_conserved " in ln]
+    assert line == f"PASS hankel_rank_conserved (rank {rank} at t0, {rank} at t1)"
+
+
+def test_cli_init_config_writes_atomically(tmp_path, monkeypatch):
+    targets = []
+    real_replace = os.replace
+
+    def recording_replace(src, dst):
+        targets.append(str(dst))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", recording_replace)
+    target = tmp_path / "run.cfg"
+    res = CliRunner().invoke(main, ["init-config", str(target)])
+    assert res.exit_code == 0, res.output
+    assert targets == [str(target)]
+    assert load_config(target) == parse_config(DEFAULT_TEXT)
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_bench_console_prints_measured_crossover(tmp_path, capsys):

@@ -306,6 +306,18 @@ def test_kronecker_rank_cases(rng):
     assert ranks[0] < ranks[1] < ranks[2]
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("N", [8, 16])
+def test_kronecker_rank_matches_matrix_svd(rng, d, N):
+    # the matrix-valued section's own SVD is the reference for the d-fold repeat
+    for loop in (random_rational_loop(rng, d, d // 2, twists=2), nonrational_loop(rng)):
+        rank, sv = kronecker_rank(loop.series, N)
+        ref = np.linalg.svd(build_hankel(loop.series, N).matrix, compute_uv=False)
+        assert rank == int(np.count_nonzero(ref > 1e-8 * ref[0]))
+        assert sv.shape == ref.shape
+        assert np.max(np.abs(sv - ref)) < 1e-14
+
+
 def test_schatten_norms(rng):
     q = ground_state()
     assert schatten_norm(q, 8, 2.0) == pytest.approx(1.0, abs=1e-10)
