@@ -175,7 +175,7 @@ k = 1
 N = 64
 datum = blaschke
 blaschke_degree = 1
-velocity = 0.5
+velocity = 0.0
 t0 = 0.0
 t1 = 10.0
 samples = 50

@@ -5,17 +5,23 @@ finite-dimensional invariant subspace for rational data (or on the whole
 truncated Hardy space otherwise).  Each output Fourier mode is one
 application of ``exp(-i t T) S*`` followed by extraction of the zeroth
 coefficient; the evolved loop is ``analytic part + adjoint - zeroth mode``.
-Per-time work is one step matrix from the cached eigenpairs, then one
-matrix-vector product per mode, with no step-size error.  The plan's
-eigen-data is an :class:`~hwmlab.stability.IsometryModel`; its
-:meth:`~hwmlab.stability.IsometryModel.step` and :func:`~hwmlab.stability.emit`
-are the contraction kernel shared with the stability experiments.
+
+In the eigenbasis ``V`` of the restricted operator the time enters only as
+the diagonal phase ``exp(-i t lam)``: the step is ``diag(phase) V* S* V``.
+So :func:`solve_many` advances every sample time at once, one block of
+eigenbasis columns per output mode, with no step-size error; one stacked
+eigensolve guards the spectral radii and the grid checks run once per group
+of times that use the same number of modes.  :func:`solve_at_time` is its
+one-time case.  The plan's eigen-data is an
+:class:`~hwmlab.stability.IsometryModel`, and :func:`~hwmlab.stability.emit`
+is the contraction loop shared with the stability experiments.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,6 +47,7 @@ __all__ = [
     "DegenerateEigenvalueWarning",
     "make_plan",
     "fourier_coefficient",
+    "solve_many",
     "solve_at_time",
     "contraction_spectrum",
     "lax_isospectrality_check",
@@ -51,6 +58,8 @@ __all__ = [
 ]
 
 HARD_MODE_CAP = 4096
+# entries of the stacked (times, dim, dim) step matrices one solve block may hold
+SOLVE_BLOCK_ENTRIES = 1 << 18
 
 
 class SpectralRadiusError(RuntimeError):
@@ -90,6 +99,11 @@ class EvolutionPlan:
     @property
     def dim(self) -> int:
         return self.model.dim
+
+    @cached_property
+    def eigen_c0(self) -> np.ndarray:
+        """``c0`` in the eigenbasis of the model's generator."""
+        return self.model.vecs.conj().T @ self.c0
 
 
 @dataclass(frozen=True)
@@ -164,65 +178,132 @@ def make_plan(
     )
 
 
+def _emit_eigen(plan: EvolutionPlan, phase: np.ndarray, n_max: int, stop_tol: float | None = None):
+    """Modes ``(n+1, T, d, d)`` and norms ``(n+1, T)`` of the analytic part, one column per phase.
+
+    The iteration runs on eigenbasis coordinates; mode 0 is ``mean_map @ c0``
+    on the plan's own space, so the zeroth mode stays frozen bit for bit.
+    """
+    model, d = plan.model, plan.d
+    w0 = np.repeat(plan.eigen_c0[:, None], phase.shape[1], axis=1)
+    means, norms = emit(model.eigen_shift, model.eigen_mean_map.reshape(d * d, -1), w0, n_max, stop_tol, phase)
+    means = means.reshape(means.shape[0], d, d, -1).transpose(0, 3, 1, 2)
+    means[0] = model.mean_map @ plan.c0
+    return means, norms
+
+
 def fourier_coefficient(plan: EvolutionPlan, t: float, n: int) -> np.ndarray:
     """The n-th analytic Fourier coefficient of the evolved loop."""
     if n < 0:
         raise ValueError("fourier_coefficient is defined for modes n >= 0")
-    coeffs, _ = emit(plan.model.step(t), plan.model.mean_map, plan.c0, n)
-    return coeffs[n]
+    return _emit_eigen(plan, plan.model.phases([t]), n)[0][n, 0]
 
 
-def _checked_spectrum(A: np.ndarray, t: float) -> tuple[np.ndarray, float]:
-    mu = np.linalg.eigvals(A)
-    r = float(np.max(np.abs(mu))) if mu.size else 0.0
-    if r >= 1.0:
-        raise SpectralRadiusError(f"contraction spectral radius {r} >= 1 at t = {t}")
+def _spectra(plan: EvolutionPlan, times: np.ndarray, phase: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues ``(T, dim)`` and spectral radii of the contraction at each time.
+
+    One stacked eigensolve of ``diag(phase_t) V* S* V``, which is similar to
+    the step matrix; a radius >= 1 raises, naming the first such time.
+    """
+    mu = np.linalg.eigvals(phase.T[:, :, None] * plan.model.eigen_shift)
+    r = np.max(np.abs(mu), axis=-1, initial=0.0)
+    bad = np.flatnonzero(r >= 1.0)
+    if bad.size:
+        raise SpectralRadiusError(f"contraction spectral radius {r[bad[0]]} >= 1 at t = {times[bad[0]]}")
     return mu, r
 
 
 def contraction_spectrum(plan: EvolutionPlan, t: float) -> np.ndarray:
     """Eigenvalues of exp(-i t T) S* on the plan's space; all must stay inside
     the unit circle, else the rank/truncation data is unusable."""
-    return _checked_spectrum(plan.model.step(t), t)[0]
+    return _spectra(plan, np.array([float(t)]), plan.model.phases([t]))[0][0]
+
+
+def _time_blocks(plan: EvolutionPlan, times) -> list[np.ndarray]:
+    """``times`` as floats, cut so that no block stacks more than
+    ``SOLVE_BLOCK_ENTRIES`` step-matrix entries."""
+    times = np.asarray(times, dtype=float).reshape(-1)
+    size = max(1, SOLVE_BLOCK_ENTRIES // plan.dim**2)
+    return [times[lo : lo + size] for lo in range(0, times.size, size)]
+
+
+def _first_stops(norms: np.ndarray, tol: float) -> np.ndarray:
+    """Per column, the first step whose norm is at most ``tol``, else the last step."""
+    steps = norms.shape[0] - 1
+    if steps == 0:
+        return np.zeros(norms.shape[1], dtype=int)
+    below = norms[1:] <= tol
+    return np.where(below.any(axis=0), below.argmax(axis=0) + 1, steps)
+
+
+def _solve_block(plan: EvolutionPlan, times: np.ndarray) -> list[TrajectorySample]:
+    phase = plan.model.phases(times)
+    _, radii = _spectra(plan, times, phase)
+    for i in np.flatnonzero(radii > 1.0 - 1e-3).tolist():
+        warnings.warn(
+            f"contraction spectral radius {radii[i]:.6f} at t = {times[i]}; mode tail decays slowly",
+            SlowDecayWarning,
+            stacklevel=3,
+        )
+    means, norms = _emit_eigen(plan, phase, plan.N_out, plan.tail_tol)
+    n_used = _first_stops(norms, plan.tail_tol)
+    tails = norms[n_used, np.arange(times.size)]
+    for i in np.flatnonzero((tails > plan.tail_tol) & (n_used >= plan.N_out)).tolist():
+        warnings.warn(
+            f"mode cap {plan.N_out} reached with tail {tails[i]:.2e} > {plan.tail_tol:.1e} at t = {times[i]}",
+            SlowDecayWarning,
+            stacklevel=3,
+        )
+
+    d, k = plan.d, plan.k
+    zero_mode = means[0, 0] + means[0, 0].conj().T - plan.mean0
+    samples = [None] * times.size
+    # one grid check per group of times that share a mode count
+    for n in np.unique(n_used).tolist():
+        cols = np.flatnonzero(n_used == n)
+        coeffs = means[: n + 1, cols]
+        stack = np.empty((cols.size, 2 * n + 1, d, d), dtype=complex)
+        stack[:, n] = zero_mode
+        stack[:, n + 1 :] = coeffs[1:].transpose(1, 0, 2, 3)
+        stack[:, :n] = coeffs[:0:-1].conj().transpose(1, 0, 3, 2)
+        group = [FourierSeries(d, n, c) for c in stack]
+        checks = constraint_residuals(d, k, group)
+        energies = sobolev_energy(group).tolist()
+        for j, series, check, energy in zip(cols.tolist(), group, checks, energies):
+            samples[j] = TrajectorySample(
+                t=float(times[j]),
+                loop=GrassmannLoop(d, k, series, check),
+                diagnostics={
+                    "energy": energy,
+                    "mean": series.coeff(0),
+                    "constraint_residual": max(check["involution"], check["hermitian"], check["trace"]),
+                    "spectral_radius": float(radii[j]),
+                    "tail_estimate": float(tails[j]),
+                    "n_modes_used": n,
+                },
+            )
+    return samples
+
+
+def solve_many(plan: EvolutionPlan, times) -> list[TrajectorySample]:
+    """Evolved loops at every time in ``times``, in order, with their diagnostics.
+
+    All times step together in the generator's eigenbasis, ``W <- phase * (C W)``
+    with ``C = V* S* V``, and each time stops at its own first mode whose
+    remaining norm is at most the plan's ``tail_tol``.  Raises
+    SpectralRadiusError for the first time whose contraction has radius >= 1
+    and warns (SlowDecayWarning) for each time whose radius is near 1 or
+    that reaches the mode cap.
+    """
+    samples = []
+    for block in _time_blocks(plan, times):
+        samples += _solve_block(plan, block)
+    return samples
 
 
 def solve_at_time(plan: EvolutionPlan, t: float) -> TrajectorySample:
-    """Evolved loop at time t with recomputed diagnostics."""
-    A = plan.model.step(t)
-    _, r = _checked_spectrum(A, t)
-    if r > 1.0 - 1e-3:
-        warnings.warn(
-            f"contraction spectral radius {r:.6f} at t = {t}; mode tail decays slowly",
-            SlowDecayWarning,
-            stacklevel=2,
-        )
-    coeffs, norms = emit(A, plan.model.mean_map, plan.c0, plan.N_out, plan.tail_tol)
-    n_used = coeffs.shape[0] - 1
-    tail = norms[-1]
-    if tail > plan.tail_tol and n_used >= plan.N_out:
-        warnings.warn(
-            f"mode cap {plan.N_out} reached with tail {tail:.2e} > {plan.tail_tol:.1e} at t = {t}",
-            SlowDecayWarning,
-            stacklevel=2,
-        )
-
-    d = plan.d
-    series_coeffs = np.zeros((2 * n_used + 1, d, d), dtype=complex)
-    series_coeffs[n_used] = coeffs[0] + coeffs[0].conj().T - plan.mean0
-    series_coeffs[n_used + 1 :] = coeffs[1:]
-    series_coeffs[:n_used] = coeffs[:0:-1].conj().transpose(0, 2, 1)
-    series = FourierSeries(d, n_used, series_coeffs)
-    check = constraint_residuals(d, plan.k, series)
-    loop = GrassmannLoop(d, plan.k, series, check)
-    diagnostics = {
-        "energy": sobolev_energy(series),
-        "mean": series.coeff(0),
-        "constraint_residual": max(check["involution"], check["hermitian"], check["trace"]),
-        "spectral_radius": r,
-        "tail_estimate": tail,
-        "n_modes_used": n_used,
-    }
-    return TrajectorySample(t=float(t), loop=loop, diagnostics=diagnostics)
+    """Evolved loop at time t with recomputed diagnostics (:func:`solve_many` at one time)."""
+    return solve_many(plan, [t])[0]
 
 
 def lax_isospectrality_check(
@@ -230,7 +311,6 @@ def lax_isospectrality_check(
     times,
     N: int | None = None,
     delta: float = 0.05,
-    pair_tol: float = 1e-6,
 ) -> dict:
     """Compare interior Toeplitz eigenvalues of evolved loops against t = 0.
 
@@ -246,13 +326,13 @@ def lax_isospectrality_check(
     base = interior(plan.source)
     rows = []
     worst = 0.0
-    for t in times:
-        lam = interior(solve_at_time(plan, t).loop.series)
+    for sample in solve_many(plan, times):
+        lam = interior(sample.loop.series)
         m = min(base.size, lam.size)
         gap = float(np.max(np.abs(np.sort(base)[:m] - np.sort(lam)[:m]))) if m else 0.0
         worst = max(worst, gap)
         rows.append(
-            {"t": float(t), "count": int(lam.size), "count_base": int(base.size), "max_gap": gap}
+            {"t": sample.t, "count": int(lam.size), "count_base": int(base.size), "max_gap": gap}
         )
     return {"rows": rows, "max_gap": worst, "interior_base": np.sort(base)}
 
@@ -268,13 +348,12 @@ def conservation_report(
     of the evolved loop at each requested time."""
     N_rank = plan.N_op if N_rank is None else N_rank
     out = []
-    for t in times:
-        sample = solve_at_time(plan, t)
+    for sample in solve_many(plan, times):
         loop = sample.loop
         sym = loop.series.with_cutoff(max(N_rank, loop.series.N))
         rank, _ = kronecker_rank(sym, N_rank, rank_tol=rank_tol)
         row = {
-            "t": float(t),
+            "t": sample.t,
             "energy": sample.diagnostics["energy"],
             "mean": sample.diagnostics["mean"],
             "constraint_residual": sample.diagnostics["constraint_residual"],
@@ -373,18 +452,19 @@ def recurrence_search(
     if eps is None:
         eps = 1e-3 * norm0
 
-    def sample(t: float) -> tuple[float, FourierSeries]:
-        series = solve_at_time(plan, float(t)).loop.series
-        N = max(series.N, u0.N)
-        diff = series.with_cutoff(N).coeffs - u0.with_cutoff(N).coeffs
-        return sobolev_norm(FourierSeries(u0.d, N, diff), 0.5), series
+    def measure(samples) -> tuple[np.ndarray, np.ndarray]:
+        """Distances to the initial loop and norms of the sampled loops."""
+        N = max(u0.N, *(s.loop.N for s in samples))
+        loops = [s.loop.series.with_cutoff(N) for s in samples]
+        base = u0.with_cutoff(N).coeffs
+        diffs = [FourierSeries(u0.d, N, f.coeffs - base) for f in loops]
+        return sobolev_norm(diffs, 0.5), sobolev_norm(loops, 0.5)
 
     ts = np.arange(t_min, horizon + coarse_dt, coarse_dt)
-    dists = np.empty(ts.size)
-    sup_norm = 0.0
-    for i, t in enumerate(ts):
-        dists[i], series = sample(t)
-        sup_norm = max(sup_norm, sobolev_norm(series, 0.5))
+    # block by block, so a long scan never holds more than one block of loops
+    scanned = [measure(_solve_block(plan, block)) for block in _time_blocks(plan, ts)]
+    dists = np.concatenate([d for d, _ in scanned])
+    sup_norm = float(max(np.max(norms) for _, norms in scanned))
 
     arm_level = max(4.0 * eps, 0.05 * norm0)
     result = {
@@ -408,7 +488,7 @@ def recurrence_search(
     for i in range(max(armed_from, 1), ts.size - 1):
         if dists[i] <= refine_level and dists[i] <= dists[i - 1] and dists[i] <= dists[i + 1]:
             res = minimize_scalar(
-                lambda t: sample(t)[0],
+                lambda t: float(measure([solve_at_time(plan, float(t))])[0][0]),
                 bounds=(float(ts[i - 1]), float(ts[i + 1])),
                 method="bounded",
                 options={"xatol": 1e-10},

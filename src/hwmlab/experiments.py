@@ -9,6 +9,7 @@ plus seed reproduces every artifact byte for byte below the version header.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import time
@@ -34,7 +35,7 @@ from .grassmann import (
     validate_loop,
 )
 from .operators import build_toeplitz, eig_hermitian, kronecker_rank
-from .evolution import make_plan, solve_at_time
+from .evolution import make_plan, solve_at_time, solve_many
 from .stability import (
     hwm_model,
     model_at_time,
@@ -130,34 +131,27 @@ TRAJECTORY_BASE_COLS = ("t", "energy")
 TRAJECTORY_TAIL_COLS = ("constraint_residual", "spectral_radius", "n_modes_used")
 
 
-def _mean_cols(d: int):
-    cols = []
-    for i in range(d):
-        for j in range(d):
-            cols.append(f"mean_{i}{j}_re")
-            cols.append(f"mean_{i}{j}_im")
-    return cols
+@functools.cache
+def _mean_cols(d: int) -> tuple:
+    return tuple(f"mean_{i}{j}_{part}" for i in range(d) for j in range(d) for part in ("re", "im"))
 
 
-def _mean_entries(row, m, d):
-    for i in range(d):
-        for j in range(d):
-            row[f"mean_{i}{j}_re"] = float(m[i, j].real)
-            row[f"mean_{i}{j}_im"] = float(m[i, j].imag)
+def _mean_entries(row, m):
+    # the float view of m lists (re, im) per entry in row-major order, as _mean_cols does
+    row.update(zip(_mean_cols(m.shape[0]), np.ascontiguousarray(m).view(np.float64).ravel().tolist()))
 
 
 def trajectory_rows(plan, times):
     rows = []
-    for t in times:
-        s = solve_at_time(plan, float(t))
+    for s in solve_many(plan, times):
         row = {
-            "t": float(t),
+            "t": s.t,
             "energy": s.diagnostics["energy"],
             "constraint_residual": s.diagnostics["constraint_residual"],
             "spectral_radius": s.diagnostics["spectral_radius"],
             "n_modes_used": s.diagnostics["n_modes_used"],
         }
-        _mean_entries(row, s.diagnostics["mean"], plan.d)
+        _mean_entries(row, s.diagnostics["mean"])
         rows.append((row, s))
     return rows
 
@@ -183,7 +177,7 @@ def integrator_trajectory_rows(states):
             "spectral_radius": float("nan"),
             "n_modes_used": series.N,
         }
-        _mean_entries(row, series.coeff(0), st.loop.d)
+        _mean_entries(row, series.coeff(0))
         rows.append(row)
     return rows
 
@@ -193,7 +187,7 @@ def run_evolve(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False) -> int
     plan = make_plan(loop, mode="rational", N_out=cfg.N_out, rank_tol=cfg.rank_tol, tail_tol=cfg.tail_tol)
     times = np.linspace(cfg.t0, cfg.t1, cfg.samples)
     rows = trajectory_rows(plan, times)
-    cols = list(TRAJECTORY_BASE_COLS) + _mean_cols(cfg.d) + list(TRAJECTORY_TAIL_COLS)
+    cols = TRAJECTORY_BASE_COLS + _mean_cols(cfg.d) + TRAJECTORY_TAIL_COLS
     write_text_atomic(out_dir / "trajectory.csv", _csv(cols, [r for r, _ in rows], cfg))
     write_text_atomic(out_dir / "loop_initial.json", loop_to_json(loop))
     write_text_atomic(out_dir / "loop_final.json", loop_to_json(rows[-1][1].loop))

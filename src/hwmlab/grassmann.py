@@ -17,6 +17,8 @@ from .hardy import (
     GridSamples,
     evaluate_grid,
     fit_series,
+    grid_values,
+    series_stack,
     sobolev_energy,
 )
 
@@ -110,20 +112,33 @@ class GrassmannLoop:
         return sobolev_energy(self.series)
 
 
-def constraint_residuals(d: int, k: int, series: FourierSeries, grid: int | None = None) -> dict:
+_RESIDUAL_KEYS = ("involution", "hermitian", "trace", "coeff_symmetry")
+
+
+def constraint_residuals(d: int, k: int, series, grid: int | None = None):
     """Worst pointwise constraint residuals of a candidate loop on a grid.
 
     The grid defaults to 4N+1 points: the involution constraint is quadratic
-    in the series, doubling the bandwidth to 2N.
+    in the series, doubling the bandwidth to 2N.  A sequence of series
+    sharing one cutoff gives one dict per series, each equal bit for bit to
+    the call on that series alone.
     """
-    M = grid if grid is not None else 4 * series.N + 1
-    vals = evaluate_grid(series, M).values
-    herm = float(np.max(np.abs(vals - np.conj(np.transpose(vals, (0, 2, 1))))))
-    sq = float(np.max(np.abs(np.einsum("mij,mjk->mik", vals, vals) - np.eye(d))))
-    tr = float(np.max(np.abs(np.trace(vals, axis1=1, axis2=2).real - (d - 2 * k))))
-    sym = series.coeffs - np.conj(np.transpose(series.coeffs[::-1], (0, 2, 1)))
-    coeff_sym = float(np.max(np.abs(sym)))
-    return {"involution": sq, "hermitian": herm, "trace": tr, "coeff_symmetry": coeff_sym}
+    N, coeffs = series_stack(series)
+    M = grid if grid is not None else 4 * N + 1
+    vals = grid_values(coeffs, M)
+    lines = (-3, -2, -1)
+    values = np.stack(
+        [
+            np.abs(np.einsum("...mij,...mjk->...mik", vals, vals) - np.eye(d)).max(axis=lines),
+            np.abs(vals - vals.swapaxes(-2, -1).conj()).max(axis=lines),
+            np.abs(vals.trace(axis1=-2, axis2=-1).real - (d - 2 * k)).max(axis=-1),
+            np.abs(coeffs - coeffs[..., ::-1, :, :].swapaxes(-2, -1).conj()).max(axis=lines),
+        ],
+        axis=-1,
+    ).tolist()
+    if isinstance(series, FourierSeries):
+        return dict(zip(_RESIDUAL_KEYS, values))
+    return [dict(zip(_RESIDUAL_KEYS, row)) for row in values]
 
 
 def validate_loop(

@@ -20,6 +20,7 @@ __all__ = [
     "HardyElement",
     "GridSamples",
     "AliasingWarning",
+    "series_stack",
     "project_plus",
     "project_minus",
     "shift_forward",
@@ -31,6 +32,7 @@ __all__ = [
     "sobolev_norm",
     "l2_norm",
     "evaluate_grid",
+    "grid_values",
     "fit_series",
     "shift_backward_matrix",
     "reproduce_check",
@@ -142,6 +144,17 @@ class GridSamples:
         object.__setattr__(self, "values", _as_coeff_array(self.values, self.M, self.d))
 
 
+def series_stack(f) -> tuple[int, np.ndarray]:
+    """Cutoff and coefficients of one series, or of a sequence of series
+    sharing one cutoff, stacked along a new leading axis."""
+    if isinstance(f, FourierSeries):
+        return f.N, f.coeffs
+    cutoffs = {s.N for s in f}
+    if len(cutoffs) != 1:
+        raise ValueError(f"a series stack needs one shared cutoff, got {sorted(cutoffs)}")
+    return f[0].N, np.stack([s.coeffs for s in f])
+
+
 def project_plus(f: FourierSeries) -> HardyElement:
     """Analytic projection: keep modes n >= 0, drop n < 0."""
     return HardyElement(f.d, f.N, f.coeffs[f.N :])
@@ -191,22 +204,32 @@ def fractional_derivative(f: FourierSeries, kind: str = "|D|") -> FourierSeries:
     return FourierSeries(f.d, f.N, f.coeffs * w[:, None, None])
 
 
-def half_norm_sq(f: FourierSeries) -> float:
-    """Homogeneous half-order seminorm squared: sum_n |n| |F_n|_E^2."""
-    n = np.abs(np.arange(-f.N, f.N + 1))
-    return float(np.sum(n * np.sum(np.abs(f.coeffs) ** 2, axis=(1, 2))))
+def half_norm_sq(f):
+    """Homogeneous half-order seminorm squared: sum_n |n| |F_n|_E^2.
+
+    A sequence of series sharing one cutoff gives an array with one value
+    per series, each equal bit for bit to the call on that series alone.
+    """
+    N, coeffs = series_stack(f)
+    n = np.abs(np.arange(-N, N + 1))
+    out = np.sum(n * np.sum(np.abs(coeffs) ** 2, axis=(-2, -1)), axis=-1)
+    return float(out) if isinstance(f, FourierSeries) else out
 
 
-def sobolev_energy(f: FourierSeries) -> float:
-    """Half the homogeneous half-order seminorm squared (the flow's energy)."""
+def sobolev_energy(f):
+    """Half the homogeneous half-order seminorm squared (the flow's energy);
+    stacks as :func:`half_norm_sq` does."""
     return 0.5 * half_norm_sq(f)
 
 
-def sobolev_norm(f: FourierSeries, s: float = 0.5) -> float:
-    """Inhomogeneous H^s norm: (sum (1+|n|^{2s}) |F_n|_E^2)^{1/2}."""
-    n = np.abs(np.arange(-f.N, f.N + 1)).astype(float)
+def sobolev_norm(f, s: float = 0.5):
+    """Inhomogeneous H^s norm: (sum (1+|n|^{2s}) |F_n|_E^2)^{1/2}; stacks as
+    :func:`half_norm_sq` does."""
+    N, coeffs = series_stack(f)
+    n = np.abs(np.arange(-N, N + 1)).astype(float)
     w = 1.0 + n ** (2.0 * s)
-    return float(np.sqrt(np.sum(w * np.sum(np.abs(f.coeffs) ** 2, axis=(1, 2)))))
+    out = np.sqrt(np.sum(w * np.sum(np.abs(coeffs) ** 2, axis=(-2, -1)), axis=-1))
+    return float(out) if isinstance(f, FourierSeries) else out
 
 
 def l2_norm(f) -> float:
@@ -216,23 +239,37 @@ def l2_norm(f) -> float:
     raise TypeError(f"l2_norm expects a FourierSeries or HardyElement, got {type(f)!r}")
 
 
-def evaluate_grid(f: FourierSeries, M: int) -> GridSamples:
-    """Sample F(theta_j) at M equispaced points via FFT.
+def grid_values(coeffs: np.ndarray, M: int) -> np.ndarray:
+    """Values at M equispaced points of the series with coefficients ``coeffs``.
 
-    Warns when M < 2N+1: represented modes then alias onto each other.
+    ``coeffs`` holds modes -N..N along axis -3, shape ``(..., 2N+1, d, d)``,
+    and the values come back as ``(..., M, d, d)``.  Every transform runs
+    along its own mode line, so each series in a stack gets the values it
+    gets alone, bit for bit.  Warns when M < 2N+1: represented modes then
+    alias onto each other.
     """
-    if M < 2 * f.N + 1:
+    N = (coeffs.shape[-3] - 1) // 2
+    if M < 2 * N + 1:
         warnings.warn(
-            f"grid of {M} points aliases a cutoff-{f.N} series (need M >= {2 * f.N + 1})",
+            f"grid of {M} points aliases a cutoff-{N} series (need M >= {2 * N + 1})",
             AliasingWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    spec = np.zeros((M, f.d, f.d), dtype=complex)
+    stacked = coeffs.ndim > 3
+    # modes first, so np.add.at takes a plain index (a tuple index costs more
+    # than the rest of a single series' set-up)
+    by_mode = np.moveaxis(coeffs, -3, 0) if stacked else coeffs
+    spec = np.zeros((M,) + by_mode.shape[1:], dtype=complex)
     # np.add.at is unbuffered and runs in mode order, so modes that alias onto
     # one grid frequency accumulate in a fixed order
-    np.add.at(spec, np.arange(-f.N, f.N + 1) % M, f.coeffs)
+    np.add.at(spec, np.arange(-N, N + 1) % M, by_mode)
     values = np.fft.ifft(spec, axis=0) * M
-    return GridSamples(f.d, M, values)
+    return np.moveaxis(values, 0, -3) if stacked else values
+
+
+def evaluate_grid(f: FourierSeries, M: int) -> GridSamples:
+    """Sample F(theta_j) at M equispaced points via FFT (see :func:`grid_values`)."""
+    return GridSamples(f.d, M, grid_values(f.coeffs, M))
 
 
 def fit_series(g: GridSamples, N: int) -> FourierSeries:

@@ -19,9 +19,9 @@ import numpy as np
 from .hardy import (
     FourierSeries,
     GridSamples,
-    evaluate_grid,
     fit_series,
     fractional_derivative,
+    grid_values,
     sobolev_energy,
 )
 from .grassmann import GrassmannLoop, constraint_residuals, project_to_grassmann
@@ -52,8 +52,8 @@ def _commutator_spectral(series: FourierSeries) -> FourierSeries:
     """-(i/2) [U, |D| U] via dealiased grid products."""
     N = series.N
     M = 3 * (2 * N + 1)
-    u = evaluate_grid(series, M).values
-    du = evaluate_grid(fractional_derivative(series, "|D|"), M).values
+    u = grid_values(series.coeffs, M)
+    du = grid_values(fractional_derivative(series, "|D|").coeffs, M)
     comm = np.einsum("mij,mjk->mik", u, du) - np.einsum("mij,mjk->mik", du, u)
     out = fit_series(GridSamples(series.d, M, -0.5j * comm), N)
     return out
@@ -67,7 +67,7 @@ def rhs(u: GrassmannLoop | FourierSeries) -> FourierSeries:
 
 def _sup_frobenius(series: FourierSeries) -> float:
     # Frobenius bound: |U|_op <= |U|_E <= sqrt(d) |U|_op, a cheap blow-up proxy
-    vals = evaluate_grid(series, 2 * series.N + 1).values
+    vals = grid_values(series.coeffs, 2 * series.N + 1)
     return float(np.max(np.sqrt(np.sum(np.abs(vals) ** 2, axis=(1, 2)))))
 
 

@@ -9,9 +9,10 @@ operator of the initial datum; the scalar zero-dispersion model is the
 counterexample where norm loss appears after the first breaking time.
 
 The same contraction drives the exact flow: an ``evolution`` plan holds an
-:class:`IsometryModel`, builds its per-time step with
-:meth:`IsometryModel.step` and reads the output modes with :func:`emit`,
-the one loop that iterates any contraction here.
+:class:`IsometryModel` and reads the output modes of many times at once
+with :func:`emit`, the one loop that iterates any contraction here, on a
+block of eigenbasis columns (:attr:`IsometryModel.eigen_shift`,
+:meth:`IsometryModel.phases`).
 
 On the truncated space the backward shift and mean projection satisfy their
 defining identities exactly, so the telescoping norm balance holds to
@@ -61,19 +62,51 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(re.dot(re) + im.dot(im))
 
 
-def emit(A: np.ndarray, mean_map: np.ndarray, v: np.ndarray, n_max: int, stop_tol: float | None = None):
+def _column_norms(v: np.ndarray) -> np.ndarray:
+    re, im = v.real, v.imag
+    return np.sqrt((re * re + im * im).sum(axis=0))
+
+
+def emit(
+    A: np.ndarray,
+    mean_map: np.ndarray,
+    v: np.ndarray,
+    n_max: int,
+    stop_tol: float | None = None,
+    phase: np.ndarray | None = None,
+):
     """Means ``mean_map @ A^n v`` and norms ``||A^n v||`` for n = 0..n_max, stacked.
 
     With ``stop_tol`` the iteration ends after the first step whose norm is at
     most ``stop_tol``; without it there are always ``n_max + 1`` of each.
+
+    ``v`` may also be a ``(dim, T)`` block of columns iterated side by side;
+    ``phase`` (the shape of ``v``) then multiplies every step entrywise, so
+    column j follows ``(diag(phase[:, j]) A)^n``.  A block step's means are
+    ``mean_map @ v`` over all columns and its norms are per column; with
+    ``stop_tol`` the iteration ends once every column has had a step with
+    norm at most ``stop_tol``, and the caller reads each column's own stop
+    off the norms.  A single vector keeps the scalar norm ``_norm``, so its
+    curves do not depend on the block arithmetic.
     """
+    block = v.ndim == 2
+    norm = _column_norms if block else _norm
+    done = np.zeros(v.shape[1], dtype=bool) if block else None
     means = [mean_map @ v]
-    norms = [_norm(v)]
+    norms = [norm(v)]
     for _ in range(n_max):
         v = A @ v
+        if phase is not None:
+            v *= phase
         means.append(mean_map @ v)
-        norms.append(_norm(v))
-        if stop_tol is not None and norms[-1] <= stop_tol:
+        norms.append(norm(v))
+        if stop_tol is None:
+            continue
+        if block:
+            done |= norms[-1] <= stop_tol
+            if done.all():
+                break
+        elif norms[-1] <= stop_tol:
             break
     return np.array(means), np.array(norms)
 
@@ -131,6 +164,28 @@ class IsometryModel:
     @cached_property
     def sigma_star(self) -> np.ndarray:
         return self.step(self.t)
+
+    @cached_property
+    def eigen_shift(self) -> np.ndarray:
+        """``V* S* V``, the shift in the generator's eigenbasis ``V``.
+
+        ``step(t)`` is ``V diag(phases(t)) eigen_shift V*``, so in eigenbasis
+        coordinates a step at any time is this matrix with its rows phased.
+        """
+        vh = self.vecs.conj().T
+        if self.sstar is not None:
+            return vh @ self.sstar @ self.vecs
+        e = self.d * self.d
+        return vh[:, :-e] @ self.vecs[e:]
+
+    @cached_property
+    def eigen_mean_map(self) -> np.ndarray:
+        """``mean_map @ V``: the mean read off eigenbasis coordinates, shape ``(d, d, dim)``."""
+        return self.mean_map @ self.vecs
+
+    def phases(self, times) -> np.ndarray:
+        """``exp(-i time_scale t lam)``, one row per eigenvalue and one column per time."""
+        return np.exp(-1j * self.time_scale * np.outer(self.lam, times))
 
 
 def _standard_model(L: np.ndarray, d: int, N: int, t: float, time_scale: float, label: str) -> IsometryModel:

@@ -6,7 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from hwmlab.cli import main
-from hwmlab.config import DEFAULT_TEXT, ConfigError, config_hash, load_config, parse_config
+from hwmlab.config import DEFAULT_TEXT, ConfigError, ExperimentConfig, config_hash, load_config, parse_config
 from hwmlab.experiments import build_datum, rng_for, run_bench, run_evolve, write_text_atomic
 from hwmlab.grassmann import loop_to_json
 
@@ -223,6 +223,12 @@ def test_cli_init_config_writes_atomically(tmp_path, monkeypatch):
     assert targets == [str(target)]
     assert load_config(target) == parse_config(DEFAULT_TEXT)
     assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_default_text_is_the_default_config():
+    # `hwmlab validate` without a config and the fresh template check one datum under one hash
+    assert parse_config(DEFAULT_TEXT) == ExperimentConfig()
+    assert config_hash(parse_config(DEFAULT_TEXT)) == config_hash(ExperimentConfig())
 
 
 def test_bench_console_prints_measured_crossover(tmp_path, capsys):

@@ -1,10 +1,15 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
-from hwmlab.hardy import FourierSeries, project_plus
+from hwmlab.hardy import FourierSeries, project_plus, sobolev_energy
 from hwmlab.grassmann import (
     TRAVELING_SIGN,
     BlaschkeProduct,
+    constraint_residuals,
+    embed_block,
     half_harmonic_map,
     pauli_encode,
     random_rational_loop,
@@ -12,9 +17,11 @@ from hwmlab.grassmann import (
     validate_loop,
 )
 from hwmlab.operators import NotRationalError
-from hwmlab.stability import apply_u_sigma, model_at_time
+from hwmlab.stability import apply_u_sigma, emit, model_at_time
 from hwmlab.evolution import (
     DegenerateEigenvalueWarning,
+    SlowDecayWarning,
+    SpectralRadiusError,
     conservation_report,
     contraction_spectrum,
     fourier_coefficient,
@@ -24,6 +31,7 @@ from hwmlab.evolution import (
     make_plan,
     recurrence_search,
     solve_at_time,
+    solve_many,
 )
 
 pytestmark = pytest.mark.filterwarnings("ignore::hwmlab.evolution.DegenerateEigenvalueWarning")
@@ -308,3 +316,137 @@ def test_embedded_datum_evolves(twist_plan):
     s = solve_at_time(plan, 1.0)
     assert s.diagnostics["constraint_residual"] < 1e-9
     assert abs(s.diagnostics["energy"] - q.energy()) < 1e-10
+
+
+def reference_solve(plan, t):
+    """The per-time solve that solve_many replaced: one step matrix, one
+    eigensolve and one mode loop on the plan's own coordinates."""
+    A = plan.model.step(t)
+    r = float(np.max(np.abs(np.linalg.eigvals(A))))
+    if r >= 1.0:
+        raise SpectralRadiusError(f"contraction spectral radius {r} >= 1 at t = {t}")
+    coeffs, norms = emit(A, plan.model.mean_map, plan.c0, plan.N_out, plan.tail_tol)
+    n = coeffs.shape[0] - 1
+    series_coeffs = np.zeros((2 * n + 1, plan.d, plan.d), dtype=complex)
+    series_coeffs[n] = coeffs[0] + coeffs[0].conj().T - plan.mean0
+    series_coeffs[n + 1 :] = coeffs[1:]
+    series_coeffs[:n] = coeffs[:0:-1].conj().transpose(0, 2, 1)
+    return {"series": FourierSeries(plan.d, n, series_coeffs), "radius": r, "tail": norms[-1]}
+
+
+def flow_loops():
+    """The benchmark's four flow loops: soliton, generic twist loop, embedded d=4 loop, harmonic map."""
+    generic = random_rational_loop(np.random.Generator(np.random.Philox(key=424246)), 2, 1, twists=2)
+    embedded = embed_block(traveling_profile(BlaschkeProduct(0.0, (0.2,)), 0.4, N=32), 4, 2)
+    harmonic = half_harmonic_map(BlaschkeProduct(0.0, (0.5, -0.3 + 0.3j, 0.2j)), N=64)
+    return {"soliton": soliton(0.5), "generic": generic, "embedded": embedded, "harmonic": harmonic}
+
+
+@pytest.fixture(scope="module")
+def flow_plans():
+    plans = {name: make_plan(loop) for name, loop in flow_loops().items()}
+    plans["truncated"] = make_plan(soliton(0.5, N=12), mode="truncated")
+    return plans
+
+
+FLOW_TIMES = np.linspace(0.0, 10.0, 50)
+
+
+@pytest.mark.parametrize("name", ["soliton", "generic", "embedded", "harmonic", "truncated"])
+def test_solve_many_matches_per_time_reference(flow_plans, name):
+    plan = flow_plans[name]
+    samples = solve_many(plan, FLOW_TIMES)
+    assert [s.t for s in samples] == FLOW_TIMES.tolist()
+    mean = samples[0].diagnostics["mean"]
+    for t, s in zip(FLOW_TIMES, samples):
+        ref = reference_solve(plan, t)
+        series = s.loop.series
+        assert s.diagnostics["n_modes_used"] == series.N == ref["series"].N
+        assert np.max(np.abs(series.coeffs - ref["series"].coeffs)) < 1e-14
+        # the zeroth mode is frozen bit for bit, at the per-time solve's value
+        assert np.array_equal(s.diagnostics["mean"], ref["series"].coeff(0))
+        assert np.array_equal(s.diagnostics["mean"], mean)
+        assert s.loop.grid_check == constraint_residuals(plan.d, plan.k, series)
+        assert s.diagnostics["energy"] == sobolev_energy(series)
+        # the truncated step is a perturbed nilpotent shift: its eigenvalues are
+        # ill-conditioned, so two similar matrices' eigensolves part at 1e-3
+        assert abs(s.diagnostics["spectral_radius"] - ref["radius"]) < (1e-2 if name == "truncated" else 1e-7)
+        assert abs(s.diagnostics["tail_estimate"] - ref["tail"]) < 1e-15
+
+
+@pytest.mark.parametrize("name", ["generic", "truncated"])
+def test_solve_many_single_time_is_solve_at_time(flow_plans, name):
+    plan = flow_plans[name]
+    for t in (0.0, 0.7, 3.1):
+        (a,) = solve_many(plan, [t])
+        b = solve_at_time(plan, t)
+        assert a.t == b.t
+        assert a.loop.series.coeffs.tobytes() == b.loop.series.coeffs.tobytes()
+        assert a.loop.grid_check == b.loop.grid_check
+        for key, value in a.diagnostics.items():
+            assert np.asarray(value).tobytes() == np.asarray(b.diagnostics[key]).tobytes()
+
+
+def test_solve_many_blocks_long_time_arrays(flow_plans, monkeypatch):
+    import hwmlab.evolution as evolution
+
+    plan = flow_plans["generic"]
+    whole = solve_many(plan, FLOW_TIMES)
+    monkeypatch.setattr(evolution, "SOLVE_BLOCK_ENTRIES", 7 * plan.dim**2)
+    blocked = solve_many(plan, FLOW_TIMES)
+    assert [s.t for s in blocked] == FLOW_TIMES.tolist()
+    for a, b in zip(whole, blocked):
+        assert a.diagnostics["n_modes_used"] == b.diagnostics["n_modes_used"]
+        assert np.max(np.abs(a.loop.series.coeffs - b.loop.series.coeffs)) < 1e-14
+    assert solve_many(plan, []) == []
+
+
+def scaled_plan(plan, scale):
+    """The plan with its compressed shift scaled, which scales every contraction radius."""
+    return dataclasses.replace(plan, model=dataclasses.replace(plan.model, sstar=scale * plan.model.sstar))
+
+
+def test_spectral_radius_error_names_first_offending_time(flow_plans):
+    plan = flow_plans["generic"]
+    radii = np.array([reference_solve(plan, t)["radius"] for t in FLOW_TIMES])
+    bad_plan = scaled_plan(plan, 1.0 / np.median(radii))
+    first = None
+    for t in FLOW_TIMES:
+        try:
+            reference_solve(bad_plan, t)
+        except SpectralRadiusError:
+            first = t
+            break
+    assert first is not None and first > FLOW_TIMES[0]
+    with pytest.raises(SpectralRadiusError, match=f"at t = {first}$"):
+        solve_many(bad_plan, FLOW_TIMES)
+
+
+def warned_times(fn, *args) -> dict:
+    """Times named by each kind of SlowDecayWarning that fn(*args) raises."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fn(*args)
+    out = {"radius": [], "cap": []}
+    for w in caught:
+        assert issubclass(w.category, SlowDecayWarning)
+        text = str(w.message)
+        kind = "radius" if text.startswith("contraction spectral radius") else "cap"
+        out[kind].append(float(text.rsplit("t = ", 1)[1].split(";")[0]))
+    return out
+
+
+def test_slow_decay_warnings_per_offending_time(flow_plans):
+    plan = flow_plans["generic"]
+    radii = np.array([reference_solve(plan, t)["radius"] for t in FLOW_TIMES])
+    times = FLOW_TIMES[np.argmax(radii)] + np.linspace(-0.05, 0.05, 9)
+    radii = np.array([reference_solve(plan, t)["radius"] for t in times])
+    # the largest radius lands between the slow-decay threshold 1 - 1e-3 and 1
+    near = dataclasses.replace(scaled_plan(plan, (1.0 - 2e-4) / np.max(radii)), N_out=6)
+    refs = [reference_solve(near, t) for t in times]
+    slow = [t for t, ref in zip(times, refs) if ref["radius"] > 1.0 - 1e-3]
+    capped = [t for t, ref in zip(times, refs) if ref["tail"] > near.tail_tol and ref["series"].N >= near.N_out]
+    assert 1 < len(slow) < times.size and capped
+    assert min(abs(ref["radius"] - (1.0 - 1e-3)) for ref in refs) > 1e-7
+    got = warned_times(solve_many, near, times)
+    assert got == {"radius": slow, "cap": capped}

@@ -1,9 +1,10 @@
 import json
+import struct
 
 import numpy as np
 import pytest
 
-from hwmlab.hardy import FourierSeries, l2_norm
+from hwmlab.hardy import FourierSeries, half_norm_sq, l2_norm
 from hwmlab.grassmann import (
     PAULI,
     BlaschkeProduct,
@@ -221,6 +222,32 @@ def test_constraint_residuals_quantify_violation():
     c[1] = np.diag([1.0, -1.0]) * (1.0 + 1e-3)
     res = constraint_residuals(2, 1, FourierSeries(2, 1, c))
     assert 1e-3 < res["involution"] < 5e-3
+
+
+def test_stacked_residuals_and_half_norm_match_single_calls_bytewise(rng):
+    loop = random_rational_loop(rng, 2, 1, twists=2)
+    N = loop.N + 3
+    group = [loop.series.with_cutoff(N)]
+    for j in range(4):
+        c = rng.standard_normal((2 * N + 1, 2, 2)) + 1j * rng.standard_normal((2 * N + 1, 2, 2))
+        group.append(FourierSeries(2, N, 0.1 * c + group[0].coeffs))
+    zeroed = group[1].coeffs.copy()
+    zeroed[N + 1] = complex(-0.0, -0.0)  # an all -0.0 mode, which the grid spectrum holds as +0.0
+    group.append(FourierSeries(2, N, zeroed))
+
+    def packed(*xs):
+        return struct.pack(f"<{len(xs)}d", *xs)
+
+    checks = constraint_residuals(2, 1, group)
+    norms = half_norm_sq(group)
+    assert len(checks) == norms.size == len(group)
+    for series, check, norm in zip(group, checks, norms):
+        single = constraint_residuals(2, 1, series)
+        assert list(check) == list(single)
+        assert packed(*check.values()) == packed(*single.values())
+        assert packed(norm) == packed(half_norm_sq(series))
+    with pytest.raises(ValueError, match="one shared cutoff"):
+        constraint_residuals(2, 1, [loop.series, group[0]])
 
 
 def offdiag_loop_reference(b, diag, U, N):

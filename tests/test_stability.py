@@ -7,6 +7,7 @@ from hwmlab.evolution import make_plan, solve_at_time
 from hwmlab.stability import (
     apply_u_sigma,
     breaking_time,
+    emit,
     hwm_model,
     isometry_model,
     model_at_time,
@@ -219,3 +220,24 @@ def test_coefficients_converge_with_generator(rng):
         out = apply_u_sigma(isometry_model(Lp, 0.7, d=1, N=N), v, 12).coeffs
         gaps.append(float(np.max(np.abs(out - ref))))
     assert gaps[1] < 1e-1 * gaps[0]
+
+
+def test_emit_block_columns_follow_their_phased_steps():
+    loop = traveling_profile(BlaschkeProduct(0.0, (0.0,)), 0.5, N=16)
+    model = hwm_model(loop, 0.0, 16)
+    times = np.array([0.0, 0.4, 1.3, 2.9])
+    phase = model.phases(times)
+    w0 = model.vecs.conj().T @ analytic_part_vector(loop, 16)
+    block = np.repeat(w0[:, None], times.size, axis=1)
+    tol = 1e-3
+    means, norms = emit(model.eigen_shift, model.eigen_mean_map, block, 200, tol, phase)
+    assert means.shape == (norms.shape[0], 2, 2, times.size)
+    for j, t in enumerate(times):
+        # column j is the eigenbasis image of the single-vector iteration at time t
+        single_means, single_norms = emit(model_at_time(model, t).sigma_star, model.mean_map, model.vecs @ w0, 200, tol)
+        n = single_norms.size
+        assert np.max(np.abs(means[:n, :, :, j] - single_means)) < 1e-13
+        assert np.max(np.abs(norms[:n, j] - single_norms)) < 1e-13
+        # each column's own first stop is the single-vector stop
+        assert np.flatnonzero(norms[1:, j] <= tol)[0] + 1 == n - 1
+    assert norms.shape[0] - 1 == max(np.flatnonzero(norms[1:, j] <= tol)[0] + 1 for j in range(times.size))
