@@ -319,8 +319,8 @@ def test_embedded_datum_evolves(twist_plan):
 
 
 def reference_solve(plan, t):
-    """The per-time solve that solve_many replaced: one step matrix, one
-    eigensolve and one mode loop on the plan's own coordinates."""
+    """Reference solve: per time one step matrix, one eigensolve and one
+    mode loop on the plan's own coordinates."""
     A = plan.model.step(t)
     r = float(np.max(np.abs(np.linalg.eigvals(A))))
     if r >= 1.0:
