@@ -35,7 +35,7 @@ from .grassmann import (
     validate_loop,
 )
 from .operators import build_toeplitz, eig_hermitian, kronecker_rank
-from .evolution import make_plan, solve_at_time, solve_many
+from .evolution import make_plan, solve_many
 from .stability import (
     hwm_model,
     model_at_time,
@@ -301,11 +301,11 @@ def run_bench(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False) -> int:
         plan = make_plan(loop, mode="rational")
         t_build = time.perf_counter() - t0
 
+        # one batch, as evolve solves its times
+        times = 1.0 + 0.1 * np.arange(5)
         t0 = time.perf_counter()
-        reps = 5
-        for j in range(reps):
-            solve_at_time(plan, 1.0 + 0.1 * j)
-        t_solve = (time.perf_counter() - t0) / reps
+        solve_many(plan, times)
+        t_solve = (time.perf_counter() - t0) / times.size
 
         t0 = time.perf_counter()
         n_steps = 20

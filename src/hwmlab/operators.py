@@ -2,8 +2,13 @@
 
 Operators act on the truncated Hardy space of d x d matrix polynomials of
 degree <= N, stacked as vectors of length d^2 (N+1): mode-major, row-major
-within each matrix.  Left multiplication by a matrix A corresponds to the
-block kron(A, I_d) in these coordinates.
+within each matrix.  The symbol acts by left multiplication, so each column
+of a matrix function evolves on its own: every matrix section is
+``kron(vector section, I_d)``, where the vector section acts on the Hardy
+space of column vectors (length d (N+1), mode-major).  The vector sections
+are the only thing assembled here; their singular values and eigenvalues
+are the matrix sections' with d-fold multiplicity, so every factorization
+runs on them.
 
 Finite sections pollute rows and columns within one symbol bandwidth of the
 top mode N, so every operator identity here is asserted on the interior
@@ -37,6 +42,7 @@ __all__ = [
     "bandwidth",
     "build_toeplitz",
     "build_hankel",
+    "toeplitz_vector_section",
     "hankel_vector_section",
     "shift_backward_matrix",
     "derivative_matrix",
@@ -164,51 +170,43 @@ class SubspaceFrame:
         return c
 
 
-def _gather_modes(sym: FourierSeries, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """(R, C, d, d) array of symbol modes rows[i] - cols[j]; all-zero modes stay +0."""
+def _vector_section(sym: FourierSeries, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Section on the vector-valued Hardy space whose block (i, j) is the
+    symbol mode rows[i] - cols[j]; all-zero modes stay +0."""
     d = sym.d
     idx = rows[:, None] - cols[None, :]
     live = np.abs(idx) <= sym.N
     live[live] = np.any(sym.coeffs, axis=(1, 2))[idx[live] + sym.N]
     blocks = np.zeros(idx.shape + (d, d), dtype=complex)
     blocks[live] = sym.coeffs[idx[live] + sym.N]
-    return blocks
+    return blocks.transpose(0, 2, 1, 3).reshape(len(rows) * d, len(cols) * d)
 
 
-def _mode_blocks(sym: FourierSeries, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Assemble kron(symbol mode, I_d) blocks for the given integer row/col mode maps."""
-    d = sym.d
-    eye = np.eye(d)
-    blocks = _gather_modes(sym, rows, cols).transpose(0, 2, 1, 3)
-    out = blocks[:, :, None, :, :, None] * eye[None, None, :, None, None, :]
-    return out.reshape(len(rows) * d * d, len(cols) * d * d)
-
-
-def build_toeplitz(u, N: int) -> BlockToeplitz:
-    """Finite section of the Toeplitz operator with the given symbol."""
-    sym = symbol_of(u)
+def toeplitz_vector_section(u, N: int) -> np.ndarray:
+    """Toeplitz section on the column-vector-valued Hardy space."""
     modes = np.arange(N + 1)
-    return BlockToeplitz(sym.d, N, _mode_blocks(sym, modes, modes), sym)
-
-
-def build_hankel(u, N: int) -> BlockHankel:
-    """Finite section of the Hankel operator; block (m, n) is mode -(m+1) - n."""
-    sym = symbol_of(u)
-    return BlockHankel(sym.d, N, _mode_blocks(sym, -np.arange(1, N + 1), np.arange(N + 1)), sym)
+    return _vector_section(symbol_of(u), modes, modes)
 
 
 def hankel_vector_section(u, N: int) -> np.ndarray:
     """Hankel section on the column-vector-valued Hardy space.
 
-    The matrix-valued operator is the d-fold direct sum of this one (columns
-    decouple under left multiplication), so it shares the singular values
-    with d-fold multiplicity.  Traces and Schatten sums are reported in this
-    per-column normalization, where trace(H* H) equals the symbol's
-    half-order energy.
+    Traces and Schatten sums are reported in this per-column normalization,
+    where trace(H* H) equals the symbol's half-order energy.
     """
+    return _vector_section(symbol_of(u), -np.arange(1, N + 1), np.arange(N + 1))
+
+
+def build_toeplitz(u, N: int) -> BlockToeplitz:
+    """Finite section of the Toeplitz operator with the given symbol."""
     sym = symbol_of(u)
-    blocks = _gather_modes(sym, -np.arange(1, N + 1), np.arange(N + 1))
-    return blocks.transpose(0, 2, 1, 3).reshape(N * sym.d, (N + 1) * sym.d)
+    return BlockToeplitz(sym.d, N, np.kron(toeplitz_vector_section(sym, N), np.eye(sym.d)), sym)
+
+
+def build_hankel(u, N: int) -> BlockHankel:
+    """Finite section of the Hankel operator; block (m, n) is mode -(m+1) - n."""
+    sym = symbol_of(u)
+    return BlockHankel(sym.d, N, np.kron(hankel_vector_section(sym, N), np.eye(sym.d)), sym)
 
 
 def derivative_matrix(d: int, N: int) -> np.ndarray:
@@ -241,19 +239,21 @@ def apply_toeplitz_grid(u, f: HardyElement, oversample: int = 3) -> HardyElement
 def key_identity_check(u, N: int) -> dict:
     """Residuals of T^2 + H*H = I on the interior block and of trace(H*H) = energy.
 
-    For banded symbols both quantities vanish to rounding once N exceeds the
-    bandwidth; the trace side reproduces the half-order energy.
+    Both run on the vector sections: the matrix identity is their lift, with
+    the same interior residual and d times the trace.  For banded symbols
+    both quantities vanish to rounding once N exceeds the bandwidth; the
+    trace side reproduces the half-order energy.
     """
     sym = symbol_of(u)
-    T = build_toeplitz(sym, N)
-    H = build_hankel(sym, N)
-    K = H.gram()
-    band = T.band()
-    idx = interior_indices(sym.d, N, band)
-    combo = T.matrix @ T.matrix + K - np.eye(T.dim)
-    interior_residual = float(np.linalg.norm(combo[np.ix_(idx, idx)], ord=2))
-    # per-column trace: the matrix-space trace overcounts by the d columns
-    trace = float(np.trace(K).real) / sym.d
+    T = toeplitz_vector_section(sym, N)
+    H = hankel_vector_section(sym, N)
+    K = H.conj().T @ H
+    band = bandwidth(sym)
+    # interior_indices counts matrix coordinates, d per vector coordinate
+    keep = interior_indices(sym.d, N, band).size // sym.d
+    combo = T @ T + K - np.eye(T.shape[0])
+    interior_residual = float(np.linalg.norm(combo[:keep, :keep], ord=2))
+    trace = float(np.trace(K).real)
     trace_gap = abs(trace - sobolev_energy(sym))
     return {
         "interior_residual": interior_residual,
@@ -346,13 +346,15 @@ def invariant_subspace(u, N: int, rank_tol: float = 1e-8, gap_ratio: float = 1e3
 
     Requires a clear spectral gap in the Hankel singular values (the finite
     rank dichotomy is exact only in infinite dimensions); raises
-    NotRationalError otherwise.  The returned compressions of the Toeplitz
-    operator and backward shift come with measured invariance residuals.
+    NotRationalError otherwise.  ran(H*) is the lift of the vector section's
+    right singular vectors, so ``hankel_rank`` and ``singular_values`` count
+    each of them d times, as the matrix section does.  The returned
+    compressions of the Toeplitz operator and backward shift come with
+    measured invariance residuals.
     """
     sym = symbol_of(u)
     d = sym.d
-    H = build_hankel(sym, N)
-    _, sv, Vh = np.linalg.svd(H.matrix)
+    _, sv, Vh = np.linalg.svd(hankel_vector_section(sym, N))
     if sv.size and sv[0] > 0.0:
         r = int(np.count_nonzero(sv > rank_tol * sv[0]))
         if r == sv.size:
@@ -363,14 +365,11 @@ def invariant_subspace(u, N: int, rank_tol: float = 1e-8, gap_ratio: float = 1e3
             )
     else:
         r = 0
-    basis = [Vh[j].conj() for j in range(r)]
 
-    extra = [project_plus(sym.with_cutoff(N)).coeffs.reshape(-1)]
     ident = np.zeros((N + 1, d, d), dtype=complex)
     ident[0] = np.eye(d)
-    extra.append(ident.reshape(-1))
-
-    cols = np.column_stack(basis + extra) if basis else np.column_stack(extra)
+    pu = project_plus(sym.with_cutoff(N)).coeffs.reshape(-1)
+    cols = np.column_stack([np.kron(Vh[:r].conj().T, np.eye(d)), pu, ident.reshape(-1)])
     q, s, _ = np.linalg.svd(cols, full_matrices=False)
     frame = q[:, s > 1e-10 * s[0]]
 
@@ -389,8 +388,8 @@ def invariant_subspace(u, N: int, rank_tol: float = 1e-8, gap_ratio: float = 1e3
         t_restricted=t_k,
         sstar_restricted=s_k,
         mean_map=mean_map,
-        hankel_rank=r,
-        singular_values=sv,
+        hankel_rank=d * r,
+        singular_values=np.repeat(sv, d),
         invariance_residual=float(max(res_t, res_s)),
     )
 

@@ -37,7 +37,6 @@ from hwmlab.integrator import cross_validate
 from hwmlab.hardy import reproduce_check, shift_backward, shift_forward
 from conftest import random_hardy, random_series
 
-pytestmark = pytest.mark.filterwarnings("ignore::hwmlab.evolution.DegenerateEigenvalueWarning")
 
 RNG_KEY = 424242
 

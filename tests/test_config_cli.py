@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from hwmlab.config import DEFAULT_TEXT, ConfigError, ExperimentConfig, config_ha
 from hwmlab.experiments import build_datum, rng_for, run_bench, run_evolve, write_text_atomic
 from hwmlab.grassmann import loop_to_json
 
-pytestmark = pytest.mark.filterwarnings("ignore::hwmlab.evolution.DegenerateEigenvalueWarning")
 
 BASE_CFG = """
 experiment = evolve
@@ -208,6 +208,15 @@ def test_cli_validate_reads_datum(tmp_path):
     assert line == f"PASS hankel_rank_conserved (rank {rank} at t0, {rank} at t1)"
 
 
+def test_validate_default_config_passes_without_warnings():
+    from hwmlab.checks import run_invariant_suite
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        results = run_invariant_suite(ExperimentConfig())
+    assert [r.name for r in results if not r.passed] == []
+
+
 def test_cli_init_config_writes_atomically(tmp_path, monkeypatch):
     targets = []
     real_replace = os.replace
@@ -239,6 +248,20 @@ def test_bench_console_prints_measured_crossover(tmp_path, capsys):
     crossover = float(row.split(",")[header.split(",").index("crossover_t")])
     assert printed == f"{crossover:.3g}"
     assert float(printed) > 0.0
+
+
+def test_bench_times_one_batched_solve(tmp_path, monkeypatch):
+    # evolve solves all its times in one batch, so the bench's per-time cost must too
+    from hwmlab import experiments
+
+    def lone_solve(*args):
+        raise AssertionError("run_bench timed a lone per-time solve")
+
+    monkeypatch.setattr(experiments, "solve_at_time", lone_solve, raising=False)
+    cfg = parse_config(BASE_CFG + "bench_degrees = 1\n")
+    assert run_bench(cfg, tmp_path, quiet=True) == 0
+    header, row = (tmp_path / "bench.csv").read_text().splitlines()[1:]
+    assert float(row.split(",")[header.split(",").index("solve_per_time_s")]) > 0.0
 
 
 def test_write_text_atomic_uses_unique_temp_files(tmp_path, monkeypatch):

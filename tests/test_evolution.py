@@ -19,7 +19,6 @@ from hwmlab.grassmann import (
 from hwmlab.operators import NotRationalError
 from hwmlab.stability import apply_u_sigma, emit, model_at_time
 from hwmlab.evolution import (
-    DegenerateEigenvalueWarning,
     SlowDecayWarning,
     SpectralRadiusError,
     conservation_report,
@@ -34,7 +33,6 @@ from hwmlab.evolution import (
     solve_many,
 )
 
-pytestmark = pytest.mark.filterwarnings("ignore::hwmlab.evolution.DegenerateEigenvalueWarning")
 
 SIGMA3 = np.diag([1.0, -1.0]).astype(complex)
 
@@ -303,9 +301,14 @@ def test_quasi_periodic_phase_equivalence(twist_plan):
     assert np.max(np.abs(a.with_cutoff(N).coeffs - b.with_cutoff(N).coeffs)) < 1e-9
 
 
-def test_degenerate_frequency_warning():
-    with pytest.warns(DegenerateEigenvalueWarning):
-        make_plan(soliton(0.5))
+def test_make_plan_warns_nothing_on_repeated_frequencies():
+    # every d >= 2 plan has d-fold frequencies; the eigenbasis propagator is exact there
+    loops = (soliton(0.5), embed_block(traveling_profile(BlaschkeProduct(0.0, (0.2,)), 0.4, N=32), 4, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for loop in loops:
+            lam = make_plan(loop).model.lam
+            assert np.min(np.diff(lam)) < 1e-12
 
 
 def test_embedded_datum_evolves(twist_plan):

@@ -15,8 +15,6 @@ from hwmlab.grassmann import (
 from hwmlab.evolution import make_plan
 from hwmlab.integrator import BlowUpError, IntegratorState, cross_validate, integrate, rhs, step_rk4
 
-pytestmark = pytest.mark.filterwarnings("ignore::hwmlab.evolution.DegenerateEigenvalueWarning")
-
 
 def fresh_state(loop, dt):
     return IntegratorState(

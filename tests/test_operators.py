@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from hwmlab.hardy import FourierSeries, HardyElement, sobolev_energy
+from hwmlab.hardy import FourierSeries, HardyElement, project_plus, sobolev_energy
 from hwmlab.grassmann import (
     BlaschkeProduct,
+    embed_block,
     half_harmonic_map,
     random_blaschke,
     random_rational_loop,
+    traveling_profile,
 )
 from hwmlab.operators import (
     NotRationalError,
@@ -27,6 +29,7 @@ from hwmlab.operators import (
     shift_backward_matrix,
     stack,
     toeplitz_product_identity,
+    toeplitz_vector_section,
     unstack,
 )
 from hwmlab.grassmann import project_to_grassmann
@@ -296,6 +299,50 @@ def test_invariant_subspace_rejects_nonrational(rng):
     loop = nonrational_loop(rng)
     with pytest.raises(NotRationalError):
         invariant_subspace(loop, 24)
+
+
+def reference_invariant_subspace(sym, N, rank_tol=1e-8):
+    """Frame from the SVD of the matrix Hankel section, which repeats every
+    singular vector d times: (hankel_rank, dim, restricted spectrum, residual)."""
+    d = sym.d
+    _, sv, Vh = np.linalg.svd(build_hankel(sym, N).matrix)
+    r = int(np.count_nonzero(sv > rank_tol * sv[0])) if sv.size and sv[0] > 0.0 else 0
+    ident = np.zeros((N + 1, d, d), dtype=complex)
+    ident[0] = np.eye(d)
+    pu = project_plus(sym.with_cutoff(N)).coeffs.reshape(-1)
+    cols = np.column_stack([Vh[:r].conj().T, pu, ident.reshape(-1)])
+    q, s, _ = np.linalg.svd(cols, full_matrices=False)
+    frame = q[:, s > 1e-10 * s[0]]
+    T = build_toeplitz(sym, N).matrix
+    S = shift_backward_matrix(d, N)
+    proj = frame @ frame.conj().T
+    residual = max(np.linalg.norm(A @ frame - proj @ (A @ frame), ord=2) for A in (T, S))
+    t_k = frame.conj().T @ T @ frame
+    return r, frame.shape[1], np.linalg.eigvalsh(0.5 * (t_k + t_k.conj().T)), residual
+
+
+def kronecker_oracle_loop(case):
+    if case == "embedded":
+        return embed_block(traveling_profile(BlaschkeProduct(0.0, (0.2,)), 0.4, N=32), 3, 1)
+    rng = np.random.Generator(np.random.Philox(key=20240812 + case))
+    return random_rational_loop(rng, case, case // 2, twists=2)
+
+
+@pytest.mark.parametrize("case", [2, 3, 4, "embedded"])
+def test_matrix_sections_are_lifted_vector_sections(case):
+    loop = kronecker_oracle_loop(case)
+    d = loop.d
+    N = max(2 * bandwidth(loop.series) + 2, 8)
+    lam = np.linalg.eigvalsh(build_toeplitz(loop, N).matrix)
+    assert np.max(np.abs(lam - np.repeat(np.linalg.eigvalsh(toeplitz_vector_section(loop, N)), d))) < 1e-12
+
+    frame = invariant_subspace(loop, N)
+    rank, dim, ref_spectrum, ref_residual = reference_invariant_subspace(loop.series, N)
+    assert (frame.hankel_rank, frame.dim) == (rank, dim)
+    t_k = frame.t_restricted
+    spectrum = np.linalg.eigvalsh(0.5 * (t_k + t_k.conj().T))
+    assert np.max(np.abs(spectrum - ref_spectrum)) < 1e-12
+    assert frame.invariance_residual < 1e-12 and ref_residual < 1e-12
 
 
 def test_kronecker_rank_cases(rng):

@@ -18,8 +18,6 @@ from hwmlab.stability import (
     zd_bo_norm_curve,
 )
 
-pytestmark = pytest.mark.filterwarnings("ignore::hwmlab.evolution.DegenerateEigenvalueWarning")
-
 
 def minus_cosine():
     c = np.zeros((3, 1, 1), dtype=complex)
