@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hwmlab.hardy import FourierSeries
+from hwmlab.hardy import FourierSeries, project_plus
 from hwmlab.grassmann import BlaschkeProduct, random_rational_loop, traveling_profile
 from hwmlab.evolution import make_plan, solve_at_time
 from hwmlab.stability import (
@@ -239,3 +239,53 @@ def test_emit_block_columns_follow_their_phased_steps():
         # each column's own first stop is the single-vector stop
         assert np.flatnonzero(norms[1:, j] <= tol)[0] + 1 == n - 1
     assert norms.shape[0] - 1 == max(np.flatnonzero(norms[1:, j] <= tol)[0] + 1 for j in range(times.size))
+
+
+def complex_hermitian_symbol():
+    # real on the circle with complex Fourier coefficients, so the generator is complex
+    c = np.zeros((5, 1, 1), dtype=complex)
+    c[3, 0, 0] = -0.3 + 0.4j
+    c[1, 0, 0] = np.conj(c[3, 0, 0])
+    c[4, 0, 0] = 0.1j
+    c[0, 0, 0] = np.conj(c[4, 0, 0])
+    return FourierSeries(1, 2, c)
+
+
+@pytest.mark.parametrize("symbol", [minus_cosine, complex_hermitian_symbol])
+def test_zd_bo_norm_curve_matches_per_time_defect(symbol):
+    u0, N, K = symbol(), 48, 256
+    times = (0.2, 0.45, 0.6, 0.9)
+    curve = zd_bo_norm_curve(u0, times, Ns=(N,), checkpoint=K)
+    base = zd_bo_model(N, u0)
+    pu = project_plus(u0.with_cutoff(N)).coeffs.reshape(-1)
+    steps = set()
+    for t, row in zip(times, curve["rows"]):
+        rep = parseval_defect(model_at_time(base, t), pu, K, 1e-9)
+        assert (row["t"], row["N"]) == (t, N)
+        assert row["n_steps"] == rep.n_steps
+        assert abs(row["tail_norm"] - rep.limit_estimate) < 1e-13
+        assert row["telescope_residual"] < 1e-10
+        steps.add(rep.n_steps)
+    # the block holds columns that stop early next to ones that run to the checkpoint
+    assert min(steps) < K == max(steps)
+
+
+def test_emit_real_step_matches_complex_step(rng):
+    dim, T, n_max = 12, 3, 9
+    A = rng.standard_normal((dim, dim)) / (2 * np.sqrt(dim))
+    mean_map = rng.standard_normal((1, 1, dim)) + 1j * rng.standard_normal((1, 1, dim))
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    # a transposed view: the block need not be C-contiguous
+    block = (rng.standard_normal((T, dim)) + 1j * rng.standard_normal((T, dim))).T
+    phase = np.exp(1j * rng.standard_normal((dim, T)))
+    for args in ((v,), (block, None, phase)):
+        means, norms = emit(A, mean_map, *args[:1], n_max, *args[1:])
+        ref_means, ref_norms = emit(A.astype(complex), mean_map, *args[:1], n_max, *args[1:])
+        assert means.shape == ref_means.shape and norms.shape == ref_norms.shape
+        assert np.max(np.abs(means - ref_means)) < 1e-14
+        assert np.max(np.abs(norms - ref_norms)) < 1e-14
+
+
+def test_eigen_shift_is_real_for_a_real_generator():
+    assert zd_bo_model(16, minus_cosine()).eigen_shift.dtype == np.float64
+    assert np.iscomplexobj(zd_bo_model(16, complex_hermitian_symbol()).eigen_shift)
