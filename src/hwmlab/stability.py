@@ -12,7 +12,10 @@ The same contraction drives the exact flow: an ``evolution`` plan holds an
 :class:`IsometryModel` and reads the output modes of many times at once
 with :func:`emit`, the one loop that iterates any contraction here, on a
 block of eigenbasis columns (:attr:`IsometryModel.eigen_shift`,
-:meth:`IsometryModel.phases`).
+:meth:`IsometryModel.phases`).  The zero-dispersion curve runs every time
+of a cutoff the same way, in one eigenbasis block; when its generator is
+real (``-cos``), the factorization, the eigenbasis shift and every step are
+real arithmetic.
 
 On the truncated space the backward shift and mean projection satisfy their
 defining identities exactly, so the telescoping norm balance holds to
