@@ -13,15 +13,15 @@ eigenbasis columns per output mode, with no step-size error; one stacked
 eigensolve guards the spectral radii and the grid checks run once per group
 of times that use the same number of modes.  :func:`solve_at_time` is its
 one-time case.  The plan's eigen-data is an
-:class:`~hwmlab.stability.IsometryModel`, and :func:`~hwmlab.stability.emit`
-is the contraction loop shared with the stability experiments.
+:class:`~hwmlab.stability.IsometryModel`, and its
+:meth:`~hwmlab.stability.IsometryModel.iterate` is the contraction path
+shared with the stability experiments.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .operators import (
     schatten_norm,
     toeplitz_vector_section,
 )
-from .stability import IsometryModel, emit, standard_mean_map
+from .stability import IsometryModel, emit, first_stops, standard_mean_map
 
 __all__ = [
     "EvolutionPlan",
@@ -102,11 +102,6 @@ class EvolutionPlan:
     def dim(self) -> int:
         return self.model.dim
 
-    @cached_property
-    def eigen_c0(self) -> np.ndarray:
-        """``c0`` in the eigenbasis of the model's generator."""
-        return self.model.vecs.conj().T @ self.c0
-
 
 @dataclass(frozen=True)
 class TrajectorySample:
@@ -128,7 +123,11 @@ def make_plan(
     ``mode="rational"`` restricts to the invariant subspace found from the
     Hankel singular values and propagates NotRationalError if there is none;
     ``mode="truncated"`` uses the full truncated Hardy space (a diagnostic
-    device for non-rational data, with no exactness claim).
+    device for non-rational data, with no exactness claim).  Its step is a
+    perturbed nilpotent shift whose eigenvalues move by up to about 3e-2
+    under 1e-16 perturbations, so on truncated plans the spectral radius,
+    ``SpectralRadiusError`` and the slow-decay radius warning act on
+    rounding noise.
     """
     if mode not in ("rational", "truncated"):
         raise ValueError(f'mode must be "rational" or "truncated", got {mode!r}')
@@ -175,17 +174,15 @@ def make_plan(
     )
 
 
-def _emit_eigen(plan: EvolutionPlan, phase: np.ndarray, n_max: int, stop_tol: float | None = None):
-    """Modes ``(n+1, T, d, d)`` and norms ``(n+1, T)`` of the analytic part, one column per phase.
+def _modes(plan: EvolutionPlan, times, n_max: int, stop_tol: float | None = None):
+    """Modes ``(n+1, T, d, d)`` and norms ``(n+1, T)`` of the analytic part at each time.
 
-    The iteration runs on eigenbasis coordinates; mode 0 is ``mean_map @ c0``
-    on the plan's own space, so the zeroth mode stays frozen bit for bit.
+    Mode 0 is ``mean_map @ c0`` on the plan's own space, so the zeroth mode
+    stays frozen bit for bit.
     """
-    model, d = plan.model, plan.d
-    w0 = np.repeat(plan.eigen_c0[:, None], phase.shape[1], axis=1)
-    means, norms = emit(model.eigen_shift, model.eigen_mean_map.reshape(d * d, -1), w0, n_max, stop_tol, phase)
-    means = means.reshape(means.shape[0], d, d, -1).transpose(0, 3, 1, 2)
-    means[0] = model.mean_map @ plan.c0
+    means, norms = plan.model.iterate(plan.c0, times, n_max, stop_tol)
+    means = means.transpose(0, 3, 1, 2)
+    means[0] = plan.model.mean_map @ plan.c0
     return means, norms
 
 
@@ -193,16 +190,16 @@ def fourier_coefficient(plan: EvolutionPlan, t: float, n: int) -> np.ndarray:
     """The n-th analytic Fourier coefficient of the evolved loop."""
     if n < 0:
         raise ValueError("fourier_coefficient is defined for modes n >= 0")
-    return _emit_eigen(plan, plan.model.phases([t]), n)[0][n, 0]
+    return _modes(plan, [t], n)[0][n, 0]
 
 
-def _spectra(plan: EvolutionPlan, times: np.ndarray, phase: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _spectra(plan: EvolutionPlan, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues ``(T, dim)`` and spectral radii of the contraction at each time.
 
     One stacked eigensolve of ``diag(phase_t) V* S* V``, which is similar to
     the step matrix; a radius >= 1 raises, naming the first such time.
     """
-    mu = np.linalg.eigvals(phase.T[:, :, None] * plan.model.eigen_shift)
+    mu = np.linalg.eigvals(plan.model.phases(times).T[:, :, None] * plan.model.eigen_shift)
     r = np.max(np.abs(mu), axis=-1, initial=0.0)
     bad = np.flatnonzero(r >= 1.0)
     if bad.size:
@@ -213,7 +210,7 @@ def _spectra(plan: EvolutionPlan, times: np.ndarray, phase: np.ndarray) -> tuple
 def contraction_spectrum(plan: EvolutionPlan, t: float) -> np.ndarray:
     """Eigenvalues of exp(-i t T) S* on the plan's space; all must stay inside
     the unit circle, else the rank/truncation data is unusable."""
-    return _spectra(plan, np.array([float(t)]), plan.model.phases([t]))[0][0]
+    return _spectra(plan, np.array([float(t)]))[0][0]
 
 
 def _time_blocks(plan: EvolutionPlan, times) -> list[np.ndarray]:
@@ -224,26 +221,16 @@ def _time_blocks(plan: EvolutionPlan, times) -> list[np.ndarray]:
     return [times[lo : lo + size] for lo in range(0, times.size, size)]
 
 
-def _first_stops(norms: np.ndarray, tol: float) -> np.ndarray:
-    """Per column, the first step whose norm is at most ``tol``, else the last step."""
-    steps = norms.shape[0] - 1
-    if steps == 0:
-        return np.zeros(norms.shape[1], dtype=int)
-    below = norms[1:] <= tol
-    return np.where(below.any(axis=0), below.argmax(axis=0) + 1, steps)
-
-
 def _solve_block(plan: EvolutionPlan, times: np.ndarray) -> list[TrajectorySample]:
-    phase = plan.model.phases(times)
-    _, radii = _spectra(plan, times, phase)
+    _, radii = _spectra(plan, times)
     for i in np.flatnonzero(radii > 1.0 - 1e-3).tolist():
         warnings.warn(
             f"contraction spectral radius {radii[i]:.6f} at t = {times[i]}; mode tail decays slowly",
             SlowDecayWarning,
             stacklevel=3,
         )
-    means, norms = _emit_eigen(plan, phase, plan.N_out, plan.tail_tol)
-    n_used = _first_stops(norms, plan.tail_tol)
+    means, norms = _modes(plan, times, plan.N_out, plan.tail_tol)
+    n_used = first_stops(norms, plan.tail_tol)
     tails = norms[n_used, np.arange(times.size)]
     for i in np.flatnonzero((tails > plan.tail_tol) & (n_used >= plan.N_out)).tolist():
         warnings.warn(
@@ -388,7 +375,7 @@ def intertwining_check(plan: EvolutionPlan, t: float, vectors=None, n_modes: int
     worst = 0.0
     A = plan.model.step(t)
     for c in vectors:
-        c = np.asarray(c, dtype=complex)
+        c = np.asarray(c, dtype=complex)[:, None]
         shifted = emit(A, plan.model.mean_map, c, n_modes)[0][1:]
         coeffs_g = emit(A, plan.model.mean_map, A @ c, n_modes - 1)[0]
         gap = float(np.sqrt(np.sum(np.abs(shifted - coeffs_g) ** 2)))

@@ -227,6 +227,7 @@ def run_stability(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False) -> 
     N = cfg.N
     base = hwm_model(loop, 0.0, N)
     pu = project_plus(loop.series.with_cutoff(N)).coeffs
+    norm0 = float(np.linalg.norm(pu))
     rng = rng_for(cfg)
     probe = np.zeros((N + 1, cfg.d, cfg.d), dtype=complex)
     probe[:4] = rng.standard_normal((4, cfg.d, cfg.d)) + 1j * rng.standard_normal((4, cfg.d, cfg.d))
@@ -237,9 +238,8 @@ def run_stability(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False) -> 
     for t in cfg.stability_times:
         model = model_at_time(base, float(t))
         res = strong_stability_test(model, vectors, cfg.stability_n_max, tol=cfg.stability_tol)
-        rep = res["reports"][0]
-        norm0 = float(rep.norms[0])
-        deficit = norm0 - float(np.sqrt(max(0.0, norm0**2 - rep.limit_estimate**2)))
+        tail = res["reports"][0].limit_estimate
+        deficit = norm0 - float(np.sqrt(max(0.0, norm0**2 - tail**2)))
         rows.append(
             {"t": float(t), "N": N, "norm": norm0 - deficit, "deficit": deficit, "verdict": res["verdict"]}
         )

@@ -104,9 +104,6 @@ class BlockToeplitz:
     def dim(self) -> int:
         return self.d * self.d * (self.N + 1)
 
-    def band(self) -> int:
-        return bandwidth(self.symbol)
-
 
 @dataclass(frozen=True)
 class BlockHankel:

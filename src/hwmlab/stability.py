@@ -8,14 +8,14 @@ emitted norm tells whether the propagator is unitary (strong stability of
 operator of the initial datum; the scalar zero-dispersion model is the
 counterexample where norm loss appears after the first breaking time.
 
-The same contraction drives the exact flow: an ``evolution`` plan holds an
-:class:`IsometryModel` and reads the output modes of many times at once
-with :func:`emit`, the one loop that iterates any contraction here, on a
-block of eigenbasis columns (:attr:`IsometryModel.eigen_shift`,
-:meth:`IsometryModel.phases`).  The zero-dispersion curve runs every time
-of a cutoff the same way, in one eigenbasis block; when its generator is
-real (``-cos``), the factorization, the eigenbasis shift and every step are
-real arithmetic.
+Every defect curve here and every output mode of the exact flow runs on
+one path: :meth:`IsometryModel.iterate` steps its start vectors in the
+generator's eigenbasis, where a step at time t is
+:attr:`IsometryModel.eigen_shift` with its rows phased by ``exp(-itL)``, as
+one block through :func:`emit`, the one loop that iterates any contraction
+here; each column is cut at its own stop (:func:`first_stops`).  A real
+generator (``-cos``) keeps every step real.  The dense
+:meth:`IsometryModel.step` is the reference form.
 
 On the truncated space the backward shift and mean projection satisfy their
 defining identities exactly, so the telescoping norm balance holds to
@@ -28,7 +28,6 @@ demand agreement across several cutoffs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -40,6 +39,7 @@ from .operators import build_toeplitz
 
 __all__ = [
     "emit",
+    "first_stops",
     "standard_mean_map",
     "IsometryModel",
     "StabilityReport",
@@ -56,15 +56,6 @@ __all__ = [
 ]
 
 
-def _norm(v: np.ndarray) -> float:
-    """``np.linalg.norm(v)`` bit for bit (numpy's own formula), without its wrapper's cost.
-
-    ``dot`` rather than ``@``: the matmul ufunc's dispatch costs more than the wrapper saves.
-    """
-    re, im = v.real, v.imag
-    return math.sqrt(re.dot(re) + im.dot(im))
-
-
 def _column_norms(v: np.ndarray) -> np.ndarray:
     re, im = v.real, v.imag
     return np.sqrt((re * re + im * im).sum(axis=0))
@@ -78,44 +69,43 @@ def emit(
     stop_tol: float | None = None,
     phase: np.ndarray | None = None,
 ):
-    """Means ``mean_map @ A^n v`` and norms ``||A^n v||`` for n = 0..n_max, stacked.
+    """Means ``mean_map @ A^n v`` and column norms ``||A^n v||`` for n = 0..n_max, stacked.
 
-    With ``stop_tol`` the iteration ends after the first step whose norm is at
-    most ``stop_tol``; without it there are always ``n_max + 1`` of each.
-
-    ``v`` may also be a ``(dim, T)`` block of columns iterated side by side;
-    ``phase`` (the shape of ``v``) then multiplies every step entrywise, so
-    column j follows ``(diag(phase[:, j]) A)^n``.  A block step's means are
-    ``mean_map @ v`` over all columns and its norms are per column; with
-    ``stop_tol`` the iteration ends once every column has had a step with
-    norm at most ``stop_tol``, and the caller reads each column's own stop
-    off the norms.  A single vector keeps the scalar norm ``_norm``, so its
-    curves do not depend on the block arithmetic.  A real ``A`` steps a
-    complex ``v`` as one real product on its stacked real and imaginary parts.
+    ``v`` is a ``(dim, T)`` block of columns iterated side by side; ``phase``
+    (the shape of ``v``) multiplies every step entrywise, so column j follows
+    ``(diag(phase[:, j]) A)^n``.  Means have shape ``(n+1,) + (mean_map @ v).shape``
+    and norms ``(n+1, T)``.  With ``stop_tol`` the iteration ends once every
+    column has had a step with norm at most ``stop_tol`` (each column's own
+    stop is :func:`first_stops`); without it there are always ``n_max + 1``
+    steps.  A real ``A`` steps a complex ``v`` as one real product on its
+    stacked real and imaginary parts.
     """
-    block = v.ndim == 2
-    norm = _column_norms if block else _norm
-    done = np.zeros(v.shape[1], dtype=bool) if block else None
+    done = np.zeros(v.shape[1], dtype=bool)
     real_step = not np.iscomplexobj(A) and np.iscomplexobj(v)
     if real_step:
         v = np.ascontiguousarray(v, dtype=complex)
     means = [mean_map @ v]
-    norms = [norm(v)]
+    norms = [_column_norms(v)]
     for _ in range(n_max):
         v = (A @ v.view(float).reshape(len(v), -1)).view(complex).reshape(v.shape) if real_step else A @ v
         if phase is not None:
             v *= phase
         means.append(mean_map @ v)
-        norms.append(norm(v))
-        if stop_tol is None:
-            continue
-        if block:
+        norms.append(_column_norms(v))
+        if stop_tol is not None:
             done |= norms[-1] <= stop_tol
             if done.all():
                 break
-        elif norms[-1] <= stop_tol:
-            break
     return np.array(means), np.array(norms)
+
+
+def first_stops(norms: np.ndarray, tol: float) -> np.ndarray:
+    """Per column of ``(n+1, T)`` norms, the first step whose norm is at most ``tol``, else the last step."""
+    steps = norms.shape[0] - 1
+    if steps == 0:
+        return np.zeros(norms.shape[1], dtype=int)
+    below = norms[1:] <= tol
+    return np.where(below.any(axis=0), below.argmax(axis=0) + 1, steps)
 
 
 def standard_mean_map(d: int, dim: int) -> np.ndarray:
@@ -137,7 +127,7 @@ class IsometryModel:
     exact flow's invariant subspace); ``None`` means the standard backward
     shift on the whole truncated space.  ``time_scale`` converts model time
     into generator phase (the zero-dispersion model transports at twice the
-    profile, so it carries 2).  ``sigma_star`` is formed on first use.
+    profile, so it carries 2).
     """
 
     d: int
@@ -169,10 +159,6 @@ class IsometryModel:
         return out
 
     @cached_property
-    def sigma_star(self) -> np.ndarray:
-        return self.step(self.t)
-
-    @cached_property
     def eigen_shift(self) -> np.ndarray:
         """``V* S* V``, the shift in the generator's eigenbasis ``V``.
 
@@ -193,6 +179,23 @@ class IsometryModel:
     def phases(self, times) -> np.ndarray:
         """``exp(-i time_scale t lam)``, one row per eigenvalue and one column per time."""
         return np.exp(-1j * self.time_scale * np.outer(self.lam, times))
+
+    def iterate(self, x: np.ndarray, times, n_max: int, stop_tol: float | None = None):
+        """Means ``(n+1, d, d, T)`` and norms ``(n+1, T)`` of ``step(t_j)^n x_j``.
+
+        ``x`` holds start vectors in the model's coordinates, ``(dim,)`` for
+        one start at every time or ``(dim, T)`` for one start per time.  The
+        iteration runs on eigenbasis coordinates ``V* x`` as one :func:`emit`
+        block; ``V`` is unitary, so norms and means are those of the dense
+        steps.  ``stop_tol`` is :func:`emit`'s.
+        """
+        phase = self.phases(times)
+        w = self.vecs.conj().T @ x
+        if w.ndim == 1:
+            w = np.repeat(w[:, None], phase.shape[1], axis=1)
+        mean_map = self.eigen_mean_map.reshape(self.d * self.d, -1)
+        means, norms = emit(self.eigen_shift, mean_map, w, n_max, stop_tol, phase)
+        return means.reshape(means.shape[0], self.d, self.d, -1), norms
 
 
 def _standard_model(L: np.ndarray, d: int, N: int, t: float, time_scale: float, label: str) -> IsometryModel:
@@ -285,8 +288,14 @@ def apply_u_sigma(model: IsometryModel, f, n_max: int) -> HardyElement:
 
     A contraction of the input by the telescoping norm balance.
     """
-    out, _ = emit(model.sigma_star, model.mean_map, _as_vector(model, f), n_max)
-    return HardyElement(model.d, n_max, out, truncated=True)
+    means, _ = model.iterate(_as_vector(model, f), [model.t], n_max)
+    return HardyElement(model.d, n_max, means[..., 0], truncated=True)
+
+
+def _reports(means: np.ndarray, norms: np.ndarray, stop_tol: float) -> list[StabilityReport]:
+    """One report per column of an iterated block, each cut at its own first stop."""
+    stops = first_stops(norms, stop_tol).tolist()
+    return [_report(means[: n + 1, ..., j], norms[: n + 1, j]) for j, n in enumerate(stops)]
 
 
 def _report(means: np.ndarray, norms: np.ndarray) -> StabilityReport:
@@ -314,7 +323,7 @@ def _report(means: np.ndarray, norms: np.ndarray) -> StabilityReport:
 
 def parseval_defect(model: IsometryModel, f, n_max: int, stop_tol: float = 0.0) -> StabilityReport:
     """Defect curve of the adjoint powers with the telescoping check."""
-    return _report(*emit(model.sigma_star, model.mean_map, _as_vector(model, f), n_max, stop_tol))
+    return _reports(*model.iterate(_as_vector(model, f), [model.t], n_max, stop_tol), stop_tol)[0]
 
 
 def strong_stability_test(
@@ -329,13 +338,13 @@ def strong_stability_test(
     Stable: every sampled defect curve falls below tol within the budget.
     Unstable: some curve stays above tol with a flat log-tail (slope per
     doubling below ``plateau_slope``).  Anything else, including slow but
-    still-decaying curves, is inconclusive rather than guessed.
+    still-decaying curves, is inconclusive rather than guessed.  All vectors
+    run as one block, each curve cut at its own stop.
     """
+    x = np.stack([_as_vector(model, f) for f in vectors], axis=1)
+    reports = _reports(*model.iterate(x, np.full(x.shape[1], model.t), n_max, tol * 0.5), tol * 0.5)
     verdicts = []
-    reports = []
-    for f in vectors:
-        rep = parseval_defect(model, f, n_max, stop_tol=tol * 0.5)
-        reports.append(rep)
+    for rep in reports:
         if rep.limit_estimate <= tol:
             verdicts.append("stable")
         elif abs(rep.tail_slope_per_octave) < plateau_slope:
@@ -368,8 +377,8 @@ def zd_bo_norm_curve(
     before leakage; 1024 steps does this for cutoffs >= 256 and times <= 1.
     Reports ``norm = ||output||`` and ``deficit = ||Pi u0|| - norm`` per (t, N),
     and the first threshold crossing per cutoff as the measured onset.
-    All times of one cutoff run as one block of eigenbasis columns, in real
-    arithmetic when the generator is real; each column stops at its own norm <= 1e-9.
+    All times of one cutoff run as one :meth:`IsometryModel.iterate` block, in
+    real arithmetic when the generator is real; each time stops at its own norm <= 1e-9.
     """
     rows = []
     onsets = {}
@@ -377,13 +386,8 @@ def zd_bo_norm_curve(
         base = zd_bo_model(N, u0)
         pu = project_plus(u0.with_cutoff(N)).coeffs.reshape(-1)
         norm0 = float(np.linalg.norm(pu))
-        w0 = np.repeat((base.vecs.conj().T @ pu)[:, None], len(times), axis=1)
-        means, norms = emit(base.eigen_shift, base.eigen_mean_map, w0, checkpoint, 1e-9, base.phases(times))
         onset = None
-        for j, t in enumerate(times):
-            stops = np.flatnonzero(norms[1:, j] <= 1e-9)
-            n = stops[0] + 1 if stops.size else norms.shape[0] - 1
-            rep = _report(means[: n + 1, ..., j], norms[: n + 1, j])
+        for t, rep in zip(times, _reports(*base.iterate(pu, times, checkpoint, 1e-9), 1e-9)):
             tail = rep.limit_estimate
             out_norm = float(np.sqrt(max(0.0, norm0**2 - tail**2)))
             deficit = norm0 - out_norm
@@ -412,14 +416,17 @@ def wold_decomposition_estimate(model: IsometryModel, budget: int, tol: float = 
     vector's squared image under this map is exactly the norm it loses
     within the budget, so singular values below tol flag directions that
     keep essentially all their norm (the unitary part at this resolution).
+    The rows are formed in the eigenbasis ``V`` (step ``diag(phase) eigen_shift``);
+    the unitary ``V*`` leaves the singular values unchanged.
     """
     e = model.d * model.d
     W = np.zeros((budget * e, model.dim), dtype=complex)
-    block = model.mean_map.reshape(e, model.dim)
+    block = model.eigen_mean_map.reshape(e, model.dim)
+    step = model.phases([model.t]) * model.eigen_shift
     for j in range(budget):
         W[j * e : (j + 1) * e] = block
         if j < budget - 1:
-            block = block @ model.sigma_star
+            block = block @ step
     sv = np.linalg.svd(W, compute_uv=False)
     sv = np.concatenate([sv, np.zeros(max(0, model.dim - sv.size))])
     dim_u = int(np.count_nonzero(sv < tol))

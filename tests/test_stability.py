@@ -33,6 +33,22 @@ def analytic_part_vector(loop, N):
     return pu.reshape(-1)
 
 
+def dense_curve(model, v, n_max, stop_tol=None):
+    """Dense reference: the step matrix at the model's time iterated on one column, up to its first stop."""
+    means, norms = emit(model.step(model.t), model.mean_map, np.asarray(v, dtype=complex)[:, None], n_max, stop_tol)
+    return means[..., 0], norms[:, 0]
+
+
+def dense_verdict(norms, tol, plateau_slope=1e-3):
+    """``strong_stability_test``'s per-vector rule, read off a dense curve."""
+    if norms[-1] <= tol:
+        return "stable"
+    n = norms.size - 1
+    half = max(1, n // 2)
+    slope = (np.log2(norms[-1]) - np.log2(norms[half])) / np.log2(n / half)
+    return "unstable" if abs(slope) < plateau_slope else "inconclusive"
+
+
 def flip_model():
     # two-mode scalar model whose contraction has eigenvalue exactly one
     L = (np.pi / 2) * np.array([[1.0, -1.0], [-1.0, 1.0]])
@@ -63,7 +79,7 @@ def test_breaking_time_of_minus_cosine():
 
 def test_isometry_interior_columns():
     m = model_at_time(zd_bo_model(32, minus_cosine()), 0.7)
-    sigma = m.sigma_star.conj().T
+    sigma = m.step(m.t).conj().T
     gram = sigma.conj().T @ sigma
     # the isometry defect is the exponential-spread image of the dropped top
     # mode; it decays super-exponentially away from the edge
@@ -115,7 +131,7 @@ def test_intertwining_on_coefficients(rng):
     v = rng.standard_normal(33) + 1j * rng.standard_normal(33)
     n = 16
     left = apply_u_sigma(m, v, n + 1).coeffs[1:, 0, 0]  # S* applied to the output
-    right = apply_u_sigma(m, m.sigma_star @ v, n).coeffs[:, 0, 0]
+    right = apply_u_sigma(m, m.step(m.t) @ v, n).coeffs[:, 0, 0]
     assert np.max(np.abs(left[: n + 1] - right)) < 1e-12
 
 
@@ -144,13 +160,13 @@ def test_hwm_rational_models_stable():
 
 def test_finite_model_verdict_matches_spectral_radius(rng):
     m = flip_model()
-    r = np.max(np.abs(np.linalg.eigvals(m.sigma_star)))
+    r = np.max(np.abs(np.linalg.eigvals(m.step(m.t))))
     assert r == pytest.approx(1.0, abs=1e-12)
     res = strong_stability_test(m, [np.array([0.0, 1.0])], 64, tol=1e-8)
     assert res["verdict"] == "unstable"
 
     stable = isometry_model(np.zeros((4, 4)), 1.0, d=1, N=3)
-    r2 = np.max(np.abs(np.linalg.eigvals(stable.sigma_star)))
+    r2 = np.max(np.abs(np.linalg.eigvals(stable.step(stable.t))))
     assert r2 < 1.0
     v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     res2 = strong_stability_test(stable, [v], 32, tol=1e-10)
@@ -201,7 +217,7 @@ def test_model_at_time_reuses_eigendata():
     m = model_at_time(base, 0.4)
     assert m.lam is base.lam and m.vecs is base.vecs and m.mean_map is base.mean_map
     assert (m.t, base.t) == (0.4, 0.0)
-    assert np.array_equal(m.sigma_star, base.step(0.4))
+    assert np.array_equal(m.step(m.t), base.step(0.4))
 
 
 def test_coefficients_converge_with_generator(rng):
@@ -231,12 +247,12 @@ def test_emit_block_columns_follow_their_phased_steps():
     means, norms = emit(model.eigen_shift, model.eigen_mean_map, block, 200, tol, phase)
     assert means.shape == (norms.shape[0], 2, 2, times.size)
     for j, t in enumerate(times):
-        # column j is the eigenbasis image of the single-vector iteration at time t
-        single_means, single_norms = emit(model_at_time(model, t).sigma_star, model.mean_map, model.vecs @ w0, 200, tol)
-        n = single_norms.size
-        assert np.max(np.abs(means[:n, :, :, j] - single_means)) < 1e-13
-        assert np.max(np.abs(norms[:n, j] - single_norms)) < 1e-13
-        # each column's own first stop is the single-vector stop
+        # column j is the eigenbasis image of the one-column dense iteration at time t
+        single_means, single_norms = emit(model.step(t), model.mean_map, (model.vecs @ w0)[:, None], 200, tol)
+        n = single_norms.shape[0]
+        assert np.max(np.abs(means[:n, :, :, j] - single_means[..., 0])) < 1e-13
+        assert np.max(np.abs(norms[:n, j] - single_norms[:, 0])) < 1e-13
+        # each column's own first stop is the one-column stop
         assert np.flatnonzero(norms[1:, j] <= tol)[0] + 1 == n - 1
     assert norms.shape[0] - 1 == max(np.flatnonzero(norms[1:, j] <= tol)[0] + 1 for j in range(times.size))
 
@@ -260,12 +276,12 @@ def test_zd_bo_norm_curve_matches_per_time_defect(symbol):
     pu = project_plus(u0.with_cutoff(N)).coeffs.reshape(-1)
     steps = set()
     for t, row in zip(times, curve["rows"]):
-        rep = parseval_defect(model_at_time(base, t), pu, K, 1e-9)
+        _, norms = dense_curve(model_at_time(base, t), pu, K, 1e-9)
         assert (row["t"], row["N"]) == (t, N)
-        assert row["n_steps"] == rep.n_steps
-        assert abs(row["tail_norm"] - rep.limit_estimate) < 1e-13
+        assert row["n_steps"] == norms.size - 1
+        assert abs(row["tail_norm"] - norms[-1]) < 1e-13
         assert row["telescope_residual"] < 1e-10
-        steps.add(rep.n_steps)
+        steps.add(norms.size - 1)
     # the block holds columns that stop early next to ones that run to the checkpoint
     assert min(steps) < K == max(steps)
 
@@ -278,7 +294,7 @@ def test_emit_real_step_matches_complex_step(rng):
     # a transposed view: the block need not be C-contiguous
     block = (rng.standard_normal((T, dim)) + 1j * rng.standard_normal((T, dim))).T
     phase = np.exp(1j * rng.standard_normal((dim, T)))
-    for start, ph in ((v, None), (block, phase)):
+    for start, ph in ((v[:, None], None), (block, phase)):
         got = emit(A, mean_map, start, n_max, None, ph)
         ref = emit(A.astype(complex), mean_map, start, n_max, None, ph)
         for x, y in zip(got, ref):
@@ -288,3 +304,34 @@ def test_emit_real_step_matches_complex_step(rng):
 def test_eigen_shift_is_real_for_a_real_generator():
     assert zd_bo_model(16, minus_cosine()).eigen_shift.dtype == np.float64
     assert np.iscomplexobj(zd_bo_model(16, complex_hermitian_symbol()).eigen_shift)
+
+
+def stability_case(kind):
+    """A retimed model, its analytic-part vector (stops early) and the budget."""
+    if kind == "hwm":
+        q = traveling_profile(BlaschkeProduct(0.0, (0.0,)), 0.5, N=8)
+        return model_at_time(hwm_model(q, 0.0, 16), 0.9), analytic_part_vector(q, 16), 12
+    m = model_at_time(zd_bo_model(48, minus_cosine()), 0.3)
+    return m, project_plus(minus_cosine().with_cutoff(48)).coeffs.reshape(-1), 64
+
+
+@pytest.mark.parametrize("kind", ["hwm", "zdbo"])
+def test_defect_curves_match_dense_reference(kind, rng):
+    model, early, n_max = stability_case(kind)
+    probe = rng.standard_normal(model.dim) + 1j * rng.standard_normal(model.dim)
+    probe /= np.linalg.norm(probe)
+    tol = 1e-6
+    refs = [dense_curve(model, v, n_max, tol * 0.5) for v in (early, probe)]
+    # one vector stops early and one runs to the budget
+    assert refs[0][1].size - 1 < n_max == refs[1][1].size - 1
+    res = strong_stability_test(model, [early, probe], n_max, tol=tol)
+    for v, (means, norms), rep, verdict in zip((early, probe), refs, res["reports"], res["per_vector"]):
+        single = parseval_defect(model, v, n_max, tol * 0.5)
+        for r in (rep, single):
+            assert r.n_steps == norms.size - 1
+            assert np.max(np.abs(r.norms - norms)) < 1e-13
+            assert np.max(np.abs(r.emitted_sq - np.linalg.norm(means, axis=(1, 2)) ** 2)) < 1e-13
+        assert verdict == dense_verdict(norms, tol)
+        full_means, _ = dense_curve(model, v, n_max)
+        assert np.max(np.abs(apply_u_sigma(model, v, n_max).coeffs - full_means)) < 1e-13
+    assert res["per_vector"][0] == "stable" != res["per_vector"][1]
