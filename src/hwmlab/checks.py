@@ -43,7 +43,7 @@ def run_invariant_suite(cfg: ExperimentConfig) -> list[CheckResult]:
         if cfg.datum != "file":
             raise
         return [CheckResult("loop_file_constraints", False, str(exc))]
-    plan = make_plan(loop, mode="rational", N_out=cfg.N_out, rank_tol=cfg.rank_tol, tail_tol=cfg.tail_tol)
+    plan = make_plan(loop, N_out=cfg.N_out, rank_tol=cfg.rank_tol, tail_tol=cfg.tail_tol)
     key = key_identity_check(loop, plan.N_op)
     start, end = conservation_report(plan, (cfg.t0, cfg.t1))
     mean_frozen = bool(np.array_equal(start["mean"], end["mean"]))

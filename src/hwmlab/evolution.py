@@ -1,9 +1,8 @@
 """Time evolution of Grassmannian loops through the restricted resolvent formula.
 
-A plan diagonalizes the Toeplitz operator of the initial loop once, on its
-finite-dimensional invariant subspace for rational data (or on the whole
-truncated Hardy space otherwise).  Each output Fourier mode is one
-application of ``exp(-i t T) S*`` followed by extraction of the zeroth
+A plan diagonalizes the Toeplitz operator of a rational initial loop once,
+on its finite-dimensional invariant subspace.  Each output Fourier mode is
+one application of ``exp(-i t T) S*`` followed by extraction of the zeroth
 coefficient; the evolved loop is ``analytic part + adjoint - zeroth mode``.
 
 In the eigenbasis ``V`` of the restricted operator the time enters only as
@@ -38,7 +37,7 @@ from .operators import (
     schatten_norm,
     toeplitz_vector_section,
 )
-from .stability import IsometryModel, emit, first_stops, standard_mean_map
+from .stability import IsometryModel, emit, first_stops
 
 __all__ = [
     "EvolutionPlan",
@@ -80,18 +79,16 @@ class DegenerateEigenvalueWarning(UserWarning):
 class EvolutionPlan:
     """Frozen eigen-data driving the flow of one initial loop.
 
-    ``model`` is the contraction ``exp(-itT) S*``: on the invariant
-    subspace with the frame's compressions for rational plans, on the whole
-    truncated space with the standard shift otherwise.  ``c0`` holds the
-    coordinates of the initial analytic part in the model's space.
+    ``model`` is the contraction ``exp(-itT) S*`` on the invariant
+    subspace ``frame``, built from the frame's compressions.  ``c0`` holds
+    the frame coordinates of the initial analytic part.
     """
 
     d: int
     k: int
-    mode: str
     N_op: int
     source: FourierSeries
-    frame: SubspaceFrame | None
+    frame: SubspaceFrame
     model: IsometryModel
     c0: np.ndarray
     mean0: np.ndarray
@@ -112,7 +109,6 @@ class TrajectorySample:
 
 def make_plan(
     u0: GrassmannLoop,
-    mode: str = "rational",
     N_out: int = HARD_MODE_CAP,
     N_op: int | None = None,
     rank_tol: float = 1e-8,
@@ -120,37 +116,18 @@ def make_plan(
 ) -> EvolutionPlan:
     """Build the eigen-data for evolving ``u0``.
 
-    ``mode="rational"`` restricts to the invariant subspace found from the
-    Hankel singular values and propagates NotRationalError if there is none;
-    ``mode="truncated"`` uses the full truncated Hardy space (a diagnostic
-    device for non-rational data, with no exactness claim).  Its step is a
-    perturbed nilpotent shift whose eigenvalues move by up to about 3e-2
-    under 1e-16 perturbations, so on truncated plans the spectral radius,
-    ``SpectralRadiusError`` and the slow-decay radius warning act on
-    rounding noise.
+    Restricts to the invariant subspace found from the Hankel singular
+    values at cutoff ``N_op`` and propagates NotRationalError if there is
+    none.
     """
-    if mode not in ("rational", "truncated"):
-        raise ValueError(f'mode must be "rational" or "truncated", got {mode!r}')
     sym = u0.series
-    band = bandwidth(sym)
     if N_op is None:
-        N_op = max(2 * band + 2, 8) if mode == "rational" else max(sym.N, 8)
+        N_op = max(2 * bandwidth(sym) + 2, 8)
     d = u0.d
 
-    pu_vec = project_plus(sym.with_cutoff(N_op)).coeffs.reshape(-1)
-
-    if mode == "rational":
-        frame = invariant_subspace(u0, N_op, rank_tol=rank_tol)
-        t_small = frame.t_restricted
-        sstar = frame.sstar_restricted
-        c0 = frame.coordinates(pu_vec)
-        mean_map = frame.mean_map
-    else:
-        frame = None
-        t_small = build_toeplitz(sym, N_op).matrix
-        sstar = None
-        c0 = pu_vec
-        mean_map = standard_mean_map(d, pu_vec.size)
+    frame = invariant_subspace(u0, N_op, rank_tol=rank_tol)
+    t_small = frame.t_restricted
+    c0 = frame.coordinates(project_plus(sym.with_cutoff(N_op)).coeffs.reshape(-1))
 
     lam, vecs = np.linalg.eigh(0.5 * (t_small + t_small.conj().T))
     recon = float(np.linalg.norm((vecs * lam) @ vecs.conj().T - t_small, ord=2))
@@ -162,11 +139,10 @@ def make_plan(
     return EvolutionPlan(
         d=d,
         k=u0.k,
-        mode=mode,
         N_op=N_op,
         source=sym,
         frame=frame,
-        model=IsometryModel(d, N_op, lam, vecs, mean_map, sstar),
+        model=IsometryModel(d, N_op, lam, vecs, frame.mean_map, frame.sstar_restricted),
         c0=c0,
         mean0=sym.coeff(0).copy(),
         N_out=N_out,
@@ -357,10 +333,7 @@ def plan_coordinates_of_constant(plan: EvolutionPlan, matrix: np.ndarray) -> np.
     """Plan-space coordinates of the constant element with the given value."""
     vec = np.zeros((plan.N_op + 1, plan.d, plan.d), dtype=complex)
     vec[0] = matrix
-    flat = vec.reshape(-1)
-    if plan.frame is not None:
-        return plan.frame.coordinates(flat)
-    return flat
+    return plan.frame.coordinates(vec.reshape(-1))
 
 
 def intertwining_check(plan: EvolutionPlan, t: float, vectors=None, n_modes: int = 32) -> float:
@@ -398,7 +371,7 @@ def lax_residual(
     default sign and stays O(1) for the opposite one.
     """
     if plan is None:
-        plan = make_plan(u0, mode="rational")
+        plan = make_plan(u0)
     loops = {dt: solve_at_time(plan, t + dt).loop for dt in (-h, 0.0, h)}
     # an effective bandwidth at coarse tolerance keeps a usable interior block;
     # what falls outside it only pollutes at the 1e-8 scale, far below O(h^2)

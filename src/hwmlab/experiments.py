@@ -4,7 +4,8 @@ Each runner takes a validated config, writes its artifacts atomically under
 the output directory, and returns a process exit code: 0 for success or
 all-pass, 1 for an invariant failure.  Randomized data always come from a
 counter-based Philox generator keyed by the single config seed, so a config
-plus seed reproduces every artifact byte for byte below the version header.
+plus seed reproduces every artifact byte for byte below the version header,
+at an equal BLAS thread count.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .grassmann import (
     traveling_profile,
     validate_loop,
 )
-from .operators import build_toeplitz, eig_hermitian, kronecker_rank
+from .operators import eig_hermitian, kronecker_rank, toeplitz_vector_section
 from .evolution import make_plan, solve_many
 from .stability import (
     hwm_model,
@@ -184,7 +185,7 @@ def integrator_trajectory_rows(states):
 
 def run_evolve(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False) -> int:
     loop = build_datum(cfg)
-    plan = make_plan(loop, mode="rational", N_out=cfg.N_out, rank_tol=cfg.rank_tol, tail_tol=cfg.tail_tol)
+    plan = make_plan(loop, N_out=cfg.N_out, rank_tol=cfg.rank_tol, tail_tol=cfg.tail_tol)
     times = np.linspace(cfg.t0, cfg.t1, cfg.samples)
     rows = trajectory_rows(plan, times)
     cols = TRAJECTORY_BASE_COLS + _mean_cols(cfg.d) + TRAJECTORY_TAIL_COLS
@@ -200,24 +201,24 @@ def run_evolve(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False) -> int
 
 def run_spectrum(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False) -> int:
     loop = build_datum(cfg)
-    T = build_toeplitz(loop.series, cfg.N)
-    spec = eig_hermitian(T)
+    # the matrix section is kron(vector section, I_d): its spectrum is the vector one, each value d times
+    spec = eig_hermitian(toeplitz_vector_section(loop, cfg.N))
     sweep = {}
     for N in sorted({max(4, cfg.N // 4), max(6, cfg.N // 2), cfg.N}):
         rank, sv = kronecker_rank(loop.series, N, rank_tol=cfg.rank_tol)
         sweep[str(N)] = {"rank": rank, "leading_singulars": [float(s) for s in sv[: rank + 3]]}
     payload = {
         "config": config_hash(cfg),
-        "eigenvalues": [float(x) for x in spec.eigenvalues],
-        "near_edge_count": spec.near_edge_count,
+        "eigenvalues": [float(x) for x in np.repeat(spec.eigenvalues, cfg.d)],
+        "near_edge_count": cfg.d * spec.near_edge_count,
         "residuals": {"eig": spec.residual},
         "rank_sweep": sweep,
     }
     write_text_atomic(out_dir / "spectrum.json", json.dumps(payload, indent=1))
     if not quiet:
         print(
-            f"spectrum: dim {spec.eigenvalues.size}, near edge {spec.near_edge_count}, "
-            f"interior {spec.interior().size}"
+            f"spectrum: dim {cfg.d * spec.eigenvalues.size}, near edge {cfg.d * spec.near_edge_count}, "
+            f"interior {cfg.d * spec.interior().size}"
         )
     return 0
 
@@ -298,7 +299,7 @@ def run_bench(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False) -> int:
         b = random_blaschke(rng, m, max_radius=0.4)
         loop = traveling_profile(b, 0.5, N=max(cfg.N, 16), tail_tol=1e-10)
         t0 = time.perf_counter()
-        plan = make_plan(loop, mode="rational")
+        plan = make_plan(loop)
         t_build = time.perf_counter() - t0
 
         # one batch, as evolve solves its times, after an untimed warm-up solve and RK4 step

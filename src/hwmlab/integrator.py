@@ -159,7 +159,7 @@ def cross_validate(
     from .evolution import make_plan, solve_at_time
 
     if plan is None:
-        plan = make_plan(u0, mode="rational")
+        plan = make_plan(u0)
     if N is not None and N > u0.series.N:
         u0 = GrassmannLoop(u0.d, u0.k, u0.series.with_cutoff(N), u0.grid_check)
     check_ts = np.linspace(0.0, t_end, n_checks + 1)[1:]

@@ -261,13 +261,13 @@ def key_identity_check(u, N: int) -> dict:
     }
 
 
-def eig_hermitian(T: BlockToeplitz, delta_edge: float = 0.1) -> SpectralData:
-    """Eigendecomposition of a Hermitian-symbol finite section."""
-    herm_gap = np.max(np.abs(T.matrix - T.matrix.conj().T))
+def eig_hermitian(A: np.ndarray, delta_edge: float = 0.1) -> SpectralData:
+    """Eigendecomposition of a Hermitian-symbol finite section (a matrix or vector section's array)."""
+    herm_gap = np.max(np.abs(A - A.conj().T))
     if herm_gap > 1e-10:
         raise ValueError(f"finite section is not Hermitian (gap {herm_gap:.2e})")
-    lam, vecs = np.linalg.eigh(T.matrix)
-    residual = float(np.max(np.linalg.norm(T.matrix @ vecs - vecs * lam, axis=0)))
+    lam, vecs = np.linalg.eigh(A)
+    residual = float(np.max(np.linalg.norm(A @ vecs - vecs * lam, axis=0)))
     near_edge = int(np.count_nonzero(np.abs(lam) > 1.0 - delta_edge))
     return SpectralData(lam, vecs, near_edge, residual)
 

@@ -5,7 +5,9 @@ The object under study is the contraction built from an isometry
 one output coefficient per step through the mean projection, and the total
 emitted norm tells whether the propagator is unitary (strong stability of
 ``Sigma*``) or loses norm.  The flow models take ``L`` = the Toeplitz
-operator of the initial datum; the scalar zero-dispersion model is the
+operator of the initial datum, factored on its vector section: the symbol
+acts by left multiplication, so a matrix-valued input is its d columns,
+stepped side by side as one curve.  The scalar zero-dispersion model is the
 counterexample where norm loss appears after the first breaking time.
 
 Every defect curve here and every output mode of the exact flow runs on
@@ -35,12 +37,11 @@ import numpy as np
 
 from .hardy import FourierSeries, HardyElement, project_plus
 from .grassmann import GrassmannLoop
-from .operators import build_toeplitz
+from .operators import toeplitz_vector_section
 
 __all__ = [
     "emit",
     "first_stops",
-    "standard_mean_map",
     "IsometryModel",
     "StabilityReport",
     "isometry_model",
@@ -56,9 +57,10 @@ __all__ = [
 ]
 
 
-def _column_norms(v: np.ndarray) -> np.ndarray:
+def _curve_norms(v: np.ndarray) -> np.ndarray:
     re, im = v.real, v.imag
-    return np.sqrt((re * re + im * im).sum(axis=0))
+    sq = (re * re + im * im).sum(axis=0)
+    return np.sqrt(sq.reshape(-1, v.shape[-1]).sum(axis=0))
 
 
 def emit(
@@ -69,29 +71,32 @@ def emit(
     stop_tol: float | None = None,
     phase: np.ndarray | None = None,
 ):
-    """Means ``mean_map @ A^n v`` and column norms ``||A^n v||`` for n = 0..n_max, stacked.
+    """Means ``mean_map @ A^n v`` and curve norms ``||A^n v||`` for n = 0..n_max, stacked.
 
-    ``v`` is a ``(dim, T)`` block of columns iterated side by side; ``phase``
-    (the shape of ``v``) multiplies every step entrywise, so column j follows
-    ``(diag(phase[:, j]) A)^n``.  Means have shape ``(n+1,) + (mean_map @ v).shape``
-    and norms ``(n+1, T)``.  With ``stop_tol`` the iteration ends once every
-    column has had a step with norm at most ``stop_tol`` (each column's own
-    stop is :func:`first_stops`); without it there are always ``n_max + 1``
-    steps.  A real ``A`` steps a complex ``v`` as one real product on its
-    stacked real and imaginary parts.
+    ``v`` holds T curves iterated side by side, ``(dim, T)`` or ``(dim, g, T)``
+    for curves of g columns each, whose norm is the root-sum-square of theirs.
+    ``phase`` (broadcast against ``v``) multiplies every step entrywise, so
+    curve j follows ``(diag(phase[..., j]) A)^n``.  Means have shape
+    ``(n+1,) + (mean_map @ v.reshape(dim, -1)).shape`` and norms ``(n+1, T)``.
+    With ``stop_tol`` the iteration ends once every curve has had a step with
+    norm at most ``stop_tol`` (each curve's own stop is :func:`first_stops`);
+    without it there are always ``n_max + 1`` steps.  A real ``A`` steps a
+    complex ``v`` as one real product on its stacked real and imaginary parts.
     """
-    done = np.zeros(v.shape[1], dtype=bool)
+    done = np.zeros(v.shape[-1], dtype=bool)
     real_step = not np.iscomplexobj(A) and np.iscomplexobj(v)
     if real_step:
         v = np.ascontiguousarray(v, dtype=complex)
-    means = [mean_map @ v]
-    norms = [_column_norms(v)]
+    dim, shape = len(v), v.shape
+    means = [mean_map @ v.reshape(dim, -1)]
+    norms = [_curve_norms(v)]
     for _ in range(n_max):
-        v = (A @ v.view(float).reshape(len(v), -1)).view(complex).reshape(v.shape) if real_step else A @ v
+        w = A @ (v.view(float) if real_step else v).reshape(dim, -1)
+        v = (w.view(complex) if real_step else w).reshape(shape)
         if phase is not None:
             v *= phase
-        means.append(mean_map @ v)
-        norms.append(_column_norms(v))
+        means.append(mean_map @ v.reshape(dim, -1))
+        norms.append(_curve_norms(v))
         if stop_tol is not None:
             done |= norms[-1] <= stop_tol
             if done.all():
@@ -108,26 +113,22 @@ def first_stops(norms: np.ndarray, tol: float) -> np.ndarray:
     return np.where(below.any(axis=0), below.argmax(axis=0) + 1, steps)
 
 
-def standard_mean_map(d: int, dim: int) -> np.ndarray:
-    """Zeroth coefficient of stacked mode-major coordinates, shape ``(d, d, dim)``."""
-    return np.eye(d * d, dim, dtype=complex).reshape(d, d, dim)
-
-
 @dataclass(frozen=True)
 class IsometryModel:
     """Truncated Hardy-space contraction ``Sigma* = exp(-i t_scale t L) S*``.
 
     ``d`` is the coefficient matrix dimension (1 for scalar models) and
-    ``N`` the Hardy-space cutoff; ``dim`` is ``(N+1) d^2`` on the whole
-    truncated space and the frame dimension on an invariant subspace.
-    ``lam``/``vecs`` hold the eigendecomposition of the Hermitian generator,
-    so the model can be re-timed without refactorizing.  ``mean_map`` is
-    P_Sigma, the defect projection onto the zeroth coefficient, shape
-    ``(d, d, dim)``.  ``sstar`` is a dense compressed backward shift (an
-    exact flow's invariant subspace); ``None`` means the standard backward
-    shift on the whole truncated space.  ``time_scale`` converts model time
-    into generator phase (the zero-dispersion model transports at twice the
-    profile, so it carries 2).
+    ``N`` the Hardy-space cutoff.  ``lam``/``vecs`` hold the
+    eigendecomposition of the Hermitian generator, so the model can be
+    re-timed without refactorizing.  The generator acts on the matrix
+    section (``(N+1) d^2`` wide), on the vector section (``(N+1) d`` wide,
+    the flow models: a matrix input runs as its d columns) or on an exact
+    flow's invariant subspace.  ``mean_map`` is P_Sigma, the defect
+    projection onto the zeroth coefficient, one row per coordinate of a mode
+    (``(d, d)`` on a frame).  ``sstar`` is a dense compressed backward shift
+    (an invariant subspace); ``None`` means the standard backward shift.
+    ``time_scale`` converts model time into generator phase (the
+    zero-dispersion model transports at twice the profile, so it carries 2).
     """
 
     d: int
@@ -141,11 +142,21 @@ class IsometryModel:
     label: str = ""
 
     @property
+    def _mode_width(self) -> int:
+        return self.mean_map.size // self.lam.size
+
+    @property
+    def columns(self) -> int:
+        """Columns per input: ``d^2`` over the rows of ``mean_map``, so d on the vector section, else 1."""
+        return self.d * self.d // self._mode_width
+
+    @property
     def dim(self) -> int:
-        return self.lam.size
+        """Length of an input vector: the generator's size times :attr:`columns`."""
+        return self.lam.size * self.columns
 
     def step(self, t: float) -> np.ndarray:
-        """``exp(-i time_scale t L) S*`` as a dense matrix.
+        """``exp(-i time_scale t L) S*`` as a dense matrix on the generator's coordinates.
 
         The standard backward shift is applied by shifting columns: column
         block n of the product is column block n - 1 of the exponential.
@@ -153,7 +164,7 @@ class IsometryModel:
         expo = (self.vecs * np.exp(-1j * (self.time_scale * t) * self.lam)) @ self.vecs.conj().T
         if self.sstar is not None:
             return expo @ self.sstar
-        e = self.d * self.d
+        e = self._mode_width
         out = np.zeros_like(expo)
         out[:, e:] = expo[:, :-e]
         return out
@@ -168,12 +179,12 @@ class IsometryModel:
         vh = self.vecs.conj().T
         if self.sstar is not None:
             return vh @ self.sstar @ self.vecs
-        e = self.d * self.d
+        e = self._mode_width
         return vh[:, :-e] @ self.vecs[e:]
 
     @cached_property
     def eigen_mean_map(self) -> np.ndarray:
-        """``mean_map @ V``: the mean read off eigenbasis coordinates, shape ``(d, d, dim)``."""
+        """``mean_map @ V``: the mean read off eigenbasis coordinates."""
         return self.mean_map @ self.vecs
 
     def phases(self, times) -> np.ndarray:
@@ -183,31 +194,33 @@ class IsometryModel:
     def iterate(self, x: np.ndarray, times, n_max: int, stop_tol: float | None = None):
         """Means ``(n+1, d, d, T)`` and norms ``(n+1, T)`` of ``step(t_j)^n x_j``.
 
-        ``x`` holds start vectors in the model's coordinates, ``(dim,)`` for
-        one start at every time or ``(dim, T)`` for one start per time.  The
+        ``x`` holds start vectors of length :attr:`dim`, ``(dim,)`` for one
+        start at every time or ``(dim, T)`` for one start per time.  On the
+        vector section a start is a stacked matrix element; its d columns
+        form one curve, whose norm is the root-sum-square of theirs.  The
         iteration runs on eigenbasis coordinates ``V* x`` as one :func:`emit`
         block; ``V`` is unitary, so norms and means are those of the dense
-        steps.  ``stop_tol`` is :func:`emit`'s.
+        steps.  ``stop_tol`` is :func:`emit`'s and acts on the curve norms.
         """
         phase = self.phases(times)
-        w = self.vecs.conj().T @ x
-        if w.ndim == 1:
-            w = np.repeat(w[:, None], phase.shape[1], axis=1)
-        mean_map = self.eigen_mean_map.reshape(self.d * self.d, -1)
-        means, norms = emit(self.eigen_shift, mean_map, w, n_max, stop_tol, phase)
+        n, g = self.lam.size, self.columns
+        w = (self.vecs.conj().T @ x.reshape(n, -1)).reshape(n, g, -1)
+        if x.ndim == 1:
+            w = np.repeat(w, phase.shape[1], axis=2)
+        mean_map = self.eigen_mean_map.reshape(-1, n)
+        means, norms = emit(self.eigen_shift, mean_map, w, n_max, stop_tol, phase[:, None])
         return means.reshape(means.shape[0], self.d, self.d, -1), norms
 
 
 def _standard_model(L: np.ndarray, d: int, N: int, t: float, time_scale: float, label: str) -> IsometryModel:
     """Model with the standard shift and mean map, from a Hermitian generator (real if L is)."""
     lam, vecs = np.linalg.eigh(L if L.imag.any() else L.real)
-    return IsometryModel(
-        d, N, lam, vecs, standard_mean_map(d, lam.size), t=t, time_scale=time_scale, label=label
-    )
+    mean_map = np.eye(lam.size // (N + 1), lam.size, dtype=complex)
+    return IsometryModel(d, N, lam, vecs, mean_map, t=t, time_scale=time_scale, label=label)
 
 
 def isometry_model(L: np.ndarray, t: float, d: int, N: int, label: str = "") -> IsometryModel:
-    """Model from an explicit Hermitian generator on the truncated space."""
+    """Model from an explicit Hermitian generator on the matrix section's coordinates."""
     dim = (N + 1) * d * d
     if L.shape != (dim, dim):
         raise ValueError(f"generator must be {dim}x{dim}, got {L.shape}")
@@ -222,8 +235,11 @@ def model_at_time(model: IsometryModel, t: float) -> IsometryModel:
 
 
 def hwm_model(u0: GrassmannLoop, t: float, N: int) -> IsometryModel:
-    """Flow model: L is the block Toeplitz section of the initial loop."""
-    return _standard_model(build_toeplitz(u0.series, N).matrix, u0.d, N, t, 1.0, f"hwm d={u0.d} N={N}")
+    """Flow model: L is the Toeplitz vector section of the initial loop.
+
+    Its lift is the matrix section, so a matrix input runs as its d columns.
+    """
+    return _standard_model(toeplitz_vector_section(u0, N), u0.d, N, t, 1.0, f"hwm d={u0.d} N={N}")
 
 
 def zd_bo_model(N: int, u0: FourierSeries, t: float = 0.0) -> IsometryModel:
@@ -239,7 +255,7 @@ def zd_bo_model(N: int, u0: FourierSeries, t: float = 0.0) -> IsometryModel:
         raise ValueError("zero-dispersion model expects a scalar symbol (d = 1)")
     if not u0.is_hermitian_symbol(1e-12):
         raise ValueError("symbol must be real-valued on the circle")
-    return _standard_model(build_toeplitz(u0, N).matrix, 1, N, t, 2.0, f"zd-bo N={N}")
+    return _standard_model(toeplitz_vector_section(u0, N), 1, N, t, 2.0, f"zd-bo N={N}")
 
 
 def breaking_time(u0: FourierSeries, grid: int = 4096) -> float:
@@ -341,7 +357,10 @@ def strong_stability_test(
     still-decaying curves, is inconclusive rather than guessed.  All vectors
     run as one block, each curve cut at its own stop.
     """
-    x = np.stack([_as_vector(model, f) for f in vectors], axis=1)
+    starts = [_as_vector(model, f) for f in vectors]
+    if not starts:
+        raise ValueError("strong_stability_test needs at least one vector")
+    x = np.stack(starts, axis=1)
     reports = _reports(*model.iterate(x, np.full(x.shape[1], model.t), n_max, tol * 0.5), tol * 0.5)
     verdicts = []
     for rep in reports:
@@ -417,18 +436,21 @@ def wold_decomposition_estimate(model: IsometryModel, budget: int, tol: float = 
     within the budget, so singular values below tol flag directions that
     keep essentially all their norm (the unitary part at this resolution).
     The rows are formed in the eigenbasis ``V`` (step ``diag(phase) eigen_shift``);
-    the unitary ``V*`` leaves the singular values unchanged.
+    the unitary ``V*`` leaves the singular values unchanged.  Dimensions are
+    those of the matrix-valued space: on the vector section each singular
+    value counts once per column, as :func:`~hwmlab.operators.kronecker_rank`
+    counts them.
     """
-    e = model.d * model.d
-    W = np.zeros((budget * e, model.dim), dtype=complex)
-    block = model.eigen_mean_map.reshape(e, model.dim)
+    n, e = model.lam.size, model._mode_width
+    W = np.zeros((budget * e, n), dtype=complex)
+    block = model.eigen_mean_map.reshape(e, n)
     step = model.phases([model.t]) * model.eigen_shift
     for j in range(budget):
         W[j * e : (j + 1) * e] = block
         if j < budget - 1:
             block = block @ step
     sv = np.linalg.svd(W, compute_uv=False)
-    sv = np.concatenate([sv, np.zeros(max(0, model.dim - sv.size))])
+    sv = np.repeat(np.concatenate([sv, np.zeros(max(0, n - sv.size))]), model.columns)
     dim_u = int(np.count_nonzero(sv < tol))
     return {
         "dim_unitary": dim_u,

@@ -1,11 +1,15 @@
 import json
 import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import hwmlab
 from hwmlab.cli import main
 from hwmlab.config import DEFAULT_TEXT, ConfigError, ExperimentConfig, config_hash, load_config, parse_config
 from hwmlab.experiments import build_datum, rng_for, run_bench, run_evolve, write_text_atomic
@@ -232,6 +236,24 @@ def test_cli_init_config_writes_atomically(tmp_path, monkeypatch):
     assert targets == [str(target)]
     assert load_config(target) == parse_config(DEFAULT_TEXT)
     assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_default_artifacts_are_byte_reproducible(tmp_path):
+    # byte equality holds at an equal BLAS thread count; fresh interpreters at one thread
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(Path(hwmlab.__file__).parents[1]),
+        OPENBLAS_NUM_THREADS="1",
+        OMP_NUM_THREADS="1",
+    )
+    for command, artifact in (("spectrum", "spectrum.json"), ("stability", "stability.csv")):
+        runs = []
+        for i in range(2):
+            out = tmp_path / f"{command}{i}"
+            cmd = [sys.executable, "-m", "hwmlab.cli", command, "--out", str(out), "--quiet"]
+            subprocess.run(cmd, env=env, capture_output=True, check=True)
+            runs.append((out / artifact).read_bytes())
+        assert runs[0] == runs[1]
 
 
 def test_default_text_is_the_default_config():

@@ -17,7 +17,7 @@ from hwmlab.grassmann import (
     validate_loop,
 )
 from hwmlab.operators import NotRationalError
-from hwmlab.stability import apply_u_sigma, emit, model_at_time
+from hwmlab.stability import apply_u_sigma, emit, hwm_model, model_at_time
 from hwmlab.evolution import (
     SlowDecayWarning,
     SpectralRadiusError,
@@ -71,23 +71,17 @@ def test_plan_soliton_frequencies():
     assert np.allclose(np.sort(plan.model.lam), [-1.0, -0.5, -0.5, 1.0], atol=1e-12)
 
 
-def test_plan_truncated_mode_full_dimension(rng):
-    from test_operators import nonrational_loop
-
-    loop = nonrational_loop(rng)
-    plan = make_plan(loop, mode="truncated")
-    assert plan.dim == 4 * (loop.N + 1)
-
-
-@pytest.mark.parametrize("mode", ["rational", "truncated"])
-def test_plan_step_matches_retimed_model(mode):
-    plan = make_plan(soliton(0.5, N=12), mode=mode)
+@pytest.mark.parametrize("kind", ["rational", "standard"])
+def test_plan_step_matches_retimed_model(kind):
+    loop = soliton(0.5, N=12)
+    # the standard backward shift runs on the flow model's vector section
+    model = make_plan(loop).model if kind == "rational" else hwm_model(loop, 0.0, 12)
     for t in (0.0, 0.9, 3.7):
         # the retimed model's eigenbasis step, the form every iteration runs on
-        m = model_at_time(plan.model, t)
+        m = model_at_time(model, t)
         eigen_form = m.vecs @ (m.phases([m.t]) * m.eigen_shift) @ m.vecs.conj().T
-        assert np.max(np.abs(plan.model.step(t) - eigen_form)) < 1e-13
-    assert (plan.model.sstar is None) == (mode == "truncated")
+        assert np.max(np.abs(model.step(t) - eigen_form)) < 1e-13
+    assert (model.sstar is None) == (kind == "standard")
 
 
 def test_rational_model_rejects_hardy_element():
@@ -103,7 +97,7 @@ def test_plan_propagates_not_rational(rng):
     from test_operators import nonrational_loop
 
     with pytest.raises(NotRationalError):
-        make_plan(nonrational_loop(rng), mode="rational")
+        make_plan(nonrational_loop(rng))
 
 
 def test_mode_zero_frozen_exactly():
@@ -121,15 +115,14 @@ def test_coefficients_at_time_zero_reproduce_datum():
 
 
 def test_fourier_coefficient_matches_solve_bitwise(twist_plan):
-    loop, plan = twist_plan
-    for pl in (plan, make_plan(loop, mode="truncated")):
-        for t in (0.7, 3.1):
-            series = solve_at_time(pl, t).loop.series
-            assert series.N >= 2
-            # the loop's zeroth mode is assembled as mode + adjoint - frozen mean
-            assert np.max(np.abs(fourier_coefficient(pl, t, 0) - series.coeff(0))) < 1e-13
-            for n in range(1, series.N + 1):
-                assert np.array_equal(fourier_coefficient(pl, t, n), series.coeff(n))
+    _, plan = twist_plan
+    for t in (0.7, 3.1):
+        series = solve_at_time(plan, t).loop.series
+        assert series.N >= 2
+        # the loop's zeroth mode is assembled as mode + adjoint - frozen mean
+        assert np.max(np.abs(fourier_coefficient(plan, t, 0) - series.coeff(0))) < 1e-13
+        for n in range(1, series.N + 1):
+            assert np.array_equal(fourier_coefficient(plan, t, n), series.coeff(n))
 
 
 def test_constant_datum_is_fixed_point():
@@ -350,15 +343,13 @@ def flow_loops():
 
 @pytest.fixture(scope="module")
 def flow_plans():
-    plans = {name: make_plan(loop) for name, loop in flow_loops().items()}
-    plans["truncated"] = make_plan(soliton(0.5, N=12), mode="truncated")
-    return plans
+    return {name: make_plan(loop) for name, loop in flow_loops().items()}
 
 
 FLOW_TIMES = np.linspace(0.0, 10.0, 50)
 
 
-@pytest.mark.parametrize("name", ["soliton", "generic", "embedded", "harmonic", "truncated"])
+@pytest.mark.parametrize("name", ["soliton", "generic", "embedded", "harmonic"])
 def test_solve_many_matches_per_time_reference(flow_plans, name):
     plan = flow_plans[name]
     samples = solve_many(plan, FLOW_TIMES)
@@ -374,13 +365,11 @@ def test_solve_many_matches_per_time_reference(flow_plans, name):
         assert np.array_equal(s.diagnostics["mean"], mean)
         assert s.loop.grid_check == constraint_residuals(plan.d, plan.k, series)
         assert s.diagnostics["energy"] == sobolev_energy(series)
-        # the truncated step is a perturbed nilpotent shift: its eigenvalues are
-        # ill-conditioned, so two similar matrices' eigensolves part at 1e-3
-        assert abs(s.diagnostics["spectral_radius"] - ref["radius"]) < (1e-2 if name == "truncated" else 1e-7)
+        assert abs(s.diagnostics["spectral_radius"] - ref["radius"]) < 1e-7
         assert abs(s.diagnostics["tail_estimate"] - ref["tail"]) < 1e-15
 
 
-@pytest.mark.parametrize("name", ["generic", "truncated"])
+@pytest.mark.parametrize("name", ["generic"])
 def test_solve_many_single_time_is_solve_at_time(flow_plans, name):
     plan = flow_plans[name]
     for t in (0.0, 0.7, 3.1):

@@ -197,7 +197,7 @@ def test_key_identity_random_rational(rng):
 
 def test_eig_constant_sigma3():
     N = 5
-    spec = eig_hermitian(build_toeplitz(series_from(2, 0, {0: SIGMA3}), N))
+    spec = eig_hermitian(build_toeplitz(series_from(2, 0, {0: SIGMA3}), N).matrix)
     lam = np.sort(spec.eigenvalues)
     assert np.allclose(lam[: 2 * (N + 1)], -1.0)
     assert np.allclose(lam[2 * (N + 1) :], 1.0)
@@ -206,7 +206,7 @@ def test_eig_constant_sigma3():
 def test_eig_edges_and_bound(rng):
     loop = random_rational_loop(rng, 2, 1, twists=2)
     N = 24
-    spec = eig_hermitian(build_toeplitz(loop.series, N))
+    spec = eig_hermitian(build_toeplitz(loop.series, N).matrix)
     assert np.max(np.abs(spec.eigenvalues)) <= 1.0 + 1e-8
     frame = invariant_subspace(loop, 12)
     assert spec.near_edge_count >= spec.eigenvalues.size - 2 * frame.dim
@@ -217,7 +217,7 @@ def test_interior_eigenvalue_count_stabilizes(rng):
     loop = random_rational_loop(rng, 2, 1, twists=2)
     counts = []
     for N in (16, 24, 32):
-        spec = eig_hermitian(build_toeplitz(loop.series, N))
+        spec = eig_hermitian(build_toeplitz(loop.series, N).matrix)
         counts.append(spec.interior(0.05).size)
     assert counts[0] == counts[1] == counts[2]
 
@@ -417,7 +417,7 @@ def test_eigenspaces_nearly_shift_invariant(rng):
     loop = random_rational_loop(rng, 2, 1, twists=2)
     N = 24
     T = build_toeplitz(loop.series, N)
-    spec = eig_hermitian(T)
+    spec = eig_hermitian(T.matrix)
     S = shift_backward_matrix(2, N)
     lam = spec.eigenvalues
     sel = np.nonzero((np.abs(lam) < 0.95))[0]

@@ -4,6 +4,7 @@ import pytest
 from hwmlab.hardy import FourierSeries, project_plus
 from hwmlab.grassmann import BlaschkeProduct, random_rational_loop, traveling_profile
 from hwmlab.evolution import make_plan, solve_at_time
+from hwmlab.operators import build_toeplitz, shift_backward_matrix
 from hwmlab.stability import (
     apply_u_sigma,
     breaking_time,
@@ -34,9 +35,13 @@ def analytic_part_vector(loop, N):
 
 
 def dense_curve(model, v, n_max, stop_tol=None):
-    """Dense reference: the step matrix at the model's time iterated on one column, up to its first stop."""
-    means, norms = emit(model.step(model.t), model.mean_map, np.asarray(v, dtype=complex)[:, None], n_max, stop_tol)
-    return means[..., 0], norms[:, 0]
+    """Dense reference: the step matrix at the model's time iterated on one start, up to its first stop.
+
+    On the vector section the start's d columns step side by side as one curve.
+    """
+    start = np.asarray(v, dtype=complex).reshape(model.lam.size, model.columns, 1)
+    means, norms = emit(model.step(model.t), model.mean_map, start, n_max, stop_tol)
+    return means.reshape(len(means), model.d, model.d), norms[:, 0]
 
 
 def dense_verdict(norms, tol, plateau_slope=1e-3):
@@ -237,11 +242,11 @@ def test_coefficients_converge_with_generator(rng):
 
 
 def test_emit_block_columns_follow_their_phased_steps():
-    loop = traveling_profile(BlaschkeProduct(0.0, (0.0,)), 0.5, N=16)
-    model = hwm_model(loop, 0.0, 16)
+    plan = make_plan(traveling_profile(BlaschkeProduct(0.0, (0.0,)), 0.5, N=16))
+    model = plan.model
     times = np.array([0.0, 0.4, 1.3, 2.9])
     phase = model.phases(times)
-    w0 = model.vecs.conj().T @ analytic_part_vector(loop, 16)
+    w0 = model.vecs.conj().T @ plan.c0
     block = np.repeat(w0[:, None], times.size, axis=1)
     tol = 1e-3
     means, norms = emit(model.eigen_shift, model.eigen_mean_map, block, 200, tol, phase)
@@ -335,3 +340,47 @@ def test_defect_curves_match_dense_reference(kind, rng):
         full_means, _ = dense_curve(model, v, n_max)
         assert np.max(np.abs(apply_u_sigma(model, v, n_max).coeffs - full_means)) < 1e-13
     assert res["per_vector"][0] == "stable" != res["per_vector"][1]
+
+
+def test_strong_stability_test_needs_a_vector():
+    with pytest.raises(ValueError, match="at least one vector"):
+        strong_stability_test(flip_model(), [], 8)
+
+
+@pytest.mark.parametrize("case", [2, 3, 4, "embedded"])
+def test_hwm_model_matches_matrix_section_reference(case, rng):
+    from test_operators import kronecker_oracle_loop
+
+    loop, N, t, n_max, tol = kronecker_oracle_loop(case), 16, 0.9, 16, 1e-6
+    d = loop.d
+    model = model_at_time(hwm_model(loop, 0.0, N), t)
+    # the dense reference on the matrix-valued space: its own section, eigh and backward shift
+    lam, V = np.linalg.eigh(build_toeplitz(loop, N).matrix)
+    step = (V * np.exp(-1j * t * lam)) @ V.conj().T @ shift_backward_matrix(d, N)
+    dim = step.shape[0]
+    mean_map = np.eye(d * d, dim).reshape(d, d, dim)
+    early = analytic_part_vector(loop, N)
+    probe = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    probe /= np.linalg.norm(probe)
+    res = strong_stability_test(model, [early, probe], n_max, tol=tol)
+    stops = []
+    for v, rep, verdict in zip((early, probe), res["reports"], res["per_vector"]):
+        means, norms = (x[..., 0] for x in emit(step, mean_map, v[:, None], n_max, tol * 0.5))
+        stops.append(norms.size - 1)
+        for r in (rep, parseval_defect(model, v, n_max, tol * 0.5)):
+            assert r.n_steps == norms.size - 1
+            assert np.max(np.abs(r.norms - norms)) < 1e-13
+            assert np.max(np.abs(r.emitted_sq - np.linalg.norm(means, axis=(1, 2)) ** 2)) < 1e-13
+        assert verdict == dense_verdict(norms, tol)
+        full_means = emit(step, mean_map, v[:, None], n_max)[0][..., 0]
+        assert np.max(np.abs(apply_u_sigma(model, v, n_max).coeffs - full_means)) < 1e-13
+    # one vector stops early and one runs to the budget
+    assert stops[0] < n_max == stops[1]
+    rows, block = [], mean_map.reshape(d * d, dim)
+    for _ in range(n_max):
+        rows.append(block)
+        block = block @ step
+    sv = np.linalg.svd(np.concatenate(rows), compute_uv=False)
+    unitary = int(np.count_nonzero(sv < tol)) + dim - sv.size
+    w = wold_decomposition_estimate(model, n_max, tol)
+    assert (w["dim_unitary"], w["dim_stable"]) == (unitary, dim - unitary)
