@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success / all-pass, 1 invariant failure, 2 usage or config
-error.  Every subcommand takes the same flags; CLI flags override the
-config file.
+Exit codes: 0 success / all-pass, 1 invariant or numerical failure (a
+failed eigensolve), 2 usage or config error.  Every subcommand takes the
+same flags; CLI flags override the config file.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 import click
+import numpy as np
 
 from .config import ConfigError, DEFAULT_TEXT, load_config, parse_config
 from . import experiments
@@ -46,12 +47,14 @@ def _dispatch(runner, config_path, experiment, seed, out_dir, quiet):
     cfg = _load(config_path, experiment, seed, out_dir)
     try:
         code = runner(cfg, Path(cfg.out), quiet=quiet)
+    except (np.linalg.LinAlgError, RuntimeError) as exc:
+        # before ValueError: LinAlgError subclasses it, and is not a usage error
+        kind = "numerical" if isinstance(exc, np.linalg.LinAlgError) else "invariant"
+        click.echo(f"{kind} failure: {exc}", err=True)
+        sys.exit(1)
     except (ValueError, FileNotFoundError) as exc:
         # bad datum parameters (cutoff too small, infeasible embedding, ...)
         raise click.UsageError(str(exc))
-    except RuntimeError as exc:
-        click.echo(f"invariant failure: {exc}", err=True)
-        sys.exit(1)
     sys.exit(code)
 
 

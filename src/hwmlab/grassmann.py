@@ -17,6 +17,7 @@ from .hardy import (
     GridSamples,
     evaluate_grid,
     fit_series,
+    grid_product,
     grid_values,
     series_stack,
     sobolev_energy,
@@ -115,6 +116,12 @@ class GrassmannLoop:
 _RESIDUAL_KEYS = ("involution", "hermitian", "trace", "coeff_symmetry")
 
 
+def _hermitian_part(vals: np.ndarray) -> np.ndarray:
+    # grid_product's X D X* is Hermitian only to rounding; exactly Hermitian samples fit
+    # exactly Hermitian-symmetric coefficients
+    return 0.5 * (vals + vals.swapaxes(-2, -1).conj())
+
+
 def constraint_residuals(d: int, k: int, series, grid: int | None = None):
     """Worst pointwise constraint residuals of a candidate loop on a grid.
 
@@ -129,7 +136,7 @@ def constraint_residuals(d: int, k: int, series, grid: int | None = None):
     lines = (-3, -2, -1)
     values = np.stack(
         [
-            np.abs(np.einsum("...mij,...mjk->...mik", vals, vals) - np.eye(d)).max(axis=lines),
+            np.abs(grid_product(vals, vals) - np.eye(d)).max(axis=lines),
             np.abs(vals - vals.swapaxes(-2, -1).conj()).max(axis=lines),
             np.abs(vals.trace(axis1=-2, axis2=-1).real - (d - 2 * k)).max(axis=-1),
             np.abs(coeffs - coeffs[..., ::-1, :, :].swapaxes(-2, -1).conj()).max(axis=lines),
@@ -334,8 +341,7 @@ def project_to_grassmann(
         raise ValueError(f"need 1 <= k <= d-1, got k = {k}")
     M = 4 * a.N + 1
     vals = evaluate_grid(a, M).values
-    herm = 0.5 * (vals + np.conj(np.transpose(vals, (0, 2, 1))))
-    lam, vecs = np.linalg.eigh(herm)
+    lam, vecs = np.linalg.eigh(_hermitian_part(vals))
     gap = np.min(lam[:, k] - lam[:, k - 1])
     if gap < gap_tol:
         raise GapCollapseError(
@@ -343,7 +349,7 @@ def project_to_grassmann(
         )
     signs = np.ones(d)
     signs[:k] = -1.0
-    proj = np.einsum("mij,j,mkj->mik", vecs, signs, np.conj(vecs))
+    proj = _hermitian_part(grid_product(vecs * signs, vecs.swapaxes(-2, -1).conj()))
     series = fit_series(GridSamples(d, M, proj), a.N)
     return validate_loop(d, k, series, sq_tol=sq_tol, herm_tol=herm_tol)
 
@@ -410,8 +416,8 @@ def random_rational_loop(
         g = g / np.linalg.norm(g)
         p = np.outer(g, g.conj())
         factor = np.eye(d) + (z[:, None, None] - 1.0) * p
-        w = np.einsum("mij,jk,mkl->mil", w, v, factor)
+        w = grid_product(grid_product(w, v), factor)
     base = np.diag(np.concatenate([np.ones(d - k), -np.ones(k)])).astype(complex)
-    vals = np.einsum("mij,jk,mlk->mil", w, base, np.conj(w))
+    vals = _hermitian_part(grid_product(grid_product(w, base), w.swapaxes(-2, -1).conj()))
     series = fit_series(GridSamples(d, M, vals), N)
     return validate_loop(d, k, series)

@@ -33,6 +33,7 @@ __all__ = [
     "l2_norm",
     "evaluate_grid",
     "grid_values",
+    "grid_product",
     "fit_series",
     "shift_backward_matrix",
     "reproduce_check",
@@ -43,11 +44,11 @@ class AliasingWarning(UserWarning):
     """Grid too coarse for the represented bandwidth."""
 
 
-def _as_coeff_array(coeffs, count: int, d: int) -> np.ndarray:
+def _as_coeff_array(coeffs, count: int, d: int, order: str = "C") -> np.ndarray:
     arr = np.asarray(coeffs, dtype=complex)
     if arr.shape != (count, d, d):
         raise ValueError(f"expected coefficient array of shape {(count, d, d)}, got {arr.shape}")
-    arr = arr.copy()
+    arr = arr.copy(order=order)
     arr.flags.writeable = False
     return arr
 
@@ -134,14 +135,14 @@ class HardyElement:
 
 @dataclass(frozen=True)
 class GridSamples:
-    """Values of a matrix-valued function at theta_j = 2*pi*j/M."""
+    """Values of a matrix-valued function at theta_j = 2*pi*j/M, kept in the layout given."""
 
     d: int
     M: int
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _as_coeff_array(self.values, self.M, self.d))
+        object.__setattr__(self, "values", _as_coeff_array(self.values, self.M, self.d, order="K"))
 
 
 def series_stack(f) -> tuple[int, np.ndarray]:
@@ -243,28 +244,48 @@ def grid_values(coeffs: np.ndarray, M: int) -> np.ndarray:
     """Values at M equispaced points of the series with coefficients ``coeffs``.
 
     ``coeffs`` holds modes -N..N along axis -3, shape ``(..., 2N+1, d, d)``,
-    and the values come back as ``(..., M, d, d)``.  Every transform runs
-    along its own mode line, so each series in a stack gets the values it
-    gets alone, bit for bit.  Warns when M < 2N+1: represented modes then
-    alias onto each other.
+    and the values come back as ``(..., M, d, d)``, entry major: a transposed
+    view of a ``(d, d, ..., M)`` block, so every line ``[..., i, j]`` is
+    contiguous for :func:`grid_product`.  Each transform runs along its own
+    entry line, so each series in a stack gets the values it gets alone, bit
+    for bit.  Warns when M < 2N+1: represented modes then alias onto each other.
     """
     N = (coeffs.shape[-3] - 1) // 2
-    if M < 2 * N + 1:
+    nd = coeffs.ndim
+    by_entry = coeffs.transpose(nd - 2, nd - 1, *range(nd - 3), nd - 3)
+    spec = np.zeros(by_entry.shape[:-1] + (M,), dtype=complex)
+    # += into zeros, so a -0.0 coefficient lands as 0 + x = +0.0
+    if M >= 2 * N + 1:
+        spec[..., : N + 1] += by_entry[..., N:]
+        spec[..., M - N :] += by_entry[..., :N]
+    else:
         warnings.warn(
             f"grid of {M} points aliases a cutoff-{N} series (need M >= {2 * N + 1})",
             AliasingWarning,
             stacklevel=3,
         )
-    stacked = coeffs.ndim > 3
-    # modes first, so np.add.at takes a plain index (a tuple index costs more
-    # than the rest of a single series' set-up)
-    by_mode = np.moveaxis(coeffs, -3, 0) if stacked else coeffs
-    spec = np.zeros((M,) + by_mode.shape[1:], dtype=complex)
-    # np.add.at is unbuffered and runs in mode order, so modes that alias onto
-    # one grid frequency accumulate in a fixed order
-    np.add.at(spec, np.arange(-N, N + 1) % M, by_mode)
-    values = np.fft.ifft(spec, axis=0) * M
-    return np.moveaxis(values, 0, -3) if stacked else values
+        # np.add.at is unbuffered and runs in mode order, so modes that alias
+        # onto one grid frequency accumulate in a fixed order
+        np.add.at(spec, (..., np.arange(-N, N + 1) % M), by_entry)
+    values = np.fft.ifft(spec, axis=-1) * M
+    return values.transpose(*range(2, nd), 0, 1)
+
+
+def grid_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pointwise matrix product of grid samples, ``a @ b`` broadcast as in ``np.matmul``.
+
+    Taken as d^3 multiply-adds of whole entry lines, summed over j = 0..d-1,
+    and returned entry major like :func:`grid_values`.
+    """
+    d = a.shape[-1]
+    shape = np.broadcast_shapes(a.shape, b.shape)[:-2]
+    out = np.empty((d, d) + shape, dtype=np.result_type(a, b))
+    for i in range(d):
+        for k in range(d):
+            acc = np.multiply(a[..., i, 0], b[..., 0, k], out=out[i, k])
+            for j in range(1, d):
+                acc += a[..., i, j] * b[..., j, k]
+    return out.transpose(*range(2, out.ndim), 0, 1)
 
 
 def evaluate_grid(f: FourierSeries, M: int) -> GridSamples:
@@ -283,12 +304,12 @@ def fit_series(g: GridSamples, N: int) -> FourierSeries:
             AliasingWarning,
             stacklevel=2,
         )
-    spec = np.fft.fft(g.values, axis=0) / g.M
-    out = np.zeros((2 * N + 1, g.d, g.d), dtype=complex)
+    spec = np.fft.fft(g.values.transpose(1, 2, 0), axis=-1) / g.M
+    out = np.zeros((g.d, g.d, 2 * N + 1), dtype=complex)
     n = np.arange(-N, N + 1)
     keep = (n >= -(g.M // 2)) & (n <= (g.M - 1) // 2)  # canonical alias window of the M-point DFT
-    out[keep] = spec[n[keep] % g.M]
-    return FourierSeries(g.d, N, out)
+    out[..., keep] = spec[..., n[keep] % g.M]
+    return FourierSeries(g.d, N, out.transpose(2, 0, 1))
 
 
 def shift_backward_matrix(d: int, N: int) -> np.ndarray:

@@ -21,6 +21,7 @@ from .hardy import (
     GridSamples,
     fit_series,
     fractional_derivative,
+    grid_product,
     grid_values,
     sobolev_energy,
 )
@@ -54,9 +55,8 @@ def _commutator_spectral(series: FourierSeries) -> FourierSeries:
     M = 3 * (2 * N + 1)
     u = grid_values(series.coeffs, M)
     du = grid_values(fractional_derivative(series, "|D|").coeffs, M)
-    comm = np.einsum("mij,mjk->mik", u, du) - np.einsum("mij,mjk->mik", du, u)
-    out = fit_series(GridSamples(series.d, M, -0.5j * comm), N)
-    return out
+    comm = grid_product(u, du) - grid_product(du, u)
+    return fit_series(GridSamples(series.d, M, -0.5j * comm), N)
 
 
 def rhs(u: GrassmannLoop | FourierSeries) -> FourierSeries:

@@ -221,14 +221,14 @@ def interior_indices(d: int, N: int, band: int) -> np.ndarray:
 
 def apply_toeplitz_grid(u, f: HardyElement, oversample: int = 3) -> HardyElement:
     """Independent route for T_U F: multiply on a dealiased grid, project back."""
-    from .hardy import GridSamples, evaluate_grid, fit_series, project_plus
+    from .hardy import GridSamples, evaluate_grid, fit_series, grid_product, project_plus
 
     sym = symbol_of(u)
     N = max(sym.N, f.N)
     M = oversample * (2 * N + 1)
     uv = evaluate_grid(sym.with_cutoff(N), M).values
     fv = evaluate_grid(f.to_series(N), M).values
-    prod = np.einsum("mij,mjk->mik", uv, fv)
+    prod = grid_product(uv, fv)
     series = fit_series(GridSamples(sym.d, M, prod), N)
     return HardyElement(sym.d, f.N, project_plus(series).with_cutoff(f.N).coeffs, truncated=True)
 
@@ -290,13 +290,13 @@ def toeplitz_product_identity(f: FourierSeries, g: FourierSeries, N: int) -> flo
     """Interior residual of T_{FG} - T_F T_G = H*_{F*} H_G on finite sections."""
     if f.d != g.d:
         raise ValueError("symbols must share the matrix dimension")
-    from .hardy import GridSamples, evaluate_grid, fit_series
+    from .hardy import GridSamples, evaluate_grid, fit_series, grid_product
 
     Nfg = f.N + g.N
     M = 2 * (2 * Nfg + 1)
     fv = evaluate_grid(f.with_cutoff(Nfg), M).values
     gv = evaluate_grid(g.with_cutoff(Nfg), M).values
-    fg = fit_series(GridSamples(f.d, M, np.einsum("mij,mjk->mik", fv, gv)), Nfg)
+    fg = fit_series(GridSamples(f.d, M, grid_product(fv, gv)), Nfg)
 
     Tfg = build_toeplitz(fg, N)
     Tf = build_toeplitz(f, N)

@@ -1,5 +1,9 @@
+import contextlib
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 
 @pytest.fixture
@@ -26,3 +30,16 @@ def random_hardy(rng, d, N, zero_top=False):
     if zero_top:
         c[-1] = 0.0
     return HardyElement(d, N, c)
+
+
+# derandomized, so Tier-1 runs the same examples every time; no example database on disk
+settings.register_profile("tier1", derandomize=True, deadline=None, max_examples=30, database=None)
+settings.load_profile("tier1")
+
+# On a failure, hypothesis's pytest plugin imports libcst to print the failing
+# example as a patch, and that import raises a DeprecationWarning, which
+# filterwarnings = ["error"] turns into an internal error that hides the failure.
+# Import it once here, with that warning silenced.
+with warnings.catch_warnings(), contextlib.suppress(ImportError):
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401

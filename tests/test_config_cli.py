@@ -138,6 +138,20 @@ def test_cli_usage_errors_exit_2(tmp_path):
     assert res3.exit_code == 2  # cutoff cannot resolve the requested zeros
 
 
+def test_cli_numerical_failure_exits_1(tmp_path, monkeypatch):
+    # LinAlgError subclasses ValueError, but a failed eigensolve is no usage error
+    from hwmlab import experiments
+
+    def failing_run(cfg, out, quiet=False):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(experiments, "run_spectrum", failing_run)
+    res = CliRunner().invoke(main, ["spectrum", "--out", str(tmp_path / "s")])
+    assert res.exit_code == 1
+    assert "numerical failure: Eigenvalues did not converge" in res.output
+    assert "Usage" not in res.output
+
+
 def test_cli_validate_flags_corrupted_loop(tmp_path):
     from hwmlab.grassmann import BlaschkeProduct, half_harmonic_map
 
