@@ -133,11 +133,16 @@ def constraint_residuals(d: int, k: int, series, grid: int | None = None):
     N, coeffs = series_stack(series)
     M = grid if grid is not None else 4 * N + 1
     vals = grid_values(coeffs, M)
+    sq = grid_product(vals, vals)
+    for i in range(d):
+        sq[..., i, i] -= 1
+    # |U_ij - conj(U_ji)| is symmetric in (i, j): the upper triangle, diagonal included, holds every value
+    r, c = np.nonzero(np.arange(d)[:, None] <= np.arange(d))
     lines = (-3, -2, -1)
     values = np.stack(
         [
-            np.abs(grid_product(vals, vals) - np.eye(d)).max(axis=lines),
-            np.abs(vals - vals.swapaxes(-2, -1).conj()).max(axis=lines),
+            np.abs(sq).max(axis=lines),
+            np.abs(vals[..., r, c] - vals[..., c, r].conj()).max(axis=(-2, -1)),
             np.abs(vals.trace(axis1=-2, axis2=-1).real - (d - 2 * k)).max(axis=-1),
             np.abs(coeffs - coeffs[..., ::-1, :, :].swapaxes(-2, -1).conj()).max(axis=lines),
         ],

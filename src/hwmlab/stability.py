@@ -15,7 +15,9 @@ one path: :meth:`IsometryModel.iterate` steps its start vectors in the
 generator's eigenbasis, where a step at time t is
 :attr:`IsometryModel.eigen_shift` with its rows phased by ``exp(-itL)``, as
 one block through :func:`emit`, the one loop that iterates any contraction
-here; each column is cut at its own stop (:func:`first_stops`).  A real
+here.  A column leaves the block right after its own stop
+(:func:`first_stops`): later steps multiply only the live columns, and its
+later entries are 0, so callers cut each column at its stop.  A real
 generator (``-cos``) keeps every step real.  The dense
 :meth:`IsometryModel.step` is the reference form.
 
@@ -58,9 +60,10 @@ __all__ = [
 
 
 def _curve_norms(v: np.ndarray) -> np.ndarray:
-    re, im = v.real, v.imag
-    sq = (re * re + im * im).sum(axis=0)
-    return np.sqrt(sq.reshape(-1, v.shape[-1]).sum(axis=0))
+    """Root-sum-square over all but the last axis of a C-contiguous complex block, in one pass."""
+    f = v.view(float).reshape(-1, 2 * v.shape[-1])
+    sq = np.einsum("ij,ij->j", f, f)
+    return np.sqrt(sq[0::2] + sq[1::2])
 
 
 def emit(
@@ -75,33 +78,46 @@ def emit(
 
     ``v`` holds T curves iterated side by side, ``(dim, T)`` or ``(dim, g, T)``
     for curves of g columns each, whose norm is the root-sum-square of theirs.
-    ``phase`` (broadcast against ``v``) multiplies every step entrywise, so
-    curve j follows ``(diag(phase[..., j]) A)^n``.  Means have shape
+    ``phase`` (broadcast against ``v``, with one entry per curve on its last
+    axis) multiplies every step entrywise, so curve j follows
+    ``(diag(phase[..., j]) A)^n``.  Means have shape
     ``(n+1,) + (mean_map @ v.reshape(dim, -1)).shape`` and norms ``(n+1, T)``.
-    With ``stop_tol`` the iteration ends once every curve has had a step with
-    norm at most ``stop_tol`` (each curve's own stop is :func:`first_stops`);
-    without it there are always ``n_max + 1`` steps.  A real ``A`` steps a
-    complex ``v`` as one real product on its stacked real and imaginary parts.
+    With ``stop_tol`` a curve leaves the block after the first step whose norm
+    is at most ``stop_tol`` (its :func:`first_stops` index); that step is
+    recorded, later steps multiply only the curves still live, every entry
+    after a curve's stop is 0, and the iteration ends once no curve is live.
+    Without it there are always ``n_max + 1`` steps.  A real ``A`` steps the
+    complex block as one real product on its stacked real and imaginary parts.
     """
-    done = np.zeros(v.shape[-1], dtype=bool)
-    real_step = not np.iscomplexobj(A) and np.iscomplexobj(v)
-    if real_step:
-        v = np.ascontiguousarray(v, dtype=complex)
-    dim, shape = len(v), v.shape
-    means = [mean_map @ v.reshape(dim, -1)]
+    v = np.ascontiguousarray(v, dtype=complex)
+    real_step = not np.iscomplexobj(A)
+    dim, shape, lead = len(v), v.shape, mean_map.shape[:-1]
+    live = np.arange(shape[-1])
+    runs = [(0, live)]  # first step of each run of steps that shares one live set
+    means = [(mean_map @ v.reshape(dim, -1)).reshape(lead + v.shape[1:])]
     norms = [_curve_norms(v)]
     for _ in range(n_max):
         w = A @ (v.view(float) if real_step else v).reshape(dim, -1)
-        v = (w.view(complex) if real_step else w).reshape(shape)
+        v = (w.view(complex) if real_step else w).reshape(v.shape)
         if phase is not None:
             v *= phase
-        means.append(mean_map @ v.reshape(dim, -1))
+        means.append((mean_map @ v.reshape(dim, -1)).reshape(lead + v.shape[1:]))
         norms.append(_curve_norms(v))
-        if stop_tol is not None:
-            done |= norms[-1] <= stop_tol
-            if done.all():
-                break
-    return np.array(means), np.array(norms)
+        if stop_tol is None or (keep := norms[-1] > stop_tol).all():
+            continue
+        if not keep.any():
+            break
+        live, v = live[keep], np.compress(keep, v, axis=-1)
+        if phase is not None:
+            phase = np.compress(keep, phase, axis=-1)
+        runs.append((len(means), live))
+    steps = len(means)
+    out_means = np.zeros((steps,) + lead + shape[1:], dtype=means[0].dtype)
+    out_norms = np.zeros((steps, shape[-1]))
+    for (lo, cols), (hi, _) in zip(runs, runs[1:] + [(steps, None)]):
+        out_means[lo:hi, ..., cols] = means[lo:hi]
+        out_norms[lo:hi, cols] = norms[lo:hi]
+    return out_means.reshape((steps,) + lead + (-1,)), out_norms
 
 
 def first_stops(norms: np.ndarray, tol: float) -> np.ndarray:

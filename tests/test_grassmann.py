@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from hwmlab.hardy import FourierSeries, half_norm_sq, l2_norm
+from hwmlab.hardy import FourierSeries, grid_product, grid_values, half_norm_sq, l2_norm
 from hwmlab.grassmann import (
     PAULI,
     BlaschkeProduct,
@@ -248,6 +248,38 @@ def test_stacked_residuals_and_half_norm_match_single_calls_bytewise(rng):
         assert packed(norm) == packed(half_norm_sq(series))
     with pytest.raises(ValueError, match="one shared cutoff"):
         constraint_residuals(2, 1, [loop.series, group[0]])
+
+
+def full_matrix_residuals(d, k, coeffs, M):
+    # the full-matrix formulation (both triangles, a broadcast identity), kept as a bitwise reference
+    vals = grid_values(coeffs, M)
+    lines = (-3, -2, -1)
+    return np.stack(
+        [
+            np.abs(grid_product(vals, vals) - np.eye(d)).max(axis=lines),
+            np.abs(vals - vals.swapaxes(-2, -1).conj()).max(axis=lines),
+            np.abs(vals.trace(axis1=-2, axis2=-1).real - (d - 2 * k)).max(axis=-1),
+            np.abs(coeffs - coeffs[..., ::-1, :, :].swapaxes(-2, -1).conj()).max(axis=lines),
+        ],
+        axis=-1,
+    )
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_residuals_match_full_matrix_formulation_bitwise(rng, d):
+    N, k = 5, d // 2
+    U = random_unitary(rng, d)
+    base = np.zeros((2 * N + 1, d, d), dtype=complex)
+    base[N] = (U * np.r_[-np.ones(k), np.ones(d - k)]) @ U.conj().T
+    noise = rng.standard_normal((3,) + base.shape) + 1j * rng.standard_normal((3,) + base.shape)
+    coeffs = np.concatenate([base[None], base + np.array([1e-12, 1e-3, 1.0])[:, None, None, None] * noise])
+    group = [FourierSeries(d, N, c) for c in coeffs]
+    for grid in (None, 4 * N + 7):
+        got = [list(r.values()) for r in constraint_residuals(d, k, group, grid=grid)]
+        ref = full_matrix_residuals(d, k, coeffs, grid if grid is not None else 4 * N + 1)
+        assert got == ref.tolist()
+    # the constant involution carries only rounding; the noisy ones violate every constraint
+    assert max(got[0]) < 1e-14 and min(got[-1]) > 1e-2
 
 
 def offdiag_loop_reference(b, diag, U, N):

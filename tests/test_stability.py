@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hwmlab.config import ExperimentConfig
 from hwmlab.hardy import FourierSeries, project_plus
 from hwmlab.grassmann import BlaschkeProduct, random_rational_loop, traveling_profile
 from hwmlab.evolution import make_plan, solve_at_time
@@ -9,6 +10,7 @@ from hwmlab.stability import (
     apply_u_sigma,
     breaking_time,
     emit,
+    first_stops,
     hwm_model,
     isometry_model,
     model_at_time,
@@ -291,6 +293,14 @@ def test_zd_bo_norm_curve_matches_per_time_defect(symbol):
     assert min(steps) < K == max(steps)
 
 
+def test_zd_bo_stop_pattern_at_default_times():
+    # the default curve at N = 256: three times stop early, four hang at the checkpoint
+    cfg = ExperimentConfig()
+    curve = zd_bo_norm_curve(minus_cosine(), cfg.zdbo_times, Ns=(256,), checkpoint=cfg.zdbo_checkpoint)
+    assert [row["n_steps"] for row in curve["rows"]] == [50, 147, 406, 1024, 1024, 1024, 1024]
+    assert curve["onsets"] == {256: 0.525}
+
+
 def test_emit_real_step_matches_complex_step(rng):
     dim, T, n_max = 12, 3, 9
     A = rng.standard_normal((dim, dim)) / (2 * np.sqrt(dim))
@@ -304,6 +314,38 @@ def test_emit_real_step_matches_complex_step(rng):
         ref = emit(A.astype(complex), mean_map, start, n_max, None, ph)
         for x, y in zip(got, ref):
             assert x.shape == y.shape and np.max(np.abs(x - y)) < 1e-14
+    # both paths step the transposed start exactly as its contiguous copy, with and without stops
+    for step in (A, A.astype(complex)):
+        for tol in (None, 0.3):
+            got = emit(step, mean_map, block, n_max, tol, phase)
+            ref = emit(step, mean_map, np.ascontiguousarray(block), n_max, tol, phase)
+            assert all(np.array_equal(x, y) for x, y in zip(got, ref))
+
+
+@pytest.mark.parametrize("kind", ["hwm", "zdbo"])
+def test_emit_steps_only_live_columns(kind, rng):
+    model, early, n_max = stability_case(kind)
+    probe = rng.standard_normal(model.dim) + 1j * rng.standard_normal(model.dim)
+    constant = np.zeros(model.dim, dtype=complex)
+    constant[: model.d**2] = 1.0  # mode 0 only: the backward shift removes it in one step
+    x = np.stack([early, probe, constant, early], axis=1)
+    times = model.t + np.array([0.0, 0.3, 0.6, 1.1])
+    tol = 5e-7
+    # iterate runs one (dim, g, T) block with (dim, 1, T) phases; g = 2 on the hwm vector section
+    means, norms = model.iterate(x, times, n_max, tol)
+    stops = first_stops(norms, tol)
+    assert stops[1] == n_max and stops[2] == 1 and np.unique(stops).size == 3
+    assert norms.shape[0] - 1 == stops.max()
+    full_means, full_norms = model.iterate(x, times, n_max)
+    assert full_norms.shape[0] == n_max + 1
+    for j, (n, t) in enumerate(zip(stops.tolist(), times)):
+        single_means, single_norms = model.iterate(x[:, j], [t], n_max, tol)
+        assert single_norms.shape[0] == n + 1
+        for m, nm in ((single_means[..., 0], single_norms[:, 0]), (full_means[..., j], full_norms[:, j])):
+            assert np.max(np.abs(means[: n + 1, ..., j] - m[: n + 1])) < 1e-13
+            assert np.max(np.abs(norms[: n + 1, j] - nm[: n + 1])) < 1e-13
+        # a column is not stepped after its stop: its later entries are exactly zero
+        assert not means[n + 1 :, ..., j].any() and not norms[n + 1 :, j].any()
 
 
 def test_eigen_shift_is_real_for_a_real_generator():
