@@ -226,10 +226,10 @@ def _solve_block(plan: EvolutionPlan, times: np.ndarray) -> list[TrajectorySampl
         stack[:, n] = zero_mode
         stack[:, n + 1 :] = coeffs[1:].transpose(1, 0, 2, 3)
         stack[:, :n] = coeffs[:0:-1].conj().transpose(1, 0, 3, 2)
-        group = [FourierSeries(d, n, c) for c in stack]
-        checks = constraint_residuals(d, k, group)
-        energies = sobolev_energy(group).tolist()
-        for j, series, check, energy in zip(cols.tolist(), group, checks, energies):
+        checks = constraint_residuals(d, k, stack)
+        energies = sobolev_energy(stack).tolist()
+        for j, c, check, energy in zip(cols.tolist(), stack, checks, energies):
+            series = FourierSeries(d, n, c)
             samples[j] = TrajectorySample(
                 t=float(times[j]),
                 loop=GrassmannLoop(d, k, series, check),

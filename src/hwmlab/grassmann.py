@@ -126,9 +126,9 @@ def constraint_residuals(d: int, k: int, series, grid: int | None = None):
     """Worst pointwise constraint residuals of a candidate loop on a grid.
 
     The grid defaults to 4N+1 points: the involution constraint is quadratic
-    in the series, doubling the bandwidth to 2N.  A sequence of series
-    sharing one cutoff gives one dict per series, each equal bit for bit to
-    the call on that series alone.
+    in the series, doubling the bandwidth to 2N.  A stack of series (see
+    :func:`series_stack`) gives one dict per series, each equal bit for bit
+    to the call on that series alone.
     """
     N, coeffs = series_stack(series)
     M = grid if grid is not None else 4 * N + 1
@@ -147,10 +147,10 @@ def constraint_residuals(d: int, k: int, series, grid: int | None = None):
             np.abs(coeffs - coeffs[..., ::-1, :, :].swapaxes(-2, -1).conj()).max(axis=lines),
         ],
         axis=-1,
-    ).tolist()
-    if isinstance(series, FourierSeries):
-        return dict(zip(_RESIDUAL_KEYS, values))
-    return [dict(zip(_RESIDUAL_KEYS, row)) for row in values]
+    )
+    if values.ndim == 1:
+        return dict(zip(_RESIDUAL_KEYS, values.tolist()))
+    return [dict(zip(_RESIDUAL_KEYS, row)) for row in values.tolist()]
 
 
 def validate_loop(

@@ -34,6 +34,7 @@ __all__ = [
     "evaluate_grid",
     "grid_values",
     "grid_product",
+    "grid_commutator",
     "fit_series",
     "shift_backward_matrix",
     "reproduce_check",
@@ -146,10 +147,15 @@ class GridSamples:
 
 
 def series_stack(f) -> tuple[int, np.ndarray]:
-    """Cutoff and coefficients of one series, or of a sequence of series
-    sharing one cutoff, stacked along a new leading axis."""
+    """Cutoff and coefficients of one series, of a sequence of series sharing
+    one cutoff (stacked along a new leading axis), or of a ``(..., 2N+1, d, d)``
+    coefficient array, whose leading axes are the stack."""
     if isinstance(f, FourierSeries):
         return f.N, f.coeffs
+    if isinstance(f, np.ndarray):
+        if f.ndim < 3 or f.shape[-3] % 2 == 0 or f.shape[-2] != f.shape[-1]:
+            raise ValueError(f"expected coefficients of shape (..., 2N+1, d, d), got {f.shape}")
+        return (f.shape[-3] - 1) // 2, f
     cutoffs = {s.N for s in f}
     if len(cutoffs) != 1:
         raise ValueError(f"a series stack needs one shared cutoff, got {sorted(cutoffs)}")
@@ -208,13 +214,13 @@ def fractional_derivative(f: FourierSeries, kind: str = "|D|") -> FourierSeries:
 def half_norm_sq(f):
     """Homogeneous half-order seminorm squared: sum_n |n| |F_n|_E^2.
 
-    A sequence of series sharing one cutoff gives an array with one value
+    A stack of series (see :func:`series_stack`) gives an array with one value
     per series, each equal bit for bit to the call on that series alone.
     """
     N, coeffs = series_stack(f)
     n = np.abs(np.arange(-N, N + 1))
     out = np.sum(n * np.sum(np.abs(coeffs) ** 2, axis=(-2, -1)), axis=-1)
-    return float(out) if isinstance(f, FourierSeries) else out
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def sobolev_energy(f):
@@ -230,7 +236,7 @@ def sobolev_norm(f, s: float = 0.5):
     n = np.abs(np.arange(-N, N + 1)).astype(float)
     w = 1.0 + n ** (2.0 * s)
     out = np.sqrt(np.sum(w * np.sum(np.abs(coeffs) ** 2, axis=(-2, -1)), axis=-1))
-    return float(out) if isinstance(f, FourierSeries) else out
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def l2_norm(f) -> float:
@@ -271,20 +277,48 @@ def grid_values(coeffs: np.ndarray, M: int) -> np.ndarray:
     return values.transpose(*range(2, nd), 0, 1)
 
 
+def _product_line(a: np.ndarray, b: np.ndarray, i: int, k: int, out: np.ndarray) -> np.ndarray:
+    """Entry line ``(a @ b)[..., i, k]`` into ``out``: the multiply-adds of
+    whole lines ``a[..., i, j] * b[..., j, k]``, summed over j = 0..d-1 in order."""
+    acc = np.multiply(a[..., i, 0], b[..., 0, k], out=out)
+    for j in range(1, a.shape[-1]):
+        acc += a[..., i, j] * b[..., j, k]
+    return acc
+
+
+def _entry_lines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Empty ``(d, d, ...)`` block for the entry lines of a product of a and b."""
+    d = a.shape[-1]
+    shape = np.broadcast_shapes(a.shape, b.shape)[:-2]
+    return np.empty((d, d) + shape, dtype=np.result_type(a, b))
+
+
 def grid_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pointwise matrix product of grid samples, ``a @ b`` broadcast as in ``np.matmul``.
 
     Taken as d^3 multiply-adds of whole entry lines, summed over j = 0..d-1,
     and returned entry major like :func:`grid_values`.
     """
-    d = a.shape[-1]
-    shape = np.broadcast_shapes(a.shape, b.shape)[:-2]
-    out = np.empty((d, d) + shape, dtype=np.result_type(a, b))
-    for i in range(d):
-        for k in range(d):
-            acc = np.multiply(a[..., i, 0], b[..., 0, k], out=out[i, k])
-            for j in range(1, d):
-                acc += a[..., i, j] * b[..., j, k]
+    out = _entry_lines(a, b)
+    for i in range(out.shape[0]):
+        for k in range(out.shape[0]):
+            _product_line(a, b, i, k, out[i, k])
+    return out.transpose(*range(2, out.ndim), 0, 1)
+
+
+def grid_commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pointwise commutator ``a @ b - b @ a`` of grid samples, entry major.
+
+    Each entry sums its ``a @ b`` line and its ``b @ a`` line as
+    :func:`grid_product` does, then subtracts, so the result equals
+    ``grid_product(a, b) - grid_product(b, a)`` bit for bit.
+    """
+    out = _entry_lines(a, b)
+    line = np.empty(out.shape[2:], dtype=out.dtype)
+    for i in range(out.shape[0]):
+        for k in range(out.shape[0]):
+            ab = _product_line(a, b, i, k, out[i, k])
+            ab -= _product_line(b, a, i, k, line)
     return out.transpose(*range(2, out.ndim), 0, 1)
 
 

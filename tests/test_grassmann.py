@@ -246,8 +246,14 @@ def test_stacked_residuals_and_half_norm_match_single_calls_bytewise(rng):
         assert list(check) == list(single)
         assert packed(*check.values()) == packed(*single.values())
         assert packed(norm) == packed(half_norm_sq(series))
+    # the raw (T, 2N+1, d, d) coefficient stack gives the same bits as the series list
+    stack = np.stack([s.coeffs for s in group])
+    assert constraint_residuals(2, 1, stack) == checks
+    assert half_norm_sq(stack).tobytes() == norms.tobytes()
     with pytest.raises(ValueError, match="one shared cutoff"):
         constraint_residuals(2, 1, [loop.series, group[0]])
+    with pytest.raises(ValueError, match=r"\(\.\.\., 2N\+1, d, d\)"):
+        constraint_residuals(2, 1, stack[:, 1:])
 
 
 def full_matrix_residuals(d, k, coeffs, M):

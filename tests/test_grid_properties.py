@@ -9,7 +9,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hwmlab.grassmann import constraint_residuals
-from hwmlab.hardy import FourierSeries, evaluate_grid, fit_series, grid_product, grid_values
+from hwmlab.hardy import (
+    FourierSeries,
+    evaluate_grid,
+    fit_series,
+    grid_commutator,
+    grid_product,
+    grid_values,
+)
 
 EPS = np.finfo(float).eps
 
@@ -37,6 +44,10 @@ def test_grid_product_matches_pointwise_matmul(d, stack, M, entry_major, seed):
     for idx in np.ndindex(*shape[:-2]):
         bound = 8 * EPS * np.linalg.norm(a[idx]) * np.linalg.norm(b[idx])
         assert np.max(np.abs(got[idx] - a[idx] @ b[idx])) <= bound
+    # the commutator sums the same lines, so it matches the two products bit for bit
+    comm = grid_commutator(a, b)
+    assert comm.shape == shape
+    assert comm.tobytes() == (got - grid_product(b, a)).tobytes()
 
 
 @given(d=dims, stack=stacks, M=st.integers(1, 12), seed=seeds)

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from hwmlab.hardy import FourierSeries, l2_norm, sobolev_energy
+from hwmlab.hardy import (
+    FourierSeries,
+    GridSamples,
+    evaluate_grid,
+    fit_series,
+    fractional_derivative,
+    grid_product,
+    l2_norm,
+    sobolev_energy,
+)
 from hwmlab.grassmann import (
     BlaschkeProduct,
     GrassmannLoop,
@@ -13,7 +22,17 @@ from hwmlab.grassmann import (
     validate_loop,
 )
 from hwmlab.evolution import make_plan
-from hwmlab.integrator import BlowUpError, IntegratorState, cross_validate, integrate, rhs, step_rk4
+from hwmlab.integrator import (
+    BlowUpError,
+    IntegratorState,
+    _flow_rate,
+    cross_validate,
+    integrate,
+    rhs,
+    step_rk4,
+)
+
+from conftest import random_series
 
 
 def fresh_state(loop, dt):
@@ -23,6 +42,61 @@ def fresh_state(loop, dt):
         dt=dt,
         stats={"steps": 0, "energy0": sobolev_energy(loop.series), "constraint_drift": 0.0, "energy_drift": 0.0},
     )
+
+
+def reference_rhs(series):
+    """The right-hand side as two grid products and a fit, the form the
+    stacked transform and commutator kernel must reproduce bit for bit."""
+    M = 3 * (2 * series.N + 1)
+    u = evaluate_grid(series, M).values
+    du = evaluate_grid(fractional_derivative(series, "|D|"), M).values
+    comm = grid_product(u, du) - grid_product(du, u)
+    return fit_series(GridSamples(series.d, M, -0.5j * comm), series.N)
+
+
+def bit_cases():
+    rng = np.random.Generator(np.random.Philox(key=20240811))
+    return [
+        GrassmannLoop(1, 0, random_series(rng, 1, 5, hermitian=True, scale=0.5), {}),
+        traveling_profile(BlaschkeProduct(0.0, (0.0,)), 0.5, N=16),
+        GrassmannLoop(3, 1, random_series(rng, 3, 6, hermitian=True), {}),
+        random_rational_loop(rng, 4, 2, twists=2),
+    ]
+
+
+@pytest.mark.parametrize("loop", bit_cases(), ids=lambda loop: f"d{loop.d}")
+def test_rhs_matches_two_product_reference_bitwise(loop):
+    assert rhs(loop).coeffs.tobytes() == reference_rhs(loop.series).coeffs.tobytes()
+
+
+def test_stage_rate_ignores_coefficient_layout():
+    # RK4 stages feed the kernel raw arrays in whatever layout the arithmetic left
+    loop = bit_cases()[-1]
+    c = loop.series.coeffs
+    transposed = np.ascontiguousarray(c.transpose(2, 1, 0)).transpose(2, 1, 0)
+    assert np.array_equal(transposed, c) and not transposed.flags.c_contiguous
+    expected = reference_rhs(loop.series).coeffs
+    assert np.ascontiguousarray(_flow_rate(transposed)).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("loop", bit_cases(), ids=lambda loop: f"d{loop.d}")
+def test_step_rk4_matches_two_product_reference_bitwise(loop):
+    dt = 1e-2
+    c = loop.series.coeffs
+    d, N = loop.d, loop.series.N
+
+    def f(coeffs):
+        return reference_rhs(FourierSeries(d, N, coeffs)).coeffs
+
+    k1 = f(c)
+    k2 = f(c + 0.5 * dt * k1)
+    k3 = f(c + 0.5 * dt * k2)
+    k4 = f(c + dt * k3)
+    expected = c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    state = step_rk4(fresh_state(loop, dt))
+    assert state.loop.series.coeffs.tobytes() == expected.tobytes()
+    energy = sobolev_energy(FourierSeries(d, N, expected))
+    assert state.stats["energy_drift"] == abs(energy - sobolev_energy(loop.series))
 
 
 def test_rhs_constant_vanishes():
@@ -41,7 +115,6 @@ def test_rhs_matches_pauli_cross_product(rng):
     # matrix commutator form against the 3-vector cross-product form, on a
     # band-limited unit path coming from an actual loop
     from hwmlab.grassmann import PAULI
-    from hwmlab.hardy import GridSamples, evaluate_grid, fit_series, fractional_derivative
 
     loop = random_rational_loop(rng, 2, 1, twists=2)
     series = loop.series
@@ -123,6 +196,12 @@ def test_blow_up_guard():
     bad = GrassmannLoop(2, 1, FourierSeries(2, 1, c), {})
     with pytest.raises(BlowUpError):
         step_rk4(fresh_state(bad, 1e-3))
+
+
+def test_cross_validate_rejects_cutoff_below_datum():
+    q = traveling_profile(BlaschkeProduct(0.0, (0.0,)), 0.5, N=16)
+    with pytest.raises(ValueError, match="below the datum's cutoff"):
+        cross_validate(q, 0.1, 1e-2, n_checks=1, N=8)
 
 
 def test_integrate_rejects_bad_dt(rng):
