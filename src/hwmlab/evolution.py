@@ -28,10 +28,8 @@ from .hardy import FourierSeries, project_plus, sobolev_energy, sobolev_norm
 from .grassmann import GrassmannLoop, constraint_residuals
 from .operators import (
     SubspaceFrame,
+    b_vector_section,
     bandwidth,
-    build_b_operator,
-    build_toeplitz,
-    interior_indices,
     invariant_subspace,
     kronecker_rank,
     schatten_norm,
@@ -71,8 +69,7 @@ class SlowDecayWarning(UserWarning):
 
 
 class DegenerateEigenvalueWarning(UserWarning):
-    """No longer raised: ``V diag(exp(-it lam)) V*`` is exact under repeated
-    frequencies, which every d >= 2 plan has by construction."""
+    """No longer raised: ``V diag(exp(-it lam)) V*`` is exact under repeated frequencies."""
 
 
 @dataclass(frozen=True)
@@ -81,7 +78,8 @@ class EvolutionPlan:
 
     ``model`` is the contraction ``exp(-itT) S*`` on the invariant
     subspace ``frame``, built from the frame's compressions.  ``c0`` holds
-    the frame coordinates of the initial analytic part.
+    the frame coordinates of the initial analytic part's d columns,
+    ``(frame.dim, d)``.
     """
 
     d: int
@@ -94,10 +92,6 @@ class EvolutionPlan:
     mean0: np.ndarray
     N_out: int
     tail_tol: float
-
-    @property
-    def dim(self) -> int:
-        return self.model.dim
 
 
 @dataclass(frozen=True)
@@ -127,7 +121,7 @@ def make_plan(
 
     frame = invariant_subspace(u0, N_op, rank_tol=rank_tol)
     t_small = frame.t_restricted
-    c0 = frame.coordinates(project_plus(sym.with_cutoff(N_op)).coeffs.reshape(-1))
+    c0 = frame.coordinates(project_plus(sym.with_cutoff(N_op)).coeffs.reshape(-1, d))
 
     lam, vecs = np.linalg.eigh(0.5 * (t_small + t_small.conj().T))
     recon = float(np.linalg.norm((vecs * lam) @ vecs.conj().T - t_small, ord=2))
@@ -153,10 +147,10 @@ def make_plan(
 def _modes(plan: EvolutionPlan, times, n_max: int, stop_tol: float | None = None):
     """Modes ``(n+1, T, d, d)`` and norms ``(n+1, T)`` of the analytic part at each time.
 
-    Mode 0 is ``mean_map @ c0`` on the plan's own space, so the zeroth mode
-    stays frozen bit for bit.
+    The d columns of ``c0`` step as one curve.  Mode 0 is ``mean_map @ c0``
+    on the plan's own space, so the zeroth mode stays frozen bit for bit.
     """
-    means, norms = plan.model.iterate(plan.c0, times, n_max, stop_tol)
+    means, norms = plan.model.iterate(plan.c0.reshape(-1), times, n_max, stop_tol)
     means = means.transpose(0, 3, 1, 2)
     means[0] = plan.model.mean_map @ plan.c0
     return means, norms
@@ -193,7 +187,7 @@ def _time_blocks(plan: EvolutionPlan, times) -> list[np.ndarray]:
     """``times`` as floats, cut so that no block stacks more than
     ``SOLVE_BLOCK_ENTRIES`` step-matrix entries."""
     times = np.asarray(times, dtype=float).reshape(-1)
-    size = max(1, SOLVE_BLOCK_ENTRIES // plan.dim**2)
+    size = max(1, SOLVE_BLOCK_ENTRIES // plan.model.lam.size**2)
     return [times[lo : lo + size] for lo in range(0, times.size, size)]
 
 
@@ -330,17 +324,19 @@ def conservation_report(
 
 
 def plan_coordinates_of_constant(plan: EvolutionPlan, matrix: np.ndarray) -> np.ndarray:
-    """Plan-space coordinates of the constant element with the given value."""
-    vec = np.zeros((plan.N_op + 1, plan.d, plan.d), dtype=complex)
-    vec[0] = matrix
-    return plan.frame.coordinates(vec.reshape(-1))
+    """Frame coordinates ``(dim, d)`` of the columns of the constant element with the given value."""
+    cols = np.zeros(((plan.N_op + 1) * plan.d, plan.d), dtype=complex)
+    cols[: plan.d] = matrix
+    return plan.frame.coordinates(cols)
 
 
 def intertwining_check(plan: EvolutionPlan, t: float, vectors=None, n_modes: int = 32) -> float:
     """Residual of (backward shift) o U(t) = U(t) o (exp(-itT) S*) on coordinates.
 
-    Both sides are expanded through the coefficient iteration; vectors default
-    to the initial analytic part and the constant identity.
+    Both sides are expanded through the coefficient iteration.  Each vector
+    is a ``(dim, d)`` block of frame coordinates, one column per column of a
+    matrix element; they default to the initial analytic part and the
+    constant identity.
     """
     if vectors is None:
         vectors = [plan.c0, plan_coordinates_of_constant(plan, np.eye(plan.d))]
@@ -348,7 +344,7 @@ def intertwining_check(plan: EvolutionPlan, t: float, vectors=None, n_modes: int
     worst = 0.0
     A = plan.model.step(t)
     for c in vectors:
-        c = np.asarray(c, dtype=complex)[:, None]
+        c = np.asarray(c, dtype=complex)
         shifted = emit(A, plan.model.mean_map, c, n_modes)[0][1:]
         coeffs_g = emit(A, plan.model.mean_map, A @ c, n_modes - 1)[0]
         gap = float(np.sqrt(np.sum(np.abs(shifted - coeffs_g) ** 2)))
@@ -368,7 +364,8 @@ def lax_residual(
 
     Compares (T(t+h) - T(t-h)) / 2h with the commutator of the skew generator
     and T(t) on the interior block; decays like h^2 for the generator's
-    default sign and stays O(1) for the opposite one.
+    default sign and stays O(1) for the opposite one.  Both run on vector
+    sections, whose lifts have the same 2-norm.
     """
     if plan is None:
         plan = make_plan(u0)
@@ -381,13 +378,12 @@ def lax_residual(
     margin = 2 * band + 2
     if N - margin < 1:
         raise ValueError(f"cutoff {N} leaves no interior block for bandwidth {band}")
-    secs = {dt: build_toeplitz(lp.series.with_cutoff(N), N).matrix for dt, lp in loops.items()}
+    secs = {dt: toeplitz_vector_section(lp.series.with_cutoff(N), N) for dt, lp in loops.items()}
     fd = (secs[h] - secs[-h]) / (2.0 * h)
-    mid = loops[0.0].series.with_cutoff(N)
-    B = build_b_operator(mid, N, sign=sign)
+    B = b_vector_section(loops[0.0].series.with_cutoff(N), N, sign=sign)
     comm = B @ secs[0.0] - secs[0.0] @ B
-    idx = interior_indices(u0.d, N, margin)
-    return float(np.linalg.norm((fd - comm)[np.ix_(idx, idx)], ord=2))
+    keep = (N - margin + 1) * u0.d
+    return float(np.linalg.norm((fd - comm)[:keep, :keep], ord=2))
 
 
 def recurrence_search(

@@ -319,7 +319,7 @@ def run_bench(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False) -> int:
         rows.append(
             {
                 "degree": m,
-                "dim_subspace": plan.dim,
+                "dim_subspace": plan.frame.dim,
                 "plan_build_s": t_build,
                 "solve_per_time_s": t_solve,
                 "rk4_per_step_s": t_step,
@@ -328,7 +328,7 @@ def run_bench(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False) -> int:
         )
         if not quiet:
             print(
-                f"bench m={m}: dim {plan.dim}, build {t_build * 1e3:.1f} ms, "
+                f"bench m={m}: dim {plan.frame.dim}, build {t_build * 1e3:.1f} ms, "
                 f"solve {t_solve * 1e3:.2f} ms, rk4 step {t_step * 1e3:.2f} ms, crossover t*={crossover:.3g}"
             )
     cols = ("degree", "dim_subspace", "plan_build_s", "solve_per_time_s", "rk4_per_step_s", "crossover_t")

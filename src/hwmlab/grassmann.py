@@ -132,7 +132,11 @@ def constraint_residuals(d: int, k: int, series, grid: int | None = None):
     """
     N, coeffs = series_stack(series)
     M = grid if grid is not None else 4 * N + 1
-    vals = grid_values(coeffs, M)
+    return _residuals_from_samples(d, k, coeffs, grid_values(coeffs, M))
+
+
+def _residuals_from_samples(d: int, k: int, coeffs: np.ndarray, vals: np.ndarray):
+    """:func:`constraint_residuals` of the coefficient stack ``coeffs`` from its grid samples ``vals``."""
     sq = grid_product(vals, vals)
     for i in range(d):
         sq[..., i, i] -= 1

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hardy import FourierSeries, grid_commutator, grid_values, sobolev_energy
-from .grassmann import GrassmannLoop, constraint_residuals, project_to_grassmann
+from .grassmann import GrassmannLoop, _residuals_from_samples, project_to_grassmann
 
 __all__ = [
     "IntegratorState",
@@ -64,12 +64,6 @@ def rhs(u: GrassmannLoop | FourierSeries) -> FourierSeries:
     return FourierSeries(series.d, series.N, _flow_rate(series.coeffs))
 
 
-def _sup_frobenius(series: FourierSeries) -> float:
-    # Frobenius bound: |U|_op <= |U|_E <= sqrt(d) |U|_op, a cheap blow-up proxy
-    vals = grid_values(series.coeffs, 2 * series.N + 1)
-    return float(np.max(np.sqrt(np.sum(np.abs(vals) ** 2, axis=(1, 2)))))
-
-
 def step_rk4(state: IntegratorState, dt: float | None = None) -> IntegratorState:
     """One classical fourth-order step; optional per-step dt override."""
     dt = state.dt if dt is None else dt
@@ -83,11 +77,14 @@ def step_rk4(state: IntegratorState, dt: float | None = None) -> IntegratorState
     k4 = _flow_rate(c + dt * k3)
     new = FourierSeries(d, y.N, c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
 
-    sup = _sup_frobenius(new)
+    # one grid transform, on constraint_residuals' 4N+1 points, serves the guard and the checks
+    vals = grid_values(new.coeffs, 4 * y.N + 1)
+    # Frobenius bound: |U|_op <= |U|_E <= sqrt(d) |U|_op, a cheap blow-up proxy
+    sup = float(np.max(np.sqrt(np.sum(np.abs(vals) ** 2, axis=(-2, -1)))))
     if sup > 2.0 * np.sqrt(d):
         raise BlowUpError(f"sup |U|_E = {sup:.3f} exceeds 2 sqrt(d) at t = {state.t + dt}")
 
-    check = constraint_residuals(d, k, new)
+    check = _residuals_from_samples(d, k, new.coeffs, vals)
     loop = GrassmannLoop(d, k, new, check)
     stats = dict(state.stats)
     stats["steps"] = stats.get("steps", 0) + 1

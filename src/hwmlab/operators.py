@@ -45,7 +45,6 @@ __all__ = [
     "toeplitz_vector_section",
     "hankel_vector_section",
     "shift_backward_matrix",
-    "derivative_matrix",
     "interior_indices",
     "stack",
     "unstack",
@@ -57,6 +56,7 @@ __all__ = [
     "invariant_subspace",
     "kronecker_rank",
     "schatten_norm",
+    "b_vector_section",
     "build_b_operator",
 ]
 
@@ -136,11 +136,14 @@ class SpectralData:
 class SubspaceFrame:
     """Orthonormal frame of the minimal invariant subspace of the flow data.
 
-    Columns of ``frame`` span ran(H*) + span{analytic part of the symbol, 1}.
-    ``t_restricted`` and ``sstar_restricted`` are the compressions of the
-    Toeplitz operator and the backward shift; because the subspace is
-    invariant, compressions agree with restrictions up to ``invariance_residual``.
-    ``mean_map[:, :, j]`` is the zeroth coefficient of the j-th frame column.
+    Columns of ``frame`` live on the vector section and span ran(H*) plus
+    the columns of the analytic part of the symbol and the constants; the
+    matrix-valued subspace is its lift, the elements whose d columns all lie
+    in it.  ``t_restricted`` and ``sstar_restricted`` are the compressions
+    of the Toeplitz operator and the backward shift; because the subspace is
+    invariant, compressions agree with restrictions up to
+    ``invariance_residual``.  ``mean_map[:, j]`` is the zeroth coefficient
+    of the j-th frame column.
     """
 
     d: int
@@ -158,7 +161,7 @@ class SubspaceFrame:
         return self.frame.shape[1]
 
     def coordinates(self, vec: np.ndarray, check_tol: float | None = 1e-10) -> np.ndarray:
-        """Coordinates of a stacked vector in the frame; optionally verify membership."""
+        """Frame coordinates of vector-section columns ``(N+1) d`` long; optionally verify membership."""
         c = self.frame.conj().T @ vec
         if check_tol is not None:
             residual = np.linalg.norm(vec - self.frame @ c)
@@ -204,11 +207,6 @@ def build_hankel(u, N: int) -> BlockHankel:
     """Finite section of the Hankel operator; block (m, n) is mode -(m+1) - n."""
     sym = symbol_of(u)
     return BlockHankel(sym.d, N, np.kron(hankel_vector_section(sym, N), np.eye(sym.d)), sym)
-
-
-def derivative_matrix(d: int, N: int) -> np.ndarray:
-    """D = -i d/dtheta, diagonal with the mode index on the truncated space."""
-    return np.kron(np.diag(np.arange(N + 1.0)), np.eye(d * d))
 
 
 def interior_indices(d: int, N: int, band: int) -> np.ndarray:
@@ -339,15 +337,17 @@ def schatten_norm(u, N: int, p: float) -> float:
 
 
 def invariant_subspace(u, N: int, rank_tol: float = 1e-8, gap_ratio: float = 1e3) -> SubspaceFrame:
-    """Orthonormal frame for ran(H*) + span{analytic symbol, identity}.
+    """Orthonormal frame for ran(H*) + span{analytic symbol, constants} on the vector section.
 
     Requires a clear spectral gap in the Hankel singular values (the finite
     rank dichotomy is exact only in infinite dimensions); raises
-    NotRationalError otherwise.  ran(H*) is the lift of the vector section's
-    right singular vectors, so ``hankel_rank`` and ``singular_values`` count
-    each of them d times, as the matrix section does.  The returned
-    compressions of the Toeplitz operator and backward shift come with
-    measured invariance residuals.
+    NotRationalError otherwise.  The frame spans the vector Hankel section's
+    right singular vectors (its co-range), the d columns of the analytic part
+    of the symbol and the d constant unit vectors; the matrix-valued subspace
+    is its lift.  ``hankel_rank`` and ``singular_values`` count each singular
+    value d times, as the matrix section does.  The returned compressions of
+    the Toeplitz operator and backward shift come with measured invariance
+    residuals.
     """
     sym = symbol_of(u)
     d = sym.d
@@ -363,37 +363,38 @@ def invariant_subspace(u, N: int, rank_tol: float = 1e-8, gap_ratio: float = 1e3
     else:
         r = 0
 
-    ident = np.zeros((N + 1, d, d), dtype=complex)
-    ident[0] = np.eye(d)
-    pu = project_plus(sym.with_cutoff(N)).coeffs.reshape(-1)
-    cols = np.column_stack([np.kron(Vh[:r].conj().T, np.eye(d)), pu, ident.reshape(-1)])
+    # sigma_i / sigma_1 weights keep a singular vector, known only to eps sigma_1 / sigma_i,
+    # from tilting the frame's other directions by more than eps; sv[:1] also serves r = 0
+    corange = Vh[:r].conj().T * (sv[:r] / sv[:1])
+    pu = project_plus(sym.with_cutoff(N)).coeffs.reshape(-1, d)
+    cols = np.column_stack([corange, pu, np.eye((N + 1) * d, d)])
     q, s, _ = np.linalg.svd(cols, full_matrices=False)
     frame = q[:, s > 1e-10 * s[0]]
 
-    T = build_toeplitz(sym, N)
-    S = shift_backward_matrix(d, N)
-    t_k = frame.conj().T @ T.matrix @ frame
-    s_k = frame.conj().T @ S @ frame
-    proj = frame @ frame.conj().T
-    res_t = np.linalg.norm(T.matrix @ frame - proj @ (T.matrix @ frame), ord=2)
-    res_s = np.linalg.norm(S @ frame - proj @ (S @ frame), ord=2)
-    mean_map = frame.reshape(N + 1, d, d, -1)[0]
+    tf = toeplitz_vector_section(sym, N) @ frame
+    sf = np.zeros_like(frame)
+    sf[:-d] = frame[d:]
+    t_k = frame.conj().T @ tf
+    s_k = frame.conj().T @ sf
+    res_t = np.linalg.norm(tf - frame @ t_k, ord=2)
+    res_s = np.linalg.norm(sf - frame @ s_k, ord=2)
     return SubspaceFrame(
         d=d,
         N=N,
         frame=frame,
         t_restricted=t_k,
         sstar_restricted=s_k,
-        mean_map=mean_map,
+        mean_map=frame[:d],
         hankel_rank=d * r,
         singular_values=np.repeat(sv, d),
         invariance_residual=float(max(res_t, res_s)),
     )
 
 
-def build_b_operator(u, N: int, sign: int = +1) -> np.ndarray:
-    """The skew generator -(i/2)(T_U D + D T_U) + (i/2) T_{|D| U} on the section.
+def b_vector_section(u, N: int, sign: int = +1) -> np.ndarray:
+    """The skew generator -(i/2)(T_U D + D T_U) + (i/2) T_{|D| U} on the vector section.
 
+    ``D`` is the mode index, diagonal, so it scales rows and columns.
     ``sign=-1`` assembles the opposite overall sign; the Lax-residual
     experiment in the evolution module selects which one propagates the
     Toeplitz spectrum (the default does).
@@ -401,8 +402,12 @@ def build_b_operator(u, N: int, sign: int = +1) -> np.ndarray:
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     sym = symbol_of(u)
-    T = build_toeplitz(sym, N).matrix
-    D = derivative_matrix(sym.d, N)
-    Tdu = build_toeplitz(fractional_derivative(sym, "|D|"), N).matrix
-    b = -0.5j * (T @ D + D @ T) + 0.5j * Tdu
-    return sign * b
+    T = toeplitz_vector_section(sym, N)
+    n = np.repeat(np.arange(N + 1.0), sym.d)
+    Tdu = toeplitz_vector_section(fractional_derivative(sym, "|D|"), N)
+    return sign * (-0.5j * (T * n + n[:, None] * T) + 0.5j * Tdu)
+
+
+def build_b_operator(u, N: int, sign: int = +1) -> np.ndarray:
+    """The skew generator on the matrix section: the lift of :func:`b_vector_section`."""
+    return np.kron(b_vector_section(u, N, sign), np.eye(symbol_of(u).d))

@@ -37,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .hardy import FourierSeries, HardyElement, project_plus
+from .hardy import FourierSeries, HardyElement, grid_values, project_plus
 from .grassmann import GrassmannLoop
 from .operators import toeplitz_vector_section
 
@@ -136,13 +136,13 @@ class IsometryModel:
     ``d`` is the coefficient matrix dimension (1 for scalar models) and
     ``N`` the Hardy-space cutoff.  ``lam``/``vecs`` hold the
     eigendecomposition of the Hermitian generator, so the model can be
-    re-timed without refactorizing.  The generator acts on the matrix
-    section (``(N+1) d^2`` wide), on the vector section (``(N+1) d`` wide,
-    the flow models: a matrix input runs as its d columns) or on an exact
-    flow's invariant subspace.  ``mean_map`` is P_Sigma, the defect
-    projection onto the zeroth coefficient, one row per coordinate of a mode
-    (``(d, d)`` on a frame).  ``sstar`` is a dense compressed backward shift
-    (an invariant subspace); ``None`` means the standard backward shift.
+    re-timed without refactorizing.  The generator acts on column vectors:
+    the vector section (``(N+1) d`` wide) or an exact flow's invariant
+    subspace of it, and a matrix input runs as its d columns.
+    ``mean_map`` is P_Sigma, the defect projection onto the zeroth
+    coefficient, ``(d, lam.size)``.  ``sstar`` is a dense compressed
+    backward shift (an invariant subspace); ``None`` means the standard
+    backward shift.
     ``time_scale`` converts model time into generator phase (the
     zero-dispersion model transports at twice the profile, so it carries 2).
     """
@@ -158,18 +158,9 @@ class IsometryModel:
     label: str = ""
 
     @property
-    def _mode_width(self) -> int:
-        return self.mean_map.size // self.lam.size
-
-    @property
-    def columns(self) -> int:
-        """Columns per input: ``d^2`` over the rows of ``mean_map``, so d on the vector section, else 1."""
-        return self.d * self.d // self._mode_width
-
-    @property
     def dim(self) -> int:
-        """Length of an input vector: the generator's size times :attr:`columns`."""
-        return self.lam.size * self.columns
+        """Length of an input vector: the generator's size times its d columns."""
+        return self.lam.size * self.d
 
     def step(self, t: float) -> np.ndarray:
         """``exp(-i time_scale t L) S*`` as a dense matrix on the generator's coordinates.
@@ -180,9 +171,8 @@ class IsometryModel:
         expo = (self.vecs * np.exp(-1j * (self.time_scale * t) * self.lam)) @ self.vecs.conj().T
         if self.sstar is not None:
             return expo @ self.sstar
-        e = self._mode_width
         out = np.zeros_like(expo)
-        out[:, e:] = expo[:, :-e]
+        out[:, self.d :] = expo[:, : -self.d]
         return out
 
     @cached_property
@@ -195,8 +185,7 @@ class IsometryModel:
         vh = self.vecs.conj().T
         if self.sstar is not None:
             return vh @ self.sstar @ self.vecs
-        e = self._mode_width
-        return vh[:, :-e] @ self.vecs[e:]
+        return vh[:, : -self.d] @ self.vecs[self.d :]
 
     @cached_property
     def eigen_mean_map(self) -> np.ndarray:
@@ -211,33 +200,33 @@ class IsometryModel:
         """Means ``(n+1, d, d, T)`` and norms ``(n+1, T)`` of ``step(t_j)^n x_j``.
 
         ``x`` holds start vectors of length :attr:`dim`, ``(dim,)`` for one
-        start at every time or ``(dim, T)`` for one start per time.  On the
-        vector section a start is a stacked matrix element; its d columns
-        form one curve, whose norm is the root-sum-square of theirs.  The
-        iteration runs on eigenbasis coordinates ``V* x`` as one :func:`emit`
-        block; ``V`` is unitary, so norms and means are those of the dense
-        steps.  ``stop_tol`` is :func:`emit`'s and acts on the curve norms.
+        start at every time or ``(dim, T)`` for one start per time.  A start
+        is a stacked matrix element, ``(lam.size, d)`` in row-major order;
+        its d columns form one curve, whose norm is the root-sum-square of
+        theirs.  The iteration runs on eigenbasis coordinates ``V* x`` as one
+        :func:`emit` block; ``V`` is unitary, so norms and means are those of
+        the dense steps.  ``stop_tol`` is :func:`emit`'s and acts on the curve
+        norms.
         """
         phase = self.phases(times)
-        n, g = self.lam.size, self.columns
-        w = (self.vecs.conj().T @ x.reshape(n, -1)).reshape(n, g, -1)
+        n = self.lam.size
+        w = (self.vecs.conj().T @ x.reshape(n, -1)).reshape(n, self.d, -1)
         if x.ndim == 1:
             w = np.repeat(w, phase.shape[1], axis=2)
-        mean_map = self.eigen_mean_map.reshape(-1, n)
-        means, norms = emit(self.eigen_shift, mean_map, w, n_max, stop_tol, phase[:, None])
+        means, norms = emit(self.eigen_shift, self.eigen_mean_map, w, n_max, stop_tol, phase[:, None])
         return means.reshape(means.shape[0], self.d, self.d, -1), norms
 
 
 def _standard_model(L: np.ndarray, d: int, N: int, t: float, time_scale: float, label: str) -> IsometryModel:
-    """Model with the standard shift and mean map, from a Hermitian generator (real if L is)."""
+    """Model with the standard shift and mean map, from a Hermitian vector-section generator (real if L is)."""
     lam, vecs = np.linalg.eigh(L if L.imag.any() else L.real)
-    mean_map = np.eye(lam.size // (N + 1), lam.size, dtype=complex)
+    mean_map = np.eye(d, lam.size, dtype=complex)
     return IsometryModel(d, N, lam, vecs, mean_map, t=t, time_scale=time_scale, label=label)
 
 
 def isometry_model(L: np.ndarray, t: float, d: int, N: int, label: str = "") -> IsometryModel:
-    """Model from an explicit Hermitian generator on the matrix section's coordinates."""
-    dim = (N + 1) * d * d
+    """Model from an explicit Hermitian generator on the vector section's coordinates."""
+    dim = (N + 1) * d
     if L.shape != (dim, dim):
         raise ValueError(f"generator must be {dim}x{dim}, got {L.shape}")
     if np.max(np.abs(L - L.conj().T)) > 1e-10:
@@ -276,10 +265,8 @@ def zd_bo_model(N: int, u0: FourierSeries, t: float = 0.0) -> IsometryModel:
 
 def breaking_time(u0: FourierSeries, grid: int = 4096) -> float:
     """-1 / (2 min u0') for a real scalar symbol, sampled on a fine grid."""
-    theta = 2.0 * np.pi * np.arange(grid) / grid
     n = np.arange(-u0.N, u0.N + 1)
-    vals = u0.coeffs[:, 0, 0]
-    du = np.real(np.sum(1j * n[:, None] * vals[:, None] * np.exp(1j * np.outer(n, theta)), axis=0))
+    du = grid_values(1j * n[:, None, None] * u0.coeffs, grid)[:, 0, 0].real
     m = float(np.min(du))
     if m >= 0.0:
         return np.inf
@@ -453,20 +440,19 @@ def wold_decomposition_estimate(model: IsometryModel, budget: int, tol: float = 
     keep essentially all their norm (the unitary part at this resolution).
     The rows are formed in the eigenbasis ``V`` (step ``diag(phase) eigen_shift``);
     the unitary ``V*`` leaves the singular values unchanged.  Dimensions are
-    those of the matrix-valued space: on the vector section each singular
-    value counts once per column, as :func:`~hwmlab.operators.kronecker_rank`
-    counts them.
+    those of the matrix-valued space: each singular value counts once per
+    column, as :func:`~hwmlab.operators.kronecker_rank` counts them.
     """
-    n, e = model.lam.size, model._mode_width
-    W = np.zeros((budget * e, n), dtype=complex)
-    block = model.eigen_mean_map.reshape(e, n)
+    n, d = model.lam.size, model.d
+    W = np.zeros((budget * d, n), dtype=complex)
+    block = model.eigen_mean_map
     step = model.phases([model.t]) * model.eigen_shift
     for j in range(budget):
-        W[j * e : (j + 1) * e] = block
+        W[j * d : (j + 1) * d] = block
         if j < budget - 1:
             block = block @ step
     sv = np.linalg.svd(W, compute_uv=False)
-    sv = np.repeat(np.concatenate([sv, np.zeros(max(0, n - sv.size))]), model.columns)
+    sv = np.repeat(np.concatenate([sv, np.zeros(max(0, n - sv.size))]), d)
     dim_u = int(np.count_nonzero(sv < tol))
     return {
         "dim_unitary": dim_u,

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hwmlab.hardy import FourierSeries, project_plus, sobolev_energy
 from hwmlab.grassmann import (
@@ -19,6 +21,7 @@ from hwmlab.grassmann import (
 from hwmlab.operators import NotRationalError
 from hwmlab.stability import apply_u_sigma, emit, hwm_model, model_at_time
 from hwmlab.evolution import (
+    _modes,
     SlowDecayWarning,
     SpectralRadiusError,
     conservation_report,
@@ -56,19 +59,19 @@ def twist_plan():
 
 def test_plan_constant_datum():
     plan = make_plan(constant_loop())
-    assert plan.dim == 2
+    assert plan.frame.dim == 2
     assert np.allclose(np.sort(plan.model.lam), [-1.0, 1.0])
 
 
 def test_plan_ground_state_dimension():
     plan = make_plan(half_harmonic_map(BlaschkeProduct(0.0, (0.0,)), N=8))
-    assert plan.dim <= 4
+    assert plan.frame.dim <= 4
     assert np.max(np.abs(plan.model.lam)) <= 1.0 + 1e-8
 
 
 def test_plan_soliton_frequencies():
     plan = make_plan(soliton(0.5))
-    assert np.allclose(np.sort(plan.model.lam), [-1.0, -0.5, -0.5, 1.0], atol=1e-12)
+    assert np.allclose(np.sort(plan.model.lam), [-1.0, -0.5, 1.0], atol=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["rational", "standard"])
@@ -88,7 +91,7 @@ def test_rational_model_rejects_hardy_element():
     # a HardyElement lives on the whole truncated space, not on the frame
     plan = make_plan(soliton(0.5, N=12))
     f = project_plus(plan.source.with_cutoff(plan.N_op))
-    assert f.coeffs.size != plan.dim
+    assert f.coeffs.size != plan.model.dim
     with pytest.raises(ValueError, match="length"):
         apply_u_sigma(plan.model, f, 4)
 
@@ -297,13 +300,38 @@ def test_quasi_periodic_phase_equivalence(twist_plan):
 
 
 def test_make_plan_warns_nothing_on_repeated_frequencies():
-    # every d >= 2 plan has d-fold frequencies; the eigenbasis propagator is exact there
-    loops = (soliton(0.5), embed_block(traveling_profile(BlaschkeProduct(0.0, (0.2,)), 0.4, N=32), 4, 2))
+    # an embedded datum's constant block repeats the frequencies +-1; the eigenbasis propagator is exact there
+    loops = (
+        embed_block(soliton(0.5), 4, 2),
+        embed_block(traveling_profile(BlaschkeProduct(0.0, (0.2,)), 0.4, N=32), 4, 2),
+    )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for loop in loops:
             lam = make_plan(loop).model.lam
             assert np.min(np.diff(lam)) < 1e-12
+
+
+@settings(max_examples=30)
+@given(
+    dk=st.integers(2, 4).flatmap(lambda d: st.tuples(st.just(d), st.integers(1, d - 1))),
+    twists=st.integers(1, 3),
+    key=st.integers(0, 2**32 - 1),
+)
+def test_plan_modes_match_full_section_model(dk, twists, key):
+    # the frame is invariant on the vector section, so iterating on it is iterating on the whole section
+    d, k = dk
+    loop = random_rational_loop(np.random.Generator(np.random.Philox(key=key)), d, k, twists=twists)
+    plan = make_plan(loop)
+    # a Hankel singular vector is known only to eps sigma_1 / sigma_r, which bounds the
+    # residual of a well-conditioned datum by 1e-12 and scales it for an ill-conditioned one
+    sv, r = plan.frame.singular_values, plan.frame.hankel_rank
+    assert plan.frame.invariance_residual < 1e-12 * (sv[0] / sv[r - 1] if r else 1.0)
+    times, n_max = np.array([0.0, 0.7, 2.9]), 24
+    got, _ = _modes(plan, times, n_max)
+    pu = project_plus(loop.series.with_cutoff(plan.N_op)).coeffs.reshape(-1)
+    ref, _ = hwm_model(loop, 0.0, plan.N_op).iterate(pu, times, n_max)
+    assert np.max(np.abs(got - ref.transpose(0, 3, 1, 2))) < 1e-12
 
 
 def test_embedded_datum_evolves(twist_plan):
@@ -323,8 +351,9 @@ def reference_solve(plan, t):
     r = float(np.max(np.abs(np.linalg.eigvals(A))))
     if r >= 1.0:
         raise SpectralRadiusError(f"contraction spectral radius {r} >= 1 at t = {t}")
-    coeffs, norms = emit(A, plan.model.mean_map, plan.c0[:, None], plan.N_out, plan.tail_tol)
-    coeffs, norms = coeffs[..., 0], norms[:, 0]
+    # the d columns of c0 step as one curve
+    coeffs, norms = emit(A, plan.model.mean_map, plan.c0[:, :, None], plan.N_out, plan.tail_tol)
+    norms = norms[:, 0]
     n = coeffs.shape[0] - 1
     series_coeffs = np.zeros((2 * n + 1, plan.d, plan.d), dtype=complex)
     series_coeffs[n] = coeffs[0] + coeffs[0].conj().T - plan.mean0
@@ -387,7 +416,7 @@ def test_solve_many_blocks_long_time_arrays(flow_plans, monkeypatch):
 
     plan = flow_plans["generic"]
     whole = solve_many(plan, FLOW_TIMES)
-    monkeypatch.setattr(evolution, "SOLVE_BLOCK_ENTRIES", 7 * plan.dim**2)
+    monkeypatch.setattr(evolution, "SOLVE_BLOCK_ENTRIES", 7 * plan.frame.dim**2)
     blocked = solve_many(plan, FLOW_TIMES)
     assert [s.t for s in blocked] == FLOW_TIMES.tolist()
     for a, b in zip(whole, blocked):

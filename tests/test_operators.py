@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hwmlab.hardy import FourierSeries, HardyElement, project_plus, sobolev_energy
+from hwmlab.hardy import FourierSeries, HardyElement, fractional_derivative, project_plus, sobolev_energy
 from hwmlab.grassmann import (
     BlaschkeProduct,
     embed_block,
@@ -18,7 +18,6 @@ from hwmlab.operators import (
     build_hankel,
     build_toeplitz,
     commutator_rank_one_check,
-    derivative_matrix,
     eig_hermitian,
     hankel_vector_section,
     interior_indices,
@@ -275,11 +274,12 @@ def test_product_identity_random(rng):
 
 
 def test_invariant_subspace_constant_symbol():
+    # a constant symbol's columns are constants: the frame is the d constant unit vectors
     frame = invariant_subspace(series_from(2, 1, {0: SIGMA3}), 6)
     assert frame.dim == 2
     assert frame.hankel_rank == 0
     ident = invariant_subspace(series_from(2, 1, {0: np.eye(2, dtype=complex)}), 6)
-    assert ident.dim == 1
+    assert ident.dim == 2
 
 
 def test_invariant_subspace_ground_state():
@@ -303,7 +303,7 @@ def test_invariant_subspace_rejects_nonrational(rng):
 
 def reference_invariant_subspace(sym, N, rank_tol=1e-8):
     """Frame from the SVD of the matrix Hankel section, which repeats every
-    singular vector d times: (hankel_rank, dim, restricted spectrum, residual)."""
+    singular vector d times: (hankel_rank, frame, restricted spectrum, residual)."""
     d = sym.d
     _, sv, Vh = np.linalg.svd(build_hankel(sym, N).matrix)
     r = int(np.count_nonzero(sv > rank_tol * sv[0])) if sv.size and sv[0] > 0.0 else 0
@@ -318,7 +318,7 @@ def reference_invariant_subspace(sym, N, rank_tol=1e-8):
     proj = frame @ frame.conj().T
     residual = max(np.linalg.norm(A @ frame - proj @ (A @ frame), ord=2) for A in (T, S))
     t_k = frame.conj().T @ T @ frame
-    return r, frame.shape[1], np.linalg.eigvalsh(0.5 * (t_k + t_k.conj().T)), residual
+    return r, frame, np.linalg.eigvalsh(0.5 * (t_k + t_k.conj().T)), residual
 
 
 def kronecker_oracle_loop(case):
@@ -337,11 +337,15 @@ def test_matrix_sections_are_lifted_vector_sections(case):
     assert np.max(np.abs(lam - np.repeat(np.linalg.eigvalsh(toeplitz_vector_section(loop, N)), d))) < 1e-12
 
     frame = invariant_subspace(loop, N)
-    rank, dim, ref_spectrum, ref_residual = reference_invariant_subspace(loop.series, N)
-    assert (frame.hankel_rank, frame.dim) == (rank, dim)
+    rank, ref_frame, ref_spectrum, ref_residual = reference_invariant_subspace(loop.series, N)
+    assert frame.hankel_rank == rank
+    # the matrix frame lies in the lift of the vector frame
+    lift = np.kron(frame.frame, np.eye(d))
+    assert np.linalg.norm(ref_frame - lift @ (lift.conj().T @ ref_frame), ord=2) < 1e-12
+    # so its restricted spectrum is part of the vector frame's
     t_k = frame.t_restricted
     spectrum = np.linalg.eigvalsh(0.5 * (t_k + t_k.conj().T))
-    assert np.max(np.abs(spectrum - ref_spectrum)) < 1e-12
+    assert np.max(np.min(np.abs(ref_spectrum[:, None] - spectrum), axis=1)) < 1e-12
     assert frame.invariance_residual < 1e-12 and ref_residual < 1e-12
 
 
@@ -399,8 +403,18 @@ def test_b_operator_constant_symbol_assembly():
     sym = series_from(2, 0, {0: SIGMA3})
     B = build_b_operator(sym, N)
     T = build_toeplitz(sym, N).matrix
-    D = derivative_matrix(2, N)
+    D = np.diag(np.repeat(np.arange(N + 1.0), 4))
     assert np.max(np.abs(B - (-0.5j) * (T @ D + D @ T))) < 1e-14
+
+
+def test_b_operator_is_the_matrix_assembly(rng):
+    # the lift of the vector section equals the generator assembled on the matrix section
+    loop = random_rational_loop(rng, 3, 1, twists=2)
+    N = 12
+    T = build_toeplitz(loop, N).matrix
+    D = np.diag(np.repeat(np.arange(N + 1.0), 9))
+    Tdu = build_toeplitz(fractional_derivative(loop.series, "|D|"), N).matrix
+    assert np.array_equal(build_b_operator(loop, N), -0.5j * (T @ D + D @ T) + 0.5j * Tdu)
 
 
 def test_b_operator_interior_skew(rng):

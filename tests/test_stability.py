@@ -39,9 +39,9 @@ def analytic_part_vector(loop, N):
 def dense_curve(model, v, n_max, stop_tol=None):
     """Dense reference: the step matrix at the model's time iterated on one start, up to its first stop.
 
-    On the vector section the start's d columns step side by side as one curve.
+    The start's d columns step side by side as one curve.
     """
-    start = np.asarray(v, dtype=complex).reshape(model.lam.size, model.columns, 1)
+    start = np.asarray(v, dtype=complex).reshape(model.lam.size, model.d, 1)
     means, norms = emit(model.step(model.t), model.mean_map, start, n_max, stop_tol)
     return means.reshape(len(means), model.d, model.d), norms[:, 0]
 
@@ -248,16 +248,17 @@ def test_emit_block_columns_follow_their_phased_steps():
     model = plan.model
     times = np.array([0.0, 0.4, 1.3, 2.9])
     phase = model.phases(times)
+    # each curve is the d columns of c0
     w0 = model.vecs.conj().T @ plan.c0
-    block = np.repeat(w0[:, None], times.size, axis=1)
+    block = np.repeat(w0[:, :, None], times.size, axis=2)
     tol = 1e-3
-    means, norms = emit(model.eigen_shift, model.eigen_mean_map, block, 200, tol, phase)
-    assert means.shape == (norms.shape[0], 2, 2, times.size)
+    means, norms = emit(model.eigen_shift, model.eigen_mean_map, block, 200, tol, phase[:, None])
+    means = means.reshape(norms.shape[0], 2, 2, times.size)
     for j, t in enumerate(times):
-        # column j is the eigenbasis image of the one-column dense iteration at time t
-        single_means, single_norms = emit(model.step(t), model.mean_map, (model.vecs @ w0)[:, None], 200, tol)
+        # curve j is the eigenbasis image of the one-curve dense iteration at time t
+        single_means, single_norms = emit(model.step(t), model.mean_map, (model.vecs @ w0)[:, :, None], 200, tol)
         n = single_norms.shape[0]
-        assert np.max(np.abs(means[:n, :, :, j] - single_means[..., 0])) < 1e-13
+        assert np.max(np.abs(means[:n, :, :, j] - single_means)) < 1e-13
         assert np.max(np.abs(norms[:n, j] - single_norms[:, 0])) < 1e-13
         # each column's own first stop is the one-column stop
         assert np.flatnonzero(norms[1:, j] <= tol)[0] + 1 == n - 1
