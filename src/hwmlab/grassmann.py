@@ -407,14 +407,14 @@ def random_rational_loop(
 ) -> GrassmannLoop:
     """Generic trigonometric-polynomial loop via unitary twists of a base point.
 
-    Conjugates diag(1_{d-k}, -1_k) by a product of loops V (1 + (z - 1) P)
-    with random constant unitaries V and random rank-one projections P; each
-    twist raises the bandwidth by two.  These data are rational but (unlike
-    the Blaschke constructions) generically not stationary or traveling.
+    Conjugates diag(1_{d-k}, -1_k) by a product W of loops V (1 + (z - 1) P) with
+    random constant unitaries V and rank-one projections P; W has degree ``twists``,
+    so U = W B W* has bandwidth ``twists``, the cutoff.  These data are rational but
+    (unlike the Blaschke constructions) generically not stationary or traveling.
     """
     if not 1 <= k <= d - 1:
         raise ValueError(f"need 1 <= k <= d-1, got (d, k) = ({d}, {k})")
-    N = 2 * twists
+    N = twists
     M = 4 * N + 1
     theta = 2.0 * np.pi * np.arange(M) / M
     z = np.exp(1j * theta)

@@ -1,18 +1,18 @@
 """Pseudo-spectral method-of-lines integrator for the commutator flow.
 
 This is the independent cross-check against the resolvent-formula evolution:
-a classical RK4 step on the Fourier coefficients, with the quadratic
-commutator evaluated pointwise on a three-fold padded grid (the product of
-two cutoff-N series has bandwidth 2N; the padding keeps the retained modes
-alias-free).  Deliberately structure-agnostic: it knows nothing about the
-conserved operator data, which is exactly what makes the agreement test
-meaningful.
+a classical RK4 step on the Fourier coefficients, with the quadratic commutator
+evaluated pointwise on the smallest power of two >= 3N+1 points (the product of
+two cutoff-N series has bandwidth 2N, so on M >= 3N+1 points it aliases only
+beyond the retained modes -N..N).  Steps march raw arrays, and a checked state
+is built only where one is returned.  Deliberately structure-agnostic: it knows
+nothing about the conserved operator data, which makes the agreement meaningful.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,6 +41,11 @@ class IntegratorState:
     stats: dict
 
 
+def _grid_size(N: int) -> int:
+    """Smallest power of two >= 3N+1, on which a product of cutoff-N series fits modes -N..N alias-free."""
+    return 1 << (3 * N).bit_length()
+
+
 def _flow_rate(coeffs: np.ndarray) -> np.ndarray:
     """-(i/2) [U, |D| U] on raw ``(2N+1, d, d)`` coefficients, via dealiased grid products.
 
@@ -48,7 +53,7 @@ def _flow_rate(coeffs: np.ndarray) -> np.ndarray:
     and one forward transform along the entry lines fits modes -N..N back.
     """
     N = (coeffs.shape[0] - 1) // 2
-    M = 3 * (2 * N + 1)
+    M = _grid_size(N)
     n = np.arange(-N, N + 1)
     stack = np.empty((2,) + coeffs.shape, dtype=complex)
     stack[0] = coeffs
@@ -64,33 +69,40 @@ def rhs(u: GrassmannLoop | FourierSeries) -> FourierSeries:
     return FourierSeries(series.d, series.N, _flow_rate(series.coeffs))
 
 
-def step_rk4(state: IntegratorState, dt: float | None = None) -> IntegratorState:
-    """One classical fourth-order step; optional per-step dt override."""
-    dt = state.dt if dt is None else dt
-    y = state.loop.series
-    d, k = state.loop.d, state.loop.k
-
-    c = y.coeffs
+def _raw_step(c: np.ndarray, dt: float, t: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """One classical fourth-order step of raw coefficients from time ``t``: the new
+    coefficients, their samples on 4N+1 points, which the blow-up guard reads, and t + dt."""
     k1 = _flow_rate(c)
     k2 = _flow_rate(c + 0.5 * dt * k1)
     k3 = _flow_rate(c + 0.5 * dt * k2)
     k4 = _flow_rate(c + dt * k3)
-    new = FourierSeries(d, y.N, c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-
-    # one grid transform, on constraint_residuals' 4N+1 points, serves the guard and the checks
-    vals = grid_values(new.coeffs, 4 * y.N + 1)
+    new = c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    vals = grid_values(new, 2 * new.shape[0] - 1)
     # Frobenius bound: |U|_op <= |U|_E <= sqrt(d) |U|_op, a cheap blow-up proxy
     sup = float(np.max(np.sqrt(np.sum(np.abs(vals) ** 2, axis=(-2, -1)))))
-    if sup > 2.0 * np.sqrt(d):
-        raise BlowUpError(f"sup |U|_E = {sup:.3f} exceeds 2 sqrt(d) at t = {state.t + dt}")
+    if sup > 2.0 * np.sqrt(c.shape[-1]):
+        raise BlowUpError(f"sup |U|_E = {sup:.3f} exceeds 2 sqrt(d) at t = {t + dt}")
+    return new, vals, t + dt
 
-    check = _residuals_from_samples(d, k, new.coeffs, vals)
-    loop = GrassmannLoop(d, k, new, check)
-    stats = dict(state.stats)
-    stats["steps"] = stats.get("steps", 0) + 1
+
+def _wrap_step(start: IntegratorState, c, vals, t: float, dt: float, steps: int) -> IntegratorState:
+    """The checked state ``steps`` raw steps after ``start`` (the last of length dt), as a
+    chain of :func:`step_rk4` builds it: residuals from the samples ``vals`` of ``c``."""
+    d, k = start.loop.d, start.loop.k
+    series = FourierSeries(d, start.loop.N, c)
+    check = _residuals_from_samples(d, k, c, vals)
+    stats = dict(start.stats)
+    stats["steps"] = stats.get("steps", 0) + steps
     stats["constraint_drift"] = max(check["involution"], check["hermitian"])
-    stats["energy_drift"] = abs(sobolev_energy(new) - stats["energy0"])
-    return IntegratorState(loop=loop, t=state.t + dt, dt=dt, stats=stats)
+    stats["energy_drift"] = abs(sobolev_energy(series) - stats["energy0"])
+    return IntegratorState(loop=GrassmannLoop(d, k, series, check), t=t, dt=dt, stats=stats)
+
+
+def step_rk4(state: IntegratorState, dt: float | None = None) -> IntegratorState:
+    """One classical fourth-order step; optional per-step dt override."""
+    dt = state.dt if dt is None else dt
+    c, vals, t = _raw_step(state.loop.series.coeffs, dt, state.t)
+    return _wrap_step(state, c, vals, t, dt, 1)
 
 
 def _initial_state(u0: GrassmannLoop, dt: float) -> IntegratorState:
@@ -122,20 +134,20 @@ def integrate(
     n_steps = int(round(t_end / dt))
     if abs(n_steps * dt - t_end) > 1e-12 * max(1.0, abs(t_end)):
         n_steps = int(np.ceil(t_end / dt))
-    state = _initial_state(u0, dt)
-    out = [state]
-    for j in range(n_steps):
-        step_dt = min(dt, t_end - state.t)
-        state = step_rk4(state, step_dt)
+    start = _initial_state(u0, dt)
+    out = [start]
+    c, t = u0.series.coeffs, 0.0
+    for j in range(1, n_steps + 1):
+        step_dt = min(dt, t_end - t)
+        c, vals, t = _raw_step(c, step_dt, t)
         if renormalize:
-            projected = project_to_grassmann(
-                state.loop.series, u0.d, u0.k, sq_tol=np.inf, herm_tol=np.inf
-            )
-            state = IntegratorState(loop=projected, t=state.t, dt=state.dt, stats=state.stats)
-        if sample_every and (j + 1) % sample_every == 0:
-            out.append(state)
-    if out[-1] is not state:
-        out.append(state)
+            series = FourierSeries(u0.d, u0.N, c)
+            projected = project_to_grassmann(series, u0.d, u0.k, sq_tol=np.inf, herm_tol=np.inf)
+        if j == n_steps or (sample_every and j % sample_every == 0):
+            state = _wrap_step(start, c, vals, t, step_dt, j)
+            out.append(replace(state, loop=projected) if renormalize else state)
+        if renormalize:
+            c = projected.series.coeffs
     return out
 
 
@@ -159,12 +171,17 @@ def cross_validate(
     if N is not None and N > u0.series.N:
         u0 = GrassmannLoop(u0.d, u0.k, u0.series.with_cutoff(N), u0.grid_check)
     check_ts = np.linspace(0.0, t_end, n_checks + 1)[1:]
-    state = _initial_state(u0, dt)
+    start = state = _initial_state(u0, dt)
+    c, t, steps = u0.series.coeffs, 0.0, 0
     worst = 0.0
     curve = []
     for tc in check_ts:
-        while state.t < tc - 1e-12:
-            state = step_rk4(state, min(dt, tc - state.t))
+        while t < tc - 1e-12:
+            step_dt = min(dt, tc - t)
+            c, vals, t = _raw_step(c, step_dt, t)
+            steps += 1
+        if steps > state.stats["steps"]:
+            state = _wrap_step(start, c, vals, t, step_dt, steps)
         exact = solve_at_time(plan, state.t).loop.series
         n_cmp = max(exact.N, state.loop.series.N)
         diff = exact.with_cutoff(n_cmp).coeffs - state.loop.series.with_cutoff(n_cmp).coeffs

@@ -235,8 +235,10 @@ def isometry_model(L: np.ndarray, t: float, d: int, N: int, label: str = "") -> 
 
 
 def model_at_time(model: IsometryModel, t: float) -> IsometryModel:
-    """Same generator, new time; reuses the cached eigendecomposition."""
-    return replace(model, t=t)
+    """Same generator, new time; shares the t-free eigendecomposition, eigen_shift and eigen_mean_map."""
+    out = replace(model, t=t)
+    out.__dict__.update(eigen_shift=model.eigen_shift, eigen_mean_map=model.eigen_mean_map)
+    return out
 
 
 def hwm_model(u0: GrassmannLoop, t: float, N: int) -> IsometryModel:

@@ -211,7 +211,9 @@ def test_serialization_roundtrip_bit_exact(rng):
 
 def test_random_rational_loop_validates(rng):
     loop = random_rational_loop(rng, 2, 1, twists=2)
-    assert loop.N == 4
+    # W B W* with W of degree two in z: the cutoff is the bandwidth, two
+    assert loop.N == 2
+    assert np.min(np.abs(loop.series.coeffs[[0, -1]]).max(axis=(1, 2))) > 1e-3
     assert loop.grid_check["involution"] < 1e-10
     loop3 = random_rational_loop(rng, 3, 1, twists=1)
     assert (loop3.d, loop3.k) == (3, 1)

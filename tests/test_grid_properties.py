@@ -2,12 +2,14 @@
 the stacked constraint check, over drawn dimensions, cutoffs and stacks."""
 
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hwmlab import integrator
 from hwmlab.grassmann import constraint_residuals
 from hwmlab.hardy import (
     FourierSeries,
@@ -99,3 +101,22 @@ def test_grid_samples_are_entry_major(rng, stack, d):
         for i in range(d):
             for j in range(d):
                 assert values[..., i, j].flags.c_contiguous
+
+
+@given(N=st.integers(0, 10**6))
+def test_rk4_grid_is_the_smallest_alias_free_power_of_two(N):
+    M = integrator._grid_size(N)
+    assert M & (M - 1) == 0
+    assert 3 * N + 1 <= M < 2 * (3 * N + 1)
+
+
+@given(d=st.integers(1, 4), N=st.integers(0, 40), seed=seeds)
+def test_flow_rate_is_alias_free_on_its_grid(d, N, seed):
+    # modes -N..N of the quadratic rate are exact on any grid of at least 3N+1
+    # points, so the power-of-two grid moves only rounding against 3(2N+1)
+    c = gaussian(seed, (2 * N + 1, d, d))
+    rate = integrator._flow_rate(c)
+    with mock.patch.object(integrator, "_grid_size", lambda N: 3 * (2 * N + 1)):
+        padded = integrator._flow_rate(c)
+    scale = np.linalg.norm(c) * np.linalg.norm(np.abs(np.arange(-N, N + 1))[:, None, None] * c)
+    assert np.max(np.abs(rate - padded)) <= 1e-13 * scale

@@ -16,6 +16,7 @@ from hwmlab.grassmann import (
     GrassmannLoop,
     half_harmonic_map,
     pauli_encode,
+    project_to_grassmann,
     random_blaschke,
     random_rational_loop,
     traveling_profile,
@@ -26,6 +27,7 @@ from hwmlab.integrator import (
     BlowUpError,
     IntegratorState,
     _flow_rate,
+    _grid_size,
     cross_validate,
     integrate,
     rhs,
@@ -47,7 +49,7 @@ def fresh_state(loop, dt):
 def reference_rhs(series):
     """The right-hand side as two grid products and a fit, the form the
     stacked transform and commutator kernel must reproduce bit for bit."""
-    M = 3 * (2 * series.N + 1)
+    M = _grid_size(series.N)
     u = evaluate_grid(series, M).values
     du = evaluate_grid(fractional_derivative(series, "|D|"), M).values
     comm = grid_product(u, du) - grid_product(du, u)
@@ -97,6 +99,54 @@ def test_step_rk4_matches_two_product_reference_bitwise(loop):
     assert state.loop.series.coeffs.tobytes() == expected.tobytes()
     energy = sobolev_energy(FourierSeries(d, N, expected))
     assert state.stats["energy_drift"] == abs(energy - sobolev_energy(loop.series))
+
+
+def chained(loop, t_end, dt):
+    """``step_rk4`` applied as ``integrate`` schedules it, keeping every state."""
+    states = [fresh_state(loop, dt)]
+    for _ in range(int(round(t_end / dt))):
+        states.append(step_rk4(states[-1], min(dt, t_end - states[-1].t)))
+    return states
+
+
+def assert_states_bitwise_equal(a, b):
+    assert (a.t, a.dt) == (b.t, b.dt)
+    assert a.loop.series.coeffs.tobytes() == b.loop.series.coeffs.tobytes()
+    assert a.loop.grid_check == b.loop.grid_check
+    assert a.stats == b.stats
+
+
+@pytest.mark.parametrize("loop", bit_cases()[1:], ids=lambda loop: f"d{loop.d}")
+def test_integrate_equals_chained_steps_bitwise(loop):
+    # integrate marches raw coefficients and builds only the states it returns
+    steps = chained(loop, 0.1, 1e-2)
+    every = integrate(loop, 0.1, 1e-2, sample_every=1)
+    assert len(every) == len(steps) == 11
+    for got, want in zip(every, steps):
+        assert_states_bitwise_equal(got, want)
+    sparse = integrate(loop, 0.1, 1e-2, sample_every=4)
+    assert [s.stats["steps"] for s in sparse] == [0, 4, 8, 10]
+    for got in sparse:
+        assert_states_bitwise_equal(got, steps[got.stats["steps"]])
+
+
+@pytest.mark.parametrize("loop", [bit_cases()[1], bit_cases()[3]], ids=lambda loop: f"d{loop.d}")
+def test_renormalized_integrate_equals_chained_projected_steps(loop):
+    state = fresh_state(loop, 1e-2)
+    for _ in range(5):
+        state = step_rk4(state)
+        projected = project_to_grassmann(state.loop.series, loop.d, loop.k, sq_tol=np.inf, herm_tol=np.inf)
+        state = IntegratorState(loop=projected, t=state.t, dt=state.dt, stats=state.stats)
+    assert_states_bitwise_equal(integrate(loop, 0.05, 1e-2, renormalize=True)[-1], state)
+
+
+def test_cross_validate_drifts_are_the_chained_final_state():
+    q = traveling_profile(BlaschkeProduct(0.0, (0.0,)), 0.5, N=16)
+    res = cross_validate(q, 0.2, 1e-2, plan=make_plan(q), n_checks=4)
+    final = chained(q, 0.2, 1e-2)[-1]
+    assert res["energy_drift"] == final.stats["energy_drift"]
+    assert res["constraint_drift"] == final.stats["constraint_drift"]
+    assert res["curve"][-1]["t"] == final.t
 
 
 def test_rhs_constant_vanishes():
@@ -196,6 +246,9 @@ def test_blow_up_guard():
     bad = GrassmannLoop(2, 1, FourierSeries(2, 1, c), {})
     with pytest.raises(BlowUpError):
         step_rk4(fresh_state(bad, 1e-3))
+    # integrate wraps only its tenth state; the guard stops it on the first raw step
+    with pytest.raises(BlowUpError, match=r"at t = 0\.001$"):
+        integrate(bad, 1e-2, 1e-3)
 
 
 def test_cross_validate_rejects_cutoff_below_datum():

@@ -95,6 +95,21 @@ def test_isometry_interior_columns():
     assert abs(gram[-1, -1]) < 1.0  # the top column is genuinely deficient
 
 
+def test_model_at_time_reuses_the_eigenbasis_arrays(rng):
+    loop = random_rational_loop(rng, 2, 1, twists=2)
+    base = hwm_model(loop, 0.0, 8)
+    m = model_at_time(base, 0.6)
+    assert m.t == 0.6 and base.t == 0.0
+    assert m.eigen_shift is base.eigen_shift
+    assert m.eigen_mean_map is base.eigen_mean_map
+    assert model_at_time(m, 1.1).eigen_shift is base.eigen_shift
+    # the re-timed model iterates as a freshly built one at that time
+    v = rng.standard_normal(base.dim) + 1j * rng.standard_normal(base.dim)
+    fresh = hwm_model(loop, 0.6, 8)
+    got, want = m.iterate(v, [m.t], 12), fresh.iterate(v, [fresh.t], 12)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 def test_defect_curve_monotone_and_telescoping(rng):
     m = model_at_time(zd_bo_model(64, minus_cosine()), 0.9)
     v = rng.standard_normal(65) + 1j * rng.standard_normal(65)
