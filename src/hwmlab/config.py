@@ -80,6 +80,10 @@ class ExperimentConfig:
             raise ConfigError("datum = file requires a file path")
         if self.samples < 1:
             raise ConfigError("samples must be positive")
+        if self.stability_n_max < 1 or self.zdbo_checkpoint < 1:
+            raise ConfigError("stability_n_max and zdbo_checkpoint must be positive")
+        if not self.zdbo_times or not self.zdbo_cutoffs:
+            raise ConfigError("zdbo_times and zdbo_cutoffs must each list at least one value")
         for zero in self.blaschke_zeros:
             if abs(zero) >= 1.0:
                 raise ConfigError(f"Blaschke zero {zero} is not inside the unit disk")

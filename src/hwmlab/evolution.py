@@ -5,8 +5,10 @@ on its finite-dimensional invariant subspace.  Each output Fourier mode is
 one application of ``exp(-i t T) S*`` followed by extraction of the zeroth
 coefficient; the evolved loop is ``analytic part + adjoint - zeroth mode``.
 
-In the eigenbasis ``V`` of the restricted operator the time enters only as
-the diagonal phase ``exp(-i t lam)``: the step is ``diag(phase) V* S* V``.
+The plan's eigenvectors ``frame @ V`` live on the vector section, like every
+other model's, so its inputs are section columns and S* and the mean are
+read off them by slicing.  In that eigenbasis the time enters only as the
+diagonal phase ``exp(-i t lam)``: the step is ``diag(phase) V* S* V``.
 So :func:`solve_many` advances every sample time at once, one block of
 eigenbasis columns per output mode, with no step-size error; one stacked
 eigensolve guards the spectral radii and the grid checks run once per group
@@ -35,7 +37,7 @@ from .operators import (
     schatten_norm,
     toeplitz_vector_section,
 )
-from .stability import IsometryModel, emit, first_stops
+from .stability import IsometryModel, first_stops
 
 __all__ = [
     "EvolutionPlan",
@@ -77,9 +79,10 @@ class EvolutionPlan:
     """Frozen eigen-data driving the flow of one initial loop.
 
     ``model`` is the contraction ``exp(-itT) S*`` on the invariant
-    subspace ``frame``, built from the frame's compressions.  ``c0`` holds
-    the frame coordinates of the initial analytic part's d columns,
-    ``(frame.dim, d)``.
+    subspace ``frame``: its eigenvectors are ``frame @ V`` for the
+    eigenvectors ``V`` of the frame's Toeplitz compression.  ``pu0`` holds
+    the initial analytic part's d columns on the vector section,
+    ``((N_op + 1) d, d)``, and ``mean0`` the datum's zeroth mode.
     """
 
     d: int
@@ -88,7 +91,7 @@ class EvolutionPlan:
     source: FourierSeries
     frame: SubspaceFrame
     model: IsometryModel
-    c0: np.ndarray
+    pu0: np.ndarray
     mean0: np.ndarray
     N_out: int
     tail_tol: float
@@ -121,7 +124,8 @@ def make_plan(
 
     frame = invariant_subspace(u0, N_op, rank_tol=rank_tol)
     t_small = frame.t_restricted
-    c0 = frame.coordinates(project_plus(sym.with_cutoff(N_op)).coeffs.reshape(-1, d))
+    pu0 = project_plus(sym.with_cutoff(N_op)).coeffs.reshape(-1, d)
+    frame.coordinates(pu0)  # raises unless the analytic part lies in the frame
 
     lam, vecs = np.linalg.eigh(0.5 * (t_small + t_small.conj().T))
     recon = float(np.linalg.norm((vecs * lam) @ vecs.conj().T - t_small, ord=2))
@@ -136,8 +140,8 @@ def make_plan(
         N_op=N_op,
         source=sym,
         frame=frame,
-        model=IsometryModel(d, N_op, lam, vecs, frame.mean_map, frame.sstar_restricted),
-        c0=c0,
+        model=IsometryModel(d, N_op, lam, frame.frame @ vecs),
+        pu0=pu0,
         mean0=sym.coeff(0).copy(),
         N_out=N_out,
         tail_tol=tail_tol,
@@ -147,12 +151,12 @@ def make_plan(
 def _modes(plan: EvolutionPlan, times, n_max: int, stop_tol: float | None = None):
     """Modes ``(n+1, T, d, d)`` and norms ``(n+1, T)`` of the analytic part at each time.
 
-    The d columns of ``c0`` step as one curve.  Mode 0 is ``mean_map @ c0``
-    on the plan's own space, so the zeroth mode stays frozen bit for bit.
+    The d columns of ``pu0`` step as one curve.  The flow conserves the
+    mean, so mode 0 is ``mean0`` as is and stays frozen bit for bit.
     """
-    means, norms = plan.model.iterate(plan.c0.reshape(-1), times, n_max, stop_tol)
+    means, norms = plan.model.iterate(plan.pu0.reshape(-1), times, n_max, stop_tol)
     means = means.transpose(0, 3, 1, 2)
-    means[0] = plan.model.mean_map @ plan.c0
+    means[0] = plan.mean0
     return means, norms
 
 
@@ -323,30 +327,24 @@ def conservation_report(
     return out
 
 
-def plan_coordinates_of_constant(plan: EvolutionPlan, matrix: np.ndarray) -> np.ndarray:
-    """Frame coordinates ``(dim, d)`` of the columns of the constant element with the given value."""
-    cols = np.zeros(((plan.N_op + 1) * plan.d, plan.d), dtype=complex)
-    cols[: plan.d] = matrix
-    return plan.frame.coordinates(cols)
-
-
 def intertwining_check(plan: EvolutionPlan, t: float, vectors=None, n_modes: int = 32) -> float:
     """Residual of (backward shift) o U(t) = U(t) o (exp(-itT) S*) on coordinates.
 
-    Both sides are expanded through the coefficient iteration.  Each vector
-    is a ``(dim, d)`` block of frame coordinates, one column per column of a
-    matrix element; they default to the initial analytic part and the
-    constant identity.
+    Both sides are expanded through the coefficient iteration, the right one
+    after one dense :meth:`~hwmlab.stability.IsometryModel.step`.  Each vector
+    is a ``((N_op + 1) d, d)`` block of vector-section columns in the plan's
+    subspace, one column per column of a matrix element; they default to the
+    initial analytic part and the constant identity.
     """
     if vectors is None:
-        vectors = [plan.c0, plan_coordinates_of_constant(plan, np.eye(plan.d))]
+        vectors = [plan.pu0, np.eye(len(plan.pu0), plan.d)]
 
     worst = 0.0
     A = plan.model.step(t)
     for c in vectors:
         c = np.asarray(c, dtype=complex)
-        shifted = emit(A, plan.model.mean_map, c, n_modes)[0][1:]
-        coeffs_g = emit(A, plan.model.mean_map, A @ c, n_modes - 1)[0]
+        shifted = plan.model.iterate(c.reshape(-1), [t], n_modes)[0][1:]
+        coeffs_g = plan.model.iterate((A @ c).reshape(-1), [t], n_modes - 1)[0]
         gap = float(np.sqrt(np.sum(np.abs(shifted - coeffs_g) ** 2)))
         worst = max(worst, gap)
     return worst

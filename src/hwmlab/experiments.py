@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig, config_hash
-from .hardy import FourierSeries, project_plus, sobolev_energy
+from .hardy import FourierSeries, project_plus
 from .grassmann import (
     BlaschkeProduct,
     GrassmannLoop,
@@ -154,32 +154,6 @@ def trajectory_rows(plan, times):
         }
         _mean_entries(row, s.diagnostics["mean"])
         rows.append((row, s))
-    return rows
-
-
-def integrator_trajectory_rows(states):
-    """Direct-integrator states in the same CSV schema as the exact solver.
-
-    The contraction spectral radius has no meaning for the direct method, so
-    that column carries nan; n_modes_used reports the spatial cutoff.
-    """
-    rows = []
-    for st in states:
-        series = st.loop.series
-        row = {
-            "t": float(st.t),
-            "energy": sobolev_energy(series),
-            "constraint_residual": max(
-                st.loop.grid_check.get("involution", np.nan),
-                st.loop.grid_check.get("hermitian", np.nan),
-            )
-            if st.loop.grid_check
-            else np.nan,
-            "spectral_radius": float("nan"),
-            "n_modes_used": series.N,
-        }
-        _mean_entries(row, series.coeff(0))
-        rows.append(row)
     return rows
 
 

@@ -183,11 +183,17 @@ def shift_forward(f: HardyElement) -> HardyElement:
     return HardyElement(f.d, f.N, out, truncated=f.truncated or dropped)
 
 
+def _shift_up(x: np.ndarray, rows: int) -> np.ndarray:
+    """The backward shift on a mode-major array: every row moves up by ``rows``
+    (one mode), and the top mode's rows become 0."""
+    out = np.zeros_like(x)
+    out[:-rows] = x[rows:]
+    return out
+
+
 def shift_backward(f: HardyElement) -> HardyElement:
     """(F(z) - F(0)) / z, the backward shift."""
-    out = np.zeros_like(f.coeffs)
-    out[:-1] = f.coeffs[1:]
-    return HardyElement(f.d, f.N, out, truncated=f.truncated)
+    return HardyElement(f.d, f.N, _shift_up(f.coeffs, 1), truncated=f.truncated)
 
 
 def mean(f) -> np.ndarray:
@@ -356,11 +362,12 @@ def reproduce_check(f: HardyElement, z: complex) -> np.ndarray:
 
     Solves the linear system on the truncated space rather than summing the
     Taylor series, so agreement with :meth:`HardyElement.eval_at` is a real
-    check of the reproducing formula.  Rejects |z| >= 1.
+    check of the reproducing formula.  F runs as its d columns on the vector
+    section, where S* moves rows up by d and M keeps the first d rows.
+    Rejects |z| >= 1.
     """
     if abs(z) >= 1.0:
         raise ValueError(f"reproduce_check needs |z| < 1, got |z| = {abs(z)}")
-    vec = f.coeffs.reshape(-1)
-    A = np.eye(vec.size) - z * shift_backward_matrix(f.d, f.N)
-    x = np.linalg.solve(A, vec)
-    return x.reshape(f.N + 1, f.d, f.d)[0]
+    d, n = f.d, (f.N + 1) * f.d
+    A = np.eye(n) - z * _shift_up(np.eye(n), d)
+    return np.linalg.solve(A, f.coeffs.reshape(n, d))[:d]

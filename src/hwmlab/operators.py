@@ -1,14 +1,16 @@
 """Finite sections of block Toeplitz and Hankel operators with matrix symbols.
 
 Operators act on the truncated Hardy space of d x d matrix polynomials of
-degree <= N, stacked as vectors of length d^2 (N+1): mode-major, row-major
-within each matrix.  The symbol acts by left multiplication, so each column
-of a matrix function evolves on its own: every matrix section is
-``kron(vector section, I_d)``, where the vector section acts on the Hardy
-space of column vectors (length d (N+1), mode-major).  The vector sections
-are the only thing assembled here; their singular values and eigenvalues
-are the matrix sections' with d-fold multiplicity, so every factorization
-runs on them.
+degree <= N.  The symbol acts by left multiplication, so each column of a
+matrix function evolves on its own: everything here runs on the vector
+section, the Hardy space of column vectors (length d (N+1), mode-major),
+and a matrix element is the ``(d (N+1), d)`` block of its columns.  The
+backward shift S* moves rows up by d and the mean keeps the first d rows.
+Singular values and eigenvalues of the matrix sections are the vector
+sections' with d-fold multiplicity.  The matrix sections themselves
+(:func:`build_toeplitz`, :func:`build_hankel`, the lift
+``kron(vector section, I_d)``, and :func:`shift_backward_matrix`) are kept
+only as public entry points; nothing in the package calls them.
 
 Finite sections pollute rows and columns within one symbol bandwidth of the
 top mode N, so every operator identity here is asserted on the interior
@@ -25,6 +27,7 @@ import numpy as np
 from .hardy import (
     FourierSeries,
     HardyElement,
+    _shift_up,
     fractional_derivative,
     project_plus,
     shift_backward_matrix,
@@ -45,9 +48,6 @@ __all__ = [
     "toeplitz_vector_section",
     "hankel_vector_section",
     "shift_backward_matrix",
-    "interior_indices",
-    "stack",
-    "unstack",
     "apply_toeplitz_grid",
     "key_identity_check",
     "eig_hermitian",
@@ -57,7 +57,6 @@ __all__ = [
     "kronecker_rank",
     "schatten_norm",
     "b_vector_section",
-    "build_b_operator",
 ]
 
 
@@ -80,15 +79,6 @@ def bandwidth(f: FourierSeries, tol: float = 1e-13) -> int:
     if live.size == 0:
         return 0
     return int(max(abs(live[0] - f.N), abs(live[-1] - f.N)))
-
-
-def stack(f: HardyElement) -> np.ndarray:
-    """HardyElement -> stacked coordinate vector."""
-    return f.coeffs.reshape(-1).copy()
-
-
-def unstack(vec: np.ndarray, d: int, N: int, truncated: bool = False) -> HardyElement:
-    return HardyElement(d, N, vec.reshape(N + 1, d, d), truncated=truncated)
 
 
 @dataclass(frozen=True)
@@ -114,10 +104,6 @@ class BlockHankel:
     matrix: np.ndarray
     symbol: FourierSeries
 
-    def gram(self) -> np.ndarray:
-        """The nonnegative operator H* H on the truncated Hardy space."""
-        return self.matrix.conj().T @ self.matrix
-
 
 @dataclass(frozen=True)
 class SpectralData:
@@ -139,19 +125,15 @@ class SubspaceFrame:
     Columns of ``frame`` live on the vector section and span ran(H*) plus
     the columns of the analytic part of the symbol and the constants; the
     matrix-valued subspace is its lift, the elements whose d columns all lie
-    in it.  ``t_restricted`` and ``sstar_restricted`` are the compressions
-    of the Toeplitz operator and the backward shift; because the subspace is
-    invariant, compressions agree with restrictions up to
-    ``invariance_residual``.  ``mean_map[:, j]`` is the zeroth coefficient
-    of the j-th frame column.
+    in it.  ``t_restricted`` is the compression of the Toeplitz operator;
+    because the subspace is invariant under it and under the backward shift,
+    compressions agree with restrictions up to ``invariance_residual``.
     """
 
     d: int
     N: int
     frame: np.ndarray
     t_restricted: np.ndarray
-    sstar_restricted: np.ndarray
-    mean_map: np.ndarray
     hankel_rank: int
     singular_values: np.ndarray
     invariance_residual: float
@@ -209,12 +191,11 @@ def build_hankel(u, N: int) -> BlockHankel:
     return BlockHankel(sym.d, N, np.kron(hankel_vector_section(sym, N), np.eye(sym.d)), sym)
 
 
-def interior_indices(d: int, N: int, band: int) -> np.ndarray:
-    """Stacked indices of modes 0 .. N - band."""
-    keep = N - band
-    if keep < 0:
+def _interior_rows(d: int, N: int, band: int) -> int:
+    """Number of vector-section rows in modes 0 .. N - band."""
+    if band > N:
         raise ValueError(f"bandwidth {band} exceeds cutoff {N}")
-    return np.arange((keep + 1) * d * d)
+    return (N - band + 1) * d
 
 
 def apply_toeplitz_grid(u, f: HardyElement, oversample: int = 3) -> HardyElement:
@@ -244,8 +225,7 @@ def key_identity_check(u, N: int) -> dict:
     H = hankel_vector_section(sym, N)
     K = H.conj().T @ H
     band = bandwidth(sym)
-    # interior_indices counts matrix coordinates, d per vector coordinate
-    keep = interior_indices(sym.d, N, band).size // sym.d
+    keep = _interior_rows(sym.d, N, band)
     combo = T @ T + K - np.eye(T.shape[0])
     interior_residual = float(np.linalg.norm(combo[:keep, :keep], ord=2))
     trace = float(np.trace(K).real)
@@ -271,21 +251,26 @@ def eig_hermitian(A: np.ndarray, delta_edge: float = 0.1) -> SpectralData:
 
 
 def commutator_rank_one_check(u, N: int, f: HardyElement) -> float:
-    """Residual of [S*, T_U] F = (S* analytic-part-of-U) F_0 on the section."""
+    """Residual of [S*, T_U] F = (S* analytic-part-of-U) F_0 on the interior modes.
+
+    F runs as its d columns on the vector section.
+    """
     sym = symbol_of(u)
-    T = build_toeplitz(sym, N)
-    S = shift_backward_matrix(sym.d, N)
-    vec = f.with_cutoff(N).coeffs.reshape(-1)
-    lhs = S @ (T.matrix @ vec) - T.matrix @ (S @ vec)
+    d = sym.d
+    T = toeplitz_vector_section(sym, N)
+    cols = f.with_cutoff(N).coeffs.reshape(-1, d)
+    lhs = _shift_up(T @ cols, d) - T @ _shift_up(cols, d)
     pu = project_plus(sym.with_cutoff(N + 1)).coeffs[1:]  # backward shift of the analytic part
-    rhs = np.einsum("nij,jk->nik", pu, f.coeff(0)).reshape(-1)
-    band = bandwidth(sym)
-    idx = interior_indices(sym.d, N, band + 1)
-    return float(np.linalg.norm((lhs - rhs)[idx]))
+    rhs = pu.reshape(-1, d) @ f.coeff(0)
+    keep = _interior_rows(d, N, bandwidth(sym) + 1)
+    return float(np.linalg.norm((lhs - rhs)[:keep]))
 
 
 def toeplitz_product_identity(f: FourierSeries, g: FourierSeries, N: int) -> float:
-    """Interior residual of T_{FG} - T_F T_G = H*_{F*} H_G on finite sections."""
+    """Interior residual of T_{FG} - T_F T_G = H*_{F*} H_G on the vector sections.
+
+    The matrix sections are their lifts, with the same interior 2-norm.
+    """
     if f.d != g.d:
         raise ValueError("symbols must share the matrix dimension")
     from .hardy import GridSamples, evaluate_grid, fit_series, grid_product
@@ -296,19 +281,13 @@ def toeplitz_product_identity(f: FourierSeries, g: FourierSeries, N: int) -> flo
     gv = evaluate_grid(g.with_cutoff(Nfg), M).values
     fg = fit_series(GridSamples(f.d, M, grid_product(fv, gv)), Nfg)
 
-    Tfg = build_toeplitz(fg, N)
-    Tf = build_toeplitz(f, N)
-    Tg = build_toeplitz(g, N)
     fstar = FourierSeries(
         f.d, f.N, np.conj(np.transpose(f.coeffs[::-1], (0, 2, 1)))
     )
-    Hf = build_hankel(fstar, N)
-    Hg = build_hankel(g, N)
-    lhs = Tfg.matrix - Tf.matrix @ Tg.matrix
-    rhs = Hf.matrix.conj().T @ Hg.matrix
-    band = max(bandwidth(f), bandwidth(g))
-    idx = interior_indices(f.d, N, min(N, band))
-    return float(np.linalg.norm((lhs - rhs)[np.ix_(idx, idx)], ord=2))
+    lhs = toeplitz_vector_section(fg, N) - toeplitz_vector_section(f, N) @ toeplitz_vector_section(g, N)
+    rhs = hankel_vector_section(fstar, N).conj().T @ hankel_vector_section(g, N)
+    keep = _interior_rows(f.d, N, min(N, max(bandwidth(f), bandwidth(g))))
+    return float(np.linalg.norm((lhs - rhs)[:keep, :keep], ord=2))
 
 
 def kronecker_rank(u, N: int, rank_tol: float = 1e-8) -> tuple[int, np.ndarray]:
@@ -345,9 +324,9 @@ def invariant_subspace(u, N: int, rank_tol: float = 1e-8, gap_ratio: float = 1e3
     right singular vectors (its co-range), the d columns of the analytic part
     of the symbol and the d constant unit vectors; the matrix-valued subspace
     is its lift.  ``hankel_rank`` and ``singular_values`` count each singular
-    value d times, as the matrix section does.  The returned compressions of
-    the Toeplitz operator and backward shift come with measured invariance
-    residuals.
+    value d times, as the matrix section does.  The returned compression of
+    the Toeplitz operator comes with the measured invariance residual under
+    it and the backward shift.
     """
     sym = symbol_of(u)
     d = sym.d
@@ -372,19 +351,15 @@ def invariant_subspace(u, N: int, rank_tol: float = 1e-8, gap_ratio: float = 1e3
     frame = q[:, s > 1e-10 * s[0]]
 
     tf = toeplitz_vector_section(sym, N) @ frame
-    sf = np.zeros_like(frame)
-    sf[:-d] = frame[d:]
+    sf = _shift_up(frame, d)
     t_k = frame.conj().T @ tf
-    s_k = frame.conj().T @ sf
     res_t = np.linalg.norm(tf - frame @ t_k, ord=2)
-    res_s = np.linalg.norm(sf - frame @ s_k, ord=2)
+    res_s = np.linalg.norm(sf - frame @ (frame.conj().T @ sf), ord=2)
     return SubspaceFrame(
         d=d,
         N=N,
         frame=frame,
         t_restricted=t_k,
-        sstar_restricted=s_k,
-        mean_map=frame[:d],
         hankel_rank=d * r,
         singular_values=np.repeat(sv, d),
         invariance_residual=float(max(res_t, res_s)),
@@ -406,8 +381,3 @@ def b_vector_section(u, N: int, sign: int = +1) -> np.ndarray:
     n = np.repeat(np.arange(N + 1.0), sym.d)
     Tdu = toeplitz_vector_section(fractional_derivative(sym, "|D|"), N)
     return sign * (-0.5j * (T * n + n[:, None] * T) + 0.5j * Tdu)
-
-
-def build_b_operator(u, N: int, sign: int = +1) -> np.ndarray:
-    """The skew generator on the matrix section: the lift of :func:`b_vector_section`."""
-    return np.kron(b_vector_section(u, N, sign), np.eye(symbol_of(u).d))

@@ -7,8 +7,11 @@ emitted norm tells whether the propagator is unitary (strong stability of
 ``Sigma*``) or loses norm.  The flow models take ``L`` = the Toeplitz
 operator of the initial datum, factored on its vector section: the symbol
 acts by left multiplication, so a matrix-valued input is its d columns,
-stepped side by side as one curve.  The scalar zero-dispersion model is the
-counterexample where norm loss appears after the first breaking time.
+stepped side by side as one curve.  Every model, an exact flow's included,
+holds its eigenvectors on the vector section, so the backward shift (rows
+up by d) and the mean projection (the first d rows) are read off them by
+slicing.  The scalar zero-dispersion model is the counterexample where norm
+loss appears after the first breaking time.
 
 Every defect curve here and every output mode of the exact flow runs on
 one path: :meth:`IsometryModel.iterate` steps its start vectors in the
@@ -134,15 +137,15 @@ class IsometryModel:
     """Truncated Hardy-space contraction ``Sigma* = exp(-i t_scale t L) S*``.
 
     ``d`` is the coefficient matrix dimension (1 for scalar models) and
-    ``N`` the Hardy-space cutoff.  ``lam``/``vecs`` hold the
-    eigendecomposition of the Hermitian generator, so the model can be
-    re-timed without refactorizing.  The generator acts on column vectors:
-    the vector section (``(N+1) d`` wide) or an exact flow's invariant
-    subspace of it, and a matrix input runs as its d columns.
-    ``mean_map`` is P_Sigma, the defect projection onto the zeroth
-    coefficient, ``(d, lam.size)``.  ``sstar`` is a dense compressed
-    backward shift (an invariant subspace); ``None`` means the standard
-    backward shift.
+    ``N`` the Hardy-space cutoff.  The generator acts on column vectors of
+    the vector section, ``(N+1) d`` long and mode-major, and a matrix input
+    runs as its d columns.  ``lam``/``vecs`` hold its eigendecomposition on
+    section coordinates, so the model can be re-timed without
+    refactorizing: ``vecs`` has orthonormal columns, square for a generator
+    on the whole section and ``frame @ V`` for an exact flow's invariant
+    subspace, whose starts must lie in its span.  The backward shift S* moves
+    rows up by d and the mean projection P_Sigma keeps the first d rows, so
+    both are read off ``vecs`` by slicing.
     ``time_scale`` converts model time into generator phase (the
     zero-dispersion model transports at twice the profile, so it carries 2).
     """
@@ -151,26 +154,22 @@ class IsometryModel:
     N: int
     lam: np.ndarray
     vecs: np.ndarray
-    mean_map: np.ndarray
-    sstar: np.ndarray | None = None
     t: float = 0.0
     time_scale: float = 1.0
     label: str = ""
 
     @property
     def dim(self) -> int:
-        """Length of an input vector: the generator's size times its d columns."""
-        return self.lam.size * self.d
+        """Length of an input vector: the section's size times its d columns."""
+        return len(self.vecs) * self.d
 
     def step(self, t: float) -> np.ndarray:
-        """``exp(-i time_scale t L) S*`` as a dense matrix on the generator's coordinates.
+        """``exp(-i time_scale t L) S*`` as a dense matrix on section coordinates.
 
-        The standard backward shift is applied by shifting columns: column
-        block n of the product is column block n - 1 of the exponential.
+        The backward shift is applied by shifting columns: column block n of
+        the product is column block n - 1 of the exponential.
         """
         expo = (self.vecs * np.exp(-1j * (self.time_scale * t) * self.lam)) @ self.vecs.conj().T
-        if self.sstar is not None:
-            return expo @ self.sstar
         out = np.zeros_like(expo)
         out[:, self.d :] = expo[:, : -self.d]
         return out
@@ -179,18 +178,17 @@ class IsometryModel:
     def eigen_shift(self) -> np.ndarray:
         """``V* S* V``, the shift in the generator's eigenbasis ``V``.
 
-        ``step(t)`` is ``V diag(phases(t)) eigen_shift V*``, so in eigenbasis
+        ``step(t) V`` is ``V diag(phases(t)) eigen_shift``, so in eigenbasis
         coordinates a step at any time is this matrix with its rows phased.
         """
         vh = self.vecs.conj().T
-        if self.sstar is not None:
-            return vh @ self.sstar @ self.vecs
         return vh[:, : -self.d] @ self.vecs[self.d :]
 
     @cached_property
     def eigen_mean_map(self) -> np.ndarray:
-        """``mean_map @ V``: the mean read off eigenbasis coordinates."""
-        return self.mean_map @ self.vecs
+        """``P_Sigma V``: the mean read off eigenbasis coordinates."""
+        # complex even for a real generator: a mixed product costs twice a complex one per step
+        return self.vecs[: self.d].astype(complex)
 
     def phases(self, times) -> np.ndarray:
         """``exp(-i time_scale t lam)``, one row per eigenvalue and one column per time."""
@@ -201,16 +199,17 @@ class IsometryModel:
 
         ``x`` holds start vectors of length :attr:`dim`, ``(dim,)`` for one
         start at every time or ``(dim, T)`` for one start per time.  A start
-        is a stacked matrix element, ``(lam.size, d)`` in row-major order;
+        is a stacked matrix element, ``((N+1) d, d)`` in row-major order;
         its d columns form one curve, whose norm is the root-sum-square of
         theirs.  The iteration runs on eigenbasis coordinates ``V* x`` as one
-        :func:`emit` block; ``V`` is unitary, so norms and means are those of
-        the dense steps.  ``stop_tol`` is :func:`emit`'s and acts on the curve
-        norms.
+        :func:`emit` block; ``V`` is an isometry onto a space that holds the
+        starts and is invariant under the steps, so norms and means are those
+        of the dense steps.  ``stop_tol`` is :func:`emit`'s and acts on the
+        curve norms.
         """
         phase = self.phases(times)
         n = self.lam.size
-        w = (self.vecs.conj().T @ x.reshape(n, -1)).reshape(n, self.d, -1)
+        w = (self.vecs.conj().T @ x.reshape(len(self.vecs), -1)).reshape(n, self.d, -1)
         if x.ndim == 1:
             w = np.repeat(w, phase.shape[1], axis=2)
         means, norms = emit(self.eigen_shift, self.eigen_mean_map, w, n_max, stop_tol, phase[:, None])
@@ -218,10 +217,9 @@ class IsometryModel:
 
 
 def _standard_model(L: np.ndarray, d: int, N: int, t: float, time_scale: float, label: str) -> IsometryModel:
-    """Model with the standard shift and mean map, from a Hermitian vector-section generator (real if L is)."""
+    """Model from a Hermitian vector-section generator (real if L is)."""
     lam, vecs = np.linalg.eigh(L if L.imag.any() else L.real)
-    mean_map = np.eye(d, lam.size, dtype=complex)
-    return IsometryModel(d, N, lam, vecs, mean_map, t=t, time_scale=time_scale, label=label)
+    return IsometryModel(d, N, lam, vecs, t=t, time_scale=time_scale, label=label)
 
 
 def isometry_model(L: np.ndarray, t: float, d: int, N: int, label: str = "") -> IsometryModel:
@@ -301,6 +299,10 @@ def _as_vector(model: IsometryModel, f) -> np.ndarray:
     vec = np.asarray(f, dtype=complex).reshape(-1)
     if vec.size != model.dim:
         raise ValueError(f"expected a vector of length {model.dim}, got {vec.size}")
+    cols = vec.reshape(len(model.vecs), model.d)
+    residual = np.linalg.norm(cols - model.vecs @ (model.vecs.conj().T @ cols))
+    if residual > 1e-10 * np.linalg.norm(vec):
+        raise ValueError(f"start lies off the model's subspace (residual {residual:.2e})")
     return vec
 
 
@@ -327,7 +329,7 @@ def _report(means: np.ndarray, norms: np.ndarray) -> StabilityReport:
     residual = float(np.max(np.abs(partial - balance))) if partial.size else 0.0
     n_steps = norms.size - 1
     half = max(1, n_steps // 2)
-    if norms[half] > 0.0 and norms[-1] > 0.0 and n_steps > half:
+    if n_steps > half and norms[half] > 0.0 and norms[-1] > 0.0:
         octaves = np.log2(n_steps / half)
         slope = float((np.log2(norms[-1]) - np.log2(norms[half])) / max(octaves, 1e-12))
     else:
@@ -404,6 +406,8 @@ def zd_bo_norm_curve(
     All times of one cutoff run as one :meth:`IsometryModel.iterate` block, in
     real arithmetic when the generator is real; each time stops at its own norm <= 1e-9.
     """
+    if not Ns:
+        raise ValueError("zd_bo_norm_curve needs at least one cutoff")
     rows = []
     onsets = {}
     for N in Ns:
@@ -458,7 +462,7 @@ def wold_decomposition_estimate(model: IsometryModel, budget: int, tol: float = 
     dim_u = int(np.count_nonzero(sv < tol))
     return {
         "dim_unitary": dim_u,
-        "dim_stable": model.dim - dim_u,
+        "dim_stable": n * d - dim_u,
         "singular_values": sv,
         "budget": budget,
         "tol": tol,

@@ -111,7 +111,8 @@ def test_criterion_4_conservation(criterion4_data):
         rows = conservation_report(plan, times, N_rank=24)
         e = np.array([r["energy"] for r in rows])
         de = float(np.max(np.abs(e - e[0])))
-        mean_fixed = all(np.array_equal(r["mean"], rows[0]["mean"]) for r in rows)
+        # the zeroth mode is the datum's mean, bit for bit, at every time
+        mean_fixed = all(np.array_equal(r["mean"], loop.series.coeff(0)) for r in rows)
         res = float(np.max([r["constraint_residual"] for r in rows]))
         ranks = {r["hankel_rank"] for r in rows}
         ok = ok and de < 1e-7 and mean_fixed and res < 1e-7 and len(ranks) == 1

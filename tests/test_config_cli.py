@@ -124,6 +124,26 @@ def test_cli_spectrum_report(tmp_path):
     assert ranks == {2}
 
 
+@pytest.mark.parametrize(
+    "experiment, line",
+    [
+        ("zdbo", "zdbo_cutoffs ="),
+        ("zdbo", "zdbo_times ="),
+        ("zdbo", "zdbo_checkpoint = 0"),
+        ("stability", "stability_n_max = 0"),
+        ("stability", "stability_n_max = -1"),
+    ],
+)
+def test_cli_rejects_empty_or_zero_budgets(tmp_path, experiment, line):
+    cfg_file = tmp_path / "e.cfg"
+    cfg_file.write_text(line + "\n")
+    res = CliRunner().invoke(main, [experiment, "--config", str(cfg_file), "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2, res.output
+    key = line.split()[0]
+    assert key in res.output
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_usage_errors_exit_2(tmp_path):
     runner = CliRunner()
     res = runner.invoke(main, ["evolve", "--config", str(tmp_path / "missing.cfg")])
@@ -182,21 +202,6 @@ def test_cli_seed_override_changes_output(tmp_path):
         assert res.exit_code == 0, res.output
         outs[seed] = (out / "loop_initial.json").read_text()
     assert outs[1] != outs[2]
-
-
-def test_integrator_rows_share_trajectory_schema(tmp_path):
-    from hwmlab.experiments import integrator_trajectory_rows, trajectory_rows
-    from hwmlab.evolution import make_plan
-    from hwmlab.integrator import integrate
-
-    cfg = parse_config(BASE_CFG)
-    loop = build_datum(cfg)
-    plan = make_plan(loop)
-    exact = trajectory_rows(plan, [0.0, 0.1])
-    states = integrate(loop, 0.1, 0.05, sample_every=1)
-    direct = integrator_trajectory_rows(states)
-    assert set(direct[0]) == set(exact[0][0])
-    assert abs(direct[-1]["energy"] - exact[-1][0]["energy"]) < 1e-9
 
 
 def test_cli_validate_reduced_cutoff_downgrades(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hwmlab.hardy import FourierSeries, project_plus, sobolev_energy
+from hwmlab.hardy import FourierSeries, HardyElement, project_plus, sobolev_energy
 from hwmlab.grassmann import (
     TRAVELING_SIGN,
     BlaschkeProduct,
@@ -77,23 +77,36 @@ def test_plan_soliton_frequencies():
 @pytest.mark.parametrize("kind", ["rational", "standard"])
 def test_plan_step_matches_retimed_model(kind):
     loop = soliton(0.5, N=12)
-    # the standard backward shift runs on the flow model's vector section
-    model = make_plan(loop).model if kind == "rational" else hwm_model(loop, 0.0, 12)
+    plan = make_plan(loop)
+    # both models run on the vector section: the plan's eigenvectors span its frame
+    model = plan.model if kind == "rational" else hwm_model(loop, 0.0, plan.N_op)
+    rows = (plan.N_op + 1) * loop.d
+    assert model.vecs.shape == (rows, plan.frame.dim if kind == "rational" else rows)
     for t in (0.0, 0.9, 3.7):
         # the retimed model's eigenbasis step, the form every iteration runs on
         m = model_at_time(model, t)
-        eigen_form = m.vecs @ (m.phases([m.t]) * m.eigen_shift) @ m.vecs.conj().T
-        assert np.max(np.abs(model.step(t) - eigen_form)) < 1e-13
-    assert (model.sstar is None) == (kind == "standard")
+        eigen_form = m.vecs @ (m.phases([m.t]) * m.eigen_shift)
+        assert np.max(np.abs(model.step(t) @ m.vecs - eigen_form)) < 1e-13
 
 
 def test_rational_model_rejects_hardy_element():
-    # a HardyElement lives on the whole truncated space, not on the frame
+    # the plan's model takes section coordinates, but only elements of its frame
     plan = make_plan(soliton(0.5, N=12))
     f = project_plus(plan.source.with_cutoff(plan.N_op))
-    assert f.coeffs.size != plan.model.dim
+    assert f.coeffs.size == plan.model.dim
+    # the analytic part lies in the frame: its output modes are the flow's at t = 0
+    modes, _ = _modes(plan, [0.0], 4)
+    assert np.max(np.abs(apply_u_sigma(plan.model, f, 4).coeffs - modes[:, 0])) < 1e-13
+    top = np.zeros_like(f.coeffs)
+    top[-1] = np.eye(2)
+    off = HardyElement(2, plan.N_op, top)
+    frame = plan.frame.frame
+    cols = top.reshape(-1, 2)
+    assert np.linalg.norm(cols - frame @ (frame.conj().T @ cols)) > 0.5
+    with pytest.raises(ValueError, match="off the model's subspace"):
+        apply_u_sigma(plan.model, off, 4)
     with pytest.raises(ValueError, match="length"):
-        apply_u_sigma(plan.model, f, 4)
+        apply_u_sigma(plan.model, np.zeros(plan.model.dim + 1), 4)
 
 
 def test_plan_propagates_not_rational(rng):
@@ -330,8 +343,12 @@ def test_plan_modes_match_full_section_model(dk, twists, key):
     times, n_max = np.array([0.0, 0.7, 2.9]), 24
     got, _ = _modes(plan, times, n_max)
     pu = project_plus(loop.series.with_cutoff(plan.N_op)).coeffs.reshape(-1)
-    ref, _ = hwm_model(loop, 0.0, plan.N_op).iterate(pu, times, n_max)
+    full = hwm_model(loop, 0.0, plan.N_op)
+    ref, _ = full.iterate(pu, times, n_max)
     assert np.max(np.abs(got - ref.transpose(0, 3, 1, 2))) < 1e-12
+    # both models' dense steps act alike on the analytic part, which lies in the frame
+    for t in times:
+        assert np.max(np.abs(plan.model.step(t) @ plan.pu0 - full.step(t) @ plan.pu0)) < 1e-12
 
 
 def test_embedded_datum_evolves(twist_plan):
@@ -346,14 +363,18 @@ def test_embedded_datum_evolves(twist_plan):
 
 def reference_solve(plan, t):
     """Reference solve: per time one step matrix, one eigensolve and one
-    mode loop on the plan's own coordinates."""
-    A = plan.model.step(t)
+    mode loop, on frame coordinates of the dense section step."""
+    F = plan.frame.frame
+    A = F.conj().T @ plan.model.step(t) @ F
     r = float(np.max(np.abs(np.linalg.eigvals(A))))
     if r >= 1.0:
         raise SpectralRadiusError(f"contraction spectral radius {r} >= 1 at t = {t}")
-    # the d columns of c0 step as one curve
-    coeffs, norms = emit(A, plan.model.mean_map, plan.c0[:, :, None], plan.N_out, plan.tail_tol)
+    # the d columns of the analytic part step as one curve
+    coeffs, norms = emit(A, F[: plan.d], (F.conj().T @ plan.pu0)[:, :, None], plan.N_out, plan.tail_tol)
     norms = norms[:, 0]
+    # the flow conserves the mean: the emitted mode 0 is the datum's, up to rounding
+    assert np.max(np.abs(coeffs[0] - plan.mean0)) < 1e-14
+    coeffs[0] = plan.mean0
     n = coeffs.shape[0] - 1
     series_coeffs = np.zeros((2 * n + 1, plan.d, plan.d), dtype=complex)
     series_coeffs[n] = coeffs[0] + coeffs[0].conj().T - plan.mean0
@@ -426,8 +447,8 @@ def test_solve_many_blocks_long_time_arrays(flow_plans, monkeypatch):
 
 
 def scaled_plan(plan, scale):
-    """The plan with its compressed shift scaled, which scales every contraction radius."""
-    return dataclasses.replace(plan, model=dataclasses.replace(plan.model, sstar=scale * plan.model.sstar))
+    """The plan with its eigenvectors scaled by sqrt(scale), which scales every contraction radius by scale."""
+    return dataclasses.replace(plan, model=dataclasses.replace(plan.model, vecs=np.sqrt(scale) * plan.model.vecs))
 
 
 def test_spectral_radius_error_names_first_offending_time(flow_plans):

@@ -44,3 +44,33 @@ def test_public_names_resolve():
         module = importlib.import_module(name)
         for public in getattr(module, "__all__", ()):
             assert hasattr(module, public), f"{name}.{public}"
+
+
+MATRIX_SECTION_BUILDERS = {"build_toeplitz", "build_hankel", "shift_backward_matrix"}
+
+
+def package_functions():
+    """(module file, function node) for every function defined in the package."""
+    for path in sorted(Path(hwmlab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield path.name, node
+
+
+def called_names(fn):
+    """Names of everything ``fn`` calls, as plain names or attributes (``np.kron`` -> ``kron``)."""
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Call):
+            f = node.func
+            yield f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+
+
+def test_no_package_path_builds_a_matrix_section():
+    # everything runs on vector sections; the matrix sections are public entry points only
+    functions = list(package_functions())
+    assert {fn.name for _, fn in functions} >= MATRIX_SECTION_BUILDERS
+    for module, fn in functions:
+        calls = set(called_names(fn))
+        assert not calls & MATRIX_SECTION_BUILDERS, f"{module}:{fn.name} calls {calls & MATRIX_SECTION_BUILDERS}"
+        if "kron" in calls:
+            assert (module, fn.name) in {("operators.py", "build_toeplitz"), ("operators.py", "build_hankel")}

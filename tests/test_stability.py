@@ -39,10 +39,12 @@ def analytic_part_vector(loop, N):
 def dense_curve(model, v, n_max, stop_tol=None):
     """Dense reference: the step matrix at the model's time iterated on one start, up to its first stop.
 
-    The start's d columns step side by side as one curve.
+    The start's d columns step side by side as one curve; the mean is the
+    section's first d rows.
     """
-    start = np.asarray(v, dtype=complex).reshape(model.lam.size, model.d, 1)
-    means, norms = emit(model.step(model.t), model.mean_map, start, n_max, stop_tol)
+    rows = len(model.vecs)
+    start = np.asarray(v, dtype=complex).reshape(rows, model.d, 1)
+    means, norms = emit(model.step(model.t), np.eye(model.d, rows), start, n_max, stop_tol)
     return means.reshape(len(means), model.d, model.d), norms[:, 0]
 
 
@@ -108,6 +110,22 @@ def test_model_at_time_reuses_the_eigenbasis_arrays(rng):
     fresh = hwm_model(loop, 0.6, 8)
     got, want = m.iterate(v, [m.t], 12), fresh.iterate(v, [fresh.t], 12)
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_zero_step_defect_curve(rng):
+    m = model_at_time(zd_bo_model(16, minus_cosine()), 0.9)
+    v = rng.standard_normal(17) + 1j * rng.standard_normal(17)
+    rep = parseval_defect(m, v, 0)
+    assert rep.n_steps == 0 and rep.norms.shape == rep.emitted_sq.shape == (1,)
+    assert rep.norms[0] == pytest.approx(np.linalg.norm(v), rel=1e-13)
+    assert rep.emitted_sq[0] == pytest.approx(abs(v[0]) ** 2, rel=1e-13)
+    assert rep.telescope_residual == 0.0
+    assert rep.tail_slope_per_octave == -np.inf
+
+
+def test_zd_bo_norm_curve_needs_a_cutoff():
+    with pytest.raises(ValueError, match="at least one cutoff"):
+        zd_bo_norm_curve(minus_cosine(), (0.4,), Ns=())
 
 
 def test_defect_curve_monotone_and_telescoping(rng):
@@ -237,7 +255,7 @@ def test_wold_flip_model_and_zdbo():
 def test_model_at_time_reuses_eigendata():
     base = zd_bo_model(16, minus_cosine())
     m = model_at_time(base, 0.4)
-    assert m.lam is base.lam and m.vecs is base.vecs and m.mean_map is base.mean_map
+    assert m.lam is base.lam and m.vecs is base.vecs
     assert (m.t, base.t) == (0.4, 0.0)
     assert np.array_equal(m.step(m.t), base.step(0.4))
 
@@ -263,15 +281,16 @@ def test_emit_block_columns_follow_their_phased_steps():
     model = plan.model
     times = np.array([0.0, 0.4, 1.3, 2.9])
     phase = model.phases(times)
-    # each curve is the d columns of c0
-    w0 = model.vecs.conj().T @ plan.c0
+    # each curve is the d columns of the analytic part
+    w0 = model.vecs.conj().T @ plan.pu0
     block = np.repeat(w0[:, :, None], times.size, axis=2)
     tol = 1e-3
     means, norms = emit(model.eigen_shift, model.eigen_mean_map, block, 200, tol, phase[:, None])
     means = means.reshape(norms.shape[0], 2, 2, times.size)
     for j, t in enumerate(times):
         # curve j is the eigenbasis image of the one-curve dense iteration at time t
-        single_means, single_norms = emit(model.step(t), model.mean_map, (model.vecs @ w0)[:, :, None], 200, tol)
+        start = (model.vecs @ w0)[:, :, None]
+        single_means, single_norms = emit(model.step(t), np.eye(2, len(start)), start, 200, tol)
         n = single_norms.shape[0]
         assert np.max(np.abs(means[:n, :, :, j] - single_means)) < 1e-13
         assert np.max(np.abs(norms[:n, j] - single_norms[:, 0])) < 1e-13
