@@ -82,8 +82,9 @@ class ExperimentConfig:
             raise ConfigError("samples must be positive")
         if self.stability_n_max < 1 or self.zdbo_checkpoint < 1:
             raise ConfigError("stability_n_max and zdbo_checkpoint must be positive")
-        if not self.zdbo_times or not self.zdbo_cutoffs:
-            raise ConfigError("zdbo_times and zdbo_cutoffs must each list at least one value")
+        for key in ("stability_times", "zdbo_times", "zdbo_cutoffs", "bench_degrees"):
+            if not getattr(self, key):
+                raise ConfigError(f"{key} must list at least one value")
         for zero in self.blaschke_zeros:
             if abs(zero) >= 1.0:
                 raise ConfigError(f"Blaschke zero {zero} is not inside the unit disk")

@@ -37,7 +37,7 @@ from .operators import (
     schatten_norm,
     toeplitz_vector_section,
 )
-from .stability import IsometryModel, first_stops
+from .stability import IsometryModel, _as_vector, first_stops
 
 __all__ = [
     "EvolutionPlan",
@@ -107,25 +107,22 @@ class TrajectorySample:
 def make_plan(
     u0: GrassmannLoop,
     N_out: int = HARD_MODE_CAP,
-    N_op: int | None = None,
     rank_tol: float = 1e-8,
     tail_tol: float = 1e-12,
 ) -> EvolutionPlan:
     """Build the eigen-data for evolving ``u0``.
 
     Restricts to the invariant subspace found from the Hankel singular
-    values at cutoff ``N_op`` and propagates NotRationalError if there is
-    none.
+    values at cutoff ``N_op = max(2 bandwidth + 2, 8)`` and propagates
+    NotRationalError if there is none.
     """
     sym = u0.series
-    if N_op is None:
-        N_op = max(2 * bandwidth(sym) + 2, 8)
+    N_op = max(2 * bandwidth(sym) + 2, 8)
     d = u0.d
 
     frame = invariant_subspace(u0, N_op, rank_tol=rank_tol)
     t_small = frame.t_restricted
     pu0 = project_plus(sym.with_cutoff(N_op)).coeffs.reshape(-1, d)
-    frame.coordinates(pu0)  # raises unless the analytic part lies in the frame
 
     lam, vecs = np.linalg.eigh(0.5 * (t_small + t_small.conj().T))
     recon = float(np.linalg.norm((vecs * lam) @ vecs.conj().T - t_small, ord=2))
@@ -133,6 +130,8 @@ def make_plan(
         raise RuntimeError(f"restricted operator reconstruction residual {recon:.2e} exceeds 1e-10")
     if np.max(np.abs(lam)) > 1.0 + 1e-8:
         raise RuntimeError(f"restricted spectrum leaves [-1, 1]: max |lambda| = {np.max(np.abs(lam))}")
+    model = IsometryModel(d, N_op, lam, frame.frame @ vecs)
+    _as_vector(model, pu0)  # raises unless the analytic part lies in the model's subspace
 
     return EvolutionPlan(
         d=d,
@@ -140,7 +139,7 @@ def make_plan(
         N_op=N_op,
         source=sym,
         frame=frame,
-        model=IsometryModel(d, N_op, lam, frame.frame @ vecs),
+        model=model,
         pu0=pu0,
         mean0=sym.coeff(0).copy(),
         N_out=N_out,
@@ -264,16 +263,11 @@ def solve_at_time(plan: EvolutionPlan, t: float) -> TrajectorySample:
     return solve_many(plan, [t])[0]
 
 
-def lax_isospectrality_check(
-    plan: EvolutionPlan,
-    times,
-    N: int | None = None,
-    delta: float = 0.05,
-) -> dict:
+def lax_isospectrality_check(plan: EvolutionPlan, times, N: int | None = None) -> dict:
     """Compare interior Toeplitz eigenvalues of evolved loops against t = 0.
 
-    Interior means mu strictly inside (-1 + delta, 1 - delta), where finite
-    sections of involution-valued symbols carry the persistent spectrum.  The
+    Interior means mu strictly inside (-0.95, 0.95), where finite sections
+    of involution-valued symbols carry the persistent spectrum.  The
     eigenvalues come from the vector section; counts and ``interior_base``
     are the matrix section's, each eigenvalue repeated d times.
     """
@@ -281,7 +275,7 @@ def lax_isospectrality_check(
 
     def interior(series: FourierSeries) -> np.ndarray:
         lam = np.linalg.eigvalsh(toeplitz_vector_section(series.with_cutoff(N), N))
-        return lam[(lam > -1.0 + delta) & (lam < 1.0 - delta)]
+        return lam[(lam > -0.95) & (lam < 0.95)]
 
     base = interior(plan.source)
     rows = []
@@ -297,13 +291,7 @@ def lax_isospectrality_check(
     return {"rows": rows, "max_gap": worst, "interior_base": np.repeat(np.sort(base), plan.d)}
 
 
-def conservation_report(
-    plan: EvolutionPlan,
-    times,
-    N_rank: int | None = None,
-    rank_tol: float = 1e-8,
-    schatten_ps=(1.0, 2.0),
-) -> list[dict]:
+def conservation_report(plan: EvolutionPlan, times, N_rank: int | None = None) -> list[dict]:
     """Energy, mean, Schatten sums of the Hankel section, and Kronecker rank
     of the evolved loop at each requested time."""
     N_rank = plan.N_op if N_rank is None else N_rank
@@ -311,7 +299,7 @@ def conservation_report(
     for sample in solve_many(plan, times):
         loop = sample.loop
         sym = loop.series.with_cutoff(max(N_rank, loop.series.N))
-        rank, _ = kronecker_rank(sym, N_rank, rank_tol=rank_tol)
+        rank, _ = kronecker_rank(sym, N_rank)
         row = {
             "t": sample.t,
             "energy": sample.diagnostics["energy"],
@@ -321,30 +309,26 @@ def conservation_report(
             "n_modes_used": sample.diagnostics["n_modes_used"],
             "hankel_rank": rank,
         }
-        for p in schatten_ps:
+        for p in (1.0, 2.0):
             row[f"I{p:g}"] = schatten_norm(sym, N_rank, p)
         out.append(row)
     return out
 
 
-def intertwining_check(plan: EvolutionPlan, t: float, vectors=None, n_modes: int = 32) -> float:
+def intertwining_check(plan: EvolutionPlan, t: float) -> float:
     """Residual of (backward shift) o U(t) = U(t) o (exp(-itT) S*) on coordinates.
 
     Both sides are expanded through the coefficient iteration, the right one
     after one dense :meth:`~hwmlab.stability.IsometryModel.step`.  Each vector
     is a ``((N_op + 1) d, d)`` block of vector-section columns in the plan's
-    subspace, one column per column of a matrix element; they default to the
-    initial analytic part and the constant identity.
+    subspace, one column per column of a matrix element: the initial analytic
+    part and the constant identity, each expanded to 32 modes.
     """
-    if vectors is None:
-        vectors = [plan.pu0, np.eye(len(plan.pu0), plan.d)]
-
     worst = 0.0
     A = plan.model.step(t)
-    for c in vectors:
-        c = np.asarray(c, dtype=complex)
-        shifted = plan.model.iterate(c.reshape(-1), [t], n_modes)[0][1:]
-        coeffs_g = plan.model.iterate((A @ c).reshape(-1), [t], n_modes - 1)[0]
+    for c in (plan.pu0, np.eye(len(plan.pu0), plan.d, dtype=complex)):
+        shifted = plan.model.iterate(c.reshape(-1), [t], 32)[0][1:]
+        coeffs_g = plan.model.iterate((A @ c).reshape(-1), [t], 31)[0]
         gap = float(np.sqrt(np.sum(np.abs(shifted - coeffs_g) ** 2)))
         worst = max(worst, gap)
     return worst
@@ -355,7 +339,6 @@ def lax_residual(
     t: float,
     h: float,
     sign: int = +1,
-    N: int | None = None,
     plan: EvolutionPlan | None = None,
 ) -> float:
     """Central-difference defect of the Toeplitz evolution equation.
@@ -371,8 +354,7 @@ def lax_residual(
     # an effective bandwidth at coarse tolerance keeps a usable interior block;
     # what falls outside it only pollutes at the 1e-8 scale, far below O(h^2)
     band = max(bandwidth(lp.series, tol=1e-8) for lp in loops.values())
-    if N is None:
-        N = max(plan.N_op, 2 * band + 10)
+    N = max(plan.N_op, 2 * band + 10)
     margin = 2 * band + 2
     if N - margin < 1:
         raise ValueError(f"cutoff {N} leaves no interior block for bandwidth {band}")
@@ -384,26 +366,19 @@ def lax_residual(
     return float(np.linalg.norm((fd - comm)[:keep, :keep], ord=2))
 
 
-def recurrence_search(
-    plan: EvolutionPlan,
-    horizon: float,
-    eps: float | None = None,
-    coarse_dt: float = 0.05,
-    t_min: float = 0.0,
-) -> dict:
+def recurrence_search(plan: EvolutionPlan, horizon: float, coarse_dt: float = 0.05) -> dict:
     """Scan for the first return of the loop to its initial state.
 
     Distance is the inhomogeneous half-order Sobolev norm of the difference.
     A coarse scan locates candidate local minima after the trajectory has
     clearly left the initial state; candidates are refined in time order and
-    the first one dipping below eps is reported.  Also reports the frequency
-    vector (restricted Toeplitz eigenvalues) and the supremum of the Sobolev
-    norm seen during the scan.
+    the first one dipping below eps, 1e-3 times the initial norm, is reported.
+    Also reports the frequency vector (restricted Toeplitz eigenvalues) and
+    the supremum of the Sobolev norm seen during the scan.
     """
     u0 = plan.source
     norm0 = sobolev_norm(u0, 0.5)
-    if eps is None:
-        eps = 1e-3 * norm0
+    eps = 1e-3 * norm0
 
     def measure(samples) -> tuple[np.ndarray, np.ndarray]:
         """Distances to the initial loop and norms of the sampled loops."""
@@ -413,7 +388,7 @@ def recurrence_search(
         diffs = [FourierSeries(u0.d, N, f.coeffs - base) for f in loops]
         return sobolev_norm(diffs, 0.5), sobolev_norm(loops, 0.5)
 
-    ts = np.arange(t_min, horizon + coarse_dt, coarse_dt)
+    ts = np.arange(0.0, horizon + coarse_dt, coarse_dt)
     # block by block, so a long scan never holds more than one block of loops
     scanned = [measure(_solve_block(plan, block)) for block in _time_blocks(plan, ts)]
     dists = np.concatenate([d for d, _ in scanned])

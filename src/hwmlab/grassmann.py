@@ -163,10 +163,9 @@ def validate_loop(
     series: FourierSeries,
     sq_tol: float = SQ_TOL,
     herm_tol: float = HERM_TOL,
-    grid: int | None = None,
 ) -> GrassmannLoop:
     """Check the pointwise constraints and wrap into a GrassmannLoop."""
-    check = constraint_residuals(d, k, series, grid=grid)
+    check = constraint_residuals(d, k, series)
     if check["hermitian"] > herm_tol:
         raise ValidationError(f"Hermitian residual {check['hermitian']:.3e} exceeds {herm_tol:.1e}")
     if check["involution"] > sq_tol:
@@ -268,16 +267,14 @@ def half_harmonic_map(
     U: np.ndarray | None = None,
     N: int = 64,
     tail_tol: float = 1e-12,
-    sq_tol: float = SQ_TOL,
-    herm_tol: float = HERM_TOL,
 ) -> GrassmannLoop:
     """Stationary loop with off-diagonal Blaschke product, energy = degree.
 
-    Loosening the tolerances permits deliberately under-resolved cutoffs,
-    with the actual residuals recorded on the returned loop.
+    The loop is validated at ``SQ_TOL`` and ``HERM_TOL`` and carries the
+    measured residuals; a cutoff whose dropped Blaschke tail exceeds
+    ``tail_tol`` raises CutoffTooSmallError.
     """
-    series = _offdiag_loop(b, 0.0, U, N, tail_tol)
-    return validate_loop(2, 1, series, sq_tol=sq_tol, herm_tol=herm_tol)
+    return validate_loop(2, 1, _offdiag_loop(b, 0.0, U, N, tail_tol))
 
 
 def traveling_profile(
@@ -286,8 +283,6 @@ def traveling_profile(
     U: np.ndarray | None = None,
     N: int = 64,
     tail_tol: float = 1e-12,
-    sq_tol: float = SQ_TOL,
-    herm_tol: float = HERM_TOL,
 ) -> GrassmannLoop:
     """Traveling-wave profile with speed parameter |v| < 1; energy (1-v^2) * degree.
 
@@ -296,8 +291,7 @@ def traveling_profile(
     """
     if abs(v) >= 1.0:
         raise ValueError(f"speed parameter must satisfy |v| < 1, got {v}")
-    series = _offdiag_loop(b, float(v), U, N, tail_tol)
-    return validate_loop(2, 1, series, sq_tol=sq_tol, herm_tol=herm_tol)
+    return validate_loop(2, 1, _offdiag_loop(b, float(v), U, N, tail_tol))
 
 
 # Empirical translation law for traveling_profile under the flow:
@@ -332,14 +326,13 @@ def project_to_grassmann(
     a: FourierSeries,
     d: int,
     k: int,
-    gap_tol: float = 1e-8,
     sq_tol: float = SQ_TOL,
     herm_tol: float = HERM_TOL,
 ) -> GrassmannLoop:
     """Pointwise spectral projection of a nearby series onto the target.
 
     At each grid point the Hermitian part is diagonalized and mapped to the
-    involution with exactly k negative eigenvalues; a vanishing gap between
+    involution with exactly k negative eigenvalues; a gap below 1e-8 between
     the k-th and (k+1)-th eigenvalue raises GapCollapseError.  The projected
     samples are refit at the input cutoff, so the input should be close to a
     band-limited loop for the constraints to validate.
@@ -352,10 +345,8 @@ def project_to_grassmann(
     vals = evaluate_grid(a, M).values
     lam, vecs = np.linalg.eigh(_hermitian_part(vals))
     gap = np.min(lam[:, k] - lam[:, k - 1])
-    if gap < gap_tol:
-        raise GapCollapseError(
-            f"eigenvalue gap {gap:.3e} at the rank cut (tolerance {gap_tol:.1e})"
-        )
+    if gap < 1e-8:
+        raise GapCollapseError(f"eigenvalue gap {gap:.3e} at the rank cut (tolerance 1.0e-08)")
     signs = np.ones(d)
     signs[:k] = -1.0
     proj = _hermitian_part(grid_product(vecs * signs, vecs.swapaxes(-2, -1).conj()))

@@ -4,20 +4,22 @@ This is the independent cross-check against the resolvent-formula evolution:
 a classical RK4 step on the Fourier coefficients, with the quadratic commutator
 evaluated pointwise on the smallest power of two >= 3N+1 points (the product of
 two cutoff-N series has bandwidth 2N, so on M >= 3N+1 points it aliases only
-beyond the retained modes -N..N).  Steps march raw arrays, and a checked state
-is built only where one is returned.  Deliberately structure-agnostic: it knows
-nothing about the conserved operator data, which makes the agreement meaningful.
+beyond the retained modes -N..N).  :func:`integrate` and :func:`cross_validate`
+share one march: raw arrays step by dt, the last step cut short to land on the
+target time, and a checked state is built only where the march stops.
+Deliberately structure-agnostic: it knows nothing about the conserved operator
+data, which makes the agreement meaningful.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .hardy import FourierSeries, grid_commutator, grid_values, sobolev_energy
-from .grassmann import GrassmannLoop, _residuals_from_samples, project_to_grassmann
+from .grassmann import GrassmannLoop, _residuals_from_samples
 
 __all__ = [
     "IntegratorState",
@@ -111,19 +113,19 @@ def _initial_state(u0: GrassmannLoop, dt: float) -> IntegratorState:
     return IntegratorState(loop=u0, t=0.0, dt=dt, stats=stats)
 
 
-def integrate(
-    u0: GrassmannLoop,
-    t_end: float,
-    dt: float,
-    renormalize: bool = False,
-    sample_every: int = 0,
-) -> list[IntegratorState]:
-    """March to t_end; returns the visited states (at least first and last).
+def _march(state: IntegratorState, t_stop: float, dt: float) -> IntegratorState:
+    """Raw steps of ``dt`` from ``state`` to ``t_stop``, the last one cut short to land
+    on it; only the state reached is checked (``state`` itself if no step was due)."""
+    c, t, steps = state.loop.series.coeffs, state.t, 0
+    while t < t_stop - 1e-12:
+        step_dt = min(dt, t_stop - t)
+        c, vals, t = _raw_step(c, step_dt, t)
+        steps += 1
+    return _wrap_step(state, c, vals, t, step_dt, steps) if steps else state
 
-    ``renormalize`` projects back onto the target manifold after every step;
-    off by default so constraint drift stays measurable.  ``sample_every``
-    keeps one state per that many steps (0 keeps only endpoints).
-    """
+
+def integrate(u0: GrassmannLoop, t_end: float, dt: float) -> IntegratorState:
+    """The state at ``t_end`` after steps of ``dt``, the last one cut short to land on it."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     if dt * u0.series.N > 1.0:
@@ -131,24 +133,7 @@ def integrate(
             f"dt*N = {dt * u0.series.N:.2f} > 1 strains the advective stability heuristic",
             stacklevel=2,
         )
-    n_steps = int(round(t_end / dt))
-    if abs(n_steps * dt - t_end) > 1e-12 * max(1.0, abs(t_end)):
-        n_steps = int(np.ceil(t_end / dt))
-    start = _initial_state(u0, dt)
-    out = [start]
-    c, t = u0.series.coeffs, 0.0
-    for j in range(1, n_steps + 1):
-        step_dt = min(dt, t_end - t)
-        c, vals, t = _raw_step(c, step_dt, t)
-        if renormalize:
-            series = FourierSeries(u0.d, u0.N, c)
-            projected = project_to_grassmann(series, u0.d, u0.k, sq_tol=np.inf, herm_tol=np.inf)
-        if j == n_steps or (sample_every and j % sample_every == 0):
-            state = _wrap_step(start, c, vals, t, step_dt, j)
-            out.append(replace(state, loop=projected) if renormalize else state)
-        if renormalize:
-            c = projected.series.coeffs
-    return out
+    return _march(_initial_state(u0, dt), t_end, dt)
 
 
 def cross_validate(
@@ -170,18 +155,11 @@ def cross_validate(
         plan = make_plan(u0)
     if N is not None and N > u0.series.N:
         u0 = GrassmannLoop(u0.d, u0.k, u0.series.with_cutoff(N), u0.grid_check)
-    check_ts = np.linspace(0.0, t_end, n_checks + 1)[1:]
-    start = state = _initial_state(u0, dt)
-    c, t, steps = u0.series.coeffs, 0.0, 0
+    state = _initial_state(u0, dt)
     worst = 0.0
     curve = []
-    for tc in check_ts:
-        while t < tc - 1e-12:
-            step_dt = min(dt, tc - t)
-            c, vals, t = _raw_step(c, step_dt, t)
-            steps += 1
-        if steps > state.stats["steps"]:
-            state = _wrap_step(start, c, vals, t, step_dt, steps)
+    for tc in np.linspace(0.0, t_end, n_checks + 1)[1:]:
+        state = _march(state, tc, dt)
         exact = solve_at_time(plan, state.t).loop.series
         n_cmp = max(exact.N, state.loop.series.N)
         diff = exact.with_cutoff(n_cmp).coeffs - state.loop.series.with_cutoff(n_cmp).coeffs

@@ -142,15 +142,6 @@ class SubspaceFrame:
     def dim(self) -> int:
         return self.frame.shape[1]
 
-    def coordinates(self, vec: np.ndarray, check_tol: float | None = 1e-10) -> np.ndarray:
-        """Frame coordinates of vector-section columns ``(N+1) d`` long; optionally verify membership."""
-        c = self.frame.conj().T @ vec
-        if check_tol is not None:
-            residual = np.linalg.norm(vec - self.frame @ c)
-            if residual > check_tol * max(1.0, np.linalg.norm(vec)):
-                raise ValueError(f"vector is not in the invariant subspace (residual {residual:.2e})")
-        return c
-
 
 def _vector_section(sym: FourierSeries, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Section on the vector-valued Hardy space whose block (i, j) is the
@@ -198,13 +189,13 @@ def _interior_rows(d: int, N: int, band: int) -> int:
     return (N - band + 1) * d
 
 
-def apply_toeplitz_grid(u, f: HardyElement, oversample: int = 3) -> HardyElement:
-    """Independent route for T_U F: multiply on a dealiased grid, project back."""
+def apply_toeplitz_grid(u, f: HardyElement) -> HardyElement:
+    """Independent route for T_U F: multiply on a dealiased grid of 3 (2N+1) points, project back."""
     from .hardy import GridSamples, evaluate_grid, fit_series, grid_product, project_plus
 
     sym = symbol_of(u)
     N = max(sym.N, f.N)
-    M = oversample * (2 * N + 1)
+    M = 3 * (2 * N + 1)
     uv = evaluate_grid(sym.with_cutoff(N), M).values
     fv = evaluate_grid(f.to_series(N), M).values
     prod = grid_product(uv, fv)
@@ -239,14 +230,17 @@ def key_identity_check(u, N: int) -> dict:
     }
 
 
-def eig_hermitian(A: np.ndarray, delta_edge: float = 0.1) -> SpectralData:
-    """Eigendecomposition of a Hermitian-symbol finite section (a matrix or vector section's array)."""
+def eig_hermitian(A: np.ndarray) -> SpectralData:
+    """Eigendecomposition of a Hermitian-symbol finite section (a matrix or vector section's array).
+
+    ``near_edge_count`` counts the eigenvalues with |lambda| > 0.9.
+    """
     herm_gap = np.max(np.abs(A - A.conj().T))
     if herm_gap > 1e-10:
         raise ValueError(f"finite section is not Hermitian (gap {herm_gap:.2e})")
     lam, vecs = np.linalg.eigh(A)
     residual = float(np.max(np.linalg.norm(A @ vecs - vecs * lam, axis=0)))
-    near_edge = int(np.count_nonzero(np.abs(lam) > 1.0 - delta_edge))
+    near_edge = int(np.count_nonzero(np.abs(lam) > 0.9))
     return SpectralData(lam, vecs, near_edge, residual)
 
 
@@ -315,18 +309,18 @@ def schatten_norm(u, N: int, p: float) -> float:
     return float(np.sum(sv**p))
 
 
-def invariant_subspace(u, N: int, rank_tol: float = 1e-8, gap_ratio: float = 1e3) -> SubspaceFrame:
+def invariant_subspace(u, N: int, rank_tol: float = 1e-8) -> SubspaceFrame:
     """Orthonormal frame for ran(H*) + span{analytic symbol, constants} on the vector section.
 
-    Requires a clear spectral gap in the Hankel singular values (the finite
-    rank dichotomy is exact only in infinite dimensions); raises
-    NotRationalError otherwise.  The frame spans the vector Hankel section's
-    right singular vectors (its co-range), the d columns of the analytic part
-    of the symbol and the d constant unit vectors; the matrix-valued subspace
-    is its lift.  ``hankel_rank`` and ``singular_values`` count each singular
-    value d times, as the matrix section does.  The returned compression of
-    the Toeplitz operator comes with the measured invariance residual under
-    it and the backward shift.
+    Requires a clear spectral gap in the Hankel singular values, a ratio of
+    at least 1e3 at the rank cut (the finite rank dichotomy is exact only in
+    infinite dimensions); raises NotRationalError otherwise.  The frame
+    spans the vector Hankel section's right singular vectors (its co-range),
+    the d columns of the analytic part of the symbol and the d constant unit
+    vectors; the matrix-valued subspace is its lift.  ``hankel_rank`` and
+    ``singular_values`` count each singular value d times, as the matrix
+    section does.  The returned compression of the Toeplitz operator comes
+    with the measured invariance residual under it and the backward shift.
     """
     sym = symbol_of(u)
     d = sym.d
@@ -335,7 +329,7 @@ def invariant_subspace(u, N: int, rank_tol: float = 1e-8, gap_ratio: float = 1e3
         r = int(np.count_nonzero(sv > rank_tol * sv[0]))
         if r == sv.size:
             raise NotRationalError("no Hankel singular value falls below tolerance at this cutoff")
-        if r > 0 and sv[r] > 0.0 and sv[r - 1] / sv[r] < gap_ratio:
+        if r > 0 and sv[r] > 0.0 and sv[r - 1] / sv[r] < 1e3:
             raise NotRationalError(
                 f"no singular-value gap at rank {r}: sigma_r/sigma_(r+1) = {sv[r - 1] / sv[r]:.1f}"
             )

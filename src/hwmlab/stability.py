@@ -61,6 +61,9 @@ __all__ = [
     "wold_decomposition_estimate",
 ]
 
+# deficit above which zd_bo_norm_curve reports norm loss at a cutoff
+ONSET_THRESHOLD = 1e-4
+
 
 def _curve_norms(v: np.ndarray) -> np.ndarray:
     """Root-sum-square over all but the last axis of a C-contiguous complex block, in one pass."""
@@ -156,7 +159,6 @@ class IsometryModel:
     vecs: np.ndarray
     t: float = 0.0
     time_scale: float = 1.0
-    label: str = ""
 
     @property
     def dim(self) -> int:
@@ -216,20 +218,20 @@ class IsometryModel:
         return means.reshape(means.shape[0], self.d, self.d, -1), norms
 
 
-def _standard_model(L: np.ndarray, d: int, N: int, t: float, time_scale: float, label: str) -> IsometryModel:
+def _standard_model(L: np.ndarray, d: int, N: int, t: float, time_scale: float) -> IsometryModel:
     """Model from a Hermitian vector-section generator (real if L is)."""
     lam, vecs = np.linalg.eigh(L if L.imag.any() else L.real)
-    return IsometryModel(d, N, lam, vecs, t=t, time_scale=time_scale, label=label)
+    return IsometryModel(d, N, lam, vecs, t=t, time_scale=time_scale)
 
 
-def isometry_model(L: np.ndarray, t: float, d: int, N: int, label: str = "") -> IsometryModel:
+def isometry_model(L: np.ndarray, t: float, d: int, N: int) -> IsometryModel:
     """Model from an explicit Hermitian generator on the vector section's coordinates."""
     dim = (N + 1) * d
     if L.shape != (dim, dim):
         raise ValueError(f"generator must be {dim}x{dim}, got {L.shape}")
     if np.max(np.abs(L - L.conj().T)) > 1e-10:
         raise ValueError("generator must be Hermitian")
-    return _standard_model(L, d, N, t, 1.0, label)
+    return _standard_model(L, d, N, t, 1.0)
 
 
 def model_at_time(model: IsometryModel, t: float) -> IsometryModel:
@@ -244,11 +246,11 @@ def hwm_model(u0: GrassmannLoop, t: float, N: int) -> IsometryModel:
 
     Its lift is the matrix section, so a matrix input runs as its d columns.
     """
-    return _standard_model(toeplitz_vector_section(u0, N), u0.d, N, t, 1.0, f"hwm d={u0.d} N={N}")
+    return _standard_model(toeplitz_vector_section(u0, N), u0.d, N, t, 1.0)
 
 
-def zd_bo_model(N: int, u0: FourierSeries, t: float = 0.0) -> IsometryModel:
-    """Scalar model with L the Toeplitz section of a real trig polynomial.
+def zd_bo_model(N: int, u0: FourierSeries) -> IsometryModel:
+    """Scalar model at t = 0 with L the Toeplitz section of a real trig polynomial.
 
     For ``u0 = -cos`` the generator is tridiagonal with -1/2 off the
     diagonal.  The inviscid transport underlying this model moves at twice
@@ -260,13 +262,13 @@ def zd_bo_model(N: int, u0: FourierSeries, t: float = 0.0) -> IsometryModel:
         raise ValueError("zero-dispersion model expects a scalar symbol (d = 1)")
     if not u0.is_hermitian_symbol(1e-12):
         raise ValueError("symbol must be real-valued on the circle")
-    return _standard_model(toeplitz_vector_section(u0, N), 1, N, t, 2.0, f"zd-bo N={N}")
+    return _standard_model(toeplitz_vector_section(u0, N), 1, N, 0.0, 2.0)
 
 
-def breaking_time(u0: FourierSeries, grid: int = 4096) -> float:
-    """-1 / (2 min u0') for a real scalar symbol, sampled on a fine grid."""
+def breaking_time(u0: FourierSeries) -> float:
+    """-1 / (2 min u0') for a real scalar symbol, sampled on 4096 points."""
     n = np.arange(-u0.N, u0.N + 1)
-    du = grid_values(1j * n[:, None, None] * u0.coeffs, grid)[:, 0, 0].real
+    du = grid_values(1j * n[:, None, None] * u0.coeffs, 4096)[:, 0, 0].real
     m = float(np.min(du))
     if m >= 0.0:
         return np.inf
@@ -349,18 +351,12 @@ def parseval_defect(model: IsometryModel, f, n_max: int, stop_tol: float = 0.0) 
     return _reports(*model.iterate(_as_vector(model, f), [model.t], n_max, stop_tol), stop_tol)[0]
 
 
-def strong_stability_test(
-    model: IsometryModel,
-    vectors,
-    n_max: int,
-    tol: float = 1e-6,
-    plateau_slope: float = 1e-3,
-) -> dict:
+def strong_stability_test(model: IsometryModel, vectors, n_max: int, tol: float = 1e-6) -> dict:
     """Classify the model as stable, unstable, or inconclusive.
 
     Stable: every sampled defect curve falls below tol within the budget.
     Unstable: some curve stays above tol with a flat log-tail (slope per
-    doubling below ``plateau_slope``).  Anything else, including slow but
+    doubling below 1e-3 in absolute value).  Anything else, including slow but
     still-decaying curves, is inconclusive rather than guessed.  All vectors
     run as one block, each curve cut at its own stop.
     """
@@ -373,7 +369,7 @@ def strong_stability_test(
     for rep in reports:
         if rep.limit_estimate <= tol:
             verdicts.append("stable")
-        elif abs(rep.tail_slope_per_octave) < plateau_slope:
+        elif abs(rep.tail_slope_per_octave) < 1e-3:
             verdicts.append("unstable")
         else:
             verdicts.append("inconclusive")
@@ -386,13 +382,7 @@ def strong_stability_test(
     return {"verdict": verdict, "per_vector": verdicts, "reports": reports}
 
 
-def zd_bo_norm_curve(
-    u0: FourierSeries,
-    times,
-    Ns=(256, 512, 1024),
-    checkpoint: int = 1024,
-    detection_threshold: float = 1e-4,
-) -> dict:
+def zd_bo_norm_curve(u0: FourierSeries, times, Ns=(256, 512, 1024), checkpoint: int = 1024) -> dict:
     """Output norm of the scalar formula applied to the analytic part of u0.
 
     The unresolved norm after ``checkpoint`` adjoint powers estimates the
@@ -402,7 +392,8 @@ def zd_bo_norm_curve(
     checkpoint must sit inside that plateau window, after the transient but
     before leakage; 1024 steps does this for cutoffs >= 256 and times <= 1.
     Reports ``norm = ||output||`` and ``deficit = ||Pi u0|| - norm`` per (t, N),
-    and the first threshold crossing per cutoff as the measured onset.
+    and the first crossing of the deficit threshold 1e-4 per cutoff as the
+    measured onset.
     All times of one cutoff run as one :meth:`IsometryModel.iterate` block, in
     real arithmetic when the generator is real; each time stops at its own norm <= 1e-9.
     """
@@ -419,7 +410,7 @@ def zd_bo_norm_curve(
             tail = rep.limit_estimate
             out_norm = float(np.sqrt(max(0.0, norm0**2 - tail**2)))
             deficit = norm0 - out_norm
-            if onset is None and deficit > detection_threshold:
+            if onset is None and deficit > ONSET_THRESHOLD:
                 onset = float(t)
             rows.append(
                 {
@@ -434,7 +425,7 @@ def zd_bo_norm_curve(
                 }
             )
         onsets[int(N)] = onset
-    return {"rows": rows, "onsets": onsets, "norm0": norm0, "threshold": detection_threshold}
+    return {"rows": rows, "onsets": onsets, "norm0": norm0, "threshold": ONSET_THRESHOLD}
 
 
 def wold_decomposition_estimate(model: IsometryModel, budget: int, tol: float = 1e-6) -> dict:
@@ -444,20 +435,16 @@ def wold_decomposition_estimate(model: IsometryModel, budget: int, tol: float = 
     vector's squared image under this map is exactly the norm it loses
     within the budget, so singular values below tol flag directions that
     keep essentially all their norm (the unitary part at this resolution).
-    The rows are formed in the eigenbasis ``V`` (step ``diag(phase) eigen_shift``);
-    the unitary ``V*`` leaves the singular values unchanged.  Dimensions are
+    The rows are the means :func:`emit` reads off the identity's columns in
+    the eigenbasis ``V`` (step ``diag(phase) eigen_shift``); the unitary
+    ``V*`` leaves the singular values unchanged.  Dimensions are
     those of the matrix-valued space: each singular value counts once per
     column, as :func:`~hwmlab.operators.kronecker_rank` counts them.
     """
     n, d = model.lam.size, model.d
-    W = np.zeros((budget * d, n), dtype=complex)
-    block = model.eigen_mean_map
-    step = model.phases([model.t]) * model.eigen_shift
-    for j in range(budget):
-        W[j * d : (j + 1) * d] = block
-        if j < budget - 1:
-            block = block @ step
-    sv = np.linalg.svd(W, compute_uv=False)
+    phase = model.phases([model.t])
+    rows, _ = emit(model.eigen_shift, model.eigen_mean_map, np.eye(n), budget - 1, phase=phase)
+    sv = np.linalg.svd(rows.reshape(budget * d, n), compute_uv=False)
     sv = np.repeat(np.concatenate([sv, np.zeros(max(0, n - sv.size))]), d)
     dim_u = int(np.count_nonzero(sv < tol))
     return {

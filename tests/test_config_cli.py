@@ -132,6 +132,8 @@ def test_cli_spectrum_report(tmp_path):
         ("zdbo", "zdbo_checkpoint = 0"),
         ("stability", "stability_n_max = 0"),
         ("stability", "stability_n_max = -1"),
+        ("stability", "stability_times ="),
+        ("bench", "bench_degrees ="),
     ],
 )
 def test_cli_rejects_empty_or_zero_budgets(tmp_path, experiment, line):

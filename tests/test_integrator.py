@@ -16,13 +16,12 @@ from hwmlab.grassmann import (
     GrassmannLoop,
     half_harmonic_map,
     pauli_encode,
-    project_to_grassmann,
     random_blaschke,
     random_rational_loop,
     traveling_profile,
     validate_loop,
 )
-from hwmlab.evolution import make_plan
+from hwmlab.evolution import make_plan, solve_at_time
 from hwmlab.integrator import (
     BlowUpError,
     IntegratorState,
@@ -102,9 +101,9 @@ def test_step_rk4_matches_two_product_reference_bitwise(loop):
 
 
 def chained(loop, t_end, dt):
-    """``step_rk4`` applied as ``integrate`` schedules it, keeping every state."""
+    """``step_rk4`` with steps of dt, the last one cut short to land on t_end, keeping every state."""
     states = [fresh_state(loop, dt)]
-    for _ in range(int(round(t_end / dt))):
+    while states[-1].t < t_end - 1e-12:
         states.append(step_rk4(states[-1], min(dt, t_end - states[-1].t)))
     return states
 
@@ -118,35 +117,32 @@ def assert_states_bitwise_equal(a, b):
 
 @pytest.mark.parametrize("loop", bit_cases()[1:], ids=lambda loop: f"d{loop.d}")
 def test_integrate_equals_chained_steps_bitwise(loop):
-    # integrate marches raw coefficients and builds only the states it returns
-    steps = chained(loop, 0.1, 1e-2)
-    every = integrate(loop, 0.1, 1e-2, sample_every=1)
-    assert len(every) == len(steps) == 11
-    for got, want in zip(every, steps):
-        assert_states_bitwise_equal(got, want)
-    sparse = integrate(loop, 0.1, 1e-2, sample_every=4)
-    assert [s.stats["steps"] for s in sparse] == [0, 4, 8, 10]
-    for got in sparse:
-        assert_states_bitwise_equal(got, steps[got.stats["steps"]])
-
-
-@pytest.mark.parametrize("loop", [bit_cases()[1], bit_cases()[3]], ids=lambda loop: f"d{loop.d}")
-def test_renormalized_integrate_equals_chained_projected_steps(loop):
-    state = fresh_state(loop, 1e-2)
-    for _ in range(5):
-        state = step_rk4(state)
-        projected = project_to_grassmann(state.loop.series, loop.d, loop.k, sq_tol=np.inf, herm_tol=np.inf)
-        state = IntegratorState(loop=projected, t=state.t, dt=state.dt, stats=state.stats)
-    assert_states_bitwise_equal(integrate(loop, 0.05, 1e-2, renormalize=True)[-1], state)
+    # integrate marches raw coefficients and checks only the state it returns
+    for t_end, n_steps in ((0.1, 10), (0.105, 11)):
+        steps = chained(loop, t_end, 1e-2)
+        assert len(steps) == n_steps + 1
+        assert_states_bitwise_equal(integrate(loop, t_end, 1e-2), steps[-1])
+    # 0.105 is no whole number of steps: the short last step lands on it
+    assert steps[-1].t == 0.105
+    assert steps[-1].dt == pytest.approx(5e-3, rel=1e-12)
 
 
 def test_cross_validate_drifts_are_the_chained_final_state():
     q = traveling_profile(BlaschkeProduct(0.0, (0.0,)), 0.5, N=16)
-    res = cross_validate(q, 0.2, 1e-2, plan=make_plan(q), n_checks=4)
+    plan = make_plan(q)
+    res = cross_validate(q, 0.2, 1e-2, plan=plan, n_checks=4)
     final = chained(q, 0.2, 1e-2)[-1]
     assert res["energy_drift"] == final.stats["energy_drift"]
     assert res["constraint_drift"] == final.stats["constraint_drift"]
     assert res["curve"][-1]["t"] == final.t
+    # the last checked state is integrate's, bit for bit: its gap to the exact solve matches
+    marched = integrate(q, 0.2, 1e-2)
+    assert_states_bitwise_equal(marched, final)
+    exact = solve_at_time(plan, marched.t).loop.series
+    n = max(exact.N, marched.loop.N)
+    diff = exact.with_cutoff(n).coeffs - marched.loop.series.with_cutoff(n).coeffs
+    gap = float(np.sqrt(np.sum(np.abs(diff) ** 2)))
+    assert res["curve"][-1]["l2_gap"] == gap
 
 
 def test_rhs_constant_vanishes():
@@ -190,8 +186,7 @@ def test_rhs_matches_pauli_cross_product(rng):
 
 def test_stationary_profile_drift(rng):
     q = half_harmonic_map(BlaschkeProduct(0.0, (0.2,)), N=24)
-    states = integrate(q, 1.0, 1e-2)
-    final = states[-1]
+    final = integrate(q, 1.0, 1e-2)
     gap = np.max(np.abs(final.loop.series.coeffs - q.series.coeffs))
     assert gap < 1e-8
     assert final.stats["energy_drift"] < 1e-8
@@ -201,8 +196,8 @@ def test_constant_datum_fixed_point():
     c = np.zeros((3, 2, 2), dtype=complex)
     c[1] = pauli_encode((0.0, 0.0, 1.0)).U
     loop = validate_loop(2, 1, FourierSeries(2, 1, c))
-    states = integrate(loop, 0.5, 1e-2)
-    assert np.array_equal(states[-1].loop.series.coeffs, loop.series.coeffs)
+    final = integrate(loop, 0.5, 1e-2)
+    assert np.array_equal(final.loop.series.coeffs, loop.series.coeffs)
 
 
 def test_rk4_fourth_order_against_exact():
@@ -232,10 +227,8 @@ def test_constraint_drift_measurable_without_renormalization():
     rng = np.random.Generator(np.random.Philox(key=11))
     loop = random_rational_loop(rng, 2, 1, twists=2)
     padded = GrassmannLoop(2, 1, loop.series.with_cutoff(24), loop.grid_check)
-    raw = integrate(padded, 0.5, 2e-2)[-1]
+    raw = integrate(padded, 0.5, 2e-2)
     assert raw.stats["constraint_drift"] < 1e-6
-    renorm = integrate(padded, 0.5, 2e-2, renormalize=True)[-1]
-    assert renorm.loop.grid_check["involution"] < 1e-9
 
 
 def test_blow_up_guard():

@@ -3,6 +3,7 @@ import importlib
 import os
 import subprocess
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 import hwmlab
@@ -74,3 +75,43 @@ def test_no_package_path_builds_a_matrix_section():
         assert not calls & MATRIX_SECTION_BUILDERS, f"{module}:{fn.name} calls {calls & MATRIX_SECTION_BUILDERS}"
         if "kron" in calls:
             assert (module, fn.name) in {("operators.py", "build_toeplitz"), ("operators.py", "build_hankel")}
+
+
+def defaulted_parameters(fn):
+    """(name, positional index or None) of each parameter of ``fn`` that has a default."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    bound = 1 if positional and positional[0].arg in ("self", "cls") else 0
+    for i, arg in enumerate(positional[first:], start=first):
+        yield arg.arg, i - bound
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def calls_by_name():
+    """{called name: [(positional count, keyword names)]} of every call in src/, tests/ and perfbench/."""
+    calls = defaultdict(list)
+    for root in ("src", "tests", "perfbench"):
+        for path in sorted((REPO / root).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    f = node.func
+                    name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                    calls[name].append((len(node.args), {k.arg for k in node.keywords}))
+    return calls
+
+
+def test_every_default_is_passed_somewhere():
+    # a default that no call overrides is a constant: an option only its definition knows about
+    calls = calls_by_name()
+    unpassed = []
+    for module, fn in package_functions():
+        for name, index in defaulted_parameters(fn):
+            # cli._dispatch passes every runner its quiet flag through the variable ``runner``
+            if module == "experiments.py" and fn.name.startswith("run_") and name == "quiet":
+                continue
+            if not any(name in kw or (index is not None and n > index) for n, kw in calls[fn.name]):
+                unpassed.append(f"{module}:{fn.name}({name})")
+    assert not unpassed, unpassed
