@@ -38,6 +38,7 @@ from .grassmann import (
 from .operators import eig_hermitian, kronecker_rank, toeplitz_vector_section
 from .evolution import make_plan, solve_many
 from .stability import (
+    curve_verdict,
     hwm_model,
     model_at_time,
     strong_stability_test,
@@ -239,9 +240,7 @@ def run_zdbo(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False) -> int:
     )
     rows = []
     for r in curve["rows"]:
-        verdict = "stable"
-        if r["deficit"] > curve["threshold"]:
-            verdict = "unstable" if abs(r["tail_slope"]) < 1e-3 else "inconclusive"
+        verdict = curve_verdict(r["deficit"] <= curve["threshold"], r["tail_slope"])
         rows.append({**{c: r[c] for c in ("t", "N", "norm", "deficit")}, "verdict": verdict})
     write_text_atomic(out_dir / "zdbo_curve.csv", _csv(("t", "N", "norm", "deficit", "verdict"), rows, cfg))
     onsets = [v for v in curve["onsets"].values() if v is not None]

@@ -14,11 +14,9 @@ import numpy as np
 
 from .hardy import (
     FourierSeries,
-    GridSamples,
     evaluate_grid,
     fit_series,
     grid_product,
-    grid_values,
     series_stack,
     sobolev_energy,
 )
@@ -132,7 +130,7 @@ def constraint_residuals(d: int, k: int, series, grid: int | None = None):
     """
     N, coeffs = series_stack(series)
     M = grid if grid is not None else 4 * N + 1
-    return _residuals_from_samples(d, k, coeffs, grid_values(coeffs, M))
+    return _residuals_from_samples(d, k, coeffs, evaluate_grid(coeffs, M))
 
 
 def _residuals_from_samples(d: int, k: int, coeffs: np.ndarray, vals: np.ndarray):
@@ -223,7 +221,7 @@ def blaschke_eval(b: BlaschkeProduct, z) -> np.ndarray | complex:
 
 
 def blaschke_series(b: BlaschkeProduct, N: int, tail_tol: float = 1e-12) -> np.ndarray:
-    """Hardy coefficients of the boundary trace, by sampling and FFT.
+    """Hardy coefficients of the boundary trace, fitted from 4N+1 samples.
 
     Raises CutoffTooSmallError when the geometric tail at N exceeds tail_tol.
     """
@@ -237,11 +235,7 @@ def blaschke_series(b: BlaschkeProduct, N: int, tail_tol: float = 1e-12) -> np.n
     M = 4 * N + 1
     theta = 2.0 * np.pi * np.arange(M) / M
     vals = blaschke_eval(b, np.exp(1j * theta))
-    spec = np.fft.fft(vals) / M
-    coeffs = np.zeros(N + 1, dtype=complex)
-    coeffs[0] = spec[0]
-    coeffs[1:] = spec[1 : N + 1]
-    return coeffs
+    return fit_series(vals[:, None, None], N)[N:, 0, 0]
 
 
 def _offdiag_loop(b: BlaschkeProduct, diag: float, U: np.ndarray | None, N: int, tail_tol: float) -> FourierSeries:
@@ -342,7 +336,7 @@ def project_to_grassmann(
     if k < 1 or k > d - 1:
         raise ValueError(f"need 1 <= k <= d-1, got k = {k}")
     M = 4 * a.N + 1
-    vals = evaluate_grid(a, M).values
+    vals = evaluate_grid(a, M)
     lam, vecs = np.linalg.eigh(_hermitian_part(vals))
     gap = np.min(lam[:, k] - lam[:, k - 1])
     if gap < 1e-8:
@@ -350,7 +344,7 @@ def project_to_grassmann(
     signs = np.ones(d)
     signs[:k] = -1.0
     proj = _hermitian_part(grid_product(vecs * signs, vecs.swapaxes(-2, -1).conj()))
-    series = fit_series(GridSamples(d, M, proj), a.N)
+    series = FourierSeries(d, a.N, fit_series(proj, a.N))
     return validate_loop(d, k, series, sq_tol=sq_tol, herm_tol=herm_tol)
 
 
@@ -419,5 +413,4 @@ def random_rational_loop(
         w = grid_product(grid_product(w, v), factor)
     base = np.diag(np.concatenate([np.ones(d - k), -np.ones(k)])).astype(complex)
     vals = _hermitian_part(grid_product(grid_product(w, base), w.swapaxes(-2, -1).conj()))
-    series = fit_series(GridSamples(d, M, vals), N)
-    return validate_loop(d, k, series)
+    return validate_loop(d, k, FourierSeries(d, N, fit_series(vals, N)))

@@ -6,6 +6,12 @@ Tr(F G*) dtheta`` and Parseval reads ``||F||^2 = sum_n |F_n|_E^2`` with
 ``|.|_E`` the Frobenius norm on d x d matrices.  The half-order energy of a
 degree-m Blaschke loop is then exactly m (one global constant relative to
 the unnormalized-integral convention).
+
+Grid work runs on raw arrays through one transform pair: :func:`evaluate_grid`
+samples coefficients ``(..., 2N+1, d, d)`` as entry-major values
+``(..., M, d, d)``, and :func:`fit_series` fits such values back to
+coefficients.  They are the package's only FFT calls; :func:`grid_product` and
+:func:`grid_commutator` multiply the samples in between.
 """
 
 from __future__ import annotations
@@ -18,7 +24,6 @@ import numpy as np
 __all__ = [
     "FourierSeries",
     "HardyElement",
-    "GridSamples",
     "AliasingWarning",
     "series_stack",
     "project_plus",
@@ -32,7 +37,6 @@ __all__ = [
     "sobolev_norm",
     "l2_norm",
     "evaluate_grid",
-    "grid_values",
     "grid_product",
     "grid_commutator",
     "fit_series",
@@ -45,11 +49,11 @@ class AliasingWarning(UserWarning):
     """Grid too coarse for the represented bandwidth."""
 
 
-def _as_coeff_array(coeffs, count: int, d: int, order: str = "C") -> np.ndarray:
+def _as_coeff_array(coeffs, count: int, d: int) -> np.ndarray:
     arr = np.asarray(coeffs, dtype=complex)
     if arr.shape != (count, d, d):
         raise ValueError(f"expected coefficient array of shape {(count, d, d)}, got {arr.shape}")
-    arr = arr.copy(order=order)
+    arr = arr.copy()
     arr.flags.writeable = False
     return arr
 
@@ -134,28 +138,16 @@ class HardyElement:
         return FourierSeries(self.d, N, out)
 
 
-@dataclass(frozen=True)
-class GridSamples:
-    """Values of a matrix-valued function at theta_j = 2*pi*j/M, kept in the layout given."""
-
-    d: int
-    M: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _as_coeff_array(self.values, self.M, self.d, order="K"))
-
-
 def series_stack(f) -> tuple[int, np.ndarray]:
     """Cutoff and coefficients of one series, of a sequence of series sharing
     one cutoff (stacked along a new leading axis), or of a ``(..., 2N+1, d, d)``
     coefficient array, whose leading axes are the stack."""
-    if isinstance(f, FourierSeries):
-        return f.N, f.coeffs
     if isinstance(f, np.ndarray):
         if f.ndim < 3 or f.shape[-3] % 2 == 0 or f.shape[-2] != f.shape[-1]:
             raise ValueError(f"expected coefficients of shape (..., 2N+1, d, d), got {f.shape}")
         return (f.shape[-3] - 1) // 2, f
+    if isinstance(f, FourierSeries):
+        return f.N, f.coeffs
     cutoffs = {s.N for s in f}
     if len(cutoffs) != 1:
         raise ValueError(f"a series stack needs one shared cutoff, got {sorted(cutoffs)}")
@@ -252,37 +244,6 @@ def l2_norm(f) -> float:
     raise TypeError(f"l2_norm expects a FourierSeries or HardyElement, got {type(f)!r}")
 
 
-def grid_values(coeffs: np.ndarray, M: int) -> np.ndarray:
-    """Values at M equispaced points of the series with coefficients ``coeffs``.
-
-    ``coeffs`` holds modes -N..N along axis -3, shape ``(..., 2N+1, d, d)``,
-    and the values come back as ``(..., M, d, d)``, entry major: a transposed
-    view of a ``(d, d, ..., M)`` block, so every line ``[..., i, j]`` is
-    contiguous for :func:`grid_product`.  Each transform runs along its own
-    entry line, so each series in a stack gets the values it gets alone, bit
-    for bit.  Warns when M < 2N+1: represented modes then alias onto each other.
-    """
-    N = (coeffs.shape[-3] - 1) // 2
-    nd = coeffs.ndim
-    by_entry = coeffs.transpose(nd - 2, nd - 1, *range(nd - 3), nd - 3)
-    spec = np.zeros(by_entry.shape[:-1] + (M,), dtype=complex)
-    # += into zeros, so a -0.0 coefficient lands as 0 + x = +0.0
-    if M >= 2 * N + 1:
-        spec[..., : N + 1] += by_entry[..., N:]
-        spec[..., M - N :] += by_entry[..., :N]
-    else:
-        warnings.warn(
-            f"grid of {M} points aliases a cutoff-{N} series (need M >= {2 * N + 1})",
-            AliasingWarning,
-            stacklevel=3,
-        )
-        # np.add.at is unbuffered and runs in mode order, so modes that alias
-        # onto one grid frequency accumulate in a fixed order
-        np.add.at(spec, (..., np.arange(-N, N + 1) % M), by_entry)
-    values = np.fft.ifft(spec, axis=-1) * M
-    return values.transpose(*range(2, nd), 0, 1)
-
-
 def _product_line(a: np.ndarray, b: np.ndarray, i: int, k: int, out: np.ndarray) -> np.ndarray:
     """Entry line ``(a @ b)[..., i, k]`` into ``out``: the multiply-adds of
     whole lines ``a[..., i, j] * b[..., j, k]``, summed over j = 0..d-1 in order."""
@@ -303,7 +264,7 @@ def grid_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pointwise matrix product of grid samples, ``a @ b`` broadcast as in ``np.matmul``.
 
     Taken as d^3 multiply-adds of whole entry lines, summed over j = 0..d-1,
-    and returned entry major like :func:`grid_values`.
+    and returned entry major like :func:`evaluate_grid`.
     """
     out = _entry_lines(a, b)
     for i in range(out.shape[0]):
@@ -328,28 +289,62 @@ def grid_commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.transpose(*range(2, out.ndim), 0, 1)
 
 
-def evaluate_grid(f: FourierSeries, M: int) -> GridSamples:
-    """Sample F(theta_j) at M equispaced points via FFT (see :func:`grid_values`)."""
-    return GridSamples(f.d, M, grid_values(f.coeffs, M))
+def evaluate_grid(f, M: int) -> np.ndarray:
+    """Values at M equispaced points theta_j = 2*pi*j/M, via FFT.
 
-
-def fit_series(g: GridSamples, N: int) -> FourierSeries:
-    """Trigonometric interpolation of grid samples, truncated to cutoff N.
-
-    Inverse of :func:`evaluate_grid` on cutoff-N series whenever M >= 2N+1.
+    ``f`` is anything :func:`series_stack` takes, and the values come back as
+    ``(..., M, d, d)``, entry major: a transposed view of a ``(d, d, ..., M)``
+    block, so every line ``[..., i, j]`` is contiguous for :func:`grid_product`.
+    Each transform runs along its own entry line, so each series in a stack
+    gets the values it gets alone, bit for bit.  Warns when M < 2N+1:
+    represented modes then alias onto each other.
     """
-    if g.M < 2 * N + 1:
+    N, coeffs = series_stack(f)
+    nd = coeffs.ndim
+    by_entry = coeffs.transpose(nd - 2, nd - 1, *range(nd - 3), nd - 3)
+    spec = np.zeros(by_entry.shape[:-1] + (M,), dtype=complex)
+    # += into zeros, so a -0.0 coefficient lands as 0 + x = +0.0
+    if M >= 2 * N + 1:
+        spec[..., : N + 1] += by_entry[..., N:]
+        spec[..., M - N :] += by_entry[..., :N]
+    else:
         warnings.warn(
-            f"fitting cutoff {N} from {g.M} samples aliases modes (need M >= {2 * N + 1})",
+            f"grid of {M} points aliases a cutoff-{N} series (need M >= {2 * N + 1})",
             AliasingWarning,
             stacklevel=2,
         )
-    spec = np.fft.fft(g.values.transpose(1, 2, 0), axis=-1) / g.M
-    out = np.zeros((g.d, g.d, 2 * N + 1), dtype=complex)
+        # np.add.at is unbuffered and runs in mode order, so modes that alias
+        # onto one grid frequency accumulate in a fixed order
+        np.add.at(spec, (..., np.arange(-N, N + 1) % M), by_entry)
+    values = np.fft.ifft(spec, axis=-1) * M
+    return values.transpose(*range(2, nd), 0, 1)
+
+
+def fit_series(values: np.ndarray, N: int) -> np.ndarray:
+    """Cutoff-N coefficients ``(..., 2N+1, d, d)`` of ``(..., M, d, d)`` grid samples.
+
+    Trigonometric interpolation, transformed along the entry lines: the
+    inverse of :func:`evaluate_grid` on cutoff-N series whenever M >= 2N+1.
+    A smaller M warns, and modes outside the M-point DFT's canonical alias
+    window come back 0.
+    """
+    M = values.shape[-3]
     n = np.arange(-N, N + 1)
-    keep = (n >= -(g.M // 2)) & (n <= (g.M - 1) // 2)  # canonical alias window of the M-point DFT
-    out[..., keep] = spec[..., n[keep] % g.M]
-    return FourierSeries(g.d, N, out.transpose(2, 0, 1))
+    # lines [..., j, i, :], swapped back below.  On one (M, d, d) stack the index
+    # gather returns C-contiguous coefficients, which RK4's stage sums run faster
+    # on than on the strided view that slices joined by np.concatenate return.
+    spec = np.fft.fft(values.swapaxes(-3, -1), axis=-1)
+    if M >= 2 * N + 1:
+        return (spec[..., n % M] / M).swapaxes(-3, -1)
+    warnings.warn(
+        f"fitting cutoff {N} from {M} samples aliases modes (need M >= {2 * N + 1})",
+        AliasingWarning,
+        stacklevel=2,
+    )
+    out = np.zeros(spec.shape[:-1] + (2 * N + 1,), dtype=complex)
+    keep = (n >= -(M // 2)) & (n <= (M - 1) // 2)
+    out[..., keep] = spec[..., n[keep] % M] / M
+    return out.swapaxes(-3, -1)
 
 
 def shift_backward_matrix(d: int, N: int) -> np.ndarray:

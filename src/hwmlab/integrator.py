@@ -4,7 +4,9 @@ This is the independent cross-check against the resolvent-formula evolution:
 a classical RK4 step on the Fourier coefficients, with the quadratic commutator
 evaluated pointwise on the smallest power of two >= 3N+1 points (the product of
 two cutoff-N series has bandwidth 2N, so on M >= 3N+1 points it aliases only
-beyond the retained modes -N..N).  :func:`integrate` and :func:`cross_validate`
+beyond the retained modes -N..N).  A stage samples, multiplies and fits
+through the grid pair :func:`~hwmlab.hardy.evaluate_grid` and
+:func:`~hwmlab.hardy.fit_series`.  :func:`integrate` and :func:`cross_validate`
 share one march: raw arrays step by dt, the last step cut short to land on the
 target time, and a checked state is built only where the march stops.
 Deliberately structure-agnostic: it knows nothing about the conserved operator
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hardy import FourierSeries, grid_commutator, grid_values, sobolev_energy
+from .hardy import FourierSeries, evaluate_grid, fit_series, grid_commutator, sobolev_energy
 from .grassmann import GrassmannLoop, _residuals_from_samples
 
 __all__ = [
@@ -52,7 +54,7 @@ def _flow_rate(coeffs: np.ndarray) -> np.ndarray:
     """-(i/2) [U, |D| U] on raw ``(2N+1, d, d)`` coefficients, via dealiased grid products.
 
     U and |D| U go through one stacked transform and one commutator pass,
-    and one forward transform along the entry lines fits modes -N..N back.
+    and one fit brings modes -N..N back.
     """
     N = (coeffs.shape[0] - 1) // 2
     M = _grid_size(N)
@@ -60,9 +62,12 @@ def _flow_rate(coeffs: np.ndarray) -> np.ndarray:
     stack = np.empty((2,) + coeffs.shape, dtype=complex)
     stack[0] = coeffs
     np.multiply(coeffs, np.abs(n)[:, None, None], out=stack[1])
-    comm = grid_commutator(*grid_values(stack, M)).transpose(1, 2, 0)
-    comm *= -0.5j
-    return (np.fft.fft(comm, axis=-1)[..., n % M] / M).transpose(2, 0, 1)
+    comm = grid_commutator(*evaluate_grid(stack, M))
+    # scale through the C-contiguous (d, d, M) block grid_commutator fills; in
+    # place, that runs faster than through the entry-major view
+    lines = comm.transpose(1, 2, 0)
+    lines *= -0.5j
+    return fit_series(comm, N)
 
 
 def rhs(u: GrassmannLoop | FourierSeries) -> FourierSeries:
@@ -79,7 +84,7 @@ def _raw_step(c: np.ndarray, dt: float, t: float) -> tuple[np.ndarray, np.ndarra
     k3 = _flow_rate(c + 0.5 * dt * k2)
     k4 = _flow_rate(c + dt * k3)
     new = c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    vals = grid_values(new, 2 * new.shape[0] - 1)
+    vals = evaluate_grid(new, 2 * new.shape[0] - 1)
     # Frobenius bound: |U|_op <= |U|_E <= sqrt(d) |U|_op, a cheap blow-up proxy
     sup = float(np.max(np.sqrt(np.sum(np.abs(vals) ** 2, axis=(-2, -1)))))
     if sup > 2.0 * np.sqrt(c.shape[-1]):
@@ -128,6 +133,8 @@ def integrate(u0: GrassmannLoop, t_end: float, dt: float) -> IntegratorState:
     """The state at ``t_end`` after steps of ``dt``, the last one cut short to land on it."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
+    if t_end < 0.0:
+        raise ValueError(f"t_end must be nonnegative, got {t_end}")
     if dt * u0.series.N > 1.0:
         warnings.warn(
             f"dt*N = {dt * u0.series.N:.2f} > 1 strains the advective stability heuristic",
@@ -151,6 +158,8 @@ def cross_validate(
 
     if N is not None and N < u0.series.N:
         raise ValueError(f"cutoff N = {N} is below the datum's cutoff {u0.series.N}")
+    if t_end < 0.0:
+        raise ValueError(f"t_end must be nonnegative, got {t_end}")
     if plan is None:
         plan = make_plan(u0)
     if N is not None and N > u0.series.N:

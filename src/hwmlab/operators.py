@@ -28,7 +28,10 @@ from .hardy import (
     FourierSeries,
     HardyElement,
     _shift_up,
+    evaluate_grid,
+    fit_series,
     fractional_derivative,
+    grid_product,
     project_plus,
     shift_backward_matrix,
     sobolev_energy,
@@ -191,15 +194,11 @@ def _interior_rows(d: int, N: int, band: int) -> int:
 
 def apply_toeplitz_grid(u, f: HardyElement) -> HardyElement:
     """Independent route for T_U F: multiply on a dealiased grid of 3 (2N+1) points, project back."""
-    from .hardy import GridSamples, evaluate_grid, fit_series, grid_product, project_plus
-
     sym = symbol_of(u)
     N = max(sym.N, f.N)
     M = 3 * (2 * N + 1)
-    uv = evaluate_grid(sym.with_cutoff(N), M).values
-    fv = evaluate_grid(f.to_series(N), M).values
-    prod = grid_product(uv, fv)
-    series = fit_series(GridSamples(sym.d, M, prod), N)
+    prod = grid_product(evaluate_grid(sym.with_cutoff(N), M), evaluate_grid(f.to_series(N), M))
+    series = FourierSeries(sym.d, N, fit_series(prod, N))
     return HardyElement(sym.d, f.N, project_plus(series).with_cutoff(f.N).coeffs, truncated=True)
 
 
@@ -267,13 +266,11 @@ def toeplitz_product_identity(f: FourierSeries, g: FourierSeries, N: int) -> flo
     """
     if f.d != g.d:
         raise ValueError("symbols must share the matrix dimension")
-    from .hardy import GridSamples, evaluate_grid, fit_series, grid_product
-
     Nfg = f.N + g.N
     M = 2 * (2 * Nfg + 1)
-    fv = evaluate_grid(f.with_cutoff(Nfg), M).values
-    gv = evaluate_grid(g.with_cutoff(Nfg), M).values
-    fg = fit_series(GridSamples(f.d, M, grid_product(fv, gv)), Nfg)
+    fv = evaluate_grid(f.with_cutoff(Nfg), M)
+    gv = evaluate_grid(g.with_cutoff(Nfg), M)
+    fg = FourierSeries(f.d, Nfg, fit_series(grid_product(fv, gv), Nfg))
 
     fstar = FourierSeries(
         f.d, f.N, np.conj(np.transpose(f.coeffs[::-1], (0, 2, 1)))

@@ -40,7 +40,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .hardy import FourierSeries, HardyElement, grid_values, project_plus
+from .hardy import FourierSeries, HardyElement, evaluate_grid, project_plus
 from .grassmann import GrassmannLoop
 from .operators import toeplitz_vector_section
 
@@ -56,6 +56,7 @@ __all__ = [
     "model_at_time",
     "apply_u_sigma",
     "parseval_defect",
+    "curve_verdict",
     "strong_stability_test",
     "zd_bo_norm_curve",
     "wold_decomposition_estimate",
@@ -63,6 +64,8 @@ __all__ = [
 
 # deficit above which zd_bo_norm_curve reports norm loss at a cutoff
 ONSET_THRESHOLD = 1e-4
+# a curve that has not settled is unstable when its log-tail slope per doubling is below this
+PLATEAU_SLOPE = 1e-3
 
 
 def _curve_norms(v: np.ndarray) -> np.ndarray:
@@ -268,7 +271,7 @@ def zd_bo_model(N: int, u0: FourierSeries) -> IsometryModel:
 def breaking_time(u0: FourierSeries) -> float:
     """-1 / (2 min u0') for a real scalar symbol, sampled on 4096 points."""
     n = np.arange(-u0.N, u0.N + 1)
-    du = grid_values(1j * n[:, None, None] * u0.coeffs, 4096)[:, 0, 0].real
+    du = evaluate_grid(1j * n[:, None, None] * u0.coeffs, 4096)[:, 0, 0].real
     m = float(np.min(du))
     if m >= 0.0:
         return np.inf
@@ -351,28 +354,29 @@ def parseval_defect(model: IsometryModel, f, n_max: int, stop_tol: float = 0.0) 
     return _reports(*model.iterate(_as_vector(model, f), [model.t], n_max, stop_tol), stop_tol)[0]
 
 
+def curve_verdict(settled: bool, slope: float) -> str:
+    """Verdict on one defect curve: "stable" if it settled, else "unstable" on a
+    flat log-tail (``|slope| < PLATEAU_SLOPE``), else "inconclusive"."""
+    if settled:
+        return "stable"
+    return "unstable" if abs(slope) < PLATEAU_SLOPE else "inconclusive"
+
+
 def strong_stability_test(model: IsometryModel, vectors, n_max: int, tol: float = 1e-6) -> dict:
     """Classify the model as stable, unstable, or inconclusive.
 
     Stable: every sampled defect curve falls below tol within the budget.
-    Unstable: some curve stays above tol with a flat log-tail (slope per
-    doubling below 1e-3 in absolute value).  Anything else, including slow but
-    still-decaying curves, is inconclusive rather than guessed.  All vectors
-    run as one block, each curve cut at its own stop.
+    Unstable: some curve stays above tol with a flat log-tail (see
+    :func:`curve_verdict`).  Anything else, including slow but still-decaying
+    curves, is inconclusive rather than guessed.  All vectors run as one
+    block, each curve cut at its own stop.
     """
     starts = [_as_vector(model, f) for f in vectors]
     if not starts:
         raise ValueError("strong_stability_test needs at least one vector")
     x = np.stack(starts, axis=1)
     reports = _reports(*model.iterate(x, np.full(x.shape[1], model.t), n_max, tol * 0.5), tol * 0.5)
-    verdicts = []
-    for rep in reports:
-        if rep.limit_estimate <= tol:
-            verdicts.append("stable")
-        elif abs(rep.tail_slope_per_octave) < 1e-3:
-            verdicts.append("unstable")
-        else:
-            verdicts.append("inconclusive")
+    verdicts = [curve_verdict(rep.limit_estimate <= tol, rep.tail_slope_per_octave) for rep in reports]
     if all(v == "stable" for v in verdicts):
         verdict = "stable"
     elif any(v == "unstable" for v in verdicts):

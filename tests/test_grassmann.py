@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from hwmlab.hardy import FourierSeries, grid_product, grid_values, half_norm_sq, l2_norm
+from hwmlab.hardy import FourierSeries, evaluate_grid, grid_product, half_norm_sq, l2_norm
 from hwmlab.grassmann import (
     PAULI,
     BlaschkeProduct,
@@ -85,6 +85,31 @@ def test_blaschke_series_matches_geometric():
     assert abs(coeffs[0] + a) < 1e-13
     for n in range(1, 8):
         assert abs(coeffs[n] - (1 - a * a) * a ** (n - 1)) < 1e-13
+
+
+def blaschke_series_reference(b, N):
+    # the 1-D FFT fit that blaschke_series ran before it went through fit_series
+    M = 4 * N + 1
+    theta = 2.0 * np.pi * np.arange(M) / M
+    vals = blaschke_eval(b, np.exp(1j * theta))
+    spec = np.fft.fft(vals) / M
+    coeffs = np.zeros(N + 1, dtype=complex)
+    coeffs[0] = spec[0]
+    coeffs[1:] = spec[1 : N + 1]
+    return coeffs
+
+
+@pytest.mark.parametrize(
+    "b, N",
+    [
+        (BlaschkeProduct(0.0, (0.0,)), 4),
+        (BlaschkeProduct(0.0, (0.4,)), 32),
+        (BlaschkeProduct(1.1, (0.5, -0.3 + 0.3j, 0.2j)), 64),
+        (BlaschkeProduct(-2.0, (0.6j, -0.45, 0.1 - 0.5j, 0.3)), 200),
+    ],
+)
+def test_blaschke_series_matches_fft_form_bitwise(b, N):
+    assert blaschke_series(b, N).tobytes() == blaschke_series_reference(b, N).tobytes()
 
 
 def test_blaschke_series_cutoff_guard():
@@ -260,7 +285,7 @@ def test_stacked_residuals_and_half_norm_match_single_calls_bytewise(rng):
 
 def full_matrix_residuals(d, k, coeffs, M):
     # the full-matrix formulation (both triangles, a broadcast identity), kept as a bitwise reference
-    vals = grid_values(coeffs, M)
+    vals = evaluate_grid(coeffs, M)
     lines = (-3, -2, -1)
     return np.stack(
         [

@@ -17,7 +17,6 @@ from hwmlab.hardy import (
     fit_series,
     grid_commutator,
     grid_product,
-    grid_values,
 )
 
 EPS = np.finfo(float).eps
@@ -36,7 +35,7 @@ def gaussian(seed, shape):
 def test_grid_product_matches_pointwise_matmul(d, stack, M, entry_major, seed):
     shape = stack + (M, d, d)
     if entry_major:
-        # the layout grid_values returns
+        # the layout evaluate_grid returns
         nd = len(shape)
         a, b = (x.transpose(*range(2, nd), 0, 1) for x in gaussian(seed, (2, d, d) + shape[:-2]))
     else:
@@ -64,7 +63,7 @@ def test_grid_product_broadcasts_against_identity(d, stack, M, seed):
 def test_evaluate_then_fit_round_trip(d, N, extra, seed):
     f = FourierSeries(d, N, gaussian(seed, (2 * N + 1, d, d)))
     back = fit_series(evaluate_grid(f, 2 * N + 1 + extra), N)
-    assert np.max(np.abs(back.coeffs - f.coeffs)) <= 64 * EPS * np.linalg.norm(f.coeffs)
+    assert np.max(np.abs(back - f.coeffs)) <= 64 * EPS * np.linalg.norm(f.coeffs)
 
 
 @given(
@@ -92,10 +91,14 @@ def test_grid_samples_are_entry_major(rng, stack, d):
     # every [..., i, j] line contiguous, so grid_product multiplies whole lines
     N, M = 5, 21
     coeffs = rng.standard_normal(stack + (2 * N + 1, d, d)) + 0j
-    vals = grid_values(coeffs, M)
+    vals = evaluate_grid(coeffs, M)
     samples = [vals, grid_product(vals, vals)]
-    if not stack:
-        samples.append(evaluate_grid(FourierSeries(d, N, coeffs), M).values)
+    if stack:
+        # a sequence of series samples as its stacked coefficients do, bit for bit
+        series = [FourierSeries(d, N, c) for c in coeffs.reshape((-1,) + coeffs.shape[-3:])]
+        assert evaluate_grid(series, M).tobytes() == vals.reshape((-1,) + vals.shape[-3:]).tobytes()
+    else:
+        samples.append(evaluate_grid(FourierSeries(d, N, coeffs), M))
     for values in samples:
         assert values.shape == stack + (M, d, d)
         for i in range(d):

@@ -77,6 +77,31 @@ def test_no_package_path_builds_a_matrix_section():
             assert (module, fn.name) in {("operators.py", "build_toeplitz"), ("operators.py", "build_hankel")}
 
 
+GRID_TRANSFORMS = {("hardy.py", "evaluate_grid"), ("hardy.py", "fit_series")}
+
+
+def fft_users():
+    """(module file, outermost enclosing function or None) of every ``np.fft``
+    reference and FFT import in the package."""
+    for path in sorted(Path(hwmlab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    owner.setdefault(node, fn.name)
+        for node in ast.walk(tree):
+            is_attr = isinstance(node, ast.Attribute) and node.attr == "fft"
+            np_fft = is_attr and getattr(node.value, "id", None) in ("np", "numpy")
+            if np_fft or isinstance(node, (ast.Import, ast.ImportFrom)) and "fft" in ast.unparse(node):
+                yield path.name, owner.get(node)
+
+
+def test_only_the_grid_pair_calls_the_fft():
+    # one transform pair: every sample goes through evaluate_grid and every fit through fit_series
+    assert set(fft_users()) == GRID_TRANSFORMS
+
+
 def defaulted_parameters(fn):
     """(name, positional index or None) of each parameter of ``fn`` that has a default."""
     args = fn.args

@@ -7,8 +7,10 @@ from hwmlab.grassmann import BlaschkeProduct, random_rational_loop, traveling_pr
 from hwmlab.evolution import make_plan, solve_at_time
 from hwmlab.operators import build_toeplitz, shift_backward_matrix
 from hwmlab.stability import (
+    PLATEAU_SLOPE,
     apply_u_sigma,
     breaking_time,
+    curve_verdict,
     emit,
     first_stops,
     hwm_model,
@@ -417,6 +419,15 @@ def test_defect_curves_match_dense_reference(kind, rng):
         full_means, _ = dense_curve(model, v, n_max)
         assert np.max(np.abs(apply_u_sigma(model, v, n_max).coeffs - full_means)) < 1e-13
     assert res["per_vector"][0] == "stable" != res["per_vector"][1]
+
+
+def test_curve_verdict_outcomes():
+    # settled wins over any slope; an unsettled curve is unstable only on a flat tail
+    assert curve_verdict(True, 5.0) == "stable"
+    assert curve_verdict(False, 0.5 * PLATEAU_SLOPE) == "unstable"
+    assert curve_verdict(False, -0.5 * PLATEAU_SLOPE) == "unstable"
+    assert curve_verdict(False, PLATEAU_SLOPE) == "inconclusive"
+    assert curve_verdict(False, -np.inf) == "inconclusive"
 
 
 def test_strong_stability_test_needs_a_vector():
