@@ -7,6 +7,7 @@ embeds the config hash for provenance.
 
 from __future__ import annotations
 
+import cmath
 import hashlib
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -66,6 +67,12 @@ class ExperimentConfig:
     out: str = "out"
 
     def validate(self) -> "ExperimentConfig":
+        # NaN passes every bound check below, since it compares false
+        for f in fields(self):
+            value = getattr(self, f.name)
+            numbers = value if isinstance(value, tuple) else (value,)
+            if not all(cmath.isfinite(x) for x in numbers if isinstance(x, (float, complex))):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"experiment must be one of {EXPERIMENTS}, got {self.experiment!r}")
         if self.datum not in DATA:
@@ -80,6 +87,8 @@ class ExperimentConfig:
             raise ConfigError("datum = file requires a file path")
         if self.samples < 1:
             raise ConfigError("samples must be positive")
+        if self.dt <= 0.0:
+            raise ConfigError(f"dt must be positive, got {self.dt}")
         if self.stability_n_max < 1 or self.zdbo_checkpoint < 1:
             raise ConfigError("stability_n_max and zdbo_checkpoint must be positive")
         for key in ("stability_times", "zdbo_times", "zdbo_cutoffs", "bench_degrees"):

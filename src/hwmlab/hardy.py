@@ -244,48 +244,42 @@ def l2_norm(f) -> float:
     raise TypeError(f"l2_norm expects a FourierSeries or HardyElement, got {type(f)!r}")
 
 
-def _product_line(a: np.ndarray, b: np.ndarray, i: int, k: int, out: np.ndarray) -> np.ndarray:
-    """Entry line ``(a @ b)[..., i, k]`` into ``out``: the multiply-adds of
-    whole lines ``a[..., i, j] * b[..., j, k]``, summed over j = 0..d-1 in order."""
-    acc = np.multiply(a[..., i, 0], b[..., 0, k], out=out)
-    for j in range(1, a.shape[-1]):
-        acc += a[..., i, j] * b[..., j, k]
+def _entry_blocks(a: np.ndarray, b: np.ndarray):
+    """The ``(d, d, ...)`` entry views of samples a and b, broadcast as in ``np.matmul``."""
+    if a.shape != b.shape:
+        a, b = np.broadcast_arrays(a, b)
+    return (x.transpose(x.ndim - 2, x.ndim - 1, *range(x.ndim - 2)) for x in (a, b))
+
+
+def _product_block(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Entry block of ``a @ b`` from entry blocks a and b: d multiply-adds of whole
+    blocks ``a[i, j] * b[j, k]`` over every (i, k), summed over j = 0..d-1 in order."""
+    acc = np.multiply(a[:, 0, None], b[None, 0], out=np.empty(a.shape, np.result_type(a, b)))
+    for j in range(1, a.shape[1]):
+        acc += a[:, j, None] * b[None, j]
     return acc
-
-
-def _entry_lines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Empty ``(d, d, ...)`` block for the entry lines of a product of a and b."""
-    d = a.shape[-1]
-    shape = np.broadcast_shapes(a.shape, b.shape)[:-2]
-    return np.empty((d, d) + shape, dtype=np.result_type(a, b))
 
 
 def grid_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pointwise matrix product of grid samples, ``a @ b`` broadcast as in ``np.matmul``.
 
-    Taken as d^3 multiply-adds of whole entry lines, summed over j = 0..d-1,
+    Taken as d multiply-adds of whole entry blocks, summed over j = 0..d-1,
     and returned entry major like :func:`evaluate_grid`.
     """
-    out = _entry_lines(a, b)
-    for i in range(out.shape[0]):
-        for k in range(out.shape[0]):
-            _product_line(a, b, i, k, out[i, k])
+    out = _product_block(*_entry_blocks(a, b))
     return out.transpose(*range(2, out.ndim), 0, 1)
 
 
 def grid_commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pointwise commutator ``a @ b - b @ a`` of grid samples, entry major.
 
-    Each entry sums its ``a @ b`` line and its ``b @ a`` line as
-    :func:`grid_product` does, then subtracts, so the result equals
-    ``grid_product(a, b) - grid_product(b, a)`` bit for bit.
+    Both products are summed as :func:`grid_product` sums them, then
+    subtracted, so the result equals ``grid_product(a, b) - grid_product(b, a)``
+    bit for bit.
     """
-    out = _entry_lines(a, b)
-    line = np.empty(out.shape[2:], dtype=out.dtype)
-    for i in range(out.shape[0]):
-        for k in range(out.shape[0]):
-            ab = _product_line(a, b, i, k, out[i, k])
-            ab -= _product_line(b, a, i, k, line)
+    a, b = _entry_blocks(a, b)
+    out = _product_block(a, b)
+    out -= _product_block(b, a)
     return out.transpose(*range(2, out.ndim), 0, 1)
 
 
@@ -293,8 +287,8 @@ def evaluate_grid(f, M: int) -> np.ndarray:
     """Values at M equispaced points theta_j = 2*pi*j/M, via FFT.
 
     ``f`` is anything :func:`series_stack` takes, and the values come back as
-    ``(..., M, d, d)``, entry major: a transposed view of a ``(d, d, ..., M)``
-    block, so every line ``[..., i, j]`` is contiguous for :func:`grid_product`.
+    ``(..., M, d, d)``, entry major: a transposed view of a C-contiguous
+    ``(d, d, ..., M)`` block, the entry block :func:`grid_product` multiplies.
     Each transform runs along its own entry line, so each series in a stack
     gets the values it gets alone, bit for bit.  Warns when M < 2N+1:
     represented modes then alias onto each other.

@@ -87,8 +87,9 @@ def _raw_step(c: np.ndarray, dt: float, t: float) -> tuple[np.ndarray, np.ndarra
     vals = evaluate_grid(new, 2 * new.shape[0] - 1)
     # Frobenius bound: |U|_op <= |U|_E <= sqrt(d) |U|_op, a cheap blow-up proxy
     sup = float(np.max(np.sqrt(np.sum(np.abs(vals) ** 2, axis=(-2, -1)))))
-    if sup > 2.0 * np.sqrt(c.shape[-1]):
-        raise BlowUpError(f"sup |U|_E = {sup:.3f} exceeds 2 sqrt(d) at t = {t + dt}")
+    # negated, so a NaN sup trips the guard too
+    if not sup <= 2.0 * np.sqrt(c.shape[-1]):
+        raise BlowUpError(f"sup |U|_E = {sup:.3f} is not within 2 sqrt(d) at t = {t + dt}")
     return new, vals, t + dt
 
 
@@ -129,12 +130,19 @@ def _march(state: IntegratorState, t_stop: float, dt: float) -> IntegratorState:
     return _wrap_step(state, c, vals, t, step_dt, steps) if steps else state
 
 
-def integrate(u0: GrassmannLoop, t_end: float, dt: float) -> IntegratorState:
-    """The state at ``t_end`` after steps of ``dt``, the last one cut short to land on it."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+def _check_times(t_end: float, dt: float) -> None:
+    """Reject a march that cannot end: dt not positive and finite, t_end not finite and nonnegative."""
+    if not 0.0 < dt < np.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    if not np.isfinite(t_end):
+        raise ValueError(f"t_end must be finite, got {t_end}")
     if t_end < 0.0:
         raise ValueError(f"t_end must be nonnegative, got {t_end}")
+
+
+def integrate(u0: GrassmannLoop, t_end: float, dt: float) -> IntegratorState:
+    """The state at ``t_end`` after steps of ``dt``, the last one cut short to land on it."""
+    _check_times(t_end, dt)
     if dt * u0.series.N > 1.0:
         warnings.warn(
             f"dt*N = {dt * u0.series.N:.2f} > 1 strains the advective stability heuristic",
@@ -152,14 +160,15 @@ def cross_validate(
     comparing against the per-time exact solve at ``n_checks`` evenly spaced
     times.  The cutoff must resolve the modes the flow populates, else the
     gap saturates at the truncation tail instead of shrinking like dt^4; a
-    cutoff below the datum's raises ValueError.
+    cutoff below the datum's, or fewer than one check, raises ValueError.
     """
     from .evolution import make_plan, solve_at_time
 
     if N is not None and N < u0.series.N:
         raise ValueError(f"cutoff N = {N} is below the datum's cutoff {u0.series.N}")
-    if t_end < 0.0:
-        raise ValueError(f"t_end must be nonnegative, got {t_end}")
+    _check_times(t_end, dt)
+    if n_checks < 1:
+        raise ValueError(f"n_checks must be at least 1, got {n_checks}")
     if plan is None:
         plan = make_plan(u0)
     if N is not None and N > u0.series.N:

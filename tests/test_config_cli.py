@@ -124,6 +124,10 @@ def test_cli_spectrum_report(tmp_path):
     assert ranks == {2}
 
 
+FLOAT_KEYS = ("blaschke_phase", "velocity", "t0", "t1", "rank_tol", "tail_tol", "stability_tol", "dt")
+FLOAT_LIST_KEYS = ("constant_axis", "stability_times", "zdbo_times")
+
+
 @pytest.mark.parametrize(
     "experiment, line",
     [
@@ -134,6 +138,18 @@ def test_cli_spectrum_report(tmp_path):
         ("stability", "stability_n_max = -1"),
         ("stability", "stability_times ="),
         ("bench", "bench_degrees ="),
+        ("bench", "dt = 0"),
+        ("evolve", "dt = -1e-3"),
+    ]
+    # NaN compares false against every bound, so non-finite numbers need their own check
+    + [("evolve", f"{key} = nan") for key in FLOAT_KEYS]
+    + [("evolve", f"{key} = 0.5, nan") for key in FLOAT_LIST_KEYS]
+    + [
+        ("bench", "dt = nan"),
+        ("evolve", "t1 = inf"),
+        ("evolve", "velocity = -inf"),
+        ("stability", "stability_times = 0.5, inf"),
+        ("evolve", "blaschke_zeros = nan"),
     ],
 )
 def test_cli_rejects_empty_or_zero_budgets(tmp_path, experiment, line):

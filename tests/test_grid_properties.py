@@ -45,10 +45,65 @@ def test_grid_product_matches_pointwise_matmul(d, stack, M, entry_major, seed):
     for idx in np.ndindex(*shape[:-2]):
         bound = 8 * EPS * np.linalg.norm(a[idx]) * np.linalg.norm(b[idx])
         assert np.max(np.abs(got[idx] - a[idx] @ b[idx])) <= bound
-    # the commutator sums the same lines, so it matches the two products bit for bit
+    # the commutator sums the same blocks, so it matches the two products bit for bit
     comm = grid_commutator(a, b)
     assert comm.shape == shape
     assert comm.tobytes() == (got - grid_product(b, a)).tobytes()
+
+
+def reference_line(a, b, i, k, out):
+    """Entry line ``(a @ b)[..., i, k]`` into ``out``, summed over j = 0..d-1 in order."""
+    acc = np.multiply(a[..., i, 0], b[..., 0, k], out=out)
+    for j in range(1, a.shape[-1]):
+        acc += a[..., i, j] * b[..., j, k]
+    return acc
+
+
+def reference_kernel(a, b, commute):
+    """The pointwise product (or, with ``commute``, the commutator) as one line
+    loop per entry (i, k) into a C-contiguous ``(d, d, ...)`` block, returned entry
+    major: the form the block kernel must reproduce bit for bit."""
+    d = a.shape[-1]
+    out = np.empty((d, d) + np.broadcast_shapes(a.shape, b.shape)[:-2], dtype=np.result_type(a, b))
+    line = np.empty(out.shape[2:], dtype=out.dtype)
+    for i in range(d):
+        for k in range(d):
+            ab = reference_line(a, b, i, k, out[i, k])
+            if commute:
+                ab -= reference_line(b, a, i, k, line)
+    return out.transpose(*range(2, out.ndim), 0, 1)
+
+
+def sample_layouts(seed, shape):
+    """Equal-shaped samples in four memory layouts: entry major (as evaluate_grid
+    returns them), C order, Fortran order, and every other sample of a longer grid."""
+    nd, d = len(shape), shape[-1]
+    g = gaussian(seed, (2,) + shape)
+    yield gaussian(seed + 1, (d, d) + shape[:-2]).transpose(*range(2, nd), 0, 1)
+    yield g[0]
+    yield np.asfortranarray(g[1])
+    longer = gaussian(seed + 2, shape[:-3] + (2 * shape[-3],) + shape[-2:])
+    yield longer[..., ::2, :, :]
+
+
+@pytest.mark.parametrize("stack", [(), (1,), (3,), (2, 2)])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_grid_kernels_equal_the_line_loop_bytewise(d, stack):
+    cases = 0
+    for M in (1, 5, 12, 64, 129):
+        shape = stack + (M, d, d)
+        left = list(sample_layouts(10 * M + d, shape))
+        right = list(sample_layouts(10 * M + d + 5, shape))
+        const = gaussian(M, (d, d))
+        pairs = [(a, b) for a in left for b in right] + [(left[0], const), (const, right[1])]
+        for a, b in pairs:
+            for kernel, commute in ((grid_product, False), (grid_commutator, True)):
+                got, want = kernel(a, b), reference_kernel(a, b, commute)
+                assert got.shape == want.shape == shape
+                assert got.strides == want.strides
+                assert got.tobytes() == want.tobytes()
+                cases += 1
+    assert cases == 2 * 5 * 18
 
 
 @given(d=dims, stack=stacks, M=st.integers(1, 12), seed=seeds)
@@ -88,7 +143,9 @@ def test_stacked_residuals_match_single_calls_bytewise(d, N, size, extra, seed):
 @pytest.mark.parametrize("stack", [(), (3,)])
 @pytest.mark.parametrize("d", [1, 2, 4])
 def test_grid_samples_are_entry_major(rng, stack, d):
-    # every [..., i, j] line contiguous, so grid_product multiplies whole lines
+    # entry major: the (d, d, ..., M) entry block is C-contiguous, so every
+    # [..., i, j] line is contiguous and grid_product's block kernel runs on
+    # contiguous memory
     N, M = 5, 21
     coeffs = rng.standard_normal(stack + (2 * N + 1, d, d)) + 0j
     vals = evaluate_grid(coeffs, M)

@@ -260,3 +260,34 @@ def test_negative_end_time_is_rejected(rng):
         integrate(loop, -1.0, 1e-2)
     with pytest.raises(ValueError, match="t_end must be nonnegative"):
         cross_validate(loop, -0.5, 1e-2, n_checks=2)
+
+
+def test_nan_state_trips_blow_up_guard():
+    # NaN compares false against the bound, so the guard is written as a negation
+    q = traveling_profile(BlaschkeProduct(0.0, (0.0,)), 0.5, N=16)
+    with pytest.raises(BlowUpError, match="sup"):
+        step_rk4(fresh_state(q, 1e-2), float("nan"))
+
+
+@pytest.mark.parametrize(
+    "t_end, dt, message",
+    [
+        (1.0, float("nan"), "dt must be positive and finite"),
+        (1.0, float("inf"), "dt must be positive and finite"),
+        (float("inf"), 1e-2, "t_end must be finite"),
+        (float("nan"), 1e-2, "t_end must be finite"),
+    ],
+)
+def test_non_finite_times_are_rejected(t_end, dt, message):
+    q = traveling_profile(BlaschkeProduct(0.0, (0.0,)), 0.5, N=16)
+    with pytest.raises(ValueError, match=message):
+        integrate(q, t_end, dt)
+    with pytest.raises(ValueError, match=message):
+        cross_validate(q, t_end, dt, n_checks=2)
+
+
+@pytest.mark.parametrize("n_checks", [0, -1])
+def test_cross_validate_needs_a_check(n_checks):
+    q = traveling_profile(BlaschkeProduct(0.0, (0.0,)), 0.5, N=16)
+    with pytest.raises(ValueError, match="n_checks must be at least 1"):
+        cross_validate(q, 0.5, 1e-2, n_checks=n_checks)

@@ -102,6 +102,20 @@ def test_only_the_grid_pair_calls_the_fft():
     assert set(fft_users()) == GRID_TRANSFORMS
 
 
+def nested_for_loops(path):
+    """(outer line, inner line) of every ``for`` statement nested in another in ``path``."""
+    for outer in ast.walk(ast.parse(path.read_text())):
+        if isinstance(outer, ast.For):
+            for inner in ast.walk(outer):
+                if inner is not outer and isinstance(inner, ast.For):
+                    yield outer.lineno, inner.lineno
+
+
+def test_hardy_has_no_nested_loop():
+    # the pointwise products multiply whole entry blocks, not one Python line loop per entry
+    assert not list(nested_for_loops(Path(hwmlab.__file__).parent / "hardy.py"))
+
+
 def defaulted_parameters(fn):
     """(name, positional index or None) of each parameter of ``fn`` that has a default."""
     args = fn.args
