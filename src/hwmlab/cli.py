@@ -13,7 +13,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .config import ConfigError, DEFAULT_TEXT, load_config, parse_config
+from .config import EXPERIMENTS, ConfigError, DEFAULT_TEXT, load_config, parse_config
 from . import experiments
 
 
@@ -43,67 +43,35 @@ def _load(config_path, experiment, seed, out_dir):
         raise click.UsageError(str(exc))
 
 
-def _dispatch(runner, config_path, experiment, seed, out_dir, quiet):
-    cfg = _load(config_path, experiment, seed, out_dir)
-    try:
-        code = runner(cfg, Path(cfg.out), quiet=quiet)
-    except (np.linalg.LinAlgError, RuntimeError) as exc:
-        # before ValueError: LinAlgError subclasses it, and is not a usage error
-        kind = "numerical" if isinstance(exc, np.linalg.LinAlgError) else "invariant"
-        click.echo(f"{kind} failure: {exc}", err=True)
-        sys.exit(1)
-    except (ValueError, FileNotFoundError) as exc:
-        # bad datum parameters (cutoff too small, infeasible embedding, ...)
-        raise click.UsageError(str(exc))
-    sys.exit(code)
-
-
 @click.group()
 @click.version_option()
 def main():
     """Laboratory runs for the half-wave maps flow and its operator data."""
 
 
-@main.command()
-@_common
-def evolve(config_path, out_dir, seed, quiet):
-    """Evolve a rational datum; write trajectory CSV and loop snapshots."""
-    _dispatch(experiments.run_evolve, config_path, "evolve", seed, out_dir, quiet)
+def _register(name):
+    """Add subcommand ``name``: it runs ``experiments.run_<name>``, looked up
+    on each call, and its help is that runner's docstring."""
+
+    @main.command(name, help=getattr(experiments, f"run_{name}").__doc__)
+    @_common
+    def command(config_path, out_dir, seed, quiet):
+        cfg = _load(config_path, name, seed, out_dir)
+        try:
+            code = getattr(experiments, f"run_{name}")(cfg, Path(cfg.out), quiet=quiet)
+        except (np.linalg.LinAlgError, RuntimeError) as exc:
+            # before ValueError: LinAlgError subclasses it, and is not a usage error
+            kind = "numerical" if isinstance(exc, np.linalg.LinAlgError) else "invariant"
+            click.echo(f"{kind} failure: {exc}", err=True)
+            sys.exit(1)
+        except (ValueError, FileNotFoundError) as exc:
+            # bad datum parameters (cutoff too small, infeasible embedding, ...)
+            raise click.UsageError(str(exc))
+        sys.exit(code)
 
 
-@main.command()
-@_common
-def spectrum(config_path, out_dir, seed, quiet):
-    """Toeplitz spectral report and Hankel rank sweep as JSON."""
-    _dispatch(experiments.run_spectrum, config_path, "spectrum", seed, out_dir, quiet)
-
-
-@main.command()
-@_common
-def stability(config_path, out_dir, seed, quiet):
-    """Strong-stability verdicts for the flow model of the configured datum."""
-    _dispatch(experiments.run_stability, config_path, "stability", seed, out_dir, quiet)
-
-
-@main.command()
-@_common
-def zdbo(config_path, out_dir, seed, quiet):
-    """Zero-dispersion norm-loss curve across cutoffs; onset localization."""
-    _dispatch(experiments.run_zdbo, config_path, "zdbo", seed, out_dir, quiet)
-
-
-@main.command()
-@_common
-def validate(config_path, out_dir, seed, quiet):
-    """Check the configured datum's invariants along its flow; nonzero exit on any failure."""
-    _dispatch(experiments.run_validate, config_path, "validate", seed, out_dir, quiet)
-
-
-@main.command()
-@_common
-def bench(config_path, out_dir, seed, quiet):
-    """Timing table: plan build vs per-time solve vs RK4 stepping."""
-    _dispatch(experiments.run_bench, config_path, "bench", seed, out_dir, quiet)
+for _name in EXPERIMENTS:
+    _register(_name)
 
 
 @main.command("init-config")

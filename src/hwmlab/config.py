@@ -1,8 +1,10 @@
 """Flat key=value experiment configs with typed validation.
 
 The format is one ``key = value`` pair per line, ``#`` comments, no nesting.
-Unknown keys are rejected so that typos fail loudly.  Every derived artifact
-embeds the config hash for provenance.
+Each key's type is its field's annotation in :class:`ExperimentConfig`; a
+``tuple[item, ...]`` key reads a comma list.  Unknown keys are rejected so
+that typos fail loudly.  Every derived artifact embeds the config hash for
+provenance.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import cmath
 import hashlib
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 __all__ = ["ExperimentConfig", "ConfigError", "parse_config", "config_hash", "DEFAULT_TEXT"]
 
@@ -22,18 +25,6 @@ class ConfigError(ValueError):
     """Malformed or inconsistent experiment configuration."""
 
 
-def _parse_float_list(s: str):
-    return tuple(float(x) for x in s.split(",") if x.strip())
-
-
-def _parse_int_list(s: str):
-    return tuple(int(x) for x in s.split(",") if x.strip())
-
-
-def _parse_complex_list(s: str):
-    return tuple(complex(x.strip()) for x in s.split(",") if x.strip())
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str = "validate"
@@ -43,11 +34,11 @@ class ExperimentConfig:
     N_out: int = 4096
     datum: str = "blaschke"
     blaschke_degree: int = 1
-    blaschke_zeros: tuple = ()       # explicit zeros override the seeded draw
+    blaschke_zeros: tuple[complex, ...] = ()  # explicit zeros override the seeded draw
     blaschke_phase: float = 0.0
     velocity: float = 0.0
     conjugate_random: bool = False   # conjugate by a seeded random unitary
-    constant_axis: tuple = (0.0, 0.0, 1.0)
+    constant_axis: tuple[float, ...] = (0.0, 0.0, 1.0)
     twists: int = 1
     file: str = ""
     t0: float = 0.0
@@ -55,13 +46,13 @@ class ExperimentConfig:
     samples: int = 50
     rank_tol: float = 1e-8
     tail_tol: float = 1e-12
-    stability_times: tuple = (0.5, 1.0, 2.0)
+    stability_times: tuple[float, ...] = (0.5, 1.0, 2.0)
     stability_n_max: int = 1024
     stability_tol: float = 1e-6
-    zdbo_times: tuple = (0.30, 0.40, 0.45, 0.50, 0.525, 0.55, 0.60)
-    zdbo_cutoffs: tuple = (256, 512, 1024)
+    zdbo_times: tuple[float, ...] = (0.30, 0.40, 0.45, 0.50, 0.525, 0.55, 0.60)
+    zdbo_cutoffs: tuple[int, ...] = (256, 512, 1024)
     zdbo_checkpoint: int = 1024
-    bench_degrees: tuple = (1, 2, 4)
+    bench_degrees: tuple[int, ...] = (1, 2, 4)
     dt: float = 1e-3
     seed: int = 42
     out: str = "out"
@@ -100,40 +91,26 @@ class ExperimentConfig:
         return self
 
 
-_PARSERS = {
-    "experiment": str,
-    "datum": str,
-    "file": str,
-    "out": str,
-    "d": int,
-    "k": int,
-    "N": int,
-    "N_out": int,
-    "blaschke_degree": int,
-    "twists": int,
-    "samples": int,
-    "seed": int,
-    "stability_n_max": int,
-    "zdbo_checkpoint": int,
-    "blaschke_phase": float,
-    "velocity": float,
-    "t0": float,
-    "t1": float,
-    "rank_tol": float,
-    "tail_tol": float,
-    "stability_tol": float,
-    "dt": float,
-    "conjugate_random": lambda s: s.strip().lower() in ("1", "true", "yes", "on"),
-    "constant_axis": _parse_float_list,
-    "stability_times": _parse_float_list,
-    "zdbo_times": _parse_float_list,
-    "zdbo_cutoffs": _parse_int_list,
-    "bench_degrees": _parse_int_list,
-    "blaschke_zeros": _parse_complex_list,
-}
+_BOOLS = dict.fromkeys(("1", "true", "yes", "on"), True) | dict.fromkeys(("0", "false", "no", "off"), False)
 
-_FIELD_NAMES = {f.name for f in fields(ExperimentConfig)}
-assert set(_PARSERS) == _FIELD_NAMES
+
+def _parse_bool(s: str) -> bool:
+    if s.lower() not in _BOOLS:
+        raise ValueError(f"expected one of {'/'.join(_BOOLS)} in any case, got {s!r}")
+    return _BOOLS[s.lower()]
+
+
+def _parser(annotation):
+    """Parser of one stripped value: a scalar type, or a comma list of one for tuple[item, ...]."""
+    if annotation is bool:
+        return _parse_bool
+    if get_origin(annotation) is tuple:
+        item = get_args(annotation)[0]
+        return lambda s: tuple(item(x.strip()) for x in s.split(",") if x.strip())
+    return annotation
+
+
+_PARSERS = {key: _parser(annotation) for key, annotation in get_type_hints(ExperimentConfig).items()}
 
 
 def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:

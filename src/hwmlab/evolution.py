@@ -273,7 +273,7 @@ def lax_isospectrality_check(plan: EvolutionPlan, times, N: int | None = None) -
     N = plan.N_op if N is None else N
 
     def interior(series: FourierSeries) -> np.ndarray:
-        lam = np.linalg.eigvalsh(toeplitz_vector_section(series.with_cutoff(N), N))
+        lam = np.linalg.eigvalsh(toeplitz_vector_section(series, N))
         return lam[(lam > -0.95) & (lam < 0.95)]
 
     base = interior(plan.source)
@@ -297,8 +297,7 @@ def conservation_report(plan: EvolutionPlan, times, N_rank: int | None = None) -
     out = []
     for sample in solve_many(plan, times):
         loop = sample.loop
-        sym = loop.series.with_cutoff(max(N_rank, loop.series.N))
-        rank, sv = kronecker_rank(sym, N_rank)
+        rank, sv = kronecker_rank(loop, N_rank)
         row = {
             "t": sample.t,
             "energy": sample.diagnostics["energy"],
@@ -348,6 +347,8 @@ def lax_residual(
     default sign and stays O(1) for the opposite one.  Both run on vector
     sections, whose lifts have the same 2-norm.
     """
+    if not 0.0 < h < np.inf:
+        raise ValueError(f"h must be positive and finite, got {h}")
     if plan is None:
         plan = make_plan(u0)
     loops = {dt: solve_at_time(plan, t + dt).loop for dt in (-h, 0.0, h)}
@@ -358,9 +359,9 @@ def lax_residual(
     margin = 2 * band + 2
     if N - margin < 1:
         raise ValueError(f"cutoff {N} leaves no interior block for bandwidth {band}")
-    secs = {dt: toeplitz_vector_section(lp.series.with_cutoff(N), N) for dt, lp in loops.items()}
+    secs = {dt: toeplitz_vector_section(lp, N) for dt, lp in loops.items()}
     fd = (secs[h] - secs[-h]) / (2.0 * h)
-    B = b_vector_section(loops[0.0].series.with_cutoff(N), N, sign=sign)
+    B = b_vector_section(loops[0.0], N, sign=sign)
     comm = B @ secs[0.0] - secs[0.0] @ B
     keep = (N - margin + 1) * u0.d
     return float(np.linalg.norm((fd - comm)[:keep, :keep], ord=2))
@@ -376,6 +377,10 @@ def recurrence_search(plan: EvolutionPlan, horizon: float, coarse_dt: float = 0.
     Also reports the frequency vector (restricted Toeplitz eigenvalues) and
     the supremum of the Sobolev norm seen during the scan.
     """
+    if not 0.0 <= horizon < np.inf:
+        raise ValueError(f"horizon must be nonnegative and finite, got {horizon}")
+    if not 0.0 < coarse_dt < np.inf:
+        raise ValueError(f"coarse_dt must be positive and finite, got {coarse_dt}")
     u0 = plan.source
     norm0 = sobolev_norm(u0, 0.5)
     eps = 1e-3 * norm0

@@ -2,10 +2,11 @@
 
 Each runner takes a validated config, writes its artifacts atomically under
 the output directory, and returns a process exit code: 0 for success or
-all-pass, 1 for an invariant failure.  Randomized data always come from a
-counter-based Philox generator keyed by the single config seed, so a config
-plus seed reproduces every artifact byte for byte below the version header,
-at an equal BLAS thread count.
+all-pass, 1 for an invariant failure; its docstring is its subcommand's help
+text.  Randomized data always come from a counter-based Philox generator
+keyed by the single config seed, so a config plus seed reproduces every
+artifact byte for byte below the version header, at an equal BLAS thread
+count.
 """
 
 from __future__ import annotations
@@ -159,6 +160,7 @@ def trajectory_rows(plan, times):
 
 
 def run_evolve(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False) -> int:
+    """Evolve a rational datum; write trajectory CSV and loop snapshots."""
     loop = build_datum(cfg)
     plan = make_plan(loop, N_out=cfg.N_out, rank_tol=cfg.rank_tol, tail_tol=cfg.tail_tol)
     times = np.linspace(cfg.t0, cfg.t1, cfg.samples)
@@ -175,6 +177,7 @@ def run_evolve(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False) -> int
 
 
 def run_spectrum(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False) -> int:
+    """Toeplitz spectral report and Hankel rank sweep as JSON."""
     loop = build_datum(cfg)
     # the matrix section is kron(vector section, I_d): its spectrum is the vector one, each value d times
     spec = eig_hermitian(toeplitz_vector_section(loop, cfg.N))
@@ -199,6 +202,7 @@ def run_spectrum(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False) -> i
 
 
 def run_stability(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False) -> int:
+    """Strong-stability verdicts for the flow model of the configured datum."""
     loop = build_datum(cfg)
     N = cfg.N
     base = hwm_model(loop, 0.0, N)
@@ -228,6 +232,7 @@ def run_stability(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False) -> 
 
 
 def run_zdbo(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False) -> int:
+    """Zero-dispersion norm-loss curve across cutoffs; onset localization."""
     coeffs = np.zeros((3, 1, 1), dtype=complex)
     coeffs[0, 0, 0] = -0.5
     coeffs[2, 0, 0] = -0.5
@@ -252,6 +257,7 @@ def run_zdbo(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False) -> int:
 
 
 def run_validate(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False) -> int:
+    """Check the configured datum's invariants along its flow; nonzero exit on any failure."""
     from .checks import run_invariant_suite
 
     results = run_invariant_suite(cfg)
@@ -266,6 +272,7 @@ def run_validate(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False) -> i
 
 
 def run_bench(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False) -> int:
+    """Timing table: plan build vs per-time solve vs RK4 stepping."""
     rng = rng_for(cfg)
     rows = []
     for m in cfg.bench_degrees:

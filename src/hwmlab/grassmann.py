@@ -361,10 +361,20 @@ def loop_to_json(loop: GrassmannLoop) -> str:
 
 
 def loop_from_json(text: str) -> GrassmannLoop:
-    """Bit-exact inverse of loop_to_json."""
+    """Bit-exact inverse of loop_to_json; a malformed payload raises ValueError naming the problem."""
     payload = json.loads(text)
+    if not isinstance(payload, dict):
+        raise ValueError(f"loop JSON must be an object, got {type(payload).__name__}")
+    for key in ("d", "k", "N", "coeffs"):
+        if key not in payload:
+            raise ValueError(f"loop JSON lacks {key!r}")
+    if not all(type(payload[key]) is int for key in "dkN"):
+        raise ValueError("loop JSON d, k and N must be integers")
     d, k, N = payload["d"], payload["k"], payload["N"]
-    flat = np.array([complex(re, im) for re, im in payload["coeffs"]])
+    try:
+        flat = np.array([complex(re, im) for re, im in payload["coeffs"]])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"loop JSON coeffs must be [re, im] number pairs: {exc}") from exc
     coeffs = flat.reshape(2 * N + 1, d, d)
     return validate_loop(d, k, FourierSeries(d, N, coeffs))
 

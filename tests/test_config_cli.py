@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ from click.testing import CliRunner
 
 import hwmlab
 from hwmlab.cli import main
-from hwmlab.config import DEFAULT_TEXT, ConfigError, ExperimentConfig, config_hash, load_config, parse_config
+from hwmlab.config import DEFAULT_TEXT, EXPERIMENTS, ConfigError, ExperimentConfig, config_hash, load_config, parse_config
 from hwmlab.experiments import build_datum, rng_for, run_bench, run_evolve, write_text_atomic
 from hwmlab.grassmann import loop_to_json
 
@@ -53,6 +54,25 @@ def test_parse_rejects_bad_values():
         parse_config("seed = 1\nseed = 2\n")
     with pytest.raises(ConfigError):
         parse_config("d = 2\nk = 2\n")
+    for spelling in ("ture", "2", ""):
+        with pytest.raises(ConfigError, match="bad value for 'conjugate_random'"):
+            parse_config(f"conjugate_random = {spelling}\n")
+
+
+@pytest.mark.parametrize("field", dataclasses.fields(ExperimentConfig), ids=lambda f: f.name)
+def test_every_default_parses_back(field):
+    # each key's parser comes from its annotation, so this pins every annotation against its default
+    value = field.default
+    text = ", ".join(map(str, value)) if isinstance(value, tuple) else str(value)
+    assert repr(parse_config(f"{field.name} = {text}\n")) == repr(ExperimentConfig())
+
+
+@pytest.mark.parametrize(
+    "spelling, value",
+    [("1", True), ("true", True), ("Yes", True), ("ON", True), ("0", False), ("FALSE", False), ("no", False), ("Off", False)],
+)
+def test_parse_bool_spellings(spelling, value):
+    assert parse_config(f"conjugate_random = {spelling}\n").conjugate_random is value
 
 
 def test_config_hash_tracks_content():
@@ -150,6 +170,7 @@ FLOAT_LIST_KEYS = ("constant_axis", "stability_times", "zdbo_times")
         ("evolve", "velocity = -inf"),
         ("stability", "stability_times = 0.5, inf"),
         ("evolve", "blaschke_zeros = nan"),
+        ("evolve", "conjugate_random = ture"),
     ],
 )
 def test_cli_rejects_empty_or_zero_budgets(tmp_path, experiment, line):
@@ -174,6 +195,30 @@ def test_cli_usage_errors_exit_2(tmp_path):
     small.write_text("datum = blaschke\nblaschke_zeros = 0.9\nN = 16\n")
     res3 = runner.invoke(main, ["evolve", "--config", str(small)])
     assert res3.exit_code == 2  # cutoff cannot resolve the requested zeros
+
+
+def test_cli_malformed_loop_file_exits_2(tmp_path):
+    from hwmlab.grassmann import BlaschkeProduct, half_harmonic_map
+
+    payload = json.loads(loop_to_json(half_harmonic_map(BlaschkeProduct(0.0, (0.0,)), N=8)))
+    del payload["k"]
+    loop_file = tmp_path / "loop.json"
+    loop_file.write_text(json.dumps(payload))
+    cfg_file = tmp_path / "f.cfg"
+    cfg_file.write_text(f"datum = file\nfile = {loop_file}\n")
+    res = CliRunner().invoke(main, ["evolve", "--config", str(cfg_file), "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2, res.output
+    assert "lacks 'k'" in res.output
+    assert not (tmp_path / "o").exists()
+
+
+def test_every_experiment_is_a_subcommand_documented_by_its_runner():
+    from hwmlab import experiments
+
+    assert set(main.commands) == set(EXPERIMENTS) | {"init-config"}
+    for name in EXPERIMENTS:
+        doc = getattr(experiments, f"run_{name}").__doc__
+        assert doc and main.commands[name].help == doc
 
 
 def test_cli_numerical_failure_exits_1(tmp_path, monkeypatch):

@@ -272,6 +272,31 @@ def test_lax_residual_stationary_case():
     assert lax_residual(q, 0.5, 1e-2, plan=plan) < 1e-10
 
 
+@pytest.mark.parametrize("h", [0.0, -1e-2, np.nan, np.inf])
+def test_lax_residual_rejects_bad_step(h):
+    q = half_harmonic_map(BlaschkeProduct(0.0, (0.0,)), N=8)
+    with pytest.raises(ValueError, match="^h must be positive and finite"):
+        lax_residual(q, 0.5, h)
+
+
+@pytest.mark.parametrize(
+    "horizon, coarse_dt, name",
+    [
+        (-1.0, 0.5, "horizon"),
+        (np.nan, 0.5, "horizon"),
+        (np.inf, 0.5, "horizon"),
+        (2.0, 0.0, "coarse_dt"),
+        (2.0, -0.5, "coarse_dt"),
+        (2.0, np.nan, "coarse_dt"),
+        (2.0, np.inf, "coarse_dt"),
+    ],
+)
+def test_recurrence_search_rejects_bad_times(horizon, coarse_dt, name):
+    plan = make_plan(constant_loop())
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        recurrence_search(plan, horizon, coarse_dt=coarse_dt)
+
+
 def test_recurrence_constant_datum():
     plan = make_plan(constant_loop())
     res = recurrence_search(plan, 2.0, coarse_dt=0.5)

@@ -234,6 +234,24 @@ def test_serialization_roundtrip_bit_exact(rng):
     assert set(payload) == {"d", "k", "N", "coeffs"}
 
 
+@pytest.mark.parametrize(
+    "edit, problem",
+    [
+        (lambda p: [p], "must be an object"),
+        (lambda p: {key: v for key, v in p.items() if key != "k"}, "lacks 'k'"),
+        (lambda p: {key: v for key, v in p.items() if key != "coeffs"}, "lacks 'coeffs'"),
+        (lambda p: {**p, "N": "2"}, "must be integers"),
+        (lambda p: {**p, "coeffs": [[0.0, 0.0, 0.0]] + p["coeffs"][1:]}, r"\[re, im\] number pairs"),
+        (lambda p: {**p, "coeffs": [0.0] + p["coeffs"][1:]}, r"\[re, im\] number pairs"),
+        (lambda p: {**p, "coeffs": [["0", "0"]] + p["coeffs"][1:]}, r"\[re, im\] number pairs"),
+    ],
+)
+def test_loop_from_json_names_malformed_payload(edit, problem):
+    payload = json.loads(loop_to_json(half_harmonic_map(BlaschkeProduct(0.0, (0.0,)), N=2)))
+    with pytest.raises(ValueError, match=problem):
+        loop_from_json(json.dumps(edit(payload)))
+
+
 def test_random_rational_loop_validates(rng):
     loop = random_rational_loop(rng, 2, 1, twists=2)
     # W B W* with W of degree two in z: the cutoff is the bandwidth, two

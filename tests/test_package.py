@@ -148,7 +148,7 @@ def test_every_default_is_passed_somewhere():
     unpassed = []
     for module, fn in package_functions():
         for name, index in defaulted_parameters(fn):
-            # cli._dispatch passes every runner its quiet flag through the variable ``runner``
+            # each CLI subcommand passes its runner the quiet flag through a getattr lookup
             if module == "experiments.py" and fn.name.startswith("run_") and name == "quiet":
                 continue
             if not any(name in kw or (index is not None and n > index) for n, kw in calls[fn.name]):
