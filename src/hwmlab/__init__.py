@@ -24,7 +24,6 @@ from .hardy import (
 from .grassmann import (
     BlaschkeProduct,
     GrassmannLoop,
-    GrassmannPoint,
     blaschke_eval,
     embed_block,
     half_harmonic_map,

@@ -37,8 +37,8 @@ def _load(config_path, experiment, seed, out_dir):
         if config_path is None:
             return parse_config("", overrides=overrides)
         return load_config(config_path, overrides=overrides)
-    except FileNotFoundError as exc:
-        raise click.UsageError(f"config file not found: {exc}")
+    except OSError as exc:
+        raise click.UsageError(f"cannot read config file: {exc}")
     except ConfigError as exc:
         raise click.UsageError(str(exc))
 
@@ -64,8 +64,8 @@ def _register(name):
             kind = "numerical" if isinstance(exc, np.linalg.LinAlgError) else "invariant"
             click.echo(f"{kind} failure: {exc}", err=True)
             sys.exit(1)
-        except (ValueError, FileNotFoundError) as exc:
-            # bad datum parameters (cutoff too small, infeasible embedding, ...)
+        except ValueError as exc:
+            # bad datum parameters (cutoff too small, infeasible embedding, unreadable loop file, ...)
             raise click.UsageError(str(exc))
         sys.exit(code)
 

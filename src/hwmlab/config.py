@@ -85,6 +85,10 @@ class ExperimentConfig:
         for key in ("stability_times", "zdbo_times", "zdbo_cutoffs", "bench_degrees"):
             if not getattr(self, key):
                 raise ConfigError(f"{key} must list at least one value")
+        for key, low in (("twists", 0), ("blaschke_degree", 0), ("bench_degrees", 0), ("zdbo_cutoffs", 1)):
+            value = getattr(self, key)
+            if min(value if isinstance(value, tuple) else (value,)) < low:
+                raise ConfigError(f"{key} must be at least {low}, got {value}")
         for zero in self.blaschke_zeros:
             if abs(zero) >= 1.0:
                 raise ConfigError(f"Blaschke zero {zero} is not inside the unit disk")

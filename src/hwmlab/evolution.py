@@ -201,10 +201,12 @@ def _solve_block(plan: EvolutionPlan, times: np.ndarray) -> list[TrajectorySampl
             SlowDecayWarning,
             stacklevel=3,
         )
-    means, norms = _modes(plan, times, plan.N_out, plan.tail_tol)
-    n_used = first_stops(norms, plan.tail_tol)
-    tails = norms[n_used, np.arange(times.size)]
-    for i in np.flatnonzero((tails > plan.tail_tol) & (n_used >= plan.N_out)).tolist():
+    # one step past the cap, so that a capped time's tail is the norm the cap drops
+    means, norms = _modes(plan, times, plan.N_out + 1, plan.tail_tol)
+    stops = first_stops(norms, plan.tail_tol)
+    n_used = np.minimum(stops, plan.N_out)
+    tails = norms[stops, np.arange(times.size)]
+    for i in np.flatnonzero(tails > plan.tail_tol).tolist():
         warnings.warn(
             f"mode cap {plan.N_out} reached with tail {tails[i]:.2e} > {plan.tail_tol:.1e} at t = {times[i]}",
             SlowDecayWarning,
@@ -386,12 +388,12 @@ def recurrence_search(plan: EvolutionPlan, horizon: float, coarse_dt: float = 0.
     eps = 1e-3 * norm0
 
     def measure(samples) -> tuple[np.ndarray, np.ndarray]:
-        """Distances to the initial loop and norms of the sampled loops."""
+        """Distances to the initial loop and norms of the sampled loops, off one zero-padded stack."""
         N = max(u0.N, *(s.loop.N for s in samples))
-        loops = [s.loop.series.with_cutoff(N) for s in samples]
-        base = u0.with_cutoff(N).coeffs
-        diffs = [FourierSeries(u0.d, N, f.coeffs - base) for f in loops]
-        return sobolev_norm(diffs, 0.5), sobolev_norm(loops, 0.5)
+        loops = np.zeros((len(samples), 2 * N + 1, u0.d, u0.d), dtype=complex)
+        for j, s in enumerate(samples):
+            loops[j, N - s.loop.N : N + s.loop.N + 1] = s.loop.series.coeffs
+        return sobolev_norm(loops - u0.with_cutoff(N).coeffs, 0.5), sobolev_norm(loops, 0.5)
 
     ts = np.arange(0.0, horizon + coarse_dt, coarse_dt)
     # block by block, so a long scan never holds more than one block of loops

@@ -26,7 +26,6 @@ from .grassmann import (
     BlaschkeProduct,
     GrassmannLoop,
     embed_block,
-    half_harmonic_map,
     loop_from_json,
     loop_to_json,
     pauli_encode,
@@ -99,7 +98,11 @@ def build_datum(cfg: ExperimentConfig) -> GrassmannLoop:
     """Initial loop from the config's datum block (seeded where randomized)."""
     rng = rng_for(cfg)
     if cfg.datum == "file":
-        loop = loop_from_json(Path(cfg.file).read_text())
+        try:
+            text = Path(cfg.file).read_text()
+        except OSError as exc:
+            raise ValueError(f"cannot read loop file {cfg.file!r}: {exc}") from exc
+        loop = loop_from_json(text)
         if (loop.d, loop.k) != (cfg.d, cfg.k):
             raise ValueError(
                 f"loop file has (d, k) = ({loop.d}, {loop.k}), config wants ({cfg.d}, {cfg.k})"
@@ -108,11 +111,10 @@ def build_datum(cfg: ExperimentConfig) -> GrassmannLoop:
     if cfg.datum == "constant":
         axis = np.asarray(cfg.constant_axis, dtype=float)
         axis = axis / np.linalg.norm(axis)
-        point = pauli_encode(axis)
         coeffs = np.zeros((3, 2, 2), dtype=complex)
-        coeffs[1] = point.U
+        coeffs[1] = pauli_encode(axis)
         loop = validate_loop(2, 1, FourierSeries(2, 1, coeffs))
-        return embed_block(loop, cfg.d, cfg.k) if cfg.d != 2 else loop
+        return embed_block(loop, cfg.d, cfg.k)
     if cfg.datum == "random_rational":
         return random_rational_loop(rng, cfg.d, cfg.k, twists=cfg.twists)
     # blaschke
@@ -121,13 +123,9 @@ def build_datum(cfg: ExperimentConfig) -> GrassmannLoop:
     else:
         b = random_blaschke(rng, cfg.blaschke_degree)
     conj = random_unitary(rng, 2) if cfg.conjugate_random else None
-    if cfg.velocity != 0.0:
-        loop = traveling_profile(b, cfg.velocity, conj, N=cfg.N, tail_tol=cfg.tail_tol)
-    else:
-        loop = half_harmonic_map(b, conj, N=cfg.N, tail_tol=cfg.tail_tol)
-    if cfg.d != 2:
-        loop = embed_block(loop, cfg.d, cfg.k)
-    return loop
+    # at velocity 0 (or -0.0) this is half_harmonic_map's loop, bit for bit
+    loop = traveling_profile(b, cfg.velocity, conj, N=cfg.N, tail_tol=cfg.tail_tol)
+    return embed_block(loop, cfg.d, cfg.k)
 
 
 TRAJECTORY_BASE_COLS = ("t", "energy")

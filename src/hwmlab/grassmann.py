@@ -23,7 +23,6 @@ from .hardy import (
 
 __all__ = [
     "PAULI",
-    "GrassmannPoint",
     "GrassmannLoop",
     "BlaschkeProduct",
     "GapCollapseError",
@@ -69,28 +68,6 @@ class ValidationError(ValueError):
 
 
 @dataclass(frozen=True)
-class GrassmannPoint:
-    d: int
-    k: int
-    U: np.ndarray
-
-    def __post_init__(self):
-        U = np.asarray(self.U, dtype=complex)
-        if U.shape != (self.d, self.d):
-            raise ValueError(f"expected a {self.d}x{self.d} matrix, got {U.shape}")
-        if np.max(np.abs(U - U.conj().T)) > HERM_TOL:
-            raise ValidationError("matrix is not Hermitian")
-        if np.max(np.abs(U @ U - np.eye(self.d))) > SQ_TOL:
-            raise ValidationError("matrix is not an involution")
-        tr = U.trace().real
-        if abs(tr - (self.d - 2 * self.k)) > 1e-8:
-            raise ValidationError(f"trace {tr} does not match d - 2k = {self.d - 2 * self.k}")
-        U = U.copy()
-        U.flags.writeable = False
-        object.__setattr__(self, "U", U)
-
-
-@dataclass(frozen=True)
 class GrassmannLoop:
     """Loop into the rank-k Grassmannian, stored as a Fourier series.
 
@@ -129,12 +106,7 @@ def constraint_residuals(d: int, k: int, series, grid: int | None = None):
     to the call on that series alone.
     """
     N, coeffs = series_stack(series)
-    M = grid if grid is not None else 4 * N + 1
-    return _residuals_from_samples(d, k, coeffs, evaluate_grid(coeffs, M))
-
-
-def _residuals_from_samples(d: int, k: int, coeffs: np.ndarray, vals: np.ndarray):
-    """:func:`constraint_residuals` of the coefficient stack ``coeffs`` from its grid samples ``vals``."""
+    vals = evaluate_grid(coeffs, grid if grid is not None else 4 * N + 1)
     sq = grid_product(vals, vals)
     for i in range(d):
         sq[..., i, i] -= 1
@@ -173,22 +145,22 @@ def validate_loop(
     return GrassmannLoop(d, k, series, check)
 
 
-def pauli_encode(u) -> GrassmannPoint:
-    """Unit 3-vector -> traceless Hermitian involution u . sigma."""
+def pauli_encode(u) -> np.ndarray:
+    """Unit 3-vector -> the 2x2 traceless Hermitian involution u . sigma."""
     u = np.asarray(u, dtype=float)
     if u.shape != (3,):
         raise ValueError("expected a 3-vector")
     if abs(np.linalg.norm(u) - 1.0) > 1e-10:
         raise ValueError(f"|u| = {np.linalg.norm(u)} is not 1")
-    U = u[0] * PAULI[0] + u[1] * PAULI[1] + u[2] * PAULI[2]
-    return GrassmannPoint(2, 1, U)
+    return u[0] * PAULI[0] + u[1] * PAULI[1] + u[2] * PAULI[2]
 
 
-def pauli_decode(p: GrassmannPoint) -> np.ndarray:
-    """Inverse of pauli_encode: u_k = Tr(U sigma_k) / 2."""
-    if p.d != 2 or p.k != 1:
-        raise ValueError("pauli_decode needs d=2, k=1")
-    return np.array([0.5 * np.trace(p.U @ s).real for s in PAULI])
+def pauli_decode(U) -> np.ndarray:
+    """Inverse of pauli_encode on a 2x2 matrix: u_k = Tr(U sigma_k) / 2."""
+    U = np.asarray(U)
+    if U.shape != (2, 2):
+        raise ValueError(f"pauli_decode needs a 2x2 matrix, got shape {U.shape}")
+    return np.array([0.5 * np.trace(U @ s).real for s in PAULI])
 
 
 @dataclass(frozen=True)
@@ -256,19 +228,10 @@ def _offdiag_loop(b: BlaschkeProduct, diag: float, U: np.ndarray | None, N: int,
     return FourierSeries(2, N, coeffs)
 
 
-def half_harmonic_map(
-    b: BlaschkeProduct,
-    U: np.ndarray | None = None,
-    N: int = 64,
-    tail_tol: float = 1e-12,
-) -> GrassmannLoop:
-    """Stationary loop with off-diagonal Blaschke product, energy = degree.
-
-    The loop is validated at ``SQ_TOL`` and ``HERM_TOL`` and carries the
-    measured residuals; a cutoff whose dropped Blaschke tail exceeds
-    ``tail_tol`` raises CutoffTooSmallError.
-    """
-    return validate_loop(2, 1, _offdiag_loop(b, 0.0, U, N, tail_tol))
+def half_harmonic_map(b: BlaschkeProduct, U: np.ndarray | None = None, N: int = 64) -> GrassmannLoop:
+    """Stationary loop with off-diagonal Blaschke product, energy = degree:
+    :func:`traveling_profile` at speed 0, with its default tail tolerance."""
+    return traveling_profile(b, 0.0, U, N)
 
 
 def traveling_profile(
@@ -281,11 +244,15 @@ def traveling_profile(
     """Traveling-wave profile with speed parameter |v| < 1; energy (1-v^2) * degree.
 
     The time evolution translates this profile as theta + v*t (determined
-    empirically by the evolution tests; see TRAVELING_SIGN).
+    empirically by the evolution tests; see TRAVELING_SIGN).  The loop is
+    validated at ``SQ_TOL`` and ``HERM_TOL`` and carries the measured
+    residuals; a cutoff whose dropped Blaschke tail exceeds ``tail_tol``
+    raises CutoffTooSmallError.
     """
     if abs(v) >= 1.0:
         raise ValueError(f"speed parameter must satisfy |v| < 1, got {v}")
-    return validate_loop(2, 1, _offdiag_loop(b, float(v), U, N, tail_tol))
+    # + 0.0 turns -0.0 into 0.0, so v = -0.0 gives the v = 0 loop bit for bit
+    return validate_loop(2, 1, _offdiag_loop(b, float(v) + 0.0, U, N, tail_tol))
 
 
 # Empirical translation law for traveling_profile under the flow:

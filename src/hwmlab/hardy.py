@@ -139,8 +139,7 @@ class HardyElement:
 
 
 def series_stack(f) -> tuple[int, np.ndarray]:
-    """Cutoff and coefficients of one series, of a sequence of series sharing
-    one cutoff (stacked along a new leading axis), or of a ``(..., 2N+1, d, d)``
+    """Cutoff and coefficients of one series, or of a ``(..., 2N+1, d, d)``
     coefficient array, whose leading axes are the stack."""
     if isinstance(f, np.ndarray):
         if f.ndim < 3 or f.shape[-3] % 2 == 0 or f.shape[-2] != f.shape[-1]:
@@ -148,10 +147,7 @@ def series_stack(f) -> tuple[int, np.ndarray]:
         return (f.shape[-3] - 1) // 2, f
     if isinstance(f, FourierSeries):
         return f.N, f.coeffs
-    cutoffs = {s.N for s in f}
-    if len(cutoffs) != 1:
-        raise ValueError(f"a series stack needs one shared cutoff, got {sorted(cutoffs)}")
-    return f[0].N, np.stack([s.coeffs for s in f])
+    raise TypeError(f"expected a FourierSeries or a coefficient array, got {type(f).__name__}")
 
 
 def project_plus(f: FourierSeries) -> HardyElement:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hardy import FourierSeries, evaluate_grid, fit_series, grid_commutator, sobolev_energy
-from .grassmann import GrassmannLoop, _residuals_from_samples
+from .grassmann import GrassmannLoop, constraint_residuals
 
 __all__ = [
     "IntegratorState",
@@ -76,9 +76,9 @@ def rhs(u: GrassmannLoop | FourierSeries) -> FourierSeries:
     return FourierSeries(series.d, series.N, _flow_rate(series.coeffs))
 
 
-def _raw_step(c: np.ndarray, dt: float, t: float) -> tuple[np.ndarray, np.ndarray, float]:
+def _raw_step(c: np.ndarray, dt: float, t: float) -> tuple[np.ndarray, float]:
     """One classical fourth-order step of raw coefficients from time ``t``: the new
-    coefficients, their samples on 4N+1 points, which the blow-up guard reads, and t + dt."""
+    coefficients, whose samples on 4N+1 points the blow-up guard reads, and t + dt."""
     k1 = _flow_rate(c)
     k2 = _flow_rate(c + 0.5 * dt * k1)
     k3 = _flow_rate(c + 0.5 * dt * k2)
@@ -90,15 +90,15 @@ def _raw_step(c: np.ndarray, dt: float, t: float) -> tuple[np.ndarray, np.ndarra
     # negated, so a NaN sup trips the guard too
     if not sup <= 2.0 * np.sqrt(c.shape[-1]):
         raise BlowUpError(f"sup |U|_E = {sup:.3f} is not within 2 sqrt(d) at t = {t + dt}")
-    return new, vals, t + dt
+    return new, t + dt
 
 
-def _wrap_step(start: IntegratorState, c, vals, t: float, dt: float, steps: int) -> IntegratorState:
+def _wrap_step(start: IntegratorState, c, t: float, dt: float, steps: int) -> IntegratorState:
     """The checked state ``steps`` raw steps after ``start`` (the last of length dt), as a
-    chain of :func:`step_rk4` builds it: residuals from the samples ``vals`` of ``c``."""
+    chain of :func:`step_rk4` builds it: coefficients ``c`` with their constraint residuals."""
     d, k = start.loop.d, start.loop.k
     series = FourierSeries(d, start.loop.N, c)
-    check = _residuals_from_samples(d, k, c, vals)
+    check = constraint_residuals(d, k, c)
     stats = dict(start.stats)
     stats["steps"] = stats.get("steps", 0) + steps
     stats["constraint_drift"] = max(check["involution"], check["hermitian"])
@@ -109,8 +109,8 @@ def _wrap_step(start: IntegratorState, c, vals, t: float, dt: float, steps: int)
 def step_rk4(state: IntegratorState, dt: float | None = None) -> IntegratorState:
     """One classical fourth-order step; optional per-step dt override."""
     dt = state.dt if dt is None else dt
-    c, vals, t = _raw_step(state.loop.series.coeffs, dt, state.t)
-    return _wrap_step(state, c, vals, t, dt, 1)
+    c, t = _raw_step(state.loop.series.coeffs, dt, state.t)
+    return _wrap_step(state, c, t, dt, 1)
 
 
 def _initial_state(u0: GrassmannLoop, dt: float) -> IntegratorState:
@@ -125,9 +125,9 @@ def _march(state: IntegratorState, t_stop: float, dt: float) -> IntegratorState:
     c, t, steps = state.loop.series.coeffs, state.t, 0
     while t < t_stop - 1e-12:
         step_dt = min(dt, t_stop - t)
-        c, vals, t = _raw_step(c, step_dt, t)
+        c, t = _raw_step(c, step_dt, t)
         steps += 1
-    return _wrap_step(state, c, vals, t, step_dt, steps) if steps else state
+    return _wrap_step(state, c, t, step_dt, steps) if steps else state
 
 
 def _check_times(t_end: float, dt: float) -> None:

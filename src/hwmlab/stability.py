@@ -140,7 +140,7 @@ def first_stops(norms: np.ndarray, tol: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IsometryModel:
-    """Truncated Hardy-space contraction ``Sigma* = exp(-i t_scale t L) S*``.
+    """Truncated Hardy-space contraction ``Sigma* = exp(-i t L) S*``.
 
     ``d`` is the coefficient matrix dimension (1 for scalar models) and
     ``N`` the Hardy-space cutoff.  The generator acts on column vectors of
@@ -152,8 +152,6 @@ class IsometryModel:
     subspace, whose starts must lie in its span.  The backward shift S* moves
     rows up by d and the mean projection P_Sigma keeps the first d rows, so
     both are read off ``vecs`` by slicing.
-    ``time_scale`` converts model time into generator phase (the
-    zero-dispersion model transports at twice the profile, so it carries 2).
     """
 
     d: int
@@ -161,7 +159,6 @@ class IsometryModel:
     lam: np.ndarray
     vecs: np.ndarray
     t: float = 0.0
-    time_scale: float = 1.0
 
     @property
     def dim(self) -> int:
@@ -169,12 +166,12 @@ class IsometryModel:
         return len(self.vecs) * self.d
 
     def step(self, t: float) -> np.ndarray:
-        """``exp(-i time_scale t L) S*`` as a dense matrix on section coordinates.
+        """``exp(-i t L) S*`` as a dense matrix on section coordinates.
 
         The backward shift is applied by shifting columns: column block n of
         the product is column block n - 1 of the exponential.
         """
-        expo = (self.vecs * np.exp(-1j * (self.time_scale * t) * self.lam)) @ self.vecs.conj().T
+        expo = (self.vecs * np.exp(-1j * t * self.lam)) @ self.vecs.conj().T
         out = np.zeros_like(expo)
         out[:, self.d :] = expo[:, : -self.d]
         return out
@@ -196,8 +193,8 @@ class IsometryModel:
         return self.vecs[: self.d].astype(complex)
 
     def phases(self, times) -> np.ndarray:
-        """``exp(-i time_scale t lam)``, one row per eigenvalue and one column per time."""
-        return np.exp(-1j * self.time_scale * np.outer(self.lam, times))
+        """``exp(-i t lam)``, one row per eigenvalue and one column per time."""
+        return np.exp(-1j * np.outer(self.lam, times))
 
     def iterate(self, x: np.ndarray, times, n_max: int, stop_tol: float | None = None):
         """Means ``(n+1, d, d, T)`` and norms ``(n+1, T)`` of ``step(t_j)^n x_j``.
@@ -221,10 +218,10 @@ class IsometryModel:
         return means.reshape(means.shape[0], self.d, self.d, -1), norms
 
 
-def _standard_model(L: np.ndarray, d: int, N: int, t: float, time_scale: float) -> IsometryModel:
+def _standard_model(L: np.ndarray, d: int, N: int, t: float) -> IsometryModel:
     """Model from a Hermitian vector-section generator (real if L is)."""
     lam, vecs = np.linalg.eigh(L if L.imag.any() else L.real)
-    return IsometryModel(d, N, lam, vecs, t=t, time_scale=time_scale)
+    return IsometryModel(d, N, lam, vecs, t=t)
 
 
 def isometry_model(L: np.ndarray, t: float, d: int, N: int) -> IsometryModel:
@@ -234,7 +231,7 @@ def isometry_model(L: np.ndarray, t: float, d: int, N: int) -> IsometryModel:
         raise ValueError(f"generator must be {dim}x{dim}, got {L.shape}")
     if np.max(np.abs(L - L.conj().T)) > 1e-10:
         raise ValueError("generator must be Hermitian")
-    return _standard_model(L, d, N, t, 1.0)
+    return _standard_model(L, d, N, t)
 
 
 def model_at_time(model: IsometryModel, t: float) -> IsometryModel:
@@ -249,23 +246,23 @@ def hwm_model(u0: GrassmannLoop, t: float, N: int) -> IsometryModel:
 
     Its lift is the matrix section, so a matrix input runs as its d columns.
     """
-    return _standard_model(toeplitz_vector_section(u0, N), u0.d, N, t, 1.0)
+    return _standard_model(toeplitz_vector_section(u0, N), u0.d, N, t)
 
 
 def zd_bo_model(N: int, u0: FourierSeries) -> IsometryModel:
-    """Scalar model at t = 0 with L the Toeplitz section of a real trig polynomial.
+    """Scalar model at t = 0 with L twice the Toeplitz section of a real trig polynomial.
 
-    For ``u0 = -cos`` the generator is tridiagonal with -1/2 off the
-    diagonal.  The inviscid transport underlying this model moves at twice
-    the profile (u_t + 2 u u_x), so the contraction phase carries ``2t``;
-    with that scaling the measured onset of norm loss for ``u0 = -cos``
-    sits at the first breaking time 1/2, and it sits at 1 without it.
+    The inviscid transport underlying this model moves at twice the profile
+    (u_t + 2 u u_x), so the generator carries the 2 and model time is flow
+    time; for ``u0 = -cos`` it is tridiagonal with -1 off the diagonal.  With
+    that factor the measured onset of norm loss for ``u0 = -cos`` sits at the
+    first breaking time 1/2, and it sits at 1 without it.
     """
     if u0.d != 1:
         raise ValueError("zero-dispersion model expects a scalar symbol (d = 1)")
     if not u0.is_hermitian_symbol(1e-12):
         raise ValueError("symbol must be real-valued on the circle")
-    return _standard_model(toeplitz_vector_section(u0, N), 1, N, 0.0, 2.0)
+    return _standard_model(2.0 * toeplitz_vector_section(u0, N), 1, N, 0.0)
 
 
 def breaking_time(u0: FourierSeries) -> float:

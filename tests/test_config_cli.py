@@ -171,6 +171,11 @@ FLOAT_LIST_KEYS = ("constant_axis", "stability_times", "zdbo_times")
         ("stability", "stability_times = 0.5, inf"),
         ("evolve", "blaschke_zeros = nan"),
         ("evolve", "conjugate_random = ture"),
+        ("evolve", "twists = -1"),
+        ("evolve", "blaschke_degree = -1"),
+        ("bench", "bench_degrees = 1, -2"),
+        ("zdbo", "zdbo_cutoffs = 0"),
+        ("zdbo", "zdbo_cutoffs = 256, -1"),
     ],
 )
 def test_cli_rejects_empty_or_zero_budgets(tmp_path, experiment, line):
@@ -209,6 +214,20 @@ def test_cli_malformed_loop_file_exits_2(tmp_path):
     res = CliRunner().invoke(main, ["evolve", "--config", str(cfg_file), "--out", str(tmp_path / "o")])
     assert res.exit_code == 2, res.output
     assert "lacks 'k'" in res.output
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_directory_paths_exit_2(tmp_path):
+    # a directory where a file is expected is a usage error, not an IsADirectoryError traceback
+    runner = CliRunner()
+    res = runner.invoke(main, ["evolve", "--config", str(tmp_path), "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2, res.output
+    assert "cannot read config file" in res.output
+    cfg_file = tmp_path / "f.cfg"
+    cfg_file.write_text(f"datum = file\nfile = {tmp_path}\n")
+    res = runner.invoke(main, ["evolve", "--config", str(cfg_file), "--out", str(tmp_path / "o")])
+    assert res.exit_code == 2, res.output
+    assert f"cannot read loop file {str(tmp_path)!r}" in res.output
     assert not (tmp_path / "o").exists()
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import struct
 import warnings
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hwmlab.hardy import FourierSeries, HardyElement, project_plus, sobolev_energy
+from hwmlab.hardy import FourierSeries, HardyElement, project_plus, sobolev_energy, sobolev_norm
 from hwmlab.grassmann import (
     TRAVELING_SIGN,
     BlaschkeProduct,
@@ -42,7 +43,7 @@ SIGMA3 = np.diag([1.0, -1.0]).astype(complex)
 
 def constant_loop(axis=(0.0, 0.0, 1.0)):
     c = np.zeros((3, 2, 2), dtype=complex)
-    c[1] = pauli_encode(axis).U
+    c[1] = pauli_encode(axis)
     return validate_loop(2, 1, FourierSeries(2, 1, c))
 
 
@@ -520,3 +521,57 @@ def test_slow_decay_warnings_per_offending_time(flow_plans):
     assert min(abs(ref["radius"] - (1.0 - 1e-3)) for ref in refs) > 1e-7
     got = warned_times(solve_many, near, times)
     assert got == {"radius": slow, "cap": capped}
+
+
+def dropped_norms(loop, cap, times):
+    """Norm of the analytic modes above ``cap`` at each time, from an uncapped solve."""
+    out = []
+    for s in solve_many(make_plan(loop), times):
+        c, N = s.loop.series.coeffs, s.loop.N
+        out.append(float(np.sqrt(np.sum(np.abs(c[N + cap + 1 :]) ** 2))))
+    return out
+
+
+@pytest.mark.parametrize(
+    "loop, cap, warns",
+    [
+        # the cutoff-1 loop needs a second mode only to rounding, so the cap at 1 drops ~1e-17
+        (random_rational_loop(np.random.Generator(np.random.Philox(key=42)), 2, 1, twists=1), 1, False),
+        (traveling_profile(BlaschkeProduct(0.0, (0.5,)), 0.5, N=64), 10, True),
+    ],
+)
+def test_mode_cap_reports_the_norm_it_drops(loop, cap, warns):
+    times = [0.0, 1.0]
+    capped = dataclasses.replace(make_plan(loop), N_out=cap)
+    got = warned_times(solve_many, capped, times)
+    assert got == {"radius": [], "cap": times if warns else []}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SlowDecayWarning)
+        samples = solve_many(capped, times)
+    for s, dropped in zip(samples, dropped_norms(loop, cap, times)):
+        assert s.diagnostics["n_modes_used"] == cap
+        assert abs(s.diagnostics["tail_estimate"] - dropped) <= 1e-15 + 1e-12 * dropped
+        assert (s.diagnostics["tail_estimate"] > capped.tail_tol) == warns
+
+
+def with_cutoff_measure(plan, samples):
+    """recurrence_search's distances and norms as one FourierSeries copy per sample computed them."""
+    u0 = plan.source
+    N = max(u0.N, *(s.loop.N for s in samples))
+    loops = [s.loop.series.with_cutoff(N) for s in samples]
+    base = u0.with_cutoff(N).coeffs
+    dists = [sobolev_norm(FourierSeries(u0.d, N, f.coeffs - base)) for f in loops]
+    return np.array(dists), np.array([sobolev_norm(f) for f in loops])
+
+
+def test_recurrence_search_matches_per_sample_series_bitwise():
+    # a horizon just past the soliton's period 4 pi: the scan arms, refines one candidate and returns it
+    plan = make_plan(soliton(0.5))
+    horizon, coarse_dt = 13.0, 0.05
+    ts = np.arange(0.0, horizon + coarse_dt, coarse_dt)
+    _, norms = with_cutoff_measure(plan, solve_many(plan, ts))
+    res = recurrence_search(plan, horizon, coarse_dt)
+    assert res["samples_scanned"] == ts.size and res["t_star"] is not None
+    assert struct.pack("<d", res["sup_h_half"]) == struct.pack("<d", float(np.max(norms)))
+    dist, _ = with_cutoff_measure(plan, [solve_at_time(plan, res["t_star"])])
+    assert struct.pack("<d", res["distance"]) == struct.pack("<d", dist[0])

@@ -133,7 +133,7 @@ def test_stacked_residuals_match_single_calls_bytewise(d, N, size, extra, seed):
     c = gaussian(seed, (size, 2 * N + 1, d, d))
     c = 0.5 * (c + c[:, ::-1].swapaxes(-2, -1).conj())  # Hermitian samples, up to rounding
     group = [FourierSeries(d, N, x) for x in c]
-    checks = constraint_residuals(d, d // 2, group, grid=grid)
+    checks = constraint_residuals(d, d // 2, c, grid=grid)
     for series, check in zip(group, checks):
         single = constraint_residuals(d, d // 2, series, grid=grid)
         assert list(check) == list(single)
@@ -151,9 +151,9 @@ def test_grid_samples_are_entry_major(rng, stack, d):
     vals = evaluate_grid(coeffs, M)
     samples = [vals, grid_product(vals, vals)]
     if stack:
-        # a sequence of series samples as its stacked coefficients do, bit for bit
-        series = [FourierSeries(d, N, c) for c in coeffs.reshape((-1,) + coeffs.shape[-3:])]
-        assert evaluate_grid(series, M).tobytes() == vals.reshape((-1,) + vals.shape[-3:]).tobytes()
+        # each series of the stack samples as it does alone, bit for bit
+        for c, v in zip(coeffs.reshape((-1,) + coeffs.shape[-3:]), vals.reshape((-1,) + vals.shape[-3:])):
+            assert evaluate_grid(FourierSeries(d, N, c), M).tobytes() == v.tobytes()
     else:
         samples.append(evaluate_grid(FourierSeries(d, N, coeffs), M))
     for values in samples:

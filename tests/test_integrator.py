@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from hwmlab.hardy import (
 from hwmlab.grassmann import (
     BlaschkeProduct,
     GrassmannLoop,
+    constraint_residuals,
     half_harmonic_map,
     pauli_encode,
     random_blaschke,
@@ -100,6 +103,15 @@ def test_step_rk4_matches_two_product_reference_bitwise(loop):
     assert state.stats["energy_drift"] == abs(energy - sobolev_energy(loop.series))
 
 
+@pytest.mark.parametrize("loop", bit_cases(), ids=lambda loop: f"d{loop.d}")
+def test_checked_state_residuals_are_constraint_residuals_bitwise(loop):
+    # a checked state's residuals are constraint_residuals of its coefficients, on 4N+1 points
+    for state in (step_rk4(fresh_state(loop, 1e-2)), integrate(loop, 0.05, 1e-2)):
+        check = constraint_residuals(loop.d, loop.k, state.loop.series.coeffs)
+        assert list(state.loop.grid_check) == list(check)
+        assert struct.pack("<4d", *state.loop.grid_check.values()) == struct.pack("<4d", *check.values())
+
+
 def chained(loop, t_end, dt):
     """``step_rk4`` with steps of dt, the last one cut short to land on t_end, keeping every state."""
     states = [fresh_state(loop, dt)]
@@ -147,7 +159,7 @@ def test_cross_validate_drifts_are_the_chained_final_state():
 
 def test_rhs_constant_vanishes():
     c = np.zeros((3, 2, 2), dtype=complex)
-    c[1] = pauli_encode((0.0, 1.0, 0.0)).U
+    c[1] = pauli_encode((0.0, 1.0, 0.0))
     loop = validate_loop(2, 1, FourierSeries(2, 1, c))
     assert np.max(np.abs(rhs(loop).coeffs)) < 1e-15
 
@@ -192,7 +204,7 @@ def test_stationary_profile_drift(rng):
 
 def test_constant_datum_fixed_point():
     c = np.zeros((3, 2, 2), dtype=complex)
-    c[1] = pauli_encode((0.0, 0.0, 1.0)).U
+    c[1] = pauli_encode((0.0, 0.0, 1.0))
     loop = validate_loop(2, 1, FourierSeries(2, 1, c))
     final = integrate(loop, 0.5, 1e-2)
     assert np.array_equal(final.loop.series.coeffs, loop.series.coeffs)

@@ -154,3 +154,23 @@ def test_every_default_is_passed_somewhere():
             if not any(name in kw or (index is not None and n > index) for n, kw in calls[fn.name]):
                 unpassed.append(f"{module}:{fn.name}({name})")
     assert not unpassed, unpassed
+
+
+# the two private helpers another module shares: the row shift and the subspace check
+PRIVATE_IMPORTS = {("operators", "hardy", "_shift_up"), ("evolution", "stability", "_as_vector")}
+
+
+def private_imports():
+    """(importing module, source module, name) of every ``_private`` name one hwmlab module imports from another."""
+    for path in sorted(Path(hwmlab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("hwmlab")):
+                source = (node.module or "").rsplit(".", 1)[-1]
+                for alias in node.names:
+                    if alias.name.startswith("_") and not alias.name.startswith("__"):
+                        yield path.stem, source, alias.name
+
+
+def test_modules_share_no_other_private_name():
+    # a private name is its module's own; sharing one more means it should be public or stay put
+    assert set(private_imports()) == PRIVATE_IMPORTS

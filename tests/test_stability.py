@@ -71,7 +71,7 @@ def test_zd_bo_generator_is_tridiagonal():
     T = (m.vecs * m.lam) @ m.vecs.conj().T
     assert np.max(np.abs(np.diag(T))) < 1e-13
     off = np.diag(T, 1)
-    assert np.allclose(off, -0.5)
+    assert np.allclose(off, -1.0)
     assert np.max(np.abs(T - np.diag(off, 1) - np.diag(off, -1))) < 1e-12
 
 
