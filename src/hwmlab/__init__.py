@@ -36,8 +36,6 @@ from .grassmann import (
     validate_loop,
 )
 from .operators import (
-    BlockHankel,
-    BlockToeplitz,
     SubspaceFrame,
     build_hankel,
     build_toeplitz,

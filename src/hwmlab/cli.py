@@ -57,8 +57,13 @@ def _register(name):
     @_common
     def command(config_path, out_dir, seed, quiet):
         cfg = _load(config_path, name, seed, out_dir)
+        out = Path(cfg.out)
+        # checked, not made: a run refused later (say, for its datum) leaves no directory behind
+        existing = next(p for p in (out, *out.parents) if p.exists())
+        if not existing.is_dir():
+            raise click.UsageError(f"cannot create output directory {out}: {existing} is not a directory")
         try:
-            code = getattr(experiments, f"run_{name}")(cfg, Path(cfg.out), quiet=quiet)
+            code = getattr(experiments, f"run_{name}")(cfg, out, quiet=quiet)
         except (np.linalg.LinAlgError, RuntimeError) as exc:
             # before ValueError: LinAlgError subclasses it, and is not a usage error
             kind = "numerical" if isinstance(exc, np.linalg.LinAlgError) else "invariant"
@@ -78,7 +83,10 @@ for _name in EXPERIMENTS:
 @click.argument("path", type=click.Path())
 def init_config(path):
     """Write a template config file."""
-    experiments.write_text_atomic(Path(path), DEFAULT_TEXT)
+    try:
+        experiments.write_text_atomic(Path(path), DEFAULT_TEXT)
+    except OSError as exc:
+        raise click.UsageError(f"cannot write {path}: {exc}")
     click.echo(f"wrote {path}")
 
 

@@ -294,12 +294,13 @@ def lax_isospectrality_check(plan: EvolutionPlan, times, N: int | None = None) -
 
 def conservation_report(plan: EvolutionPlan, times, N_rank: int | None = None) -> list[dict]:
     """Energy, mean, Schatten sums of the Hankel section, and Kronecker rank
-    of the evolved loop at each requested time."""
+    of the evolved loop at each requested time; each section is taken at
+    cutoff ``max(N_rank, loop.N)``, so it holds the whole evolved symbol."""
     N_rank = plan.N_op if N_rank is None else N_rank
     out = []
     for sample in solve_many(plan, times):
         loop = sample.loop
-        rank, sv = kronecker_rank(loop, N_rank)
+        rank, sv = kronecker_rank(loop, max(N_rank, loop.N))
         row = {
             "t": sample.t,
             "energy": sample.diagnostics["energy"],

@@ -16,7 +16,6 @@ coefficients.  They are the package's only FFT calls; :func:`grid_product` and
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +23,6 @@ import numpy as np
 __all__ = [
     "FourierSeries",
     "HardyElement",
-    "AliasingWarning",
     "series_stack",
     "project_plus",
     "project_minus",
@@ -43,10 +41,6 @@ __all__ = [
     "shift_backward_matrix",
     "reproduce_check",
 ]
-
-
-class AliasingWarning(UserWarning):
-    """Grid too coarse for the represented bandwidth."""
 
 
 def _as_coeff_array(coeffs, count: int, d: int) -> np.ndarray:
@@ -95,16 +89,11 @@ class FourierSeries:
 
 @dataclass(frozen=True)
 class HardyElement:
-    """Analytic (nonnegative-frequency) truncated series F(z) = sum_{n=0}^N F_n z^n.
-
-    ``truncated`` is a sticky flag: it is set whenever an operation dropped a
-    top mode, so downstream exactness checks can refuse inexact inputs.
-    """
+    """Analytic (nonnegative-frequency) truncated series F(z) = sum_{n=0}^N F_n z^n."""
 
     d: int
     N: int
     coeffs: np.ndarray
-    truncated: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", _as_coeff_array(self.coeffs, self.N + 1, self.d))
@@ -115,12 +104,11 @@ class HardyElement:
         return self.coeffs[n]
 
     def with_cutoff(self, N: int) -> "HardyElement":
-        """Pad with zeros or truncate to cutoff N; dropping a nonzero mode sets ``truncated``."""
+        """Pad with zeros or truncate to cutoff N."""
         out = np.zeros((N + 1, self.d, self.d), dtype=complex)
         m = min(N, self.N)
         out[: m + 1] = self.coeffs[: m + 1]
-        dropped = bool(np.any(self.coeffs[m + 1 :]))
-        return HardyElement(self.d, N, out, truncated=self.truncated or dropped)
+        return HardyElement(self.d, N, out)
 
     def eval_at(self, z: complex) -> np.ndarray:
         """Horner evaluation of the polynomial at a point of the closed disk."""
@@ -163,12 +151,10 @@ def project_minus(f: FourierSeries) -> FourierSeries:
 
 
 def shift_forward(f: HardyElement) -> HardyElement:
-    """Multiply by z.  The top mode is dropped and the result is flagged
-    as truncated unless that mode was already zero."""
+    """Multiply by z.  The top mode is dropped."""
     out = np.zeros_like(f.coeffs)
     out[1:] = f.coeffs[:-1]
-    dropped = bool(np.any(np.abs(f.coeffs[-1]) > 0.0))
-    return HardyElement(f.d, f.N, out, truncated=f.truncated or dropped)
+    return HardyElement(f.d, f.N, out)
 
 
 def _shift_up(x: np.ndarray, rows: int) -> np.ndarray:
@@ -181,7 +167,7 @@ def _shift_up(x: np.ndarray, rows: int) -> np.ndarray:
 
 def shift_backward(f: HardyElement) -> HardyElement:
     """(F(z) - F(0)) / z, the backward shift."""
-    return HardyElement(f.d, f.N, _shift_up(f.coeffs, 1), truncated=f.truncated)
+    return HardyElement(f.d, f.N, _shift_up(f.coeffs, 1))
 
 
 def mean(f) -> np.ndarray:
@@ -286,26 +272,18 @@ def evaluate_grid(f, M: int) -> np.ndarray:
     ``(..., M, d, d)``, entry major: a transposed view of a C-contiguous
     ``(d, d, ..., M)`` block, the entry block :func:`grid_product` multiplies.
     Each transform runs along its own entry line, so each series in a stack
-    gets the values it gets alone, bit for bit.  Warns when M < 2N+1:
-    represented modes then alias onto each other.
+    gets the values it gets alone, bit for bit.  Raises ``ValueError`` when
+    M < 2N+1, where represented modes would alias onto each other.
     """
     N, coeffs = series_stack(f)
+    if M < 2 * N + 1:
+        raise ValueError(f"grid of {M} points aliases a cutoff-{N} series (need M >= {2 * N + 1})")
     nd = coeffs.ndim
     by_entry = coeffs.transpose(nd - 2, nd - 1, *range(nd - 3), nd - 3)
     spec = np.zeros(by_entry.shape[:-1] + (M,), dtype=complex)
     # += into zeros, so a -0.0 coefficient lands as 0 + x = +0.0
-    if M >= 2 * N + 1:
-        spec[..., : N + 1] += by_entry[..., N:]
-        spec[..., M - N :] += by_entry[..., :N]
-    else:
-        warnings.warn(
-            f"grid of {M} points aliases a cutoff-{N} series (need M >= {2 * N + 1})",
-            AliasingWarning,
-            stacklevel=2,
-        )
-        # np.add.at is unbuffered and runs in mode order, so modes that alias
-        # onto one grid frequency accumulate in a fixed order
-        np.add.at(spec, (..., np.arange(-N, N + 1) % M), by_entry)
+    spec[..., : N + 1] += by_entry[..., N:]
+    spec[..., M - N :] += by_entry[..., :N]
     values = np.fft.ifft(spec, axis=-1) * M
     return values.transpose(*range(2, nd), 0, 1)
 
@@ -314,27 +292,18 @@ def fit_series(values: np.ndarray, N: int) -> np.ndarray:
     """Cutoff-N coefficients ``(..., 2N+1, d, d)`` of ``(..., M, d, d)`` grid samples.
 
     Trigonometric interpolation, transformed along the entry lines: the
-    inverse of :func:`evaluate_grid` on cutoff-N series whenever M >= 2N+1.
-    A smaller M warns, and modes outside the M-point DFT's canonical alias
-    window come back 0.
+    inverse of :func:`evaluate_grid` on cutoff-N series.  Raises ``ValueError``
+    when M < 2N+1, where the fit would alias modes.
     """
     M = values.shape[-3]
+    if M < 2 * N + 1:
+        raise ValueError(f"fitting cutoff {N} from {M} samples aliases modes (need M >= {2 * N + 1})")
     n = np.arange(-N, N + 1)
     # lines [..., j, i, :], swapped back below.  On one (M, d, d) stack the index
     # gather returns C-contiguous coefficients, which RK4's stage sums run faster
     # on than on the strided view that slices joined by np.concatenate return.
     spec = np.fft.fft(values.swapaxes(-3, -1), axis=-1)
-    if M >= 2 * N + 1:
-        return (spec[..., n % M] / M).swapaxes(-3, -1)
-    warnings.warn(
-        f"fitting cutoff {N} from {M} samples aliases modes (need M >= {2 * N + 1})",
-        AliasingWarning,
-        stacklevel=2,
-    )
-    out = np.zeros(spec.shape[:-1] + (2 * N + 1,), dtype=complex)
-    keep = (n >= -(M // 2)) & (n <= (M - 1) // 2)
-    out[..., keep] = spec[..., n[keep] % M] / M
-    return out.swapaxes(-3, -1)
+    return (spec[..., n % M] / M).swapaxes(-3, -1)
 
 
 def shift_backward_matrix(d: int, N: int) -> np.ndarray:

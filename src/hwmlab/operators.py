@@ -9,8 +9,9 @@ backward shift S* moves rows up by d and the mean keeps the first d rows.
 Singular values and eigenvalues of the matrix sections are the vector
 sections' with d-fold multiplicity.  The matrix sections themselves
 (:func:`build_toeplitz`, :func:`build_hankel`, the lift
-``kron(vector section, I_d)``, and :func:`shift_backward_matrix`) are kept
-only as public entry points; nothing in the package calls them.
+``kron(vector section, I_d)`` as a plain array, and
+:func:`shift_backward_matrix`) are kept only as public entry points; nothing
+in the package calls them.
 
 Finite sections pollute rows and columns within one symbol bandwidth of the
 top mode N, so every operator identity here is asserted on the interior
@@ -39,8 +40,6 @@ from .hardy import (
 from .grassmann import GrassmannLoop
 
 __all__ = [
-    "BlockToeplitz",
-    "BlockHankel",
     "SpectralData",
     "SubspaceFrame",
     "NotRationalError",
@@ -82,30 +81,6 @@ def bandwidth(f: FourierSeries, tol: float = 1e-13) -> int:
     if live.size == 0:
         return 0
     return int(max(abs(live[0] - f.N), abs(live[-1] - f.N)))
-
-
-@dataclass(frozen=True)
-class BlockToeplitz:
-    """Compression of F |-> analytic part of U F to degree <= N."""
-
-    d: int
-    N: int
-    matrix: np.ndarray
-    symbol: FourierSeries
-
-    @property
-    def dim(self) -> int:
-        return self.d * self.d * (self.N + 1)
-
-
-@dataclass(frozen=True)
-class BlockHankel:
-    """F |-> anti-analytic part of U F, rows indexed by output modes -1..-N."""
-
-    d: int
-    N: int
-    matrix: np.ndarray
-    symbol: FourierSeries
 
 
 @dataclass(frozen=True)
@@ -173,16 +148,16 @@ def hankel_vector_section(u, N: int) -> np.ndarray:
     return _vector_section(symbol_of(u), -np.arange(1, N + 1), np.arange(N + 1))
 
 
-def build_toeplitz(u, N: int) -> BlockToeplitz:
-    """Finite section of the Toeplitz operator with the given symbol."""
+def build_toeplitz(u, N: int) -> np.ndarray:
+    """Toeplitz section, the array ``kron(toeplitz_vector_section, I_d)``."""
     sym = symbol_of(u)
-    return BlockToeplitz(sym.d, N, np.kron(toeplitz_vector_section(sym, N), np.eye(sym.d)), sym)
+    return np.kron(toeplitz_vector_section(sym, N), np.eye(sym.d))
 
 
-def build_hankel(u, N: int) -> BlockHankel:
-    """Finite section of the Hankel operator; block (m, n) is mode -(m+1) - n."""
+def build_hankel(u, N: int) -> np.ndarray:
+    """Hankel section, the array ``kron(hankel_vector_section, I_d)``; block (m, n) is mode -(m+1) - n."""
     sym = symbol_of(u)
-    return BlockHankel(sym.d, N, np.kron(hankel_vector_section(sym, N), np.eye(sym.d)), sym)
+    return np.kron(hankel_vector_section(sym, N), np.eye(sym.d))
 
 
 def _interior_rows(d: int, N: int, band: int) -> int:
@@ -199,7 +174,7 @@ def apply_toeplitz_grid(u, f: HardyElement) -> HardyElement:
     M = 3 * (2 * N + 1)
     prod = grid_product(evaluate_grid(sym.with_cutoff(N), M), evaluate_grid(f.to_series(N), M))
     series = FourierSeries(sym.d, N, fit_series(prod, N))
-    return HardyElement(sym.d, f.N, project_plus(series).with_cutoff(f.N).coeffs, truncated=True)
+    return HardyElement(sym.d, f.N, project_plus(series).with_cutoff(f.N).coeffs)
 
 
 def key_identity_check(u, N: int) -> dict:

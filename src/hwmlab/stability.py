@@ -314,7 +314,7 @@ def apply_u_sigma(model: IsometryModel, f, n_max: int) -> HardyElement:
     A contraction of the input by the telescoping norm balance.
     """
     means, _ = model.iterate(_as_vector(model, f), [model.t], n_max)
-    return HardyElement(model.d, n_max, means[..., 0], truncated=True)
+    return HardyElement(model.d, n_max, means[..., 0])
 
 
 def _reports(means: np.ndarray, norms: np.ndarray, stop_tol: float) -> list[StabilityReport]:

@@ -231,6 +231,30 @@ def test_cli_directory_paths_exit_2(tmp_path):
     assert not (tmp_path / "o").exists()
 
 
+def test_cli_uncreatable_out_dir_exits_2_before_running(tmp_path, monkeypatch):
+    from hwmlab import experiments
+
+    def must_not_run(cfg, out, quiet=False):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(experiments, "run_validate", must_not_run)
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    for out in (afile, afile / "sub", afile / "sub" / "deeper"):
+        res = CliRunner().invoke(main, ["validate", "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert f"cannot create output directory {out}" in res.output
+
+
+def test_cli_init_config_uncreatable_parent_exits_2(tmp_path):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    res = CliRunner().invoke(main, ["init-config", str(afile / "x.cfg")])
+    assert res.exit_code == 2, res.output
+    assert f"cannot write {afile / 'x.cfg'}" in res.output
+    assert afile.read_text() == ""
+
+
 def test_every_experiment_is_a_subcommand_documented_by_its_runner():
     from hwmlab import experiments
 
@@ -320,6 +344,15 @@ def test_validate_default_config_passes_without_warnings():
         warnings.simplefilter("error")
         results = run_invariant_suite(ExperimentConfig())
     assert [r.name for r in results if not r.passed] == []
+
+
+def test_validate_conserves_schatten_sums_of_a_spread_loop():
+    # the evolved loop at t1 reaches mode 40, past the plan's N_op = 14: the
+    # Schatten sums must be read off a section that holds all of it
+    from hwmlab.checks import run_invariant_suite
+
+    cfg = parse_config("datum = random_rational\nd = 2\nk = 1\ntwists = 6\nseed = 3922829259\n")
+    assert [r for r in run_invariant_suite(cfg) if not r.passed] == []
 
 
 def test_cli_init_config_writes_atomically(tmp_path, monkeypatch):

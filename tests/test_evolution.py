@@ -14,12 +14,14 @@ from hwmlab.grassmann import (
     constraint_residuals,
     embed_block,
     half_harmonic_map,
+    loop_from_json,
+    loop_to_json,
     pauli_encode,
     random_rational_loop,
     traveling_profile,
     validate_loop,
 )
-from hwmlab.operators import NotRationalError
+from hwmlab.operators import NotRationalError, key_identity_check
 from hwmlab.stability import apply_u_sigma, emit, hwm_model, model_at_time
 from hwmlab.evolution import (
     _modes,
@@ -375,6 +377,27 @@ def test_plan_modes_match_full_section_model(dk, twists, key):
     # both models' dense steps act alike on the analytic part, which lies in the frame
     for t in times:
         assert np.max(np.abs(plan.model.step(t) @ plan.pu0 - full.step(t) @ plan.pu0)) < 1e-12
+
+
+@given(
+    dk=st.integers(2, 5).flatmap(lambda d: st.tuples(st.just(d), st.integers(1, d - 1))),
+    twists=st.integers(1, 6),
+    key=st.integers(0, 2**32 - 1),
+)
+def test_random_rational_family_invariants(dk, twists, key):
+    d, k = dk
+    loop = random_rational_loop(np.random.Generator(np.random.Philox(key=key)), d, k, twists=twists)
+    restored = loop_from_json(loop_to_json(loop)).series.coeffs
+    assert restored.tobytes() == loop.series.coeffs.tobytes()
+    e0 = sobolev_energy(loop.series)
+    scale = max(1.0, e0)
+    plan = make_plan(loop)
+    assert key_identity_check(loop, plan.N_op)["trace_gap"] <= 1e-13 * scale
+    for s in solve_many(plan, (0.0, 0.7, 3.1, 17.3)):
+        assert abs(s.diagnostics["energy"] - e0) <= 1e-12 * scale
+        assert s.diagnostics["constraint_residual"] < 1e-9
+        assert s.diagnostics["mean"].tobytes() == loop.series.coeff(0).tobytes()
+        assert s.diagnostics["spectral_radius"] < 1.0
 
 
 def test_embedded_datum_evolves(twist_plan):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from hwmlab.hardy import (
-    AliasingWarning,
     FourierSeries,
     HardyElement,
     evaluate_grid,
@@ -82,24 +81,14 @@ def test_shift_defect_identity(rng):
     assert np.max(np.abs(back_fwd.coeffs - f.coeffs)) == 0.0
 
 
-def test_forward_shift_sets_sticky_truncation_flag(rng):
-    f = random_hardy(rng, 2, 3)
-    assert shift_forward(f).truncated
-    g = random_hardy(rng, 2, 3, zero_top=True)
-    assert not shift_forward(g).truncated
-    assert shift_backward(shift_forward(f)).truncated
-
-
 def test_hardy_with_cutoff_pads_and_truncates(rng):
     f = random_hardy(rng, 2, 3)
     padded = f.with_cutoff(5)
-    assert padded.N == 5 and not padded.truncated
+    assert padded.N == 5
     assert np.array_equal(padded.coeffs[:4], f.coeffs)
     assert np.all(padded.coeffs[4:] == 0)
     cut = f.with_cutoff(1)
-    assert cut.truncated
     assert np.array_equal(cut.coeffs, f.coeffs[:2])
-    assert not random_hardy(rng, 2, 3, zero_top=True).with_cutoff(2).truncated
     assert padded.with_cutoff(3).coeffs.tobytes() == f.coeffs.tobytes()
 
 
@@ -183,15 +172,6 @@ def test_grid_roundtrip(rng):
     assert np.max(np.abs(back - u.coeffs)) < 1e-12
 
 
-def test_grid_aliasing_warning(rng):
-    u = random_series(rng, 2, 4)
-    # both warnings point at the caller
-    with pytest.warns(AliasingWarning) as caught:
-        evaluate_grid(u, 5)
-        fit_series(np.zeros((5, 2, 2), dtype=complex), 4)
-    assert [w.filename for w in caught] == [__file__, __file__]
-
-
 def reference_evaluate_grid(f, M):
     """The per-mode accumulation loop that the scatter-add replaced."""
     spec = np.zeros((M, f.d, f.d), dtype=complex)
@@ -212,17 +192,28 @@ def reference_fit_series(values, N):
     return out
 
 
-@pytest.mark.filterwarnings("ignore::hwmlab.hardy.AliasingWarning")
 @pytest.mark.parametrize("d", [1, 2])
-@pytest.mark.parametrize("N, M", [(4, 16), (4, 9), (4, 7), (5, 4), (6, 2), (3, 1)])
+@pytest.mark.parametrize("N, M", [(4, 16), (4, 9)])
 def test_grid_transforms_match_mode_loops(rng, d, N, M):
-    # M < 2N+1 folds several modes onto one grid frequency, so the sums'
-    # order shows in the bytes
     f = random_series(rng, d, N)
     g = evaluate_grid(f, M)
     assert g.tobytes() == reference_evaluate_grid(f, M).tobytes()
-    for cutoff in (0, 1, N, 2 * N + 3):
+    for cutoff in (0, 1, N, (M - 1) // 2):
         assert fit_series(g, cutoff).tobytes() == reference_fit_series(g, cutoff).tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("N, M", [(4, 7), (5, 4), (6, 2), (3, 1)])
+def test_grid_pair_rejects_aliasing_grids(rng, d, N, M):
+    # below 2N+1 points several modes share one grid frequency
+    with pytest.raises(ValueError, match=f"{M}.*cutoff-{N}"):
+        evaluate_grid(random_series(rng, d, N), M)
+    with pytest.raises(ValueError, match=f"cutoff {N} from {M}"):
+        fit_series(np.zeros((M, d, d), dtype=complex), N)
+    # a fit whose cutoff is above (M-1)/2 on samples that resolve the series
+    g = evaluate_grid(random_series(rng, d, N), 2 * N + 1)
+    with pytest.raises(ValueError, match=f"cutoff {N + 1} from {2 * N + 1}"):
+        fit_series(g, N + 1)
 
 
 def test_reproduce_at_zero(rng):

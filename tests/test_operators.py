@@ -101,9 +101,9 @@ def test_section_assembly_matches_block_loop(rng, d, N):
     c[SYMBOL_BAND - 1] = -0.0 * np.abs(c[SYMBOL_BAND - 1])  # an all-zero mode with signed zeros
     sym = FourierSeries(d, SYMBOL_BAND, c)
     modes = list(range(N + 1))
-    assert_same_bytes(build_toeplitz(sym, N).matrix, reference_mode_blocks(sym, modes, modes))
+    assert_same_bytes(build_toeplitz(sym, N), reference_mode_blocks(sym, modes, modes))
     rows = [-(m + 1) for m in range(N)]
-    assert_same_bytes(build_hankel(sym, N).matrix, reference_mode_blocks(sym, rows, modes))
+    assert_same_bytes(build_hankel(sym, N), reference_mode_blocks(sym, rows, modes))
     assert_same_bytes(hankel_vector_section(sym, N), reference_hankel_vector_section(sym, N))
 
 
@@ -117,7 +117,7 @@ def test_shift_backward_matrix_is_block_shift(d, N):
 def test_toeplitz_constant_symbol_blocks():
     T = build_toeplitz(series_from(2, 2, {0: SIGMA3}), 3)
     expected = np.kron(np.eye(4), np.kron(SIGMA3, np.eye(2)))
-    assert np.array_equal(T.matrix, expected)
+    assert np.array_equal(T, expected)
 
 
 def test_toeplitz_single_mode_subdiagonal():
@@ -126,7 +126,7 @@ def test_toeplitz_single_mode_subdiagonal():
     blk = np.kron(A, np.eye(2))
     for m in range(4):
         for n in range(4):
-            sub = T.matrix[4 * m : 4 * (m + 1), 4 * n : 4 * (n + 1)]
+            sub = T[4 * m : 4 * (m + 1), 4 * n : 4 * (n + 1)]
             if m == n + 1:
                 assert np.array_equal(sub, blk)
             else:
@@ -135,7 +135,7 @@ def test_toeplitz_single_mode_subdiagonal():
 
 def test_toeplitz_block_depends_on_difference(rng):
     u = random_series(rng, 2, 3, hermitian=True)
-    T = build_toeplitz(u, 5).matrix
+    T = build_toeplitz(u, 5)
     d2 = 4
     for m in range(5):
         for n in range(5):
@@ -146,16 +146,16 @@ def test_toeplitz_block_depends_on_difference(rng):
 
 def test_hankel_structure_of_ground_state():
     H = build_hankel(ground_state().series, 4)
-    blk = H.matrix[:4, :4]
+    blk = H[:4, :4]
     assert np.max(np.abs(blk - np.kron(E12, np.eye(2)))) < 1e-14
-    rest = H.matrix.copy()
+    rest = H.copy()
     rest[:4, :4] = 0.0
     assert np.max(np.abs(rest)) < 1e-14
 
 
 def test_hankel_block_depends_on_sum(rng):
     u = random_series(rng, 2, 4, hermitian=True)
-    H = build_hankel(u, 4).matrix
+    H = build_hankel(u, 4)
     d2 = 4
     for m in range(3):
         for n in range(3):
@@ -170,7 +170,7 @@ def test_toeplitz_action_matches_grid_route(rng):
     T = build_toeplitz(loop.series, N)
     for _ in range(5):
         f = random_hardy(rng, 2, N)
-        via_matrix = T.matrix @ f.coeffs.reshape(-1)
+        via_matrix = T @ f.coeffs.reshape(-1)
         via_grid = apply_toeplitz_grid(loop.series, f)
         band = bandwidth(loop.series)
         keep = (N - band + 1) * 4
@@ -199,7 +199,7 @@ def test_key_identity_random_rational(rng):
 
 def test_eig_constant_sigma3():
     N = 5
-    spec = eig_hermitian(build_toeplitz(series_from(2, 0, {0: SIGMA3}), N).matrix)
+    spec = eig_hermitian(build_toeplitz(series_from(2, 0, {0: SIGMA3}), N))
     lam = np.sort(spec.eigenvalues)
     assert np.allclose(lam[: 2 * (N + 1)], -1.0)
     assert np.allclose(lam[2 * (N + 1) :], 1.0)
@@ -208,7 +208,7 @@ def test_eig_constant_sigma3():
 def test_eig_edges_and_bound(rng):
     loop = random_rational_loop(rng, 2, 1, twists=2)
     N = 24
-    spec = eig_hermitian(build_toeplitz(loop.series, N).matrix)
+    spec = eig_hermitian(build_toeplitz(loop.series, N))
     assert np.max(np.abs(spec.eigenvalues)) <= 1.0 + 1e-8
     frame = invariant_subspace(loop, 12)
     assert spec.near_edge_count >= spec.eigenvalues.size - 2 * frame.dim
@@ -219,7 +219,7 @@ def test_interior_eigenvalue_count_stabilizes(rng):
     loop = random_rational_loop(rng, 2, 1, twists=2)
     counts = []
     for N in (16, 24, 32):
-        spec = eig_hermitian(build_toeplitz(loop.series, N).matrix)
+        spec = eig_hermitian(build_toeplitz(loop.series, N))
         counts.append(spec.interior(0.05).size)
     assert counts[0] == counts[1] == counts[2]
 
@@ -230,7 +230,7 @@ def test_commutator_annihilates_meanless(rng):
     f = random_hardy(rng, 2, N)
     c = f.coeffs.copy()
     c[0] = 0.0
-    T = build_toeplitz(u, N).matrix
+    T = build_toeplitz(u, N)
     S = shift_backward_matrix(2, N)
     vec = c.reshape(-1)
     comm = S @ (T @ vec) - T @ (S @ vec)
@@ -316,7 +316,7 @@ def reference_invariant_subspace(sym, N, rank_tol=1e-8):
     """Frame from the SVD of the matrix Hankel section, which repeats every
     singular vector d times: (hankel_rank, frame, restricted spectrum, residual)."""
     d = sym.d
-    _, sv, Vh = np.linalg.svd(build_hankel(sym, N).matrix)
+    _, sv, Vh = np.linalg.svd(build_hankel(sym, N))
     r = int(np.count_nonzero(sv > rank_tol * sv[0])) if sv.size and sv[0] > 0.0 else 0
     ident = np.zeros((N + 1, d, d), dtype=complex)
     ident[0] = np.eye(d)
@@ -324,7 +324,7 @@ def reference_invariant_subspace(sym, N, rank_tol=1e-8):
     cols = np.column_stack([Vh[:r].conj().T, pu, ident.reshape(-1)])
     q, s, _ = np.linalg.svd(cols, full_matrices=False)
     frame = q[:, s > 1e-10 * s[0]]
-    T = build_toeplitz(sym, N).matrix
+    T = build_toeplitz(sym, N)
     S = shift_backward_matrix(d, N)
     proj = frame @ frame.conj().T
     residual = max(np.linalg.norm(A @ frame - proj @ (A @ frame), ord=2) for A in (T, S))
@@ -344,7 +344,7 @@ def test_matrix_sections_are_lifted_vector_sections(case):
     loop = kronecker_oracle_loop(case)
     d = loop.d
     N = max(2 * bandwidth(loop.series) + 2, 8)
-    lam = np.linalg.eigvalsh(build_toeplitz(loop, N).matrix)
+    lam = np.linalg.eigvalsh(build_toeplitz(loop, N))
     assert np.max(np.abs(lam - np.repeat(np.linalg.eigvalsh(toeplitz_vector_section(loop, N)), d))) < 1e-12
 
     frame = invariant_subspace(loop, N)
@@ -374,7 +374,7 @@ def test_kronecker_rank_matches_matrix_svd(rng, d, N):
     # the matrix-valued section's own SVD is the reference for the d-fold repeat
     for loop in (random_rational_loop(rng, d, d // 2, twists=2), nonrational_loop(rng)):
         rank, sv = kronecker_rank(loop.series, N)
-        ref = np.linalg.svd(build_hankel(loop.series, N).matrix, compute_uv=False)
+        ref = np.linalg.svd(build_hankel(loop.series, N), compute_uv=False)
         assert rank == int(np.count_nonzero(ref > 1e-8 * ref[0]))
         assert sv.shape == ref.shape
         assert np.max(np.abs(sv - ref)) < 1e-14
@@ -397,7 +397,7 @@ def test_schatten_norms(rng):
 def test_schatten_vector_convention_vs_matrix_trace():
     q = ground_state()
     H = build_hankel(q.series, 8)
-    assert np.trace(H.matrix.conj().T @ H.matrix).real == pytest.approx(2.0 * schatten_norm(q, 8, 2.0), abs=1e-12)
+    assert np.trace(H.conj().T @ H).real == pytest.approx(2.0 * schatten_norm(q, 8, 2.0), abs=1e-12)
 
 
 def test_b_operator_annihilates_constants(rng):
@@ -413,7 +413,7 @@ def test_b_operator_constant_symbol_assembly():
     N = 5
     sym = series_from(2, 0, {0: SIGMA3})
     B = build_b_operator(sym, N)
-    T = build_toeplitz(sym, N).matrix
+    T = build_toeplitz(sym, N)
     D = np.diag(np.repeat(np.arange(N + 1.0), 4))
     assert np.max(np.abs(B - (-0.5j) * (T @ D + D @ T))) < 1e-14
 
@@ -422,9 +422,9 @@ def test_b_operator_is_the_matrix_assembly(rng):
     # the lift of the vector section equals the generator assembled on the matrix section
     loop = random_rational_loop(rng, 3, 1, twists=2)
     N = 12
-    T = build_toeplitz(loop, N).matrix
+    T = build_toeplitz(loop, N)
     D = np.diag(np.repeat(np.arange(N + 1.0), 9))
-    Tdu = build_toeplitz(fractional_derivative(loop.series, "|D|"), N).matrix
+    Tdu = build_toeplitz(fractional_derivative(loop.series, "|D|"), N)
     assert np.array_equal(build_b_operator(loop, N), -0.5j * (T @ D + D @ T) + 0.5j * Tdu)
 
 
@@ -442,7 +442,7 @@ def test_eigenspaces_nearly_shift_invariant(rng):
     loop = random_rational_loop(rng, 2, 1, twists=2)
     N = 24
     T = build_toeplitz(loop.series, N)
-    spec = eig_hermitian(T.matrix)
+    spec = eig_hermitian(T)
     S = shift_backward_matrix(2, N)
     lam = spec.eigenvalues
     sel = np.nonzero((np.abs(lam) < 0.95))[0]
@@ -455,5 +455,5 @@ def test_eigenspaces_nearly_shift_invariant(rng):
         if np.linalg.norm(w) < 1e-8:
             continue
         checked += 1
-        assert np.linalg.norm(T.matrix @ w - lam[j] * w) < 1e-7
+        assert np.linalg.norm(T @ w - lam[j] * w) < 1e-7
     assert checked >= 0

@@ -443,7 +443,7 @@ def test_hwm_model_matches_matrix_section_reference(case, rng):
     d = loop.d
     model = model_at_time(hwm_model(loop, 0.0, N), t)
     # the dense reference on the matrix-valued space: its own section, eigh and backward shift
-    lam, V = np.linalg.eigh(build_toeplitz(loop, N).matrix)
+    lam, V = np.linalg.eigh(build_toeplitz(loop, N))
     step = (V * np.exp(-1j * t * lam)) @ V.conj().T @ shift_backward_matrix(d, N)
     dim = step.shape[0]
     mean_map = np.eye(d * d, dim).reshape(d, d, dim)
