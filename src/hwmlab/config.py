@@ -72,6 +72,10 @@ class ExperimentConfig:
             raise ConfigError(f"need 1 <= k <= d-1, got (d, k) = ({self.d}, {self.k})")
         if self.N < 1 or self.N_out < 1:
             raise ConfigError("N and N_out must be positive")
+        if not 0.0 < self.rank_tol < 1.0:
+            raise ConfigError(f"rank_tol must be in (0, 1), got {self.rank_tol}")
+        if self.tail_tol <= 0.0:
+            raise ConfigError(f"tail_tol must be positive, got {self.tail_tol}")
         if abs(self.velocity) >= 1.0:
             raise ConfigError(f"|velocity| must be < 1, got {self.velocity}")
         if self.datum == "file" and not self.file:

@@ -113,8 +113,15 @@ def make_plan(
 
     Restricts to the invariant subspace found from the Hankel singular
     values at cutoff ``N_op = max(2 bandwidth + 2, 8)`` and propagates
-    NotRationalError if there is none.
+    NotRationalError if there is none.  ``rank_tol`` must be in (0, 1): at 1 or
+    more the frame keeps no Hankel co-range, at 0 or less every direction.
     """
+    if N_out < 1:
+        raise ValueError(f"N_out must be at least 1, got {N_out}")
+    if not 0.0 < rank_tol < 1.0:
+        raise ValueError(f"rank_tol must be in (0, 1), got {rank_tol}")
+    if not 0.0 < tail_tol < np.inf:
+        raise ValueError(f"tail_tol must be positive and finite, got {tail_tol}")
     sym = u0.series
     N_op = max(2 * bandwidth(sym) + 2, 8)
     d = u0.d
@@ -193,7 +200,10 @@ def _time_blocks(plan: EvolutionPlan, times) -> list[np.ndarray]:
     return [times[lo : lo + size] for lo in range(0, times.size, size)]
 
 
-def _solve_block(plan: EvolutionPlan, times: np.ndarray) -> list[TrajectorySample]:
+def _solve_block(plan: EvolutionPlan, times: np.ndarray):
+    """Loops ``(T, 2w+1, d, d)`` at ``times``, zero-padded to the largest mode count ``w``
+    (:func:`emit` writes 0 past a stop), with mode counts, residual dicts, energies, radii
+    and tails.  Each mode count's group is checked on its own cutoff, as a lone time would be."""
     _, radii = _spectra(plan, times)
     for i in np.flatnonzero(radii > 1.0 - 1e-3).tolist():
         warnings.warn(
@@ -213,34 +223,18 @@ def _solve_block(plan: EvolutionPlan, times: np.ndarray) -> list[TrajectorySampl
             stacklevel=3,
         )
 
-    d, k = plan.d, plan.k
-    zero_mode = means[0, 0] + means[0, 0].conj().T - plan.mean0
-    samples = [None] * times.size
-    # one grid check per group of times that share a mode count
+    w = int(n_used.max())
+    loops = np.empty((times.size, 2 * w + 1, plan.d, plan.d), dtype=complex)
+    loops[:, w] = means[0, 0] + means[0, 0].conj().T - plan.mean0
+    loops[:, w + 1 :] = means[1 : w + 1].transpose(1, 0, 2, 3)
+    loops[:, :w] = means[w:0:-1].conj().transpose(1, 0, 3, 2)
+    checks, energies = {}, np.empty(times.size)
     for n in np.unique(n_used).tolist():
         cols = np.flatnonzero(n_used == n)
-        coeffs = means[: n + 1, cols]
-        stack = np.empty((cols.size, 2 * n + 1, d, d), dtype=complex)
-        stack[:, n] = zero_mode
-        stack[:, n + 1 :] = coeffs[1:].transpose(1, 0, 2, 3)
-        stack[:, :n] = coeffs[:0:-1].conj().transpose(1, 0, 3, 2)
-        checks = constraint_residuals(d, k, stack)
-        energies = sobolev_energy(stack).tolist()
-        for j, c, check, energy in zip(cols.tolist(), stack, checks, energies):
-            series = FourierSeries(d, n, c)
-            samples[j] = TrajectorySample(
-                t=float(times[j]),
-                loop=GrassmannLoop(d, k, series, check),
-                diagnostics={
-                    "energy": energy,
-                    "mean": series.coeff(0),
-                    "constraint_residual": max(check["involution"], check["hermitian"], check["trace"]),
-                    "spectral_radius": float(radii[j]),
-                    "tail_estimate": float(tails[j]),
-                    "n_modes_used": n,
-                },
-            )
-    return samples
+        group = loops[cols, w - n : w + n + 1]
+        checks.update(zip(cols.tolist(), constraint_residuals(plan.d, plan.k, group)))
+        energies[cols] = sobolev_energy(group)
+    return loops, n_used, checks, energies, radii, tails
 
 
 def solve_many(plan: EvolutionPlan, times) -> list[TrajectorySample]:
@@ -251,11 +245,25 @@ def solve_many(plan: EvolutionPlan, times) -> list[TrajectorySample]:
     remaining norm is at most the plan's ``tail_tol``.  Raises
     SpectralRadiusError for the first time whose contraction has radius >= 1
     and warns (SlowDecayWarning) for each time whose radius is near 1 or
-    that reaches the mode cap.
+    that reaches the mode cap.  Each block of times is solved as one
+    zero-padded array, and the per-time records are built from it here.
     """
     samples = []
     for block in _time_blocks(plan, times):
-        samples += _solve_block(plan, block)
+        loops, n_used, checks, energies, radii, tails = _solve_block(plan, block)
+        w = loops.shape[1] // 2
+        for j, (t, n) in enumerate(zip(block.tolist(), n_used.tolist())):
+            series = FourierSeries(plan.d, n, loops[j, w - n : w + n + 1])
+            check = checks[j]
+            diagnostics = {
+                "energy": float(energies[j]),
+                "mean": series.coeff(0),
+                "constraint_residual": max(check["involution"], check["hermitian"], check["trace"]),
+                "spectral_radius": float(radii[j]),
+                "tail_estimate": float(tails[j]),
+                "n_modes_used": n,
+            }
+            samples.append(TrajectorySample(t, GrassmannLoop(plan.d, plan.k, series, check), diagnostics))
     return samples
 
 
@@ -388,17 +396,15 @@ def recurrence_search(plan: EvolutionPlan, horizon: float, coarse_dt: float = 0.
     norm0 = sobolev_norm(u0, 0.5)
     eps = 1e-3 * norm0
 
-    def measure(samples) -> tuple[np.ndarray, np.ndarray]:
-        """Distances to the initial loop and norms of the sampled loops, off one zero-padded stack."""
-        N = max(u0.N, *(s.loop.N for s in samples))
-        loops = np.zeros((len(samples), 2 * N + 1, u0.d, u0.d), dtype=complex)
-        for j, s in enumerate(samples):
-            loops[j, N - s.loop.N : N + s.loop.N + 1] = s.loop.series.coeffs
+    def measure(loops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Distances to the initial loop and norms of a block of zero-padded loops."""
+        N = max(u0.N, loops.shape[1] // 2)
+        loops = np.pad(loops, ((0, 0), (N - loops.shape[1] // 2,) * 2, (0, 0), (0, 0)))
         return sobolev_norm(loops - u0.with_cutoff(N).coeffs, 0.5), sobolev_norm(loops, 0.5)
 
     ts = np.arange(0.0, horizon + coarse_dt, coarse_dt)
     # block by block, so a long scan never holds more than one block of loops
-    scanned = [measure(_solve_block(plan, block)) for block in _time_blocks(plan, ts)]
+    scanned = [measure(_solve_block(plan, block)[0]) for block in _time_blocks(plan, ts)]
     dists = np.concatenate([d for d, _ in scanned])
     sup_norm = float(max(np.max(norms) for _, norms in scanned))
 
@@ -424,7 +430,7 @@ def recurrence_search(plan: EvolutionPlan, horizon: float, coarse_dt: float = 0.
     for i in range(max(armed_from, 1), ts.size - 1):
         if dists[i] <= refine_level and dists[i] <= dists[i - 1] and dists[i] <= dists[i + 1]:
             res = minimize_scalar(
-                lambda t: float(measure([solve_at_time(plan, float(t))])[0][0]),
+                lambda t: float(measure(_solve_block(plan, np.array([t], dtype=float))[0])[0][0]),
                 bounds=(float(ts[i - 1]), float(ts[i + 1])),
                 method="bounded",
                 options={"xatol": 1e-10},

@@ -171,7 +171,7 @@ class IsometryModel:
         The backward shift is applied by shifting columns: column block n of
         the product is column block n - 1 of the exponential.
         """
-        expo = (self.vecs * np.exp(-1j * t * self.lam)) @ self.vecs.conj().T
+        expo = (self.vecs * self.phases([t])[:, 0]) @ self.vecs.conj().T
         out = np.zeros_like(expo)
         out[:, self.d :] = expo[:, : -self.d]
         return out
@@ -193,7 +193,12 @@ class IsometryModel:
         return self.vecs[: self.d].astype(complex)
 
     def phases(self, times) -> np.ndarray:
-        """``exp(-i t lam)``, one row per eigenvalue and one column per time."""
+        """``exp(-i t lam)``, one row per eigenvalue and one column per time;
+        raises ValueError naming the first time that is not finite."""
+        times = np.asarray(times, dtype=float)
+        bad = np.flatnonzero(~np.isfinite(times))
+        if bad.size:
+            raise ValueError(f"time must be finite, got t = {times.flat[bad[0]]}")
         return np.exp(-1j * np.outer(self.lam, times))
 
     def iterate(self, x: np.ndarray, times, n_max: int, stop_tol: float | None = None):

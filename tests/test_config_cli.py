@@ -176,6 +176,14 @@ FLOAT_LIST_KEYS = ("constant_axis", "stability_times", "zdbo_times")
         ("bench", "bench_degrees = 1, -2"),
         ("zdbo", "zdbo_cutoffs = 0"),
         ("zdbo", "zdbo_cutoffs = 256, -1"),
+        ("evolve", "rank_tol = 0"),
+        ("evolve", "rank_tol = -1e-8"),
+        ("evolve", "rank_tol = 1"),
+        ("validate", "rank_tol = 2.0"),
+        ("evolve", "tail_tol = 0"),
+        ("stability", "tail_tol = -1e-12"),
+        # rank_tol >= 1 keeps no Hankel co-range: this degree-3 datum would evolve with energy 0.07, not 3
+        ("evolve", "rank_tol = 2.0\nblaschke_zeros = 0.5, -0.3+0.3j, 0.2j\nN = 64"),
     ],
 )
 def test_cli_rejects_empty_or_zero_budgets(tmp_path, experiment, line):

@@ -11,6 +11,7 @@ from hwmlab.hardy import FourierSeries, HardyElement, project_plus, sobolev_ener
 from hwmlab.grassmann import (
     TRAVELING_SIGN,
     BlaschkeProduct,
+    GrassmannLoop,
     constraint_residuals,
     embed_block,
     half_harmonic_map,
@@ -22,7 +23,7 @@ from hwmlab.grassmann import (
     validate_loop,
 )
 from hwmlab.operators import NotRationalError, key_identity_check
-from hwmlab.stability import apply_u_sigma, emit, hwm_model, model_at_time
+from hwmlab.stability import apply_u_sigma, emit, hwm_model, model_at_time, parseval_defect
 from hwmlab.evolution import (
     _modes,
     SlowDecayWarning,
@@ -598,3 +599,61 @@ def test_recurrence_search_matches_per_sample_series_bitwise():
     assert struct.pack("<d", res["sup_h_half"]) == struct.pack("<d", float(np.max(norms)))
     dist, _ = with_cutoff_measure(plan, [solve_at_time(plan, res["t_star"])])
     assert struct.pack("<d", res["distance"]) == struct.pack("<d", dist[0])
+
+
+def test_recurrence_search_builds_no_loop_objects(monkeypatch):
+    import hwmlab.evolution as evolution
+
+    plan = make_plan(soliton(0.5))
+    built = []
+
+    def counting_loop(*args, **kwargs):
+        built.append(args)
+        return GrassmannLoop(*args, **kwargs)
+
+    monkeypatch.setattr(evolution, "GrassmannLoop", counting_loop)
+    assert recurrence_search(plan, 13.0)["t_star"] is not None
+    assert built == []
+    # the patch is live: a solve that returns records builds one loop per time
+    solve_many(plan, [0.0, 1.0])
+    assert len(built) == 2
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"N_out": 0}, "N_out"),
+        ({"N_out": -3}, "N_out"),
+        ({"rank_tol": 0.0}, "rank_tol"),
+        ({"rank_tol": 1.0}, "rank_tol"),
+        ({"rank_tol": 2.0}, "rank_tol"),
+        ({"rank_tol": np.nan}, "rank_tol"),
+        ({"tail_tol": 0.0}, "tail_tol"),
+        ({"tail_tol": -1e-12}, "tail_tol"),
+        ({"tail_tol": np.nan}, "tail_tol"),
+        ({"tail_tol": np.inf}, "tail_tol"),
+    ],
+)
+def test_make_plan_rejects_bad_tolerances_and_caps(kwargs, name):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        make_plan(soliton(0.5), **kwargs)
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda plan, t: fourier_coefficient(plan, t, 2),
+        intertwining_check,
+        solve_at_time,
+        lambda plan, t: solve_many(plan, [0.0, t, 1.0]),
+        contraction_spectrum,
+        lambda plan, t: parseval_defect(model_at_time(plan.model, t), plan.pu0, 8),
+    ],
+    ids=["fourier_coefficient", "intertwining_check", "solve_at_time", "solve_many", "contraction_spectrum",
+         "parseval_defect"],
+)
+def test_eigenbasis_paths_reject_non_finite_times(call, t):
+    plan = make_plan(soliton(0.5))
+    with pytest.raises(ValueError, match=f"^time must be finite, got t = {t}$"):
+        call(plan, t)

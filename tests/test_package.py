@@ -1,10 +1,12 @@
 import ast
-import importlib
+import importlib.util
 import os
 import subprocess
 import sys
 from collections import defaultdict
 from pathlib import Path
+
+import pytest
 
 import hwmlab
 
@@ -34,6 +36,23 @@ def test_traced_functions_resolve():
     assert targets
     for _, module, name in targets:
         assert callable(getattr(importlib.import_module(module), name, None)), f"{module}.{name}"
+
+
+@pytest.fixture(scope="module")
+def bench_workloads():
+    """perfbench/workloads.py loaded by path; its dataclasses need the module registered while it runs."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", REPO / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", ["flow", "zdbo", "crosscheck"])
+def test_benchmark_ops_pass_their_own_checks(bench_workloads, name):
+    # the benchmark's self-tests sit outside Tier-1; one op per workload runs its correctness check here
+    w = bench_workloads.WORKLOADS[name]
+    assert w.check(w.op(w.prepare(w.inputs(301)))) == []
 
 
 def test_public_names_resolve():
