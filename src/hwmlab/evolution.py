@@ -32,6 +32,7 @@ from .operators import (
     SubspaceFrame,
     b_vector_section,
     bandwidth,
+    hermitian_eigh,
     invariant_subspace,
     kronecker_rank,
     toeplitz_vector_section,
@@ -130,7 +131,7 @@ def make_plan(
     t_small = frame.t_restricted
     pu0 = project_plus(sym.with_cutoff(N_op)).coeffs.reshape(-1, d)
 
-    lam, vecs = np.linalg.eigh(0.5 * (t_small + t_small.conj().T))
+    lam, vecs = hermitian_eigh(0.5 * (t_small + t_small.conj().T))
     recon = float(np.linalg.norm((vecs * lam) @ vecs.conj().T - t_small, ord=2))
     if recon > 1e-10:
         raise RuntimeError(f"restricted operator reconstruction residual {recon:.2e} exceeds 1e-10")

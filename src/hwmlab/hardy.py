@@ -7,11 +7,15 @@ Tr(F G*) dtheta`` and Parseval reads ``||F||^2 = sum_n |F_n|_E^2`` with
 degree-m Blaschke loop is then exactly m (one global constant relative to
 the unnormalized-integral convention).
 
-Grid work runs on raw arrays through one transform pair: :func:`evaluate_grid`
-samples coefficients ``(..., 2N+1, d, d)`` as entry-major values
-``(..., M, d, d)``, and :func:`fit_series` fits such values back to
-coefficients.  They are the package's only FFT calls; :func:`grid_product` and
-:func:`grid_commutator` multiply the samples in between.
+Grid work runs through one transform pair on zero-padded entry-major spectra
+``(d, d, ..., M)`` in FFT order, which :func:`pad_spectrum` makes of
+coefficients ``(..., 2N+1, d, d)`` and :func:`spectrum_coeffs` turns back:
+:func:`sample_padded` gives the values at M points and :func:`fit_padded` the
+cutoff-N spectrum of such values.  They are the package's only FFT calls.
+:func:`evaluate_grid` wraps them to sample coefficients as entry-major values
+``(..., M, d, d)``, and :func:`fit_series` to fit such values back;
+:func:`grid_product` and :func:`grid_commutator` multiply the samples in
+between, and :func:`block_commutator` their entry blocks.
 """
 
 from __future__ import annotations
@@ -34,9 +38,14 @@ __all__ = [
     "half_norm_sq",
     "sobolev_norm",
     "l2_norm",
+    "pad_spectrum",
+    "spectrum_coeffs",
+    "sample_padded",
+    "fit_padded",
     "evaluate_grid",
     "grid_product",
     "grid_commutator",
+    "block_commutator",
     "fit_series",
     "shift_backward_matrix",
     "reproduce_check",
@@ -252,17 +261,62 @@ def grid_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.transpose(*range(2, out.ndim), 0, 1)
 
 
+def block_commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pointwise commutator ``a @ b - b @ a`` of entry blocks ``(d, d, ...)``, as a
+    C-contiguous entry block; both products are summed as :func:`grid_product`
+    sums them, then subtracted."""
+    out = _product_block(a, b)
+    out -= _product_block(b, a)
+    return out
+
+
 def grid_commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pointwise commutator ``a @ b - b @ a`` of grid samples, entry major.
 
-    Both products are summed as :func:`grid_product` sums them, then
-    subtracted, so the result equals ``grid_product(a, b) - grid_product(b, a)``
-    bit for bit.
+    The :func:`block_commutator` of their entry blocks, so the result equals
+    ``grid_product(a, b) - grid_product(b, a)`` bit for bit.
     """
-    a, b = _entry_blocks(a, b)
-    out = _product_block(a, b)
-    out -= _product_block(b, a)
+    out = block_commutator(*_entry_blocks(a, b))
     return out.transpose(*range(2, out.ndim), 0, 1)
+
+
+def pad_spectrum(coeffs: np.ndarray, M: int) -> np.ndarray:
+    """Coefficients ``(..., 2N+1, d, d)`` as zero-padded entry-major spectra
+    ``(d, d, ..., M)`` in FFT order, mode n in slot n mod M, copied as they are
+    (the sign of a zero included)."""
+    N = (coeffs.shape[-3] - 1) // 2
+    nd = coeffs.ndim
+    by_entry = coeffs.transpose(nd - 2, nd - 1, *range(nd - 3), nd - 3)
+    spec = np.zeros(by_entry.shape[:-1] + (M,), dtype=complex)
+    spec[..., : N + 1] = by_entry[..., N:]
+    spec[..., M - N :] = by_entry[..., :N]
+    return spec
+
+
+def spectrum_coeffs(spec: np.ndarray, N: int) -> np.ndarray:
+    """Cutoff-N coefficients ``(..., 2N+1, d, d)`` of entry-major spectra
+    ``(d, d, ..., M)``, the inverse of :func:`pad_spectrum`."""
+    out = spec[..., np.arange(-N, N + 1) % spec.shape[-1]]
+    return out.transpose(*range(2, out.ndim), 0, 1)
+
+
+def sample_padded(spec: np.ndarray) -> np.ndarray:
+    """Values at the M points theta_j = 2*pi*j/M of each zero-padded spectrum line
+    ``(..., M)``: an inverse FFT along the last axis, scaled by M."""
+    values = np.fft.ifft(spec, axis=-1)
+    values *= spec.shape[-1]
+    return values
+
+
+def fit_padded(values: np.ndarray, N: int) -> np.ndarray:
+    """Zero-padded cutoff-N spectrum ``(..., M)`` of the values on each line
+    ``(..., M)``: an FFT along the last axis, the slots of modes beyond N zeroed,
+    then divided by M."""
+    M = values.shape[-1]
+    spec = np.fft.fft(values, axis=-1)
+    spec[..., N + 1 : M - N] = 0.0
+    spec /= M
+    return spec
 
 
 def evaluate_grid(f, M: int) -> np.ndarray:
@@ -278,14 +332,10 @@ def evaluate_grid(f, M: int) -> np.ndarray:
     N, coeffs = series_stack(f)
     if M < 2 * N + 1:
         raise ValueError(f"grid of {M} points aliases a cutoff-{N} series (need M >= {2 * N + 1})")
-    nd = coeffs.ndim
-    by_entry = coeffs.transpose(nd - 2, nd - 1, *range(nd - 3), nd - 3)
-    spec = np.zeros(by_entry.shape[:-1] + (M,), dtype=complex)
-    # += into zeros, so a -0.0 coefficient lands as 0 + x = +0.0
-    spec[..., : N + 1] += by_entry[..., N:]
-    spec[..., M - N :] += by_entry[..., :N]
-    values = np.fft.ifft(spec, axis=-1) * M
-    return values.transpose(*range(2, nd), 0, 1)
+    spec = pad_spectrum(coeffs, M)
+    # so a -0.0 coefficient samples as 0 + x = +0.0
+    spec += 0.0
+    return sample_padded(spec).transpose(*range(2, coeffs.ndim), 0, 1)
 
 
 def fit_series(values: np.ndarray, N: int) -> np.ndarray:
@@ -298,12 +348,8 @@ def fit_series(values: np.ndarray, N: int) -> np.ndarray:
     M = values.shape[-3]
     if M < 2 * N + 1:
         raise ValueError(f"fitting cutoff {N} from {M} samples aliases modes (need M >= {2 * N + 1})")
-    n = np.arange(-N, N + 1)
-    # lines [..., j, i, :], swapped back below.  On one (M, d, d) stack the index
-    # gather returns C-contiguous coefficients, which RK4's stage sums run faster
-    # on than on the strided view that slices joined by np.concatenate return.
-    spec = np.fft.fft(values.swapaxes(-3, -1), axis=-1)
-    return (spec[..., n % M] / M).swapaxes(-3, -1)
+    nd = values.ndim
+    return spectrum_coeffs(fit_padded(values.transpose(nd - 2, nd - 1, *range(nd - 2)), N), N)
 
 
 def shift_backward_matrix(d: int, N: int) -> np.ndarray:

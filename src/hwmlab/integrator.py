@@ -2,13 +2,17 @@
 
 This is the independent cross-check against the resolvent-formula evolution:
 a classical RK4 step on the Fourier coefficients, with the quadratic commutator
-evaluated pointwise on the smallest power of two >= 3N+1 points (the product of
-two cutoff-N series has bandwidth 2N, so on M >= 3N+1 points it aliases only
-beyond the retained modes -N..N).  A stage samples, multiplies and fits
-through the grid pair :func:`~hwmlab.hardy.evaluate_grid` and
-:func:`~hwmlab.hardy.fit_series`.  :func:`integrate` and :func:`cross_validate`
-share one march: raw arrays step by dt, the last step cut short to land on the
-target time, and a checked state is built only where the march stops.
+evaluated pointwise on the smallest power of two M >= 3N+1 points (the product
+of two cutoff-N series has bandwidth 2N, so on M >= 3N+1 points it aliases only
+beyond the retained modes -N..N).  A march keeps its state as a zero-padded
+entry-major spectrum ``(d, d, M)`` in FFT order, so a stage is one inverse
+transform of ``[U, |D| U]``, one commutator pass and one forward transform
+through the grid pair :func:`~hwmlab.hardy.sample_padded` and
+:func:`~hwmlab.hardy.fit_padded`.  :func:`step_rk4`, :func:`integrate` and
+:func:`cross_validate` share that march: steps of dt, the last one cut short to
+land on the target time, and a checked state built only where the march stops.
+The blow-up guard checks every state a march reaches, except the one it starts
+from: max over the M grid points of ``|U|_E <= 2 sqrt(d)``.
 Deliberately structure-agnostic: it knows nothing about the conserved operator
 data, which makes the agreement meaningful.
 """
@@ -20,7 +24,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hardy import FourierSeries, evaluate_grid, fit_series, grid_commutator, sobolev_energy
+from .hardy import (
+    FourierSeries,
+    block_commutator,
+    fit_padded,
+    pad_spectrum,
+    sample_padded,
+    sobolev_energy,
+    spectrum_coeffs,
+)
 from .grassmann import GrassmannLoop, constraint_residuals
 
 __all__ = [
@@ -50,24 +62,49 @@ def _grid_size(N: int) -> int:
     return 1 << (3 * N).bit_length()
 
 
-def _flow_rate(coeffs: np.ndarray) -> np.ndarray:
-    """-(i/2) [U, |D| U] on raw ``(2N+1, d, d)`` coefficients, via dealiased grid products.
+def _guard(samples: np.ndarray, t: float) -> None:
+    """Raise BlowUpError unless max over the grid points of |U|_E <= 2 sqrt(d), for
+    the entry-major samples ``(d, d, M)`` of the state at time t."""
+    # Frobenius bound: |U|_op <= |U|_E <= sqrt(d) |U|_op, a cheap blow-up proxy
+    sup = float(np.sqrt(np.max(np.sum(np.abs(samples) ** 2, axis=(0, 1)))))
+    # negated, so a NaN sup trips the guard too
+    if not sup <= 2.0 * np.sqrt(samples.shape[0]):
+        raise BlowUpError(f"sup |U|_E = {sup:.3f} is not within 2 sqrt(d) at t = {t}")
 
-    U and |D| U go through one stacked transform and one commutator pass,
-    and one fit brings modes -N..N back.
-    """
-    N = (coeffs.shape[0] - 1) // 2
-    M = _grid_size(N)
-    n = np.arange(-N, N + 1)
-    stack = np.empty((2,) + coeffs.shape, dtype=complex)
-    stack[0] = coeffs
-    np.multiply(coeffs, np.abs(n)[:, None, None], out=stack[1])
-    comm = grid_commutator(*evaluate_grid(stack, M))
-    # scale through the C-contiguous (d, d, M) block grid_commutator fills; in
-    # place, that runs faster than through the entry-major view
-    lines = comm.transpose(1, 2, 0)
-    lines *= -0.5j
-    return fit_series(comm, N)
+
+class _Stages:
+    """The flow rate on zero-padded entry-major spectra ``(d, d, M)`` of cutoff N,
+    M = ``_grid_size(N)``, with the |n| weights and the buffer built once."""
+
+    def __init__(self, N: int, d: int):
+        self.N, self.M = N, _grid_size(N)
+        self.weights = pad_spectrum(np.abs(np.arange(-N, N + 1))[:, None, None], self.M)[0, 0]
+        self.buf = np.empty((2, d, d, self.M), dtype=complex)
+
+    def rate(self, spec: np.ndarray, t: float | None = None) -> np.ndarray:
+        """-(i/2) [U, |D| U] of spectrum U, via dealiased grid products.
+
+        U and |D| U go through one stacked inverse transform and one commutator
+        pass, and one forward transform brings modes -N..N back.  With a time
+        t, the blow-up guard first reads U's samples as the state at t.
+        """
+        buf = self.buf
+        buf[0] = spec
+        np.multiply(spec, self.weights, out=buf[1])
+        # a -0.0 lands as 0 + x = +0.0, as evaluate_grid samples it
+        buf += 0.0
+        values = sample_padded(buf)
+        if t is not None:
+            _guard(values[0], t)
+        comm = block_commutator(values[0], values[1])
+        comm *= -0.5j
+        return fit_padded(comm, self.N)
+
+
+def _flow_rate(coeffs: np.ndarray) -> np.ndarray:
+    """-(i/2) [U, |D| U] on raw ``(2N+1, d, d)`` coefficients."""
+    stages = _Stages((coeffs.shape[0] - 1) // 2, coeffs.shape[-1])
+    return spectrum_coeffs(stages.rate(pad_spectrum(coeffs, stages.M)), stages.N)
 
 
 def rhs(u: GrassmannLoop | FourierSeries) -> FourierSeries:
@@ -76,25 +113,31 @@ def rhs(u: GrassmannLoop | FourierSeries) -> FourierSeries:
     return FourierSeries(series.d, series.N, _flow_rate(series.coeffs))
 
 
-def _raw_step(c: np.ndarray, dt: float, t: float) -> tuple[np.ndarray, float]:
-    """One classical fourth-order step of raw coefficients from time ``t``: the new
-    coefficients, whose samples on 4N+1 points the blow-up guard reads, and t + dt."""
-    k1 = _flow_rate(c)
-    k2 = _flow_rate(c + 0.5 * dt * k1)
-    k3 = _flow_rate(c + 0.5 * dt * k2)
-    k4 = _flow_rate(c + dt * k3)
-    new = c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    vals = evaluate_grid(new, 2 * new.shape[0] - 1)
-    # Frobenius bound: |U|_op <= |U|_E <= sqrt(d) |U|_op, a cheap blow-up proxy
-    sup = float(np.max(np.sqrt(np.sum(np.abs(vals) ** 2, axis=(-2, -1)))))
-    # negated, so a NaN sup trips the guard too
-    if not sup <= 2.0 * np.sqrt(c.shape[-1]):
-        raise BlowUpError(f"sup |U|_E = {sup:.3f} is not within 2 sqrt(d) at t = {t + dt}")
-    return new, t + dt
+def _steps(state: IntegratorState, dts: list) -> IntegratorState:
+    """The checked state that classical fourth-order steps of the lengths ``dts``
+    reach from ``state`` (``state`` itself if there are none).
+
+    The steps run on the zero-padded spectrum.  Each state they reach is guarded
+    (see :func:`_guard`): on the samples the next step's first stage takes, and
+    the last state on a transform of its own.  ``state`` itself is not guarded.
+    """
+    if not dts:
+        return state
+    stages = _Stages(state.loop.N, state.loop.d)
+    s, t = pad_spectrum(state.loop.series.coeffs, stages.M), state.t
+    for i, dt in enumerate(dts):
+        k1 = stages.rate(s, t if i else None)
+        k2 = stages.rate(s + 0.5 * dt * k1)
+        k3 = stages.rate(s + 0.5 * dt * k2)
+        k4 = stages.rate(s + dt * k3)
+        s = s + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t = t + dt
+    _guard(sample_padded(s), t)
+    return _wrap_step(state, spectrum_coeffs(s, stages.N), t, dt, len(dts))
 
 
 def _wrap_step(start: IntegratorState, c, t: float, dt: float, steps: int) -> IntegratorState:
-    """The checked state ``steps`` raw steps after ``start`` (the last of length dt), as a
+    """The checked state ``steps`` steps after ``start`` (the last of length dt), as a
     chain of :func:`step_rk4` builds it: coefficients ``c`` with their constraint residuals."""
     d, k = start.loop.d, start.loop.k
     series = FourierSeries(d, start.loop.N, c)
@@ -108,9 +151,7 @@ def _wrap_step(start: IntegratorState, c, t: float, dt: float, steps: int) -> In
 
 def step_rk4(state: IntegratorState, dt: float | None = None) -> IntegratorState:
     """One classical fourth-order step; optional per-step dt override."""
-    dt = state.dt if dt is None else dt
-    c, t = _raw_step(state.loop.series.coeffs, dt, state.t)
-    return _wrap_step(state, c, t, dt, 1)
+    return _steps(state, [state.dt if dt is None else dt])
 
 
 def _initial_state(u0: GrassmannLoop, dt: float) -> IntegratorState:
@@ -120,14 +161,13 @@ def _initial_state(u0: GrassmannLoop, dt: float) -> IntegratorState:
 
 
 def _march(state: IntegratorState, t_stop: float, dt: float) -> IntegratorState:
-    """Raw steps of ``dt`` from ``state`` to ``t_stop``, the last one cut short to land
+    """Steps of ``dt`` from ``state`` to ``t_stop``, the last one cut short to land
     on it; only the state reached is checked (``state`` itself if no step was due)."""
-    c, t, steps = state.loop.series.coeffs, state.t, 0
+    dts, t = [], state.t
     while t < t_stop - 1e-12:
-        step_dt = min(dt, t_stop - t)
-        c, t = _raw_step(c, step_dt, t)
-        steps += 1
-    return _wrap_step(state, c, t, step_dt, steps) if steps else state
+        dts.append(min(dt, t_stop - t))
+        t += dts[-1]
+    return _steps(state, dts)
 
 
 def _check_times(t_end: float, dt: float) -> None:

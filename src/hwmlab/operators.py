@@ -52,6 +52,7 @@ __all__ = [
     "shift_backward_matrix",
     "apply_toeplitz_grid",
     "key_identity_check",
+    "hermitian_eigh",
     "eig_hermitian",
     "commutator_rank_one_check",
     "toeplitz_product_identity",
@@ -204,6 +205,21 @@ def key_identity_check(u, N: int) -> dict:
     }
 
 
+def hermitian_eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh(A)``, retried with LAPACK's QR iteration (scipy's driver
+    ``ev``) when that divide-and-conquer solve does not converge, as it can on
+    Toeplitz sections.  A solve that converges keeps numpy's bits."""
+    try:
+        return np.linalg.eigh(A)
+    except np.linalg.LinAlgError:
+        # imported here: scipy.linalg costs about 0.3 s, more than most runs' set-up.
+        # Not MRRR ("evr"): on the default datum's N = 1024 section its eigenvectors
+        # are orthonormal only to 5e-3.
+        import scipy.linalg
+
+        return scipy.linalg.eigh(A, driver="ev")
+
+
 def eig_hermitian(A: np.ndarray) -> SpectralData:
     """Eigendecomposition of a Hermitian-symbol finite section (a matrix or vector section's array).
 
@@ -212,7 +228,7 @@ def eig_hermitian(A: np.ndarray) -> SpectralData:
     herm_gap = np.max(np.abs(A - A.conj().T))
     if herm_gap > 1e-10:
         raise ValueError(f"finite section is not Hermitian (gap {herm_gap:.2e})")
-    lam, vecs = np.linalg.eigh(A)
+    lam, vecs = hermitian_eigh(A)
     residual = float(np.max(np.linalg.norm(A @ vecs - vecs * lam, axis=0)))
     near_edge = int(np.count_nonzero(np.abs(lam) > 0.9))
     return SpectralData(lam, vecs, near_edge, residual)

@@ -42,7 +42,7 @@ import numpy as np
 
 from .hardy import FourierSeries, HardyElement, evaluate_grid, project_plus
 from .grassmann import GrassmannLoop
-from .operators import toeplitz_vector_section
+from .operators import hermitian_eigh, toeplitz_vector_section
 
 __all__ = [
     "emit",
@@ -225,7 +225,7 @@ class IsometryModel:
 
 def _standard_model(L: np.ndarray, d: int, N: int, t: float) -> IsometryModel:
     """Model from a Hermitian vector-section generator (real if L is)."""
-    lam, vecs = np.linalg.eigh(L if L.imag.any() else L.real)
+    lam, vecs = hermitian_eigh(L if L.imag.any() else L.real)
     return IsometryModel(d, N, lam, vecs, t=t)
 
 

@@ -398,6 +398,18 @@ def test_default_artifacts_are_byte_reproducible(tmp_path):
         assert runs[0] == runs[1]
 
 
+@pytest.mark.parametrize("command", ["spectrum", "stability"])
+def test_section_eigensolve_converges_at_one_blas_thread(tmp_path, command):
+    # np.linalg.eigh fails to converge on this 514 x 514 section with one OpenBLAS
+    # thread; the QR-iteration fallback solves it
+    env = dict(os.environ, PYTHONPATH=str(Path(hwmlab.__file__).parents[1]), OPENBLAS_NUM_THREADS="1")
+    cfg = tmp_path / "n256.cfg"
+    cfg.write_text("N = 256\n")
+    cmd = [sys.executable, "-m", "hwmlab.cli", command, "--config", str(cfg), "--seed", "6"]
+    out = subprocess.run(cmd + ["--out", str(tmp_path / "o"), "--quiet"], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+
+
 def test_default_text_is_the_default_config():
     # `hwmlab validate` without a config and the fresh template check one datum under one hash
     assert parse_config(DEFAULT_TEXT) == ExperimentConfig()

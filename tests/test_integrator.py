@@ -1,4 +1,6 @@
 import struct
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from hwmlab.grassmann import (
     traveling_profile,
     validate_loop,
 )
+from hwmlab import evolution, integrator
 from hwmlab.evolution import make_plan, solve_at_time
 from hwmlab.integrator import (
     BlowUpError,
@@ -110,6 +113,54 @@ def test_checked_state_residuals_are_constraint_residuals_bitwise(loop):
         check = constraint_residuals(loop.d, loop.k, state.loop.series.coeffs)
         assert list(state.loop.grid_check) == list(check)
         assert struct.pack("<4d", *state.loop.grid_check.values()) == struct.pack("<4d", *check.values())
+
+
+def reference_march(c, t, t_stop, dt):
+    """RK4 steps of :func:`reference_rhs` on raw coefficients from time t, of dt, the
+    last one cut short to land on t_stop: the coefficients and time they reach."""
+    d, N = c.shape[-1], (c.shape[0] - 1) // 2
+
+    def f(coeffs):
+        return reference_rhs(FourierSeries(d, N, coeffs))
+
+    while t < t_stop - 1e-12:
+        h = min(dt, t_stop - t)
+        k1 = f(c)
+        k2 = f(c + 0.5 * h * k1)
+        k3 = f(c + 0.5 * h * k2)
+        k4 = f(c + h * k3)
+        c = c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t = t + h
+    return c, t
+
+
+@pytest.mark.parametrize("loop", bit_cases(), ids=lambda loop: f"d{loop.d}")
+def test_march_matches_chained_reference_steps_bitwise(loop):
+    # the padded march: 11 steps of the two-product reference, the last cut short,
+    # reach integrate's state and each state cross_validate checks, bit for bit
+    c0 = loop.series.coeffs
+    c, t = reference_march(c0, 0.0, 0.105, 1e-2)
+    state = integrate(loop, 0.105, 1e-2)
+    assert (state.t, state.stats["steps"]) == (t, 11)
+    assert state.loop.series.coeffs.tobytes() == c.tobytes()
+
+    checked, wrap = [], integrator._wrap_step
+
+    def spy(*args):
+        checked.append(wrap(*args))
+        return checked[-1]
+
+    # cross_validate reads only .loop.series off the exact solve; a zero series stands in
+    zero = SimpleNamespace(loop=SimpleNamespace(series=FourierSeries(loop.d, 0, np.zeros((1, loop.d, loop.d)))))
+    with mock.patch.object(integrator, "_wrap_step", spy), mock.patch.object(evolution, "solve_at_time", lambda p, t: zero):
+        res = cross_validate(loop, 0.105, 1e-2, plan=object(), n_checks=3)
+    c, t = c0, 0.0
+    assert len(checked) == len(res["curve"]) == 3
+    for tc, state, point in zip(np.linspace(0.0, 0.105, 4)[1:], checked, res["curve"]):
+        c, t = reference_march(c, t, tc, 1e-2)
+        assert (state.t, point["t"]) == (t, t)
+        assert state.loop.series.coeffs.tobytes() == c.tobytes()
+        assert point["l2_gap"] == float(np.sqrt(np.sum(np.abs(c) ** 2)))
 
 
 def chained(loop, t_end, dt):
@@ -252,6 +303,25 @@ def test_blow_up_guard():
     # integrate wraps only its tenth state; the guard stops it on the first raw step
     with pytest.raises(BlowUpError, match=r"at t = 0\.001$"):
         integrate(bad, 1e-2, 1e-3)
+
+
+def test_blow_up_guard_stops_a_march_at_the_state_that_leaves_the_bound():
+    # RK4 at dt*N = 4.8 is unstable on the soliton: the states stay within 2 sqrt(d)
+    # for fifteen steps, then one grows past it
+    q = traveling_profile(BlaschkeProduct(0.0, (0.0,)), 0.5, N=16)
+    state = fresh_state(q, 0.3)
+    with pytest.raises(BlowUpError) as refused:
+        while True:
+            state = step_rk4(state)
+    # step_rk4 guards the single state it makes; the state it started from passed
+    assert state.stats["steps"] == 15
+    t_bad = state.t + 0.3
+    assert str(refused.value).endswith(f"at t = {t_bad}")
+    # a march guards each state on its next step's samples, and the one it stops at on its own
+    for t_end in (10.0, t_bad):
+        with pytest.warns(UserWarning, match="strains"), pytest.raises(BlowUpError) as marched:
+            integrate(q, t_end, 0.3)
+        assert str(marched.value) == str(refused.value)
 
 
 def test_cross_validate_rejects_cutoff_below_datum():

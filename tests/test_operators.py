@@ -20,6 +20,7 @@ from hwmlab.operators import (
     commutator_rank_one_check,
     eig_hermitian,
     hankel_vector_section,
+    hermitian_eigh,
     invariant_subspace,
     key_identity_check,
     kronecker_rank,
@@ -213,6 +214,41 @@ def test_eig_edges_and_bound(rng):
     frame = invariant_subspace(loop, 12)
     assert spec.near_edge_count >= spec.eigenvalues.size - 2 * frame.dim
     assert spec.residual < 1e-10
+
+
+def refuse_eigh(*args, **kwargs):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def test_eigensolves_fall_back_to_qr_iteration_when_eigh_fails(rng, monkeypatch):
+    # np.linalg.eigh's divide-and-conquer solve can fail to converge on a Toeplitz
+    # section (seed 6 at N = 256 with one BLAS thread); forced here with a stub
+    from hwmlab.evolution import make_plan
+    from hwmlab.stability import hwm_model
+
+    loop = random_rational_loop(rng, 2, 1, twists=2)
+    A = toeplitz_vector_section(loop.series, 24)
+    lam0 = np.linalg.eigh(A).eigenvalues
+    monkeypatch.setattr(np.linalg, "eigh", refuse_eigh)
+    lam, vecs = hermitian_eigh(A)
+    assert np.max(np.linalg.norm(A @ vecs - vecs * lam, axis=0)) < 1e-13
+    assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(len(A)))) < 1e-13
+    assert np.max(np.abs(lam - lam0)) < 1e-13
+    # each Hermitian section solve takes it: spectrum, the stability models, the plan
+    assert eig_hermitian(A).residual < 1e-13
+    model = hwm_model(loop, 0.5, 24)
+    assert np.array_equal(model.lam, lam)
+    plan = make_plan(loop)
+    assert plan.model.lam.size == plan.frame.dim
+
+
+@pytest.mark.parametrize("real", [False, True])
+def test_converging_eigensolve_keeps_numpy_bits(rng, real):
+    A = toeplitz_vector_section(random_rational_loop(rng, 2, 1, twists=2).series, 24)
+    A = A.real + A.real.T if real else A
+    lam, vecs = hermitian_eigh(A)
+    ref = np.linalg.eigh(A)
+    assert np.array_equal(lam, ref.eigenvalues) and np.array_equal(vecs, ref.eigenvectors)
 
 
 def test_interior_eigenvalue_count_stabilizes(rng):

@@ -15,11 +15,12 @@ REPO = Path(__file__).resolve().parents[1]
 
 def test_import_leaves_out_scipy_optimize():
     # scipy.optimize alone costs most of the package import time; only
-    # recurrence_search needs it
+    # recurrence_search needs it.  scipy.linalg (about 0.3 s) is imported only
+    # by the eigensolver fallback, when numpy's eigh does not converge.
     env = dict(os.environ, PYTHONPATH=str(Path(hwmlab.__file__).parents[1]))
-    code = "import sys, hwmlab; print('scipy.optimize' in sys.modules)"
+    code = "import sys, hwmlab; print(['scipy.optimize' in sys.modules, 'scipy.linalg' in sys.modules])"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[False, False]"
 
 
 def traced_targets():
@@ -96,7 +97,7 @@ def test_no_package_path_builds_a_matrix_section():
             assert (module, fn.name) in {("operators.py", "build_toeplitz"), ("operators.py", "build_hankel")}
 
 
-GRID_TRANSFORMS = {("hardy.py", "evaluate_grid"), ("hardy.py", "fit_series")}
+GRID_TRANSFORMS = {("hardy.py", "sample_padded"), ("hardy.py", "fit_padded")}
 
 
 def fft_users():
@@ -117,7 +118,7 @@ def fft_users():
 
 
 def test_only_the_grid_pair_calls_the_fft():
-    # one transform pair: every sample goes through evaluate_grid and every fit through fit_series
+    # one transform pair: every sample goes through sample_padded and every fit through fit_padded
     assert set(fft_users()) == GRID_TRANSFORMS
 
 
