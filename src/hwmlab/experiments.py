@@ -289,9 +289,8 @@ def run_bench(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False) -> int:
         t_solve = (time.perf_counter() - t0) / times.size
 
         t0 = time.perf_counter()
-        n_steps = 20
-        integrate(loop, n_steps * cfg.dt, cfg.dt)
-        t_step = (time.perf_counter() - t0) / n_steps
+        state = integrate(loop, 20 * cfg.dt, cfg.dt)
+        t_step = (time.perf_counter() - t0) / state.stats["steps"]
 
         crossover = t_solve / t_step * cfg.dt if t_step > 0 else float("inf")
         rows.append(

@@ -15,7 +15,8 @@ cutoff-N spectrum of such values.  They are the package's only FFT calls.
 :func:`evaluate_grid` wraps them to sample coefficients as entry-major values
 ``(..., M, d, d)``, and :func:`fit_series` to fit such values back;
 :func:`grid_product` and :func:`grid_commutator` multiply the samples in
-between, and :func:`block_commutator` their entry blocks.
+between, and :func:`block_commutator` a stacked pair of their entry blocks.
+Every helper that knows both M and N rejects a grid of M < 2N+1 points.
 """
 
 from __future__ import annotations
@@ -261,30 +262,39 @@ def grid_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.transpose(*range(2, out.ndim), 0, 1)
 
 
-def block_commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pointwise commutator ``a @ b - b @ a`` of entry blocks ``(d, d, ...)``, as a
-    C-contiguous entry block; both products are summed as :func:`grid_product`
-    sums them, then subtracted."""
-    out = _product_block(a, b)
-    out -= _product_block(b, a)
-    return out
+def block_commutator(pair: np.ndarray) -> np.ndarray:
+    """Pointwise ``a @ b - b @ a`` of a stacked pair ``[a, b]`` of entry blocks, C-contiguous: both
+    products in one pass of d multiply-adds against the reversed pair, as :func:`grid_product` sums."""
+    acc = np.multiply(pair[:, :, 0, None], pair[::-1, None, 0], out=np.empty(pair.shape, pair.dtype))
+    for j in range(1, pair.shape[2]):
+        acc += pair[:, :, j, None] * pair[::-1, None, j]
+    acc[0] -= acc[1]
+    return acc[0]
 
 
 def grid_commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pointwise commutator ``a @ b - b @ a`` of grid samples, entry major.
 
-    The :func:`block_commutator` of their entry blocks, so the result equals
-    ``grid_product(a, b) - grid_product(b, a)`` bit for bit.
+    The :func:`block_commutator` of their stacked entry blocks, so the result
+    equals ``grid_product(a, b) - grid_product(b, a)`` bit for bit.
     """
-    out = block_commutator(*_entry_blocks(a, b))
+    out = block_commutator(np.stack(list(_entry_blocks(a, b))))
     return out.transpose(*range(2, out.ndim), 0, 1)
+
+
+def _check_grid(M: int, N: int) -> None:
+    """Raise ``ValueError`` when M < 2N+1, where a grid of M points aliases the
+    modes of a cutoff-N series onto each other."""
+    if M < 2 * N + 1:
+        raise ValueError(f"grid of {M} points aliases a cutoff-{N} series (need M >= {2 * N + 1})")
 
 
 def pad_spectrum(coeffs: np.ndarray, M: int) -> np.ndarray:
     """Coefficients ``(..., 2N+1, d, d)`` as zero-padded entry-major spectra
     ``(d, d, ..., M)`` in FFT order, mode n in slot n mod M, copied as they are
-    (the sign of a zero included)."""
+    (the sign of a zero included).  Raises ``ValueError`` when M < 2N+1."""
     N = (coeffs.shape[-3] - 1) // 2
+    _check_grid(M, N)
     nd = coeffs.ndim
     by_entry = coeffs.transpose(nd - 2, nd - 1, *range(nd - 3), nd - 3)
     spec = np.zeros(by_entry.shape[:-1] + (M,), dtype=complex)
@@ -295,7 +305,9 @@ def pad_spectrum(coeffs: np.ndarray, M: int) -> np.ndarray:
 
 def spectrum_coeffs(spec: np.ndarray, N: int) -> np.ndarray:
     """Cutoff-N coefficients ``(..., 2N+1, d, d)`` of entry-major spectra
-    ``(d, d, ..., M)``, the inverse of :func:`pad_spectrum`."""
+    ``(d, d, ..., M)``, the inverse of :func:`pad_spectrum`.  Raises ``ValueError``
+    when M < 2N+1."""
+    _check_grid(spec.shape[-1], N)
     out = spec[..., np.arange(-N, N + 1) % spec.shape[-1]]
     return out.transpose(*range(2, out.ndim), 0, 1)
 
@@ -311,8 +323,9 @@ def sample_padded(spec: np.ndarray) -> np.ndarray:
 def fit_padded(values: np.ndarray, N: int) -> np.ndarray:
     """Zero-padded cutoff-N spectrum ``(..., M)`` of the values on each line
     ``(..., M)``: an FFT along the last axis, the slots of modes beyond N zeroed,
-    then divided by M."""
+    then divided by M.  Raises ``ValueError`` when M < 2N+1."""
     M = values.shape[-1]
+    _check_grid(M, N)
     spec = np.fft.fft(values, axis=-1)
     spec[..., N + 1 : M - N] = 0.0
     spec /= M
@@ -329,9 +342,7 @@ def evaluate_grid(f, M: int) -> np.ndarray:
     gets the values it gets alone, bit for bit.  Raises ``ValueError`` when
     M < 2N+1, where represented modes would alias onto each other.
     """
-    N, coeffs = series_stack(f)
-    if M < 2 * N + 1:
-        raise ValueError(f"grid of {M} points aliases a cutoff-{N} series (need M >= {2 * N + 1})")
+    _, coeffs = series_stack(f)
     spec = pad_spectrum(coeffs, M)
     # so a -0.0 coefficient samples as 0 + x = +0.0
     spec += 0.0
@@ -345,9 +356,6 @@ def fit_series(values: np.ndarray, N: int) -> np.ndarray:
     inverse of :func:`evaluate_grid` on cutoff-N series.  Raises ``ValueError``
     when M < 2N+1, where the fit would alias modes.
     """
-    M = values.shape[-3]
-    if M < 2 * N + 1:
-        raise ValueError(f"fitting cutoff {N} from {M} samples aliases modes (need M >= {2 * N + 1})")
     nd = values.ndim
     return spectrum_coeffs(fit_padded(values.transpose(nd - 2, nd - 1, *range(nd - 2)), N), N)
 

@@ -13,6 +13,7 @@ from hwmlab import integrator
 from hwmlab.grassmann import constraint_residuals
 from hwmlab.hardy import (
     FourierSeries,
+    block_commutator,
     evaluate_grid,
     fit_series,
     grid_commutator,
@@ -86,6 +87,16 @@ def sample_layouts(seed, shape):
     yield longer[..., ::2, :, :]
 
 
+def entry_block(x):
+    """The ``(d, d, ...)`` entry view of samples ``(..., d, d)``."""
+    return x.transpose(x.ndim - 2, x.ndim - 1, *range(x.ndim - 2))
+
+
+def entry_pair(a, b):
+    """Samples a and b as one C-ordered stack of entry blocks ``(2, d, d, ...)``."""
+    return np.stack([entry_block(x) for x in np.broadcast_arrays(a, b)])
+
+
 @pytest.mark.parametrize("stack", [(), (1,), (3,), (2, 2)])
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
 def test_grid_kernels_equal_the_line_loop_bytewise(d, stack):
@@ -103,7 +114,15 @@ def test_grid_kernels_equal_the_line_loop_bytewise(d, stack):
                 assert got.strides == want.strides
                 assert got.tobytes() == want.tobytes()
                 cases += 1
-    assert cases == 2 * 5 * 18
+            # the stacked kernel on the pair as one stage's transform returns it, and in Fortran order
+            want = entry_block(reference_kernel(a, b, True))
+            for pair in (entry_pair(a, b), np.asfortranarray(entry_pair(a, b))):
+                got = block_commutator(pair)
+                assert got.shape == want.shape == (d, d) + shape[:-2]
+                assert got.strides == want.strides
+                assert got.tobytes() == want.tobytes()
+                cases += 1
+    assert cases == 4 * 5 * 18
 
 
 @given(d=dims, stack=stacks, M=st.integers(1, 12), seed=seeds)

@@ -5,17 +5,20 @@ from hwmlab.hardy import (
     FourierSeries,
     HardyElement,
     evaluate_grid,
+    fit_padded,
     fit_series,
     fractional_derivative,
     half_norm_sq,
     l2_norm,
     mean,
+    pad_spectrum,
     project_minus,
     project_plus,
     reproduce_check,
     shift_backward,
     shift_forward,
     sobolev_energy,
+    spectrum_coeffs,
 )
 from conftest import random_hardy, random_series
 
@@ -202,18 +205,39 @@ def test_grid_transforms_match_mode_loops(rng, d, N, M):
         assert fit_series(g, cutoff).tobytes() == reference_fit_series(g, cutoff).tobytes()
 
 
+def aliasing(M, N):
+    return f"grid of {M} points aliases a cutoff-{N} series"
+
+
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("N, M", [(4, 7), (5, 4), (6, 2), (3, 1)])
 def test_grid_pair_rejects_aliasing_grids(rng, d, N, M):
     # below 2N+1 points several modes share one grid frequency
-    with pytest.raises(ValueError, match=f"{M}.*cutoff-{N}"):
+    with pytest.raises(ValueError, match=aliasing(M, N)):
         evaluate_grid(random_series(rng, d, N), M)
-    with pytest.raises(ValueError, match=f"cutoff {N} from {M}"):
+    with pytest.raises(ValueError, match=aliasing(M, N)):
         fit_series(np.zeros((M, d, d), dtype=complex), N)
     # a fit whose cutoff is above (M-1)/2 on samples that resolve the series
     g = evaluate_grid(random_series(rng, d, N), 2 * N + 1)
-    with pytest.raises(ValueError, match=f"cutoff {N + 1} from {2 * N + 1}"):
+    with pytest.raises(ValueError, match=aliasing(2 * N + 1, N + 1)):
         fit_series(g, N + 1)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("N, M", [(4, 7), (5, 4), (6, 2), (3, 1), (3, 5)])
+def test_padded_helpers_reject_aliasing_grids(rng, d, N, M):
+    # the layout and fit helpers raise what the grid pair raises: on 5 points,
+    # modes -3..3 with values 1..7 would come back as [1, 2, 3, 4, 5, 1, 2]
+    coeffs = random_series(rng, d, N).coeffs
+    with pytest.raises(ValueError, match=aliasing(M, N)):
+        pad_spectrum(coeffs, M)
+    with pytest.raises(ValueError, match=aliasing(M, N)):
+        spectrum_coeffs(np.zeros((d, d, M), dtype=complex), N)
+    with pytest.raises(ValueError, match=aliasing(M, N)):
+        fit_padded(np.zeros((d, d, M), dtype=complex), N)
+    # on 2N+1 points the layout round-trips
+    spec = pad_spectrum(coeffs, 2 * N + 1)
+    assert spectrum_coeffs(spec, N).tobytes() == coeffs.tobytes()
 
 
 def test_reproduce_at_zero(rng):

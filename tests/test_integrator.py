@@ -150,9 +150,10 @@ def test_march_matches_chained_reference_steps_bitwise(loop):
         checked.append(wrap(*args))
         return checked[-1]
 
-    # cross_validate reads only .loop.series off the exact solve; a zero series stands in
+    # cross_validate reads only .loop.series off the exact solves; a zero series stands in
     zero = SimpleNamespace(loop=SimpleNamespace(series=FourierSeries(loop.d, 0, np.zeros((1, loop.d, loop.d)))))
-    with mock.patch.object(integrator, "_wrap_step", spy), mock.patch.object(evolution, "solve_at_time", lambda p, t: zero):
+    zeros = mock.patch.object(evolution, "solve_many", lambda p, ts: [zero] * len(ts))
+    with mock.patch.object(integrator, "_wrap_step", spy), zeros:
         res = cross_validate(loop, 0.105, 1e-2, plan=object(), n_checks=3)
     c, t = c0, 0.0
     assert len(checked) == len(res["curve"]) == 3
@@ -161,6 +162,34 @@ def test_march_matches_chained_reference_steps_bitwise(loop):
         assert (state.t, point["t"]) == (t, t)
         assert state.loop.series.coeffs.tobytes() == c.tobytes()
         assert point["l2_gap"] == float(np.sqrt(np.sum(np.abs(c) ** 2)))
+
+
+def test_cross_validate_solves_every_check_time_in_one_call():
+    q = traveling_profile(BlaschkeProduct(0.0, (0.0,)), 0.5, N=16)
+    plan = make_plan(q)
+    calls, solve_many = [], evolution.solve_many
+
+    def spy(p, times):
+        calls.append(list(times))
+        return solve_many(p, times)
+
+    with mock.patch.object(evolution, "solve_many", spy):
+        res = cross_validate(q, 0.2, 1e-2, plan=plan, n_checks=4)
+    assert calls == [[point["t"] for point in res["curve"]]]
+    assert len(calls[0]) == 4 and calls[0][-1] == 0.2
+    # on this datum the block gives each time the loop its lone solve gives it
+    lone = mock.patch.object(evolution, "solve_many", lambda p, ts: [solve_many(p, [t])[0] for t in ts])
+    with lone:
+        assert cross_validate(q, 0.2, 1e-2, plan=plan, n_checks=4) == res
+
+
+@pytest.mark.parametrize("dt", [1e-12, 1e-13, 1e-14])
+def test_short_marches_take_every_step_and_land_on_t_end(dt):
+    # the stopping slack scales with dt, so a march of 20 tiny steps is not cut short
+    q = traveling_profile(BlaschkeProduct(0.0, (0.0,)), 0.5, N=16)
+    state = integrate(q, 20 * dt, dt)
+    assert state.stats["steps"] == 20
+    assert state.t == 20 * dt
 
 
 def chained(loop, t_end, dt):
