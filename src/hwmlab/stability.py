@@ -18,10 +18,11 @@ one path: :meth:`IsometryModel.iterate` steps its start vectors in the
 generator's eigenbasis, where a step at time t is
 :attr:`IsometryModel.eigen_shift` with its rows phased by ``exp(-itL)``, as
 one block through :func:`emit`, the one loop that iterates any contraction
-here.  A column leaves the block right after its own stop
-(:func:`first_stops`): later steps multiply only the live columns, and its
-later entries are 0, so callers cut each column at its stop.  A real
-generator (``-cos``) keeps every step real.  The dense
+here.  It steps the block in chunks and reads the means, norms and stops
+once per chunk.  Stops are read per step (:func:`first_stops`): a column's
+entries after its stop are 0, so callers cut each column at its stop, and
+the block narrows to the live columns at the end of the chunk where the
+stop falls.  A real generator (``-cos``) keeps every step real.  The dense
 :meth:`IsometryModel.step` is the reference form.
 
 On the truncated space the backward shift and mean projection satisfy their
@@ -66,13 +67,18 @@ __all__ = [
 ONSET_THRESHOLD = 1e-4
 # a curve that has not settled is unstable when its log-tail slope per doubling is below this
 PLATEAU_SLOPE = 1e-3
+# emit reads means, norms and stops once per chunk of this many steps ...
+CHUNK_STEPS = 32
+# ... or of fewer, so that a chunk holds at most this many entries (but one step at least)
+CHUNK_ENTRIES = 1 << 18
 
 
 def _curve_norms(v: np.ndarray) -> np.ndarray:
-    """Root-sum-square over all but the last axis of a C-contiguous complex block, in one pass."""
-    f = v.view(float).reshape(-1, 2 * v.shape[-1])
-    sq = np.einsum("ij,ij->j", f, f)
-    return np.sqrt(sq[0::2] + sq[1::2])
+    """Root-sum-square over all but the first and last axes of a C-contiguous complex
+    chunk ``(K, dim, ..., T)``, as ``(K, T)``, in one pass."""
+    f = v.view(float).reshape(len(v), -1, 2 * v.shape[-1])
+    sq = np.einsum("kij,kij->kj", f, f)
+    return np.sqrt(sq[:, 0::2] + sq[:, 1::2])
 
 
 def emit(
@@ -91,41 +97,68 @@ def emit(
     axis) multiplies every step entrywise, so curve j follows
     ``(diag(phase[..., j]) A)^n``.  Means have shape
     ``(n+1,) + (mean_map @ v.reshape(dim, -1)).shape`` and norms ``(n+1, T)``.
-    With ``stop_tol`` a curve leaves the block after the first step whose norm
-    is at most ``stop_tol`` (its :func:`first_stops` index); that step is
-    recorded, later steps multiply only the curves still live, every entry
-    after a curve's stop is 0, and the iteration ends once no curve is live.
-    Without it there are always ``n_max + 1`` steps.  A real ``A`` steps the
-    complex block as one real product on its stacked real and imaginary parts.
+    The block steps in chunks of ``CHUNK_STEPS`` steps (fewer where a chunk
+    would pass ``CHUNK_ENTRIES`` entries), and each chunk's means and norms
+    are one batched product each.  With ``stop_tol`` a curve stops at its
+    :func:`first_stops` index, the first step from step 1 on whose norm is at
+    most ``stop_tol``: that step is recorded, every later entry is 0, the
+    block narrows to the live curves at the end of the chunk, and the
+    iteration ends once no curve is live.  Without it there are always
+    ``n_max + 1`` steps.  A real ``A`` steps the complex block as one real
+    product on its stacked real and imaginary parts.  Raises ValueError for
+    ``n_max < 0`` or an empty block.
     """
-    v = np.ascontiguousarray(v, dtype=complex)
+    if n_max < 0:
+        raise ValueError(f"step count must be >= 0, got {n_max}")
+    v = np.asarray(v)
+    if not v.size:
+        raise ValueError("emit needs a nonempty block")
     real_step = not np.iscomplexobj(A)
-    dim, shape, lead = len(v), v.shape, mean_map.shape[:-1]
-    live = np.arange(shape[-1])
-    runs = [(0, live)]  # first step of each run of steps that shares one live set
-    means = [(mean_map @ v.reshape(dim, -1)).reshape(lead + v.shape[1:])]
-    norms = [_curve_norms(v)]
-    for _ in range(n_max):
-        w = A @ (v.view(float) if real_step else v).reshape(dim, -1)
-        v = (w.view(complex) if real_step else w).reshape(v.shape)
-        if phase is not None:
-            v *= phase
-        means.append((mean_map @ v.reshape(dim, -1)).reshape(lead + v.shape[1:]))
-        norms.append(_curve_norms(v))
-        if stop_tol is None or (keep := norms[-1] > stop_tol).all():
-            continue
-        if not keep.any():
-            break
-        live, v = live[keep], np.compress(keep, v, axis=-1)
-        if phase is not None:
-            phase = np.compress(keep, phase, axis=-1)
-        runs.append((len(means), live))
-    steps = len(means)
-    out_means = np.zeros((steps,) + lead + shape[1:], dtype=means[0].dtype)
-    out_norms = np.zeros((steps, shape[-1]))
-    for (lo, cols), (hi, _) in zip(runs, runs[1:] + [(steps, None)]):
-        out_means[lo:hi, ..., cols] = means[lo:hi]
-        out_norms[lo:hi, cols] = norms[lo:hi]
+    dim, lead = len(v), mean_map.shape[:-1]
+    rows = mean_map.reshape(-1, dim)
+    K = max(1, min(CHUNK_STEPS, CHUNK_ENTRIES // v.size))
+    # slot 0 holds the step before the chunk, slots 1..k the chunk's k steps
+    buf = np.empty((K + 1,) + v.shape, dtype=complex)
+    buf[1] = v
+    live = np.arange(v.shape[-1])
+    chunks = []  # (first step, live curves, means (k, rows * g, live), norms (k, live))
+    lo, steps = 0, n_max + 1
+    while lo < steps:
+        k = min(K, steps - lo)
+        flat = buf.reshape(K + 1, dim, -1)
+        if real_step:
+            flat = flat.view(float)
+        for j in range(2 if lo == 0 else 1, k + 1):
+            np.matmul(A, flat[j - 1], out=flat[j])
+            if phase is not None:
+                buf[j] *= phase
+        block = buf[1 : k + 1]
+        means = (rows @ block.reshape(k, dim, -1)).reshape(k, -1, live.size)
+        norms = _curve_norms(block)
+        chunks.append((lo, live, means, norms))
+        carry = buf[k]
+        if stop_tol is not None:
+            below = norms <= stop_tol
+            below[0] &= lo > 0  # step 0 stops no curve
+            stopped = below.any(axis=0)
+            if stopped.any():
+                stop = np.where(stopped, below.argmax(axis=0), k)
+                after, cols = np.nonzero(np.arange(k)[:, None] > stop)
+                means[after, :, cols] = 0.0
+                norms[after, cols] = 0.0
+                if stopped.all():
+                    steps = lo + int(stop.max()) + 1
+                live, carry = live[~stopped], np.compress(~stopped, carry, axis=-1)
+                if phase is not None:
+                    phase = np.compress(~stopped, phase, axis=-1)
+                buf = np.empty((K + 1,) + carry.shape, dtype=complex)
+        buf[0] = carry
+        lo += k
+    out_means = np.zeros((steps, means.shape[1], v.shape[-1]), dtype=complex)
+    out_norms = np.zeros((steps, v.shape[-1]))
+    for lo, cols, m, n in chunks:
+        out_means[lo : lo + len(m), :, cols] = m[: steps - lo]
+        out_norms[lo : lo + len(n), cols] = n[: steps - lo]
     return out_means.reshape((steps,) + lead + (-1,)), out_norms
 
 
@@ -447,6 +480,8 @@ def wold_decomposition_estimate(model: IsometryModel, budget: int, tol: float = 
     those of the matrix-valued space: each singular value counts once per
     column, as :func:`~hwmlab.operators.kronecker_rank` counts them.
     """
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
     n, d = model.lam.size, model.d
     phase = model.phases([model.t])
     rows, _ = emit(model.eigen_shift, model.eigen_mean_map, np.eye(n), budget - 1, phase=phase)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from hwmlab.grassmann import BlaschkeProduct, random_rational_loop, traveling_pr
 from hwmlab.evolution import make_plan, solve_at_time
 from hwmlab.operators import build_toeplitz, shift_backward_matrix
 from hwmlab.stability import (
+    CHUNK_ENTRIES,
+    CHUNK_STEPS,
     PLATEAU_SLOPE,
     apply_u_sigma,
     breaking_time,
@@ -383,6 +387,130 @@ def test_emit_steps_only_live_columns(kind, rng):
             assert np.max(np.abs(norms[: n + 1, j] - nm[: n + 1])) < 1e-13
         # a column is not stepped after its stop: its later entries are exactly zero
         assert not means[n + 1 :, ..., j].any() and not norms[n + 1 :, j].any()
+
+
+def per_step_curves(A, mean_map, v, n_max, stop_tol, phase):
+    """``emit``'s contract as a plain loop: product, phase, mean, norm, then drop after the stop."""
+    dim, T = len(v), v.shape[-1]
+    rows = mean_map.reshape(-1, dim)
+    x = np.array(v, dtype=complex)
+    live = np.ones(T, dtype=bool)
+    means, norms = [], []
+    for n in range(n_max + 1):
+        if n:
+            x = (A @ x.reshape(dim, -1)).reshape(x.shape)
+            if phase is not None:
+                x = x * phase
+        mean = (rows @ x.reshape(dim, -1)).reshape(len(rows), -1, T)
+        norm = np.sqrt(np.sum(np.abs(x) ** 2, axis=tuple(range(x.ndim - 1))))
+        means.append(np.where(live, mean, 0.0))
+        norms.append(np.where(live, norm, 0.0))
+        if stop_tol is not None and n:
+            live &= norm > stop_tol
+            if not live.any():
+                break
+    return np.stack(means).reshape((len(means),) + mean_map.shape[:-1] + (-1,)), np.stack(norms)
+
+
+def shift_case(stops, kind, rng):
+    """A step that moves rows up by one, and curves of two columns whose norms
+    first fall below 1e-3 at the given steps (None: not within 111 steps).
+
+    Small entries further above the diagonal mix the rows, and the top row
+    wraps to the bottom scaled by ``eps``.  A column supported on its first s
+    rows with entry 1 in row s - 1 keeps norm at least that entry's share for
+    s - 1 steps and is of order ``eps`` from step s on, so the stop is step s,
+    and the curve is not 0 after it.  A curve of norm 1e-4 (s = 0) stops at
+    step 1, the first step that can stop.
+    """
+    dim, eps = 112, 1e-5
+    A = np.eye(dim, k=1) + np.triu(rng.standard_normal((dim, dim)), 2) * (0.005 / np.sqrt(dim))
+    if kind == "complex":
+        A = A + 1j * np.triu(rng.standard_normal((dim, dim)), 2) * (0.005 / np.sqrt(dim))
+    A[-1, 0] = eps
+    v = np.zeros((dim, 2, len(stops)), dtype=complex)
+    for j, s in enumerate(stops):
+        if s == 0:
+            v[:, 0, j] = rng.standard_normal(dim)
+            v[..., j] *= 1e-4 / np.linalg.norm(v[..., j])
+            continue
+        s = dim if s is None else s
+        v[:s, 0, j] = rng.standard_normal(s) + 1j * rng.standard_normal(s)
+        v[s - 1, 0, j] = 1.0
+        v[: s - 1, 1, j] = rng.standard_normal(s - 1)
+        v[..., j] /= np.linalg.norm(v[..., j])
+    mean_map = rng.standard_normal((2, dim)) + 1j * rng.standard_normal((2, dim))
+    phase = np.exp(1j * rng.uniform(0, 2 * np.pi, (dim, 1, len(stops))))
+    return A, mean_map, v, phase
+
+
+K = CHUNK_STEPS
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize(
+    "stops, n_max, stop_tol",
+    [
+        ([0, 1, K - 1, K, K + 1, None], 2 * K + 3, 1e-3),  # stops at chunk offsets 1, K-1, K, K+1
+        ([3, None], K - 1, 1e-3),
+        ([K, None], K, 1e-3),
+        ([K + 1, None], K + 1, 1e-3),
+        ([None, 7], K - 1, None),
+        ([None, K], K, None),
+        ([None, 2], K + 1, None),
+        ([1, 5, K - 1], 3 * K, 1e-3),  # every curve stops in the first chunk
+        ([2, 9, 2 * K + 1], 3 * K, 1e-3),
+    ],
+)
+def test_emit_matches_a_per_step_loop(kind, stops, n_max, stop_tol, rng):
+    A, mean_map, v, phase = shift_case(stops, kind, rng)
+    assert v.size * K <= CHUNK_ENTRIES  # the block steps in full chunks
+    got_means, got_norms = emit(A, mean_map, v, n_max, stop_tol, phase)
+    want_means, want_norms = per_step_curves(A, mean_map, v, n_max, stop_tol, phase)
+    assert got_means.shape == want_means.shape and got_norms.shape == want_norms.shape
+    assert np.max(want_norms) < 4.0
+    assert np.max(np.abs(got_means - want_means)) < 1e-13
+    assert np.max(np.abs(got_norms - want_norms)) < 1e-13
+    if stop_tol is None:
+        assert len(got_norms) == n_max + 1
+        return
+    # each curve stops at its given step, the run ends at the last stop, and nothing follows a stop
+    last = first_stops(got_norms, stop_tol)
+    expected = [n_max if s is None or s > n_max else max(s, 1) for s in stops]
+    assert last.tolist() == expected and len(got_norms) == max(expected) + 1
+    for j, s in enumerate(expected):
+        assert not got_means[s + 1 :, ..., j :: len(stops)].any() and not got_norms[s + 1 :, j].any()
+    # the steps after a stop are not 0 in the iteration itself
+    full_norms = emit(A, mean_map, v, n_max, None, phase)[1]
+    assert all(full_norms[s + 1 :, j].all() for j, s in enumerate(expected) if stops[j])
+
+
+def test_negative_step_counts_and_empty_blocks_raise(rng):
+    A = rng.standard_normal((4, 4))
+    with pytest.raises(ValueError, match="step count must be >= 0, got -1"):
+        emit(A, np.eye(1, 4), np.ones((4, 1)), -1)
+    with pytest.raises(ValueError, match="step count must be >= 0, got -3"):
+        zd_bo_norm_curve(minus_cosine(), [0.3], Ns=(16,), checkpoint=-3)
+    with pytest.raises(ValueError, match="nonempty block"):
+        zd_bo_norm_curve(minus_cosine(), [], Ns=(16,))
+    for budget in (0, -2):
+        with pytest.raises(ValueError, match=f"budget must be >= 1, got {budget}"):
+            wold_decomposition_estimate(flip_model(), budget)
+
+
+def test_wold_estimate_steps_a_bounded_chunk():
+    # the identity's 512 columns are one 4 MB block; an uncapped chunk would hold 33 of them
+    m = model_at_time(zd_bo_model(511, minus_cosine()), 0.7)
+    block = 512 * 512 * 16
+    m.eigen_shift, m.eigen_mean_map  # built outside the traced call
+    tracemalloc.start()
+    try:
+        wold_decomposition_estimate(m, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # stepping one block at a time, without chunks, this call peaked at 2.02 blocks
+    assert peak < 2 * 2.02 * block
 
 
 def test_eigen_shift_is_real_for_a_real_generator():
