@@ -11,10 +11,10 @@ read off them by slicing.  In that eigenbasis the time enters only as the
 diagonal phase ``exp(-i t lam)``: the step is ``diag(phase) V* S* V``.
 So :func:`solve_many` advances every sample time at once, one block of
 eigenbasis columns per output mode, with no step-size error; one stacked
-eigensolve guards the spectral radii and the grid checks run once per group
-of times that use the same number of modes.  :func:`solve_at_time` is its
-one-time case.  The plan's eigen-data is an
-:class:`~hwmlab.stability.IsometryModel`, and its
+eigensolve, with the d constant directions that S* annihilates deflated,
+guards the spectral radii, and the grid checks run once per block of times,
+on its widest cutoff.  :func:`solve_at_time` is its one-time case.  The
+plan's eigen-data is an :class:`~hwmlab.stability.IsometryModel`, and its
 :meth:`~hwmlab.stability.IsometryModel.iterate` is the contraction path
 shared with the stability experiments.
 """
@@ -176,11 +176,15 @@ def fourier_coefficient(plan: EvolutionPlan, t: float, n: int) -> np.ndarray:
 def _spectra(plan: EvolutionPlan, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues ``(T, dim)`` and spectral radii of the contraction at each time.
 
-    One stacked eigensolve of ``diag(phase_t) V* S* V``, which is similar to
-    the step matrix; a radius >= 1 raises, naming the first such time.
+    S* annihilates the constants, at eigenbasis coordinates ``V[:d]*``, so in a basis
+    ``[V[:d]*, Q]`` the step ``diag(phase_t) V* S* V`` is block upper triangular: its
+    spectrum is d exact zeros, appended last, and that of its compression to ``Q``,
+    from one stacked eigensolve.  A radius >= 1 raises, naming the first such time.
     """
-    mu = np.linalg.eigvals(plan.model.phases(times).T[:, :, None] * plan.model.eigen_shift)
-    r = np.max(np.abs(mu), axis=-1, initial=0.0)
+    q = np.linalg.qr(plan.model.eigen_mean_map.conj().T, mode="complete")[0][:, plan.d :]
+    compressed = (q.conj().T * plan.model.phases(times).T[:, None, :]) @ (plan.model.eigen_shift @ q)
+    mu = np.concatenate([np.linalg.eigvals(compressed), np.zeros((times.size, plan.d))], axis=-1)
+    r = np.max(np.abs(mu), axis=-1)
     bad = np.flatnonzero(r >= 1.0)
     if bad.size:
         raise SpectralRadiusError(f"contraction spectral radius {r[bad[0]]} >= 1 at t = {times[bad[0]]}")
@@ -188,8 +192,8 @@ def _spectra(plan: EvolutionPlan, times: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 def contraction_spectrum(plan: EvolutionPlan, t: float) -> np.ndarray:
-    """Eigenvalues of exp(-i t T) S* on the plan's space; all must stay inside
-    the unit circle, else the rank/truncation data is unusable."""
+    """Eigenvalues of exp(-i t T) S* on the plan's space, the constants' d zeros last;
+    all must stay inside the unit circle, else the rank/truncation data is unusable."""
     return _spectra(plan, np.array([float(t)]))[0][0]
 
 
@@ -204,7 +208,7 @@ def _time_blocks(plan: EvolutionPlan, times) -> list[np.ndarray]:
 def _solve_block(plan: EvolutionPlan, times: np.ndarray):
     """Loops ``(T, 2w+1, d, d)`` at ``times``, zero-padded to the largest mode count ``w``
     (:func:`emit` writes 0 past a stop), with mode counts, residual dicts, energies, radii
-    and tails.  Each mode count's group is checked on its own cutoff, as a lone time would be."""
+    and tails.  One check covers the block, each loop zero-padded to ``w``, on 4w+1 points."""
     _, radii = _spectra(plan, times)
     for i in np.flatnonzero(radii > 1.0 - 1e-3).tolist():
         warnings.warn(
@@ -229,13 +233,7 @@ def _solve_block(plan: EvolutionPlan, times: np.ndarray):
     loops[:, w] = means[0, 0] + means[0, 0].conj().T - plan.mean0
     loops[:, w + 1 :] = means[1 : w + 1].transpose(1, 0, 2, 3)
     loops[:, :w] = means[w:0:-1].conj().transpose(1, 0, 3, 2)
-    checks, energies = {}, np.empty(times.size)
-    for n in np.unique(n_used).tolist():
-        cols = np.flatnonzero(n_used == n)
-        group = loops[cols, w - n : w + n + 1]
-        checks.update(zip(cols.tolist(), constraint_residuals(plan.d, plan.k, group)))
-        energies[cols] = sobolev_energy(group)
-    return loops, n_used, checks, energies, radii, tails
+    return loops, n_used, constraint_residuals(plan.d, plan.k, loops), sobolev_energy(loops), radii, tails
 
 
 def solve_many(plan: EvolutionPlan, times) -> list[TrajectorySample]:

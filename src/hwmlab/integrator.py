@@ -113,9 +113,9 @@ def rhs(u: GrassmannLoop | FourierSeries) -> FourierSeries:
     return FourierSeries(series.d, series.N, _flow_rate(series.coeffs))
 
 
-def _steps(state: IntegratorState, dts: list) -> IntegratorState:
+def _steps(state: IntegratorState, dts: list, times: list) -> IntegratorState:
     """The checked state that classical fourth-order steps of the lengths ``dts``
-    reach from ``state`` (``state`` itself if there are none).
+    reach from ``state`` (``state`` itself if there are none); step i reaches ``times[i]``.
 
     The steps run on the zero-padded spectrum.  Each state they reach is guarded
     (see :func:`_guard`): on the samples the next step's first stage takes, and
@@ -124,16 +124,15 @@ def _steps(state: IntegratorState, dts: list) -> IntegratorState:
     if not dts:
         return state
     stages = _Stages(state.loop.N, state.loop.d)
-    s, t = pad_spectrum(state.loop.series.coeffs, stages.M), state.t
+    s = pad_spectrum(state.loop.series.coeffs, stages.M)
     for i, dt in enumerate(dts):
-        k1 = stages.rate(s, t if i else None)
+        k1 = stages.rate(s, times[i - 1] if i else None)
         k2 = stages.rate(s + 0.5 * dt * k1)
         k3 = stages.rate(s + 0.5 * dt * k2)
         k4 = stages.rate(s + dt * k3)
         s = s + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t = t + dt
-    _guard(sample_padded(s), t)
-    return _wrap_step(state, spectrum_coeffs(s, stages.N), t, dt, len(dts))
+    _guard(sample_padded(s), times[-1])
+    return _wrap_step(state, spectrum_coeffs(s, stages.N), times[-1], dt, len(dts))
 
 
 def _wrap_step(start: IntegratorState, c, t: float, dt: float, steps: int) -> IntegratorState:
@@ -151,7 +150,8 @@ def _wrap_step(start: IntegratorState, c, t: float, dt: float, steps: int) -> In
 
 def step_rk4(state: IntegratorState, dt: float | None = None) -> IntegratorState:
     """One classical fourth-order step; optional per-step dt override."""
-    return _steps(state, [state.dt if dt is None else dt])
+    dt = state.dt if dt is None else dt
+    return _steps(state, [dt], [state.t + dt])
 
 
 def _initial_state(u0: GrassmannLoop, dt: float) -> IntegratorState:
@@ -161,14 +161,14 @@ def _initial_state(u0: GrassmannLoop, dt: float) -> IntegratorState:
 
 
 def _march(state: IntegratorState, t_stop: float, dt: float) -> IntegratorState:
-    """Steps of ``dt`` from ``state`` to ``t_stop``, the last one cut short to land
-    on it; only the state reached is checked (``state`` itself if no step was due)."""
-    dts, t = [], state.t
-    # a remainder below 1e-10 dt is rounding in t, not a step still due
-    while t < t_stop - 1e-10 * dt:
-        dts.append(min(dt, t_stop - t))
-        t += dts[-1]
-    return _steps(state, dts)
+    """Steps of ``dt`` from ``state`` to ``t_stop``, counted so that step i reaches ``t_0 + i dt``,
+    the last one cut short to land on it; only the state reached is checked (``state`` itself
+    if no step was due).  A running sum of t would end short or take a sliver step."""
+    # a remainder below 1e-10 dt is rounding, not a step still due
+    n = max(int(np.ceil((t_stop - state.t) / dt - 1e-10)), 0)
+    times = [state.t + i * dt for i in range(1, n)] + [t_stop]
+    dts = [dt] * (n - 1) + [t_stop - (state.t + (n - 1) * dt)]
+    return _steps(state, dts[:n], times[:n])
 
 
 def _check_times(t_end: float, dt: float) -> None:

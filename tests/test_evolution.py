@@ -26,6 +26,8 @@ from hwmlab.operators import NotRationalError, key_identity_check
 from hwmlab.stability import apply_u_sigma, emit, hwm_model, model_at_time, parseval_defect
 from hwmlab.evolution import (
     _modes,
+    _spectra,
+    _time_blocks,
     SlowDecayWarning,
     SpectralRadiusError,
     conservation_report,
@@ -189,6 +191,8 @@ def test_contraction_spectrum_inside_disk(twist_plan):
     for t in (0.0, 0.5, 1.0):
         mu = contraction_spectrum(plan, t)
         assert np.max(np.abs(mu)) < 1.0
+        # one eigenvalue per dimension of the plan's space, the constants' d exact zeros last
+        assert mu.shape == plan.model.lam.shape and not mu[-plan.d :].any()
 
 
 def test_contraction_radius_sweep(twist_plan):
@@ -378,6 +382,16 @@ def test_plan_modes_match_full_section_model(dk, twists, key):
     # both models' dense steps act alike on the analytic part, which lies in the frame
     for t in times:
         assert np.max(np.abs(plan.model.step(t) @ plan.pu0 - full.step(t) @ plan.pu0)) < 1e-12
+    # S* annihilates the constants, at eigenbasis coordinates V[:d]*, so the stacked
+    # eigensolve deflates them; where the radius is not rounding noise it is unchanged
+    model = plan.model
+    assert np.max(np.abs(model.eigen_shift @ model.eigen_mean_map.conj().T)) < 1e-13
+    sweep = np.linspace(0.0, 10.0, 21)
+    full_radii = np.max(np.abs(np.linalg.eigvals(model.phases(sweep).T[:, :, None] * model.eigen_shift)), axis=-1)
+    radii = _spectra(plan, sweep)[1]
+    assert np.all(radii <= full_radii + 1e-11)
+    live = full_radii > 1e-2
+    assert np.all(np.abs(radii - full_radii)[live] < 1e-10)
 
 
 @given(
@@ -416,7 +430,12 @@ def reference_solve(plan, t):
     mode loop, on frame coordinates of the dense section step."""
     F = plan.frame.frame
     A = F.conj().T @ plan.model.step(t) @ F
-    r = float(np.max(np.abs(np.linalg.eigvals(A))))
+    # S* annihilates the constants, at frame coordinates F[:d]*: their d zeros are exact,
+    # and the rest of the spectrum is that of the compression to their complement
+    consts = F[: plan.d].conj().T
+    assert np.max(np.abs(A @ consts)) < 1e-13
+    q = np.linalg.qr(consts, mode="complete")[0][:, plan.d :]
+    r = float(np.max(np.abs(np.linalg.eigvals(q.conj().T @ A @ q)), initial=0.0))
     if r >= 1.0:
         raise SpectralRadiusError(f"contraction spectral radius {r} >= 1 at t = {t}")
     # the d columns of the analytic part step as one curve
@@ -455,6 +474,8 @@ def test_solve_many_matches_per_time_reference(flow_plans, name):
     samples = solve_many(plan, FLOW_TIMES)
     assert [s.t for s in samples] == FLOW_TIMES.tolist()
     mean = samples[0].diagnostics["mean"]
+    # one block: each time is checked as its series zero-padded to the widest cutoff
+    w = max(s.loop.N for s in samples)
     for t, s in zip(FLOW_TIMES, samples):
         ref = reference_solve(plan, t)
         series = s.loop.series
@@ -463,8 +484,8 @@ def test_solve_many_matches_per_time_reference(flow_plans, name):
         # the zeroth mode is frozen bit for bit, at the per-time solve's value
         assert np.array_equal(s.diagnostics["mean"], ref["series"].coeff(0))
         assert np.array_equal(s.diagnostics["mean"], mean)
-        assert s.loop.grid_check == constraint_residuals(plan.d, plan.k, series)
-        assert s.diagnostics["energy"] == sobolev_energy(series)
+        assert s.loop.grid_check == constraint_residuals(plan.d, plan.k, series.with_cutoff(w))
+        assert s.diagnostics["energy"] == sobolev_energy(series.with_cutoff(w))
         assert abs(s.diagnostics["spectral_radius"] - ref["radius"]) < 1e-7
         assert abs(s.diagnostics["tail_estimate"] - ref["tail"]) < 1e-15
 
@@ -494,6 +515,28 @@ def test_solve_many_blocks_long_time_arrays(flow_plans, monkeypatch):
         assert a.diagnostics["n_modes_used"] == b.diagnostics["n_modes_used"]
         assert np.max(np.abs(a.loop.series.coeffs - b.loop.series.coeffs)) < 1e-14
     assert solve_many(plan, []) == []
+
+
+@pytest.mark.parametrize("block_entries", [None, 7])
+def test_solve_many_checks_each_time_block_once(flow_plans, monkeypatch, block_entries):
+    import hwmlab.evolution as evolution
+
+    plan = flow_plans["generic"]
+    if block_entries:
+        monkeypatch.setattr(evolution, "SOLVE_BLOCK_ENTRIES", block_entries * plan.frame.dim**2)
+    calls = {"constraint_residuals": 0, "sobolev_energy": 0}
+    for name in calls:
+        real = getattr(evolution, name)
+
+        def counted(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(evolution, name, counted)
+    solve_many(plan, FLOW_TIMES)
+    n_blocks = len(_time_blocks(plan, FLOW_TIMES))
+    assert n_blocks == (1 if block_entries is None else 8)
+    assert calls == {"constraint_residuals": n_blocks, "sobolev_energy": n_blocks}
 
 
 def scaled_plan(plan, scale):

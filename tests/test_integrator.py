@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import struct
 from types import SimpleNamespace
 from unittest import mock
@@ -115,22 +117,29 @@ def test_checked_state_residuals_are_constraint_residuals_bitwise(loop):
         assert struct.pack("<4d", *state.loop.grid_check.values()) == struct.pack("<4d", *check.values())
 
 
+def counted_steps(t, t_stop, dt):
+    """Lengths and end times of the steps of dt from t to t_stop, counted: step i
+    ends at t + i dt, and the last one, cut short, on t_stop."""
+    n = math.ceil((t_stop - t) / dt - 1e-10)
+    if n < 1:
+        return [], []
+    return [dt] * (n - 1) + [t_stop - (t + (n - 1) * dt)], [t + i * dt for i in range(1, n)] + [t_stop]
+
+
 def reference_march(c, t, t_stop, dt):
-    """RK4 steps of :func:`reference_rhs` on raw coefficients from time t, of dt, the
-    last one cut short to land on t_stop: the coefficients and time they reach."""
+    """RK4 steps of :func:`reference_rhs` on raw coefficients from time t, counted
+    as :func:`counted_steps` counts them: the coefficients and time they reach."""
     d, N = c.shape[-1], (c.shape[0] - 1) // 2
 
     def f(coeffs):
         return reference_rhs(FourierSeries(d, N, coeffs))
 
-    while t < t_stop - 1e-12:
-        h = min(dt, t_stop - t)
+    for h, t in zip(*counted_steps(t, t_stop, dt)):
         k1 = f(c)
         k2 = f(c + 0.5 * h * k1)
         k3 = f(c + 0.5 * h * k2)
         k4 = f(c + h * k3)
         c = c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t = t + h
     return c, t
 
 
@@ -192,11 +201,13 @@ def test_short_marches_take_every_step_and_land_on_t_end(dt):
     assert state.t == 20 * dt
 
 
-def chained(loop, t_end, dt):
-    """``step_rk4`` with steps of dt, the last one cut short to land on t_end, keeping every state."""
+def chained(loop, t_end, dt, checks=()):
+    """``step_rk4`` with the steps :func:`counted_steps` counts to t_end, through each
+    time in ``checks`` on the way, keeping every state, each at the time its count gives it."""
     states = [fresh_state(loop, dt)]
-    while states[-1].t < t_end - 1e-12:
-        states.append(step_rk4(states[-1], min(dt, t_end - states[-1].t)))
+    for t_stop in [*checks, t_end]:
+        for h, t in zip(*counted_steps(states[-1].t, t_stop, dt)):
+            states.append(dataclasses.replace(step_rk4(states[-1], h), t=t))
     return states
 
 
@@ -223,16 +234,15 @@ def test_cross_validate_drifts_are_the_chained_final_state():
     q = traveling_profile(BlaschkeProduct(0.0, (0.0,)), 0.5, N=16)
     plan = make_plan(q)
     res = cross_validate(q, 0.2, 1e-2, plan=plan, n_checks=4)
-    final = chained(q, 0.2, 1e-2)[-1]
+    # the march counts its steps afresh from each check time
+    final = chained(q, 0.2, 1e-2, checks=np.linspace(0.0, 0.2, 5)[1:-1].tolist())[-1]
     assert res["energy_drift"] == final.stats["energy_drift"]
     assert res["constraint_drift"] == final.stats["constraint_drift"]
-    assert res["curve"][-1]["t"] == final.t
-    # the last checked state is integrate's, bit for bit: its gap to the exact solve matches
-    marched = integrate(q, 0.2, 1e-2)
-    assert_states_bitwise_equal(marched, final)
-    exact = solve_at_time(plan, marched.t).loop.series
-    n = max(exact.N, marched.loop.N)
-    diff = exact.with_cutoff(n).coeffs - marched.loop.series.with_cutoff(n).coeffs
+    assert res["curve"][-1]["t"] == final.t == 0.2
+    # the last checked state is the chained one, bit for bit: its gap to the exact solve matches
+    exact = solve_at_time(plan, final.t).loop.series
+    n = max(exact.N, final.loop.N)
+    diff = exact.with_cutoff(n).coeffs - final.loop.series.with_cutoff(n).coeffs
     gap = float(np.sqrt(np.sum(np.abs(diff) ** 2)))
     assert res["curve"][-1]["l2_gap"] == gap
 
@@ -344,13 +354,35 @@ def test_blow_up_guard_stops_a_march_at_the_state_that_leaves_the_bound():
             state = step_rk4(state)
     # step_rk4 guards the single state it makes; the state it started from passed
     assert state.stats["steps"] == 15
-    t_bad = state.t + 0.3
-    assert str(refused.value).endswith(f"at t = {t_bad}")
-    # a march guards each state on its next step's samples, and the one it stops at on its own
-    for t_end in (10.0, t_bad):
+    assert str(refused.value).endswith(f"at t = {state.t + 0.3}")
+    # a march guards each state on its next step's samples, and the one it stops at on
+    # its own; it counts its steps, so it names the sixteenth state's time as 16 dt
+    sup = str(refused.value).rsplit(" at t = ", 1)[0]
+    for t_end in (10.0, 16 * 0.3):
         with pytest.warns(UserWarning, match="strains"), pytest.raises(BlowUpError) as marched:
             integrate(q, t_end, 0.3)
-        assert str(marched.value) == str(refused.value)
+        assert str(marched.value) == f"{sup} at t = {16 * 0.3}"
+
+
+@pytest.mark.parametrize("t_end, n_steps", [(7.3, 730), (50.0, 5000)])
+def test_long_marches_count_their_steps_and_land_on_t_end(t_end, n_steps):
+    # counted steps of dt, the last landing on t_end: a running sum of t would end
+    # short of 7.3 (at 7.299999999999889) and take a 5001st step, 1.4e-12 long, to 50
+    q = traveling_profile(BlaschkeProduct(0.0, (0.0,)), 0.5, N=16)
+    planned = []
+    with mock.patch.object(integrator, "_steps", lambda state, dts, times: planned.append((dts, times)) or state):
+        integrate(q, t_end, 1e-2)
+    ((dts, times),) = planned
+    assert len(dts) == len(times) == n_steps
+    assert dts[:-1] == [1e-2] * (n_steps - 1) and dts[-1] == pytest.approx(1e-2, rel=1e-10)
+    assert times == [i * 1e-2 for i in range(1, n_steps)] + [t_end]
+
+
+def test_march_to_a_long_time_lands_on_it():
+    q = traveling_profile(BlaschkeProduct(0.0, (0.0,)), 0.5, N=16)
+    state = integrate(q, 7.3, 1e-2)
+    assert (state.t, state.stats["steps"]) == (7.3, 730)
+    assert state.dt == pytest.approx(1e-2, rel=1e-10)
 
 
 def test_cross_validate_rejects_cutoff_below_datum():
