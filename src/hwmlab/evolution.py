@@ -12,8 +12,8 @@ diagonal phase ``exp(-i t lam)``: the step is ``diag(phase) V* S* V``.
 So :func:`solve_many` advances every sample time at once, one block of
 eigenbasis columns per output mode, with no step-size error; one stacked
 eigensolve, with the d constant directions that S* annihilates deflated,
-guards the spectral radii, and the grid checks run once per block of times,
-on its widest cutoff.  :func:`solve_at_time` is its one-time case.  The
+guards the spectral radii, and the grid checks run once per octave of mode
+counts in a block of times.  :func:`solve_at_time` is its one-time case.  The
 plan's eigen-data is an :class:`~hwmlab.stability.IsometryModel`, and its
 :meth:`~hwmlab.stability.IsometryModel.iterate` is the contraction path
 shared with the stability experiments.
@@ -208,7 +208,8 @@ def _time_blocks(plan: EvolutionPlan, times) -> list[np.ndarray]:
 def _solve_block(plan: EvolutionPlan, times: np.ndarray):
     """Loops ``(T, 2w+1, d, d)`` at ``times``, zero-padded to the largest mode count ``w``
     (:func:`emit` writes 0 past a stop), with mode counts, residual dicts, energies, radii
-    and tails.  One check covers the block, each loop zero-padded to ``w``, on 4w+1 points."""
+    and tails.  The times whose mode counts share an octave (all counts below 64 share one)
+    are checked together, each loop zero-padded to their widest cutoff n, on 4n+1 points."""
     _, radii = _spectra(plan, times)
     for i in np.flatnonzero(radii > 1.0 - 1e-3).tolist():
         warnings.warn(
@@ -233,7 +234,15 @@ def _solve_block(plan: EvolutionPlan, times: np.ndarray):
     loops[:, w] = means[0, 0] + means[0, 0].conj().T - plan.mean0
     loops[:, w + 1 :] = means[1 : w + 1].transpose(1, 0, 2, 3)
     loops[:, :w] = means[w:0:-1].conj().transpose(1, 0, 3, 2)
-    return loops, n_used, constraint_residuals(plan.d, plan.k, loops), sobolev_energy(loops), radii, tails
+    # times share a check within an octave of mode counts (all below 64 in one), on its widest cutoff
+    checks, energies, octave = {}, np.empty(times.size), np.frexp(np.maximum(n_used, 32))[1]
+    for e in np.unique(octave).tolist():
+        cols = np.flatnonzero(octave == e)
+        n = int(n_used[cols].max())
+        group = loops[cols, w - n : w + n + 1]
+        checks.update(zip(cols.tolist(), constraint_residuals(plan.d, plan.k, group)))
+        energies[cols] = sobolev_energy(group)
+    return loops, n_used, checks, energies, radii, tails
 
 
 def solve_many(plan: EvolutionPlan, times) -> list[TrajectorySample]:
@@ -246,6 +255,9 @@ def solve_many(plan: EvolutionPlan, times) -> list[TrajectorySample]:
     and warns (SlowDecayWarning) for each time whose radius is near 1 or
     that reaches the mode cap.  Each block of times is solved as one
     zero-padded array, and the per-time records are built from it here.
+    A time's ``grid_check`` and energy are those of its loop zero-padded to
+    the widest cutoff among the block's times in its octave of mode counts:
+    they depend, by rounding, on which times share its block.
     """
     samples = []
     for block in _time_blocks(plan, times):
@@ -267,7 +279,8 @@ def solve_many(plan: EvolutionPlan, times) -> list[TrajectorySample]:
 
 
 def solve_at_time(plan: EvolutionPlan, t: float) -> TrajectorySample:
-    """Evolved loop at time t with recomputed diagnostics (:func:`solve_many` at one time)."""
+    """Evolved loop at time t with recomputed diagnostics (:func:`solve_many` at one time,
+    so checked on the loop's own cutoff, not as a longer time array may check it)."""
     return solve_many(plan, [t])[0]
 
 

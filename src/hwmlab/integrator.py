@@ -113,26 +113,30 @@ def rhs(u: GrassmannLoop | FourierSeries) -> FourierSeries:
     return FourierSeries(series.d, series.N, _flow_rate(series.coeffs))
 
 
-def _steps(state: IntegratorState, dts: list, times: list) -> IntegratorState:
-    """The checked state that classical fourth-order steps of the lengths ``dts``
-    reach from ``state`` (``state`` itself if there are none); step i reaches ``times[i]``.
+def _steps(state: IntegratorState, n: int, dt: float, t_stop: float) -> IntegratorState:
+    """The checked state that n classical fourth-order steps of ``dt`` reach from ``state``
+    (``state`` itself if n is 0): step i reaches ``state.t + i dt`` and the last ``t_stop``,
+    a whole step if within 1e-10 dt of one (the rest is rounding in t), else cut short.
 
     The steps run on the zero-padded spectrum.  Each state they reach is guarded
     (see :func:`_guard`): on the samples the next step's first stage takes, and
     the last state on a transform of its own.  ``state`` itself is not guarded.
     """
-    if not dts:
+    if n == 0:
         return state
+    last = t_stop - (state.t + (n - 1) * dt)
+    last = dt if abs(last - dt) <= 1e-10 * dt else last
     stages = _Stages(state.loop.N, state.loop.d)
     s = pad_spectrum(state.loop.series.coeffs, stages.M)
-    for i, dt in enumerate(dts):
-        k1 = stages.rate(s, times[i - 1] if i else None)
-        k2 = stages.rate(s + 0.5 * dt * k1)
-        k3 = stages.rate(s + 0.5 * dt * k2)
-        k4 = stages.rate(s + dt * k3)
-        s = s + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    _guard(sample_padded(s), times[-1])
-    return _wrap_step(state, spectrum_coeffs(s, stages.N), times[-1], dt, len(dts))
+    for i in range(n):
+        h = last if i == n - 1 else dt
+        k1 = stages.rate(s, state.t + i * dt if i else None)
+        k2 = stages.rate(s + 0.5 * h * k1)
+        k3 = stages.rate(s + 0.5 * h * k2)
+        k4 = stages.rate(s + h * k3)
+        s = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    _guard(sample_padded(s), t_stop)
+    return _wrap_step(state, spectrum_coeffs(s, stages.N), t_stop, last, n)
 
 
 def _wrap_step(start: IntegratorState, c, t: float, dt: float, steps: int) -> IntegratorState:
@@ -151,7 +155,7 @@ def _wrap_step(start: IntegratorState, c, t: float, dt: float, steps: int) -> In
 def step_rk4(state: IntegratorState, dt: float | None = None) -> IntegratorState:
     """One classical fourth-order step; optional per-step dt override."""
     dt = state.dt if dt is None else dt
-    return _steps(state, [dt], [state.t + dt])
+    return _steps(state, 1, dt, state.t + dt)
 
 
 def _initial_state(u0: GrassmannLoop, dt: float) -> IntegratorState:
@@ -161,14 +165,10 @@ def _initial_state(u0: GrassmannLoop, dt: float) -> IntegratorState:
 
 
 def _march(state: IntegratorState, t_stop: float, dt: float) -> IntegratorState:
-    """Steps of ``dt`` from ``state`` to ``t_stop``, counted so that step i reaches ``t_0 + i dt``,
-    the last one cut short to land on it; only the state reached is checked (``state`` itself
-    if no step was due).  A running sum of t would end short or take a sliver step."""
+    """Steps of ``dt`` from ``state`` counted to land on ``t_stop`` (see :func:`_steps`; a running sum
+    of t would end short or take a sliver step); only the state reached is checked."""
     # a remainder below 1e-10 dt is rounding, not a step still due
-    n = max(int(np.ceil((t_stop - state.t) / dt - 1e-10)), 0)
-    times = [state.t + i * dt for i in range(1, n)] + [t_stop]
-    dts = [dt] * (n - 1) + [t_stop - (state.t + (n - 1) * dt)]
-    return _steps(state, dts[:n], times[:n])
+    return _steps(state, max(int(np.ceil((t_stop - state.t) / dt - 1e-10)), 0), dt, t_stop)
 
 
 def _check_times(t_end: float, dt: float) -> None:

@@ -474,8 +474,10 @@ def test_solve_many_matches_per_time_reference(flow_plans, name):
     samples = solve_many(plan, FLOW_TIMES)
     assert [s.t for s in samples] == FLOW_TIMES.tolist()
     mean = samples[0].diagnostics["mean"]
-    # one block: each time is checked as its series zero-padded to the widest cutoff
+    # one block, and all mode counts below 64: each time is checked as its series
+    # zero-padded to the widest cutoff
     w = max(s.loop.N for s in samples)
+    assert w < 64
     for t, s in zip(FLOW_TIMES, samples):
         ref = reference_solve(plan, t)
         series = s.loop.series
@@ -537,6 +539,29 @@ def test_solve_many_checks_each_time_block_once(flow_plans, monkeypatch, block_e
     n_blocks = len(_time_blocks(plan, FLOW_TIMES))
     assert n_blocks == (1 if block_entries is None else 8)
     assert calls == {"constraint_residuals": n_blocks, "sobolev_energy": n_blocks}
+
+
+def test_solve_many_checks_each_octave_of_mode_counts_once(flow_plans, monkeypatch):
+    import hwmlab.evolution as evolution
+
+    # near the unit radius the mode counts spread over octaves: each octave (all counts
+    # below 64 in one) is checked once, on its widest cutoff, so no time pays a far wider grid
+    times = np.linspace(0.0, 10.0, 101)
+    radii = [np.max(np.abs(contraction_spectrum(flow_plans["generic"], t))) for t in times]
+    plan = scaled_plan(flow_plans["generic"], 0.9 / max(radii))
+    real, cutoffs = evolution.constraint_residuals, []
+    monkeypatch.setattr(
+        evolution, "constraint_residuals", lambda d, k, loops: cutoffs.append(loops.shape[1] // 2) or real(d, k, loops)
+    )
+    samples = solve_many(plan, times)
+    n = [s.loop.N for s in samples]
+    octave = [max(m, 32).bit_length() for m in n]
+    widest = {e: max(m for m, f in zip(n, octave) if f == e) for e in octave}
+    assert len(_time_blocks(plan, times)) == 1 and len(widest) >= 3
+    assert sorted(cutoffs) == sorted(widest.values())
+    for s, e in zip(samples, octave):
+        assert s.loop.grid_check == real(plan.d, plan.k, s.loop.series.with_cutoff(widest[e]))
+        assert s.diagnostics["energy"] == sobolev_energy(s.loop.series.with_cutoff(widest[e]))
 
 
 def scaled_plan(plan, scale):

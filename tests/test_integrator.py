@@ -1,5 +1,3 @@
-import dataclasses
-import math
 import struct
 from types import SimpleNamespace
 from unittest import mock
@@ -117,40 +115,32 @@ def test_checked_state_residuals_are_constraint_residuals_bitwise(loop):
         assert struct.pack("<4d", *state.loop.grid_check.values()) == struct.pack("<4d", *check.values())
 
 
-def counted_steps(t, t_stop, dt):
-    """Lengths and end times of the steps of dt from t to t_stop, counted: step i
-    ends at t + i dt, and the last one, cut short, on t_stop."""
-    n = math.ceil((t_stop - t) / dt - 1e-10)
-    if n < 1:
-        return [], []
-    return [dt] * (n - 1) + [t_stop - (t + (n - 1) * dt)], [t + i * dt for i in range(1, n)] + [t_stop]
-
-
-def reference_march(c, t, t_stop, dt):
-    """RK4 steps of :func:`reference_rhs` on raw coefficients from time t, counted
-    as :func:`counted_steps` counts them: the coefficients and time they reach."""
+def reference_march(c, steps):
+    """RK4 steps of :func:`reference_rhs` on raw coefficients, of the lengths ``steps``:
+    the coefficients they reach."""
     d, N = c.shape[-1], (c.shape[0] - 1) // 2
 
     def f(coeffs):
         return reference_rhs(FourierSeries(d, N, coeffs))
 
-    for h, t in zip(*counted_steps(t, t_stop, dt)):
+    for h in steps:
         k1 = f(c)
         k2 = f(c + 0.5 * h * k1)
         k3 = f(c + 0.5 * h * k2)
         k4 = f(c + h * k3)
         c = c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return c, t
+    return c
 
 
 @pytest.mark.parametrize("loop", bit_cases(), ids=lambda loop: f"d{loop.d}")
 def test_march_matches_chained_reference_steps_bitwise(loop):
-    # the padded march: 11 steps of the two-product reference, the last cut short,
-    # reach integrate's state and each state cross_validate checks, bit for bit
+    # the padded march: 11 steps of the two-product reference, step i ending at i dt and
+    # the last cut short to land on 0.105, reach integrate's state bit for bit; so do
+    # 4 such steps from each check time to the next and the state cross_validate checks there
     c0 = loop.series.coeffs
-    c, t = reference_march(c0, 0.0, 0.105, 1e-2)
+    c = reference_march(c0, [1e-2] * 10 + [0.105 - 10 * 1e-2])
     state = integrate(loop, 0.105, 1e-2)
-    assert (state.t, state.stats["steps"]) == (t, 11)
+    assert (state.t, state.stats["steps"]) == (0.105, 11)
     assert state.loop.series.coeffs.tobytes() == c.tobytes()
 
     checked, wrap = [], integrator._wrap_step
@@ -167,8 +157,8 @@ def test_march_matches_chained_reference_steps_bitwise(loop):
     c, t = c0, 0.0
     assert len(checked) == len(res["curve"]) == 3
     for tc, state, point in zip(np.linspace(0.0, 0.105, 4)[1:], checked, res["curve"]):
-        c, t = reference_march(c, t, tc, 1e-2)
-        assert (state.t, point["t"]) == (t, t)
+        c, t = reference_march(c, [1e-2] * 3 + [tc - (t + 3 * 1e-2)]), tc
+        assert (state.t, point["t"]) == (tc, tc)
         assert state.loop.series.coeffs.tobytes() == c.tobytes()
         assert point["l2_gap"] == float(np.sqrt(np.sum(np.abs(c) ** 2)))
 
@@ -192,27 +182,31 @@ def test_cross_validate_solves_every_check_time_in_one_call():
         assert cross_validate(q, 0.2, 1e-2, plan=plan, n_checks=4) == res
 
 
-@pytest.mark.parametrize("dt", [1e-12, 1e-13, 1e-14])
-def test_short_marches_take_every_step_and_land_on_t_end(dt):
-    # the stopping slack scales with dt, so a march of 20 tiny steps is not cut short
+@pytest.mark.parametrize(
+    "dt, t_end, n_steps",
+    [pytest.param(dt, 20 * dt, 20, id=f"{dt}") for dt in (1e-12, 1e-13, 1e-14)]
+    + [pytest.param(1e-2, 7.3, 730, id="7.3")],
+)
+def test_short_marches_take_every_step_and_land_on_t_end(dt, t_end, n_steps):
+    # the stopping slack scales with dt, so a march of 20 tiny steps is not cut short;
+    # counted steps land on t_end, where a running sum of t ends at 7.299999999999889
     q = traveling_profile(BlaschkeProduct(0.0, (0.0,)), 0.5, N=16)
-    state = integrate(q, 20 * dt, dt)
-    assert state.stats["steps"] == 20
-    assert state.t == 20 * dt
+    state = integrate(q, t_end, dt)
+    assert state.stats["steps"] == n_steps
+    assert (state.t, state.dt) == (t_end, dt)
 
 
-def chained(loop, t_end, dt, checks=()):
-    """``step_rk4`` with the steps :func:`counted_steps` counts to t_end, through each
-    time in ``checks`` on the way, keeping every state, each at the time its count gives it."""
-    states = [fresh_state(loop, dt)]
-    for t_stop in [*checks, t_end]:
-        for h, t in zip(*counted_steps(states[-1].t, t_stop, dt)):
-            states.append(dataclasses.replace(step_rk4(states[-1], h), t=t))
+def chained(loop, steps):
+    """``step_rk4`` with steps of the lengths ``steps``, keeping every state."""
+    states = [fresh_state(loop, steps[0])]
+    for h in steps:
+        states.append(step_rk4(states[-1], h))
     return states
 
 
 def assert_states_bitwise_equal(a, b):
-    assert (a.t, a.dt) == (b.t, b.dt)
+    # the chain's t is a running sum; a march's is counted (see the landing tests)
+    assert a.dt == b.dt
     assert a.loop.series.coeffs.tobytes() == b.loop.series.coeffs.tobytes()
     assert a.loop.grid_check == b.loop.grid_check
     assert a.stats == b.stats
@@ -220,29 +214,29 @@ def assert_states_bitwise_equal(a, b):
 
 @pytest.mark.parametrize("loop", bit_cases()[1:], ids=lambda loop: f"d{loop.d}")
 def test_integrate_equals_chained_steps_bitwise(loop):
-    # integrate marches raw coefficients and checks only the state it returns
-    for t_end, n_steps in ((0.1, 10), (0.105, 11)):
-        steps = chained(loop, t_end, 1e-2)
-        assert len(steps) == n_steps + 1
-        assert_states_bitwise_equal(integrate(loop, t_end, 1e-2), steps[-1])
-    # 0.105 is no whole number of steps: the short last step lands on it
-    assert steps[-1].t == 0.105
-    assert steps[-1].dt == pytest.approx(5e-3, rel=1e-12)
+    # integrate marches raw coefficients and checks only the state it returns;
+    # 0.105 is no whole number of steps: the short last step runs from 10 dt to it
+    for t_end, steps in ((0.1, [1e-2] * 10), (0.105, [1e-2] * 10 + [0.105 - 10 * 1e-2])):
+        marched = integrate(loop, t_end, 1e-2)
+        assert marched.t == t_end
+        assert_states_bitwise_equal(marched, chained(loop, steps)[-1])
+    assert marched.dt == pytest.approx(5e-3, rel=1e-12)
 
 
 def test_cross_validate_drifts_are_the_chained_final_state():
     q = traveling_profile(BlaschkeProduct(0.0, (0.0,)), 0.5, N=16)
     plan = make_plan(q)
     res = cross_validate(q, 0.2, 1e-2, plan=plan, n_checks=4)
-    # the march counts its steps afresh from each check time
-    final = chained(q, 0.2, 1e-2, checks=np.linspace(0.0, 0.2, 5)[1:-1].tolist())[-1]
+    final = chained(q, [1e-2] * 20)[-1]
     assert res["energy_drift"] == final.stats["energy_drift"]
     assert res["constraint_drift"] == final.stats["constraint_drift"]
-    assert res["curve"][-1]["t"] == final.t == 0.2
-    # the last checked state is the chained one, bit for bit: its gap to the exact solve matches
-    exact = solve_at_time(plan, final.t).loop.series
-    n = max(exact.N, final.loop.N)
-    diff = exact.with_cutoff(n).coeffs - final.loop.series.with_cutoff(n).coeffs
+    # the last checked state is integrate's, bit for bit: its gap to the exact solve matches
+    marched = integrate(q, 0.2, 1e-2)
+    assert res["curve"][-1]["t"] == marched.t == 0.2
+    assert_states_bitwise_equal(marched, final)
+    exact = solve_at_time(plan, marched.t).loop.series
+    n = max(exact.N, marched.loop.N)
+    diff = exact.with_cutoff(n).coeffs - marched.loop.series.with_cutoff(n).coeffs
     gap = float(np.sqrt(np.sum(np.abs(diff) ** 2)))
     assert res["curve"][-1]["l2_gap"] == gap
 
@@ -364,25 +358,13 @@ def test_blow_up_guard_stops_a_march_at_the_state_that_leaves_the_bound():
         assert str(marched.value) == f"{sup} at t = {16 * 0.3}"
 
 
-@pytest.mark.parametrize("t_end, n_steps", [(7.3, 730), (50.0, 5000)])
-def test_long_marches_count_their_steps_and_land_on_t_end(t_end, n_steps):
-    # counted steps of dt, the last landing on t_end: a running sum of t would end
-    # short of 7.3 (at 7.299999999999889) and take a 5001st step, 1.4e-12 long, to 50
+def test_march_to_50_takes_5000_steps():
+    # a running sum of t would end 1.4e-12 short of 50 and take a 5001st, sliver step
     q = traveling_profile(BlaschkeProduct(0.0, (0.0,)), 0.5, N=16)
     planned = []
-    with mock.patch.object(integrator, "_steps", lambda state, dts, times: planned.append((dts, times)) or state):
-        integrate(q, t_end, 1e-2)
-    ((dts, times),) = planned
-    assert len(dts) == len(times) == n_steps
-    assert dts[:-1] == [1e-2] * (n_steps - 1) and dts[-1] == pytest.approx(1e-2, rel=1e-10)
-    assert times == [i * 1e-2 for i in range(1, n_steps)] + [t_end]
-
-
-def test_march_to_a_long_time_lands_on_it():
-    q = traveling_profile(BlaschkeProduct(0.0, (0.0,)), 0.5, N=16)
-    state = integrate(q, 7.3, 1e-2)
-    assert (state.t, state.stats["steps"]) == (7.3, 730)
-    assert state.dt == pytest.approx(1e-2, rel=1e-10)
+    with mock.patch.object(integrator, "_steps", lambda state, *plan: planned.append(plan) or state):
+        integrate(q, 50.0, 1e-2)
+    assert planned == [(5000, 1e-2, 50.0)]
 
 
 def test_cross_validate_rejects_cutoff_below_datum():
