@@ -234,7 +234,6 @@ def _solve_block(plan: EvolutionPlan, times: np.ndarray):
     loops[:, w] = means[0, 0] + means[0, 0].conj().T - plan.mean0
     loops[:, w + 1 :] = means[1 : w + 1].transpose(1, 0, 2, 3)
     loops[:, :w] = means[w:0:-1].conj().transpose(1, 0, 3, 2)
-    # times share a check within an octave of mode counts (all below 64 in one), on its widest cutoff
     checks, energies, octave = {}, np.empty(times.size), np.frexp(np.maximum(n_used, 32))[1]
     for e in np.unique(octave).tolist():
         cols = np.flatnonzero(octave == e)
@@ -255,9 +254,8 @@ def solve_many(plan: EvolutionPlan, times) -> list[TrajectorySample]:
     and warns (SlowDecayWarning) for each time whose radius is near 1 or
     that reaches the mode cap.  Each block of times is solved as one
     zero-padded array, and the per-time records are built from it here.
-    A time's ``grid_check`` and energy are those of its loop zero-padded to
-    the widest cutoff among the block's times in its octave of mode counts:
-    they depend, by rounding, on which times share its block.
+    A time's ``grid_check`` and energy, checked with the block's times in its octave
+    of mode counts (see :func:`_solve_block`), depend by rounding on its block.
     """
     samples = []
     for block in _time_blocks(plan, times):
