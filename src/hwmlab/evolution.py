@@ -205,11 +205,9 @@ def _time_blocks(plan: EvolutionPlan, times) -> list[np.ndarray]:
     return [times[lo : lo + size] for lo in range(0, times.size, size)]
 
 
-def _solve_block(plan: EvolutionPlan, times: np.ndarray):
+def _block_loops(plan: EvolutionPlan, times: np.ndarray):
     """Loops ``(T, 2w+1, d, d)`` at ``times``, zero-padded to the largest mode count ``w``
-    (:func:`emit` writes 0 past a stop), with mode counts, residual dicts, energies, radii
-    and tails.  The times whose mode counts share an octave (all counts below 64 share one)
-    are checked together, each loop zero-padded to their widest cutoff n, on 4n+1 points."""
+    (:func:`emit` writes 0 past a stop), with mode counts, radii and tails."""
     _, radii = _spectra(plan, times)
     for i in np.flatnonzero(radii > 1.0 - 1e-3).tolist():
         warnings.warn(
@@ -234,14 +232,22 @@ def _solve_block(plan: EvolutionPlan, times: np.ndarray):
     loops[:, w] = means[0, 0] + means[0, 0].conj().T - plan.mean0
     loops[:, w + 1 :] = means[1 : w + 1].transpose(1, 0, 2, 3)
     loops[:, :w] = means[w:0:-1].conj().transpose(1, 0, 3, 2)
-    checks, energies, octave = {}, np.empty(times.size), np.frexp(np.maximum(n_used, 32))[1]
+    return loops, n_used, radii, tails
+
+
+def _check_block(plan: EvolutionPlan, loops: np.ndarray, n_used: np.ndarray):
+    """Residual dicts and energies of :func:`_block_loops`' loops.  The times whose mode counts
+    share an octave (all counts below 64 share one) are checked together, each loop
+    zero-padded to their widest cutoff n, on 4n+1 points."""
+    w = loops.shape[1] // 2
+    checks, energies, octave = {}, np.empty(n_used.size), np.frexp(np.maximum(n_used, 32))[1]
     for e in np.unique(octave).tolist():
         cols = np.flatnonzero(octave == e)
         n = int(n_used[cols].max())
         group = loops[cols, w - n : w + n + 1]
         checks.update(zip(cols.tolist(), constraint_residuals(plan.d, plan.k, group)))
         energies[cols] = sobolev_energy(group)
-    return loops, n_used, checks, energies, radii, tails
+    return checks, energies
 
 
 def solve_many(plan: EvolutionPlan, times) -> list[TrajectorySample]:
@@ -255,11 +261,12 @@ def solve_many(plan: EvolutionPlan, times) -> list[TrajectorySample]:
     that reaches the mode cap.  Each block of times is solved as one
     zero-padded array, and the per-time records are built from it here.
     A time's ``grid_check`` and energy, checked with the block's times in its octave
-    of mode counts (see :func:`_solve_block`), depend by rounding on its block.
+    of mode counts (see :func:`_check_block`), depend by rounding on its block.
     """
     samples = []
     for block in _time_blocks(plan, times):
-        loops, n_used, checks, energies, radii, tails = _solve_block(plan, block)
+        loops, n_used, radii, tails = _block_loops(plan, block)
+        checks, energies = _check_block(plan, loops, n_used)
         w = loops.shape[1] // 2
         for j, (t, n) in enumerate(zip(block.tolist(), n_used.tolist())):
             series = FourierSeries(plan.d, n, loops[j, w - n : w + n + 1])
@@ -414,7 +421,7 @@ def recurrence_search(plan: EvolutionPlan, horizon: float, coarse_dt: float = 0.
 
     ts = np.arange(0.0, horizon + coarse_dt, coarse_dt)
     # block by block, so a long scan never holds more than one block of loops
-    scanned = [measure(_solve_block(plan, block)[0]) for block in _time_blocks(plan, ts)]
+    scanned = [measure(_block_loops(plan, block)[0]) for block in _time_blocks(plan, ts)]
     dists = np.concatenate([d for d, _ in scanned])
     sup_norm = float(max(np.max(norms) for _, norms in scanned))
 
@@ -440,7 +447,7 @@ def recurrence_search(plan: EvolutionPlan, horizon: float, coarse_dt: float = 0.
     for i in range(max(armed_from, 1), ts.size - 1):
         if dists[i] <= refine_level and dists[i] <= dists[i - 1] and dists[i] <= dists[i + 1]:
             res = minimize_scalar(
-                lambda t: float(measure(_solve_block(plan, np.array([t], dtype=float))[0])[0][0]),
+                lambda t: float(measure(_block_loops(plan, np.array([t], dtype=float))[0])[0][0]),
                 bounds=(float(ts[i - 1]), float(ts[i + 1])),
                 method="bounded",
                 options={"xatol": 1e-10},

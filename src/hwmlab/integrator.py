@@ -8,7 +8,8 @@ beyond the retained modes -N..N).  A march keeps its state as a zero-padded
 entry-major spectrum ``(d, d, M)`` in FFT order, so a stage is one inverse
 transform of ``[U, |D| U]``, one commutator pass and one forward transform
 through the grid pair :func:`~hwmlab.hardy.sample_padded` and
-:func:`~hwmlab.hardy.fit_padded`.  :func:`step_rk4`, :func:`integrate` and
+:func:`~hwmlab.hardy.fit_padded`, and a whole step runs in place on buffers the
+march owns.  :func:`step_rk4`, :func:`integrate` and
 :func:`cross_validate` share that march: steps of dt, the last one cut short to
 land on the target time, and a checked state built only where the march stops.
 The blow-up guard checks every state a march reaches, except the one it starts
@@ -73,38 +74,60 @@ def _guard(samples: np.ndarray, t: float) -> None:
 
 
 class _Stages:
-    """The flow rate on zero-padded entry-major spectra ``(d, d, M)`` of cutoff N,
-    M = ``_grid_size(N)``, with the |n| weights and the buffer built once."""
+    """The flow rate and whole RK4 steps on zero-padded entry-major spectra ``(d, d, M)``
+    of cutoff N, M = ``_grid_size(N)``, with the |n| weights and every buffer built once:
+    the transform input, the samples and the four stage rates."""
 
     def __init__(self, N: int, d: int):
         self.N, self.M = N, _grid_size(N)
         self.weights = pad_spectrum(np.abs(np.arange(-N, N + 1))[:, None, None], self.M)[0, 0]
         self.buf = np.empty((2, d, d, self.M), dtype=complex)
+        self.values = np.empty_like(self.buf)
+        self.k = np.empty((4, d, d, self.M), dtype=complex)
 
-    def rate(self, spec: np.ndarray, t: float | None = None) -> np.ndarray:
-        """-(i/2) [U, |D| U] of spectrum U, via dealiased grid products.
+    def rate(self, out: np.ndarray | None = None, t: float | None = None) -> np.ndarray:
+        """-(i/2) [U, |D| U] of the spectrum U in ``buf[0]``, via dealiased grid products,
+        written into ``out`` if given.
 
         U and |D| U go through one stacked inverse transform and one commutator
         pass, and one forward transform brings modes -N..N back.  With a time
         t, the blow-up guard first reads U's samples as the state at t.
         """
         buf = self.buf
-        buf[0] = spec
-        np.multiply(spec, self.weights, out=buf[1])
+        np.multiply(buf[0], self.weights, out=buf[1])
         # a -0.0 lands as 0 + x = +0.0, as evaluate_grid samples it
         buf += 0.0
-        values = sample_padded(buf)
+        values = sample_padded(buf, out=self.values)
         if t is not None:
             _guard(values[0], t)
         comm = block_commutator(values)
         comm *= -0.5j
-        return fit_padded(comm, self.N)
+        return fit_padded(comm, self.N, out=out)
+
+    def step(self, s: np.ndarray, h: float, t: float | None = None) -> None:
+        """One classical fourth-order step of length h on the spectrum s, in place: each
+        stage input ``s + (c h) k`` goes straight into ``buf[0]``, and the rates are summed
+        as ``s + (h/6) (((k1 + 2 k2) + 2 k3) + k4)`` in k2's buffer.  With a time t, the
+        first stage guards s as the state at t."""
+        stage, k = self.buf[0], self.k
+        np.copyto(stage, s)
+        self.rate(k[0], t)
+        for j, c in enumerate((0.5 * h, 0.5 * h, h)):
+            np.multiply(k[j], c, out=stage)
+            stage += s
+            self.rate(k[j + 1])
+        k[1:3] *= 2.0
+        for j in (0, 2, 3):
+            k[1] += k[j]
+        k[1] *= h / 6.0
+        s += k[1]
 
 
 def _flow_rate(coeffs: np.ndarray) -> np.ndarray:
     """-(i/2) [U, |D| U] on raw ``(2N+1, d, d)`` coefficients."""
     stages = _Stages((coeffs.shape[0] - 1) // 2, coeffs.shape[-1])
-    return spectrum_coeffs(stages.rate(pad_spectrum(coeffs, stages.M)), stages.N)
+    stages.buf[0] = pad_spectrum(coeffs, stages.M)
+    return spectrum_coeffs(stages.rate(), stages.N)
 
 
 def rhs(u: GrassmannLoop | FourierSeries) -> FourierSeries:
@@ -118,7 +141,7 @@ def _steps(state: IntegratorState, n: int, dt: float, t_stop: float) -> Integrat
     (``state`` itself if n is 0): step i reaches ``state.t + i dt`` and the last ``t_stop``,
     a whole step if within 1e-10 dt of one (the rest is rounding in t), else cut short.
 
-    The steps run on the zero-padded spectrum.  Each state they reach is guarded
+    The steps run in place on the zero-padded spectrum.  Each state they reach is guarded
     (see :func:`_guard`): on the samples the next step's first stage takes, and
     the last state on a transform of its own.  ``state`` itself is not guarded.
     """
@@ -129,12 +152,7 @@ def _steps(state: IntegratorState, n: int, dt: float, t_stop: float) -> Integrat
     stages = _Stages(state.loop.N, state.loop.d)
     s = pad_spectrum(state.loop.series.coeffs, stages.M)
     for i in range(n):
-        h = last if i == n - 1 else dt
-        k1 = stages.rate(s, state.t + i * dt if i else None)
-        k2 = stages.rate(s + 0.5 * h * k1)
-        k3 = stages.rate(s + 0.5 * h * k2)
-        k4 = stages.rate(s + h * k3)
-        s = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        stages.step(s, last if i == n - 1 else dt, state.t + i * dt if i else None)
     _guard(sample_padded(s), t_stop)
     return _wrap_step(state, spectrum_coeffs(s, stages.N), t_stop, last, n)
 
@@ -172,13 +190,17 @@ def _march(state: IntegratorState, t_stop: float, dt: float) -> IntegratorState:
 
 
 def _check_times(t_end: float, dt: float) -> None:
-    """Reject a march that cannot end: dt not positive and finite, t_end not finite and nonnegative."""
+    """Reject a march from t = 0 that cannot end: dt not positive and finite, t_end not finite
+    and nonnegative, or more than 2**53 steps, past which ``i dt`` names no distinct step end."""
     if not 0.0 < dt < np.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
     if not np.isfinite(t_end):
         raise ValueError(f"t_end must be finite, got {t_end}")
     if t_end < 0.0:
         raise ValueError(f"t_end must be nonnegative, got {t_end}")
+    # t_end / dt overflows to inf for a tiny dt
+    if not t_end / dt <= 2.0**53:
+        raise ValueError(f"t_end = {t_end} and dt = {dt} ask for {t_end / dt:.3g} steps, more than 2**53")
 
 
 def integrate(u0: GrassmannLoop, t_end: float, dt: float) -> IntegratorState:

@@ -15,6 +15,7 @@ from hwmlab.hardy import (
     project_minus,
     project_plus,
     reproduce_check,
+    sample_padded,
     shift_backward,
     shift_forward,
     sobolev_energy,
@@ -195,14 +196,27 @@ def reference_fit_series(values, N):
     return out
 
 
+# the RK4 march's grid at N = 32 and a 4N+1 check grid of the flow
 @pytest.mark.parametrize("d", [1, 2])
-@pytest.mark.parametrize("N, M", [(4, 16), (4, 9)])
+@pytest.mark.parametrize("N, M", [(4, 16), (4, 9), (32, 128), (42, 169)])
 def test_grid_transforms_match_mode_loops(rng, d, N, M):
     f = random_series(rng, d, N)
     g = evaluate_grid(f, M)
     assert g.tobytes() == reference_evaluate_grid(f, M).tobytes()
     for cutoff in (0, 1, N, (M - 1) // 2):
         assert fit_series(g, cutoff).tobytes() == reference_fit_series(g, cutoff).tobytes()
+
+
+@pytest.mark.parametrize("M", [16, 9])
+def test_padded_pair_writes_into_the_buffer_it_is_given(rng, M):
+    # on a power-of-two grid the transform scales, on an odd one a pass of its own
+    spec = pad_spectrum(random_series(rng, 2, 4).coeffs, M)
+    buf = np.empty_like(spec)
+    values = sample_padded(spec, out=buf)
+    assert values is buf and buf.tobytes() == sample_padded(spec).tobytes()
+    buf = np.empty_like(spec)
+    fitted = fit_padded(values, 3, out=buf)
+    assert fitted is buf and buf.tobytes() == fit_padded(values, 3).tobytes()
 
 
 def aliasing(M, N):

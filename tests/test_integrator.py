@@ -411,6 +411,20 @@ def test_non_finite_times_are_rejected(t_end, dt, message):
         cross_validate(q, t_end, dt, n_checks=2)
 
 
+@pytest.mark.parametrize("dt", [5e-324, 1e-300, 1.0 / 2**53 / 1.5])
+def test_step_counts_past_2_to_the_53_are_rejected_before_a_step(dt):
+    # 1/5e-324 overflows to inf, 1e300 steps would never end, and past 2**53 steps
+    # i dt names no distinct step end; a stand-in _steps records any march that starts
+    q = traveling_profile(BlaschkeProduct(0.0, (0.0,)), 0.5, N=16)
+    started = []
+    with mock.patch.object(integrator, "_steps", lambda *args: started.append(args)):
+        with pytest.raises(ValueError, match="more than 2\\*\\*53"):
+            integrate(q, 1.0, dt)
+        with pytest.raises(ValueError, match="more than 2\\*\\*53"):
+            cross_validate(q, 1.0, dt, plan=object(), n_checks=2)
+    assert started == []
+
+
 @pytest.mark.parametrize("n_checks", [0, -1])
 def test_cross_validate_needs_a_check(n_checks):
     q = traveling_profile(BlaschkeProduct(0.0, (0.0,)), 0.5, N=16)
