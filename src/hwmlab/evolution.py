@@ -11,18 +11,23 @@ read off them by slicing.  In that eigenbasis the time enters only as the
 diagonal phase ``exp(-i t lam)``: the step is ``diag(phase) V* S* V``.
 So :func:`solve_many` advances every sample time at once, one block of
 eigenbasis columns per output mode, with no step-size error; one stacked
-eigensolve, with the d constant directions that S* annihilates deflated,
-guards the spectral radii, and the grid checks run once per octave of mode
-counts in a block of times.  :func:`solve_at_time` is its one-time case.  The
-plan's eigen-data is an :class:`~hwmlab.stability.IsometryModel`, and its
-:meth:`~hwmlab.stability.IsometryModel.iterate` is the contraction path
-shared with the stability experiments.
+eigensolve, with the d constant directions that S* annihilates deflated
+(the deflation is made once per plan), guards the spectral radii, which
+also predict where the block's modes stop, so the block steps only about
+that far; the grid checks run once per octave of mode counts in a block of
+times.  A time's record holds read-only views of its block and builds its
+``GrassmannLoop`` only when read.  :func:`solve_at_time` is its one-time
+case.  The plan's eigen-data is an :class:`~hwmlab.stability.IsometryModel`,
+and its :meth:`~hwmlab.stability.IsometryModel.iterate` is the contraction
+path shared with the stability experiments.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -99,9 +104,20 @@ class EvolutionPlan:
 
 @dataclass(frozen=True)
 class TrajectorySample:
+    """One solved time.  ``coeffs`` is a read-only ``(2n+1, d, d)`` view of the
+    coefficients in its solve block, and :attr:`loop` is built from it and
+    ``grid_check`` when first read."""
+
     t: float
-    loop: GrassmannLoop
     diagnostics: dict
+    k: int
+    coeffs: np.ndarray
+    grid_check: dict
+
+    @cached_property
+    def loop(self) -> GrassmannLoop:
+        d = self.coeffs.shape[-1]
+        return GrassmannLoop(d, self.k, FourierSeries(d, len(self.coeffs) // 2, self.coeffs), self.grid_check)
 
 
 def make_plan(
@@ -154,13 +170,20 @@ def make_plan(
     )
 
 
-def _modes(plan: EvolutionPlan, times, n_max: int, stop_tol: float | None = None):
+def _modes(
+    plan: EvolutionPlan,
+    times,
+    n_max: int,
+    stop_tol: float | None = None,
+    predicted_stop: int | None = None,
+):
     """Modes ``(n+1, T, d, d)`` and norms ``(n+1, T)`` of the analytic part at each time.
 
     The d columns of ``pu0`` step as one curve.  The flow conserves the
     mean, so mode 0 is ``mean0`` as is and stays frozen bit for bit.
+    ``stop_tol`` and ``predicted_stop`` are :func:`~hwmlab.stability.emit`'s.
     """
-    means, norms = plan.model.iterate(plan.pu0.reshape(-1), times, n_max, stop_tol)
+    means, norms = plan.model.iterate(plan.pu0.reshape(-1), times, n_max, stop_tol, predicted_stop)
     means = means.transpose(0, 3, 1, 2)
     means[0] = plan.mean0
     return means, norms
@@ -179,10 +202,12 @@ def _spectra(plan: EvolutionPlan, times: np.ndarray) -> tuple[np.ndarray, np.nda
     S* annihilates the constants, at eigenbasis coordinates ``V[:d]*``, so in a basis
     ``[V[:d]*, Q]`` the step ``diag(phase_t) V* S* V`` is block upper triangular: its
     spectrum is d exact zeros, appended last, and that of its compression to ``Q``,
-    from one stacked eigensolve.  A radius >= 1 raises, naming the first such time.
+    from one stacked eigensolve.  ``Q*`` and ``eigen_shift Q`` do not depend on the
+    time; the model makes them once (:attr:`~hwmlab.stability.IsometryModel.deflated_shift`).
+    A radius >= 1 raises, naming the first such time.
     """
-    q = np.linalg.qr(plan.model.eigen_mean_map.conj().T, mode="complete")[0][:, plan.d :]
-    compressed = (q.conj().T * plan.model.phases(times).T[:, None, :]) @ (plan.model.eigen_shift @ q)
+    qh, shift_q = plan.model.deflated_shift
+    compressed = (qh * plan.model.phases(times).T[:, None, :]) @ shift_q
     mu = np.concatenate([np.linalg.eigvals(compressed), np.zeros((times.size, plan.d))], axis=-1)
     r = np.max(np.abs(mu), axis=-1)
     bad = np.flatnonzero(r >= 1.0)
@@ -207,7 +232,12 @@ def _time_blocks(plan: EvolutionPlan, times) -> list[np.ndarray]:
 
 def _block_loops(plan: EvolutionPlan, times: np.ndarray):
     """Loops ``(T, 2w+1, d, d)`` at ``times``, zero-padded to the largest mode count ``w``
-    (:func:`emit` writes 0 past a stop), with mode counts, radii and tails."""
+    (:func:`emit` writes 0 past a stop), with mode counts, radii and tails.
+
+    Mode n of a time falls like its radius r**n, so the block's stop is predicted
+    as the largest ``ceil(log(tail_tol / |pu0|) / log r)``, or the model's
+    dimension where r = 0 (a nilpotent step), and :func:`emit` reads it there first.
+    """
     _, radii = _spectra(plan, times)
     for i in np.flatnonzero(radii > 1.0 - 1e-3).tolist():
         warnings.warn(
@@ -215,8 +245,11 @@ def _block_loops(plan: EvolutionPlan, times: np.ndarray):
             SlowDecayWarning,
             stacklevel=3,
         )
+    drop = math.log(plan.tail_tol / np.linalg.norm(plan.pu0))
+    with np.errstate(divide="ignore"):
+        reach = np.where(radii > 0.0, drop / np.log(radii), plan.model.lam.size)
     # one step past the cap, so that a capped time's tail is the norm the cap drops
-    means, norms = _modes(plan, times, plan.N_out + 1, plan.tail_tol)
+    means, norms = _modes(plan, times, plan.N_out + 1, plan.tail_tol, max(0, math.ceil(reach.max())))
     stops = first_stops(norms, plan.tail_tol)
     n_used = np.minimum(stops, plan.N_out)
     tails = norms[stops, np.arange(times.size)]
@@ -259,27 +292,30 @@ def solve_many(plan: EvolutionPlan, times) -> list[TrajectorySample]:
     SpectralRadiusError for the first time whose contraction has radius >= 1
     and warns (SlowDecayWarning) for each time whose radius is near 1 or
     that reaches the mode cap.  Each block of times is solved as one
-    zero-padded array, and the per-time records are built from it here.
-    A time's ``grid_check`` and energy, checked with the block's times in its octave
-    of mode counts (see :func:`_check_block`), depend by rounding on its block.
+    zero-padded array, made read-only; a time's record holds views of it (its
+    coefficients, and its mean as ``diagnostics["mean"]``), and its ``loop`` is
+    built only when read.  A time's ``grid_check`` and energy, checked with the
+    block's times in its octave of mode counts (see :func:`_check_block`), depend
+    by rounding on its block.
     """
     samples = []
     for block in _time_blocks(plan, times):
         loops, n_used, radii, tails = _block_loops(plan, block)
         checks, energies = _check_block(plan, loops, n_used)
+        loops.flags.writeable = False
         w = loops.shape[1] // 2
-        for j, (t, n) in enumerate(zip(block.tolist(), n_used.tolist())):
-            series = FourierSeries(plan.d, n, loops[j, w - n : w + n + 1])
+        columns = (block, n_used, energies, radii, tails)
+        for j, (t, n, energy, radius, tail) in enumerate(zip(*(c.tolist() for c in columns))):
             check = checks[j]
             diagnostics = {
-                "energy": float(energies[j]),
-                "mean": series.coeff(0),
+                "energy": energy,
+                "mean": loops[j, w],
                 "constraint_residual": max(check["involution"], check["hermitian"], check["trace"]),
-                "spectral_radius": float(radii[j]),
-                "tail_estimate": float(tails[j]),
+                "spectral_radius": radius,
+                "tail_estimate": tail,
                 "n_modes_used": n,
             }
-            samples.append(TrajectorySample(t, GrassmannLoop(plan.d, plan.k, series, check), diagnostics))
+            samples.append(TrajectorySample(t, diagnostics, plan.k, loops[j, w - n : w + n + 1], check))
     return samples
 
 

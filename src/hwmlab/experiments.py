@@ -137,14 +137,13 @@ def _mean_cols(d: int) -> tuple:
     return tuple(f"mean_{i}{j}_{part}" for i in range(d) for j in range(d) for part in ("re", "im"))
 
 
-def _mean_entries(row, m):
-    # the float view of m lists (re, im) per entry in row-major order, as _mean_cols does
-    row.update(zip(_mean_cols(m.shape[0]), np.ascontiguousarray(m).view(np.float64).ravel().tolist()))
-
-
 def trajectory_rows(plan, times):
+    samples = solve_many(plan, times)
+    # the float view of the means lists (re, im) per entry in row-major order, as _mean_cols does
+    means = np.array([s.diagnostics["mean"] for s in samples], dtype=complex).view(np.float64)
+    cols = _mean_cols(plan.d)
     rows = []
-    for s in solve_many(plan, times):
+    for s, m in zip(samples, means.reshape(len(samples), len(cols)).tolist()):
         row = {
             "t": s.t,
             "energy": s.diagnostics["energy"],
@@ -152,7 +151,7 @@ def trajectory_rows(plan, times):
             "spectral_radius": s.diagnostics["spectral_radius"],
             "n_modes_used": s.diagnostics["n_modes_used"],
         }
-        _mean_entries(row, s.diagnostics["mean"])
+        row.update(zip(cols, m))
         rows.append((row, s))
     return rows
 

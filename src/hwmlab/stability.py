@@ -22,7 +22,10 @@ here.  It steps the block in chunks and reads the means, norms and stops
 once per chunk.  Stops are read per step (:func:`first_stops`): a column's
 entries after its stop are 0, so callers cut each column at its stop, and
 the block narrows to the live columns at the end of the chunk where the
-stop falls.  A real generator (``-cos``) keeps every step real.  The dense
+stop falls.  A caller that can predict the last stop (the exact flow reads
+it off the spectral radii) has :func:`emit` read the norms just past it too,
+and the chunk ends there once every column has stopped, bit for bit as
+without it.  A real generator (``-cos``) keeps every step real.  The dense
 :meth:`IsometryModel.step` is the reference form.
 
 On the truncated space the backward shift and mean projection satisfy their
@@ -71,6 +74,8 @@ PLATEAU_SLOPE = 1e-3
 CHUNK_STEPS = 32
 # ... or of fewer, so that a chunk holds at most this many entries (but one step at least)
 CHUNK_ENTRIES = 1 << 18
+# a predicted stop is first read this many steps past the prediction
+STOP_SLACK = 2
 
 
 def _curve_norms(v: np.ndarray) -> np.ndarray:
@@ -88,6 +93,7 @@ def emit(
     n_max: int,
     stop_tol: float | None = None,
     phase: np.ndarray | None = None,
+    predicted_stop: int | None = None,
 ):
     """Means ``mean_map @ A^n v`` and curve norms ``||A^n v||`` for n = 0..n_max, stacked.
 
@@ -104,7 +110,12 @@ def emit(
     most ``stop_tol``: that step is recorded, every later entry is 0, the
     block narrows to the live curves at the end of the chunk, and the
     iteration ends once no curve is live.  Without it there are always
-    ``n_max + 1`` steps.  A real ``A`` steps the complex block as one real
+    ``n_max + 1`` steps.  With ``stop_tol``, ``predicted_stop`` n reads the
+    norms once more after step ``n + STOP_SLACK``: if every live curve has
+    stopped by then, the chunk ends there, so the block takes no step past it;
+    else the chunk runs on as without a prediction.  Chunk ends, and so where
+    the block narrows, stay where they are without it, so every result is the
+    same bit for bit.  A real ``A`` steps the complex block as one real
     product on its stacked real and imaginary parts.  Raises ValueError for
     ``n_max < 0`` or an empty block.
     """
@@ -123,18 +134,29 @@ def emit(
     live = np.arange(v.shape[-1])
     chunks = []  # (first step, live curves, means (k, rows * g, live), norms (k, live))
     lo, steps = 0, n_max + 1
+    # the step count after which the predicted stop is read (0: never)
+    peek = predicted_stop + STOP_SLACK + 1 if predicted_stop is not None and stop_tol is not None else 0
     while lo < steps:
         k = min(K, steps - lo)
         flat = buf.reshape(K + 1, dim, -1)
         if real_step:
             flat = flat.view(float)
+        norms = ()  # the norms read at the predicted stop, kept if the chunk ends there
         for j in range(2 if lo == 0 else 1, k + 1):
             np.matmul(A, flat[j - 1], out=flat[j])
             if phase is not None:
                 buf[j] *= phase
+            if lo + j == peek and j < k:
+                norms = _curve_norms(buf[1 : j + 1])
+                below = norms <= stop_tol
+                below[0] &= lo > 0
+                if below.any(axis=0).all():
+                    k = j
+                    break
         block = buf[1 : k + 1]
         means = (rows @ block.reshape(k, dim, -1)).reshape(k, -1, live.size)
-        norms = _curve_norms(block)
+        if len(norms) != k:
+            norms = _curve_norms(block)
         chunks.append((lo, live, means, norms))
         carry = buf[k]
         if stop_tol is not None:
@@ -220,6 +242,17 @@ class IsometryModel:
         return vh[:, : -self.d] @ self.vecs[self.d :]
 
     @cached_property
+    def deflated_shift(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(Q*, eigen_shift Q)`` for an orthonormal basis ``Q`` of the eigenbasis
+        coordinates orthogonal to the constants' ``V[:d]*``, which S* annihilates.
+
+        ``(Q* diag(phases(t))) (eigen_shift Q)`` is then the compression of a step
+        at time t that carries its spectrum but for the constants' d zeros.
+        """
+        q = np.linalg.qr(self.eigen_mean_map.conj().T, mode="complete")[0][:, self.d :]
+        return q.conj().T, self.eigen_shift @ q
+
+    @cached_property
     def eigen_mean_map(self) -> np.ndarray:
         """``P_Sigma V``: the mean read off eigenbasis coordinates."""
         # complex even for a real generator: a mixed product costs twice a complex one per step
@@ -234,7 +267,14 @@ class IsometryModel:
             raise ValueError(f"time must be finite, got t = {times.flat[bad[0]]}")
         return np.exp(-1j * np.outer(self.lam, times))
 
-    def iterate(self, x: np.ndarray, times, n_max: int, stop_tol: float | None = None):
+    def iterate(
+        self,
+        x: np.ndarray,
+        times,
+        n_max: int,
+        stop_tol: float | None = None,
+        predicted_stop: int | None = None,
+    ):
         """Means ``(n+1, d, d, T)`` and norms ``(n+1, T)`` of ``step(t_j)^n x_j``.
 
         ``x`` holds start vectors of length :attr:`dim`, ``(dim,)`` for one
@@ -244,15 +284,17 @@ class IsometryModel:
         theirs.  The iteration runs on eigenbasis coordinates ``V* x`` as one
         :func:`emit` block; ``V`` is an isometry onto a space that holds the
         starts and is invariant under the steps, so norms and means are those
-        of the dense steps.  ``stop_tol`` is :func:`emit`'s and acts on the
-        curve norms.
+        of the dense steps.  ``stop_tol`` and ``predicted_stop`` are
+        :func:`emit`'s, and ``stop_tol`` acts on the curve norms.
         """
         phase = self.phases(times)
         n = self.lam.size
         w = (self.vecs.conj().T @ x.reshape(len(self.vecs), -1)).reshape(n, self.d, -1)
         if x.ndim == 1:
             w = np.repeat(w, phase.shape[1], axis=2)
-        means, norms = emit(self.eigen_shift, self.eigen_mean_map, w, n_max, stop_tol, phase[:, None])
+        means, norms = emit(
+            self.eigen_shift, self.eigen_mean_map, w, n_max, stop_tol, phase[:, None], predicted_stop
+        )
         return means.reshape(means.shape[0], self.d, self.d, -1), norms
 
 
@@ -273,9 +315,12 @@ def isometry_model(L: np.ndarray, t: float, d: int, N: int) -> IsometryModel:
 
 
 def model_at_time(model: IsometryModel, t: float) -> IsometryModel:
-    """Same generator, new time; shares the t-free eigendecomposition, eigen_shift and eigen_mean_map."""
+    """Same generator, new time; shares the t-free eigendecomposition, eigen_shift and
+    eigen_mean_map, and deflated_shift where ``model`` has made it."""
     out = replace(model, t=t)
     out.__dict__.update(eigen_shift=model.eigen_shift, eigen_mean_map=model.eigen_mean_map)
+    if "deflated_shift" in model.__dict__:
+        out.__dict__["deflated_shift"] = model.deflated_shift
     return out
 
 
@@ -438,6 +483,8 @@ def zd_bo_norm_curve(u0: FourierSeries, times, Ns=(256, 512, 1024), checkpoint: 
     """
     if not Ns:
         raise ValueError("zd_bo_norm_curve needs at least one cutoff")
+    if not np.size(times):
+        raise ValueError(f"zd_bo_norm_curve needs at least one time, got times = {times!r}")
     rows = []
     onsets = {}
     for N in Ns:

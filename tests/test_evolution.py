@@ -25,6 +25,8 @@ from hwmlab.grassmann import (
 from hwmlab.operators import NotRationalError, key_identity_check
 from hwmlab.stability import apply_u_sigma, emit, hwm_model, model_at_time, parseval_defect
 from hwmlab.evolution import (
+    _block_loops,
+    _check_block,
     _modes,
     _spectra,
     _time_blocks,
@@ -564,6 +566,54 @@ def test_solve_many_checks_each_octave_of_mode_counts_once(flow_plans, monkeypat
         assert s.diagnostics["energy"] == sobolev_energy(s.loop.series.with_cutoff(widest[e]))
 
 
+def test_flow_blocks_step_only_to_their_predicted_stop(flow_plans, monkeypatch):
+    import hwmlab.stability as stability
+
+    # every step a block takes is read by _curve_norms at least once, step 0 included
+    real, read = stability._curve_norms, []
+    monkeypatch.setattr(stability, "_curve_norms", lambda v: read.append(len(v)) or real(v))
+    for name, plan in flow_plans.items():
+        read.clear()
+        last = max(s.diagnostics["n_modes_used"] for s in solve_many(plan, FLOW_TIMES))
+        assert sum(read) <= last + 3, name
+        if name == "soliton":  # a nilpotent step
+            assert sum(read) <= plan.model.lam.size + 1
+
+
+@pytest.mark.parametrize("name", ["soliton", "embedded"])
+def test_lazy_loops_equal_the_eager_build(flow_plans, name):
+    plan = flow_plans[name]
+    loops, n_used, _, _ = _block_loops(plan, FLOW_TIMES)
+    checks, _ = _check_block(plan, loops, n_used)
+    w = loops.shape[1] // 2
+    for j, s in enumerate(solve_many(plan, FLOW_TIMES)):
+        n = int(n_used[j])
+        eager = GrassmannLoop(plan.d, plan.k, FourierSeries(plan.d, n, loops[j, w - n : w + n + 1]), checks[j])
+        assert (s.loop.d, s.loop.k, s.loop.N) == (eager.d, eager.k, eager.N) == (plan.d, plan.k, n)
+        assert s.loop.series.coeffs.tobytes() == eager.series.coeffs.tobytes()
+        assert list(s.loop.grid_check) == list(eager.grid_check)
+        assert struct.pack("<4d", *s.loop.grid_check.values()) == struct.pack("<4d", *eager.grid_check.values())
+        # the mean is a read-only view of the block, equal to the loop's mode 0
+        assert s.diagnostics["mean"].tobytes() == eager.series.coeff(0).tobytes()
+        assert not s.diagnostics["mean"].flags.writeable and not s.coeffs.flags.writeable
+
+
+def test_cached_spectra_match_a_fresh_computation(flow_plans):
+    for plan in flow_plans.values():
+        model = plan.model
+        q = np.linalg.qr(model.eigen_mean_map.conj().T, mode="complete")[0][:, plan.d :]
+        compressed = (q.conj().T * model.phases(FLOW_TIMES).T[:, None, :]) @ (model.eigen_shift @ q)
+        mu = np.concatenate([np.linalg.eigvals(compressed), np.zeros((FLOW_TIMES.size, plan.d))], axis=-1)
+        for _ in range(2):  # the second call reads the cached deflation
+            got_mu, got_r = _spectra(plan, FLOW_TIMES)
+            assert got_mu.tobytes() == mu.tobytes()
+            assert got_r.tobytes() == np.max(np.abs(mu), axis=-1).tobytes()
+        # re-timed models share the deflation once it is made, and make none before
+        assert model_at_time(model, 0.3).deflated_shift is model.deflated_shift
+    fresh = hwm_model(soliton(0.5), 0.0, 8)
+    assert "deflated_shift" not in model_at_time(fresh, 0.3).__dict__
+
+
 def scaled_plan(plan, scale):
     """The plan with its eigenvectors scaled by sqrt(scale), which scales every contraction radius by scale."""
     return dataclasses.replace(plan, model=dataclasses.replace(plan.model, vecs=np.sqrt(scale) * plan.model.vecs))
@@ -682,9 +732,12 @@ def test_recurrence_search_builds_no_loop_objects(monkeypatch):
     monkeypatch.setattr(evolution, "GrassmannLoop", counting_loop)
     assert recurrence_search(plan, 13.0)["t_star"] is not None
     assert built == []
-    # the patch is live: a solve that returns records builds one loop per time
-    solve_many(plan, [0.0, 1.0])
-    assert len(built) == 2
+    # the patch is live: a solve builds no loop, and each record builds its own on first read
+    samples = solve_many(plan, [0.0, 1.0])
+    assert built == []
+    for count, s in enumerate(samples, 1):
+        assert s.loop is s.loop
+        assert len(built) == count
 
 
 @pytest.mark.parametrize(

@@ -134,6 +134,12 @@ def test_zd_bo_norm_curve_needs_a_cutoff():
         zd_bo_norm_curve(minus_cosine(), (0.4,), Ns=())
 
 
+@pytest.mark.parametrize("times", [[], (), np.array([])])
+def test_zd_bo_norm_curve_needs_a_time(times):
+    with pytest.raises(ValueError, match="at least one time, got times = "):
+        zd_bo_norm_curve(minus_cosine(), times, Ns=(16,))
+
+
 def test_defect_curve_monotone_and_telescoping(rng):
     m = model_at_time(zd_bo_model(64, minus_cosine()), 0.9)
     v = rng.standard_normal(65) + 1j * rng.standard_normal(65)
@@ -485,6 +491,28 @@ def test_emit_matches_a_per_step_loop(kind, stops, n_max, stop_tol, rng):
     assert all(full_norms[s + 1 :, j].all() for j, s in enumerate(expected) if stops[j])
 
 
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("stop_tol", [1e-3, None])
+@pytest.mark.parametrize(
+    "stops, n_max",
+    [
+        ([3, 9, 12], 3 * K),  # every curve stops in the first chunk
+        ([4, K + 6], 3 * K),  # the last curve stops in the second chunk
+        ([2, K + 1, None], 2 * K + 3),
+        ([5, None], K - 1),
+    ],
+)
+def test_a_predicted_stop_changes_no_bit(kind, stop_tol, stops, n_max, rng):
+    A, mean_map, v, phase = shift_case(stops, kind, rng)
+    want = emit(A, mean_map, v, n_max, stop_tol, phase)
+    last = max(s for s in stops if s is not None)
+    # predictions of 0, 1, below, at and above the last stop, and past n_max
+    for predicted in (0, 1, last - 2, last, last + 5, n_max + 10):
+        got = emit(A, mean_map, v, n_max, stop_tol, phase, predicted)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes(), predicted
+
+
 def test_negative_step_counts_and_empty_blocks_raise(rng):
     A = rng.standard_normal((4, 4))
     with pytest.raises(ValueError, match="step count must be >= 0, got -1"):
@@ -492,7 +520,7 @@ def test_negative_step_counts_and_empty_blocks_raise(rng):
     with pytest.raises(ValueError, match="step count must be >= 0, got -3"):
         zd_bo_norm_curve(minus_cosine(), [0.3], Ns=(16,), checkpoint=-3)
     with pytest.raises(ValueError, match="nonempty block"):
-        zd_bo_norm_curve(minus_cosine(), [], Ns=(16,))
+        emit(A, np.eye(1, 4), np.ones((4, 0)), 3)
     for budget in (0, -2):
         with pytest.raises(ValueError, match=f"budget must be >= 1, got {budget}"):
             wold_decomposition_estimate(flip_model(), budget)
