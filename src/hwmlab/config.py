@@ -74,8 +74,11 @@ class ExperimentConfig:
             raise ConfigError("N and N_out must be positive")
         if not 0.0 < self.rank_tol < 1.0:
             raise ConfigError(f"rank_tol must be in (0, 1), got {self.rank_tol}")
-        if self.tail_tol <= 0.0:
-            raise ConfigError(f"tail_tol must be positive, got {self.tail_tol}")
+        for key in ("tail_tol", "stability_tol"):
+            if getattr(self, key) <= 0.0:
+                raise ConfigError(f"{key} must be positive, got {getattr(self, key)}")
+        if not any(self.constant_axis):
+            raise ConfigError(f"constant_axis must be a nonzero vector, got {self.constant_axis}")
         if abs(self.velocity) >= 1.0:
             raise ConfigError(f"|velocity| must be < 1, got {self.velocity}")
         if self.datum == "file" and not self.file:

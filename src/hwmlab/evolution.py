@@ -14,7 +14,8 @@ eigenbasis columns per output mode, with no step-size error; one stacked
 eigensolve, with the d constant directions that S* annihilates deflated
 (the deflation is made once per plan), guards the spectral radii, which
 also predict where the block's modes stop, so the block steps only about
-that far; the grid checks run once per octave of mode counts in a block of
+that far, each time to the stop :func:`~hwmlab.stability.emit` returns;
+the grid checks run once per octave of mode counts in a block of
 times.  A time's record holds read-only views of its block and builds its
 ``GrassmannLoop`` only when read.  :func:`solve_at_time` is its one-time
 case.  The plan's eigen-data is an :class:`~hwmlab.stability.IsometryModel`,
@@ -42,7 +43,7 @@ from .operators import (
     kronecker_rank,
     toeplitz_vector_section,
 )
-from .stability import IsometryModel, _as_vector, first_stops
+from .stability import IsometryModel, _as_vector
 
 __all__ = [
     "EvolutionPlan",
@@ -100,6 +101,17 @@ class EvolutionPlan:
     mean0: np.ndarray
     N_out: int
     tail_tol: float
+
+    @cached_property
+    def deflated_shift(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(Q*, eigen_shift Q)`` for an orthonormal basis ``Q`` of the model's eigenbasis
+        coordinates orthogonal to the constants' ``V[:d]*``, which S* annihilates.
+
+        ``(Q* diag(phases(t))) (eigen_shift Q)`` is then the compression of a step
+        at time t that carries its spectrum but for the constants' d zeros.
+        """
+        q = np.linalg.qr(self.model.eigen_mean_map.conj().T, mode="complete")[0][:, self.d :]
+        return q.conj().T, self.model.eigen_shift @ q
 
 
 @dataclass(frozen=True)
@@ -170,30 +182,12 @@ def make_plan(
     )
 
 
-def _modes(
-    plan: EvolutionPlan,
-    times,
-    n_max: int,
-    stop_tol: float | None = None,
-    predicted_stop: int | None = None,
-):
-    """Modes ``(n+1, T, d, d)`` and norms ``(n+1, T)`` of the analytic part at each time.
-
-    The d columns of ``pu0`` step as one curve.  The flow conserves the
-    mean, so mode 0 is ``mean0`` as is and stays frozen bit for bit.
-    ``stop_tol`` and ``predicted_stop`` are :func:`~hwmlab.stability.emit`'s.
-    """
-    means, norms = plan.model.iterate(plan.pu0.reshape(-1), times, n_max, stop_tol, predicted_stop)
-    means = means.transpose(0, 3, 1, 2)
-    means[0] = plan.mean0
-    return means, norms
-
-
 def fourier_coefficient(plan: EvolutionPlan, t: float, n: int) -> np.ndarray:
-    """The n-th analytic Fourier coefficient of the evolved loop."""
+    """The n-th analytic Fourier coefficient of the evolved loop (mode 0: a copy of ``mean0``)."""
     if n < 0:
         raise ValueError("fourier_coefficient is defined for modes n >= 0")
-    return _modes(plan, [t], n)[0][n, 0]
+    means = plan.model.iterate(plan.pu0.reshape(-1), [t], n)[0]
+    return plan.mean0.copy() if n == 0 else means[n, ..., 0]
 
 
 def _spectra(plan: EvolutionPlan, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -203,10 +197,10 @@ def _spectra(plan: EvolutionPlan, times: np.ndarray) -> tuple[np.ndarray, np.nda
     ``[V[:d]*, Q]`` the step ``diag(phase_t) V* S* V`` is block upper triangular: its
     spectrum is d exact zeros, appended last, and that of its compression to ``Q``,
     from one stacked eigensolve.  ``Q*`` and ``eigen_shift Q`` do not depend on the
-    time; the model makes them once (:attr:`~hwmlab.stability.IsometryModel.deflated_shift`).
+    time; the plan makes them once (:attr:`EvolutionPlan.deflated_shift`).
     A radius >= 1 raises, naming the first such time.
     """
-    qh, shift_q = plan.model.deflated_shift
+    qh, shift_q = plan.deflated_shift
     compressed = (qh * plan.model.phases(times).T[:, None, :]) @ shift_q
     mu = np.concatenate([np.linalg.eigvals(compressed), np.zeros((times.size, plan.d))], axis=-1)
     r = np.max(np.abs(mu), axis=-1)
@@ -234,9 +228,10 @@ def _block_loops(plan: EvolutionPlan, times: np.ndarray):
     """Loops ``(T, 2w+1, d, d)`` at ``times``, zero-padded to the largest mode count ``w``
     (:func:`emit` writes 0 past a stop), with mode counts, radii and tails.
 
-    Mode n of a time falls like its radius r**n, so the block's stop is predicted
-    as the largest ``ceil(log(tail_tol / |pu0|) / log r)``, or the model's
-    dimension where r = 0 (a nilpotent step), and :func:`emit` reads it there first.
+    The d columns of ``pu0`` step as one curve up to the stop :func:`emit` returns, and mode 0
+    is the conserved ``mean0`` bit for bit.  Mode n of a time falls like its radius r**n, so the
+    block's stop is predicted as the largest ``ceil(log(tail_tol / |pu0|) / log r)``, or the
+    model's dimension where r = 0 (a nilpotent step), and :func:`emit` reads it there first.
     """
     _, radii = _spectra(plan, times)
     for i in np.flatnonzero(radii > 1.0 - 1e-3).tolist():
@@ -247,10 +242,10 @@ def _block_loops(plan: EvolutionPlan, times: np.ndarray):
         )
     drop = math.log(plan.tail_tol / np.linalg.norm(plan.pu0))
     with np.errstate(divide="ignore"):
-        reach = np.where(radii > 0.0, drop / np.log(radii), plan.model.lam.size)
+        reach = max(0, math.ceil(np.where(radii > 0.0, drop / np.log(radii), plan.model.lam.size).max()))
     # one step past the cap, so that a capped time's tail is the norm the cap drops
-    means, norms = _modes(plan, times, plan.N_out + 1, plan.tail_tol, max(0, math.ceil(reach.max())))
-    stops = first_stops(norms, plan.tail_tol)
+    pu, n_max = plan.pu0.reshape(-1), plan.N_out + 1
+    means, norms, stops = plan.model.iterate(pu, times, n_max, plan.tail_tol, reach)
     n_used = np.minimum(stops, plan.N_out)
     tails = norms[stops, np.arange(times.size)]
     for i in np.flatnonzero(tails > plan.tail_tol).tolist():
@@ -262,9 +257,9 @@ def _block_loops(plan: EvolutionPlan, times: np.ndarray):
 
     w = int(n_used.max())
     loops = np.empty((times.size, 2 * w + 1, plan.d, plan.d), dtype=complex)
-    loops[:, w] = means[0, 0] + means[0, 0].conj().T - plan.mean0
-    loops[:, w + 1 :] = means[1 : w + 1].transpose(1, 0, 2, 3)
-    loops[:, :w] = means[w:0:-1].conj().transpose(1, 0, 3, 2)
+    loops[:, w] = plan.mean0 + plan.mean0.conj().T - plan.mean0  # the loop formula at mode 0, rounded as written
+    loops[:, w + 1 :] = means[1 : w + 1].transpose(3, 0, 1, 2)
+    loops[:, :w] = means[w:0:-1].conj().transpose(3, 0, 2, 1)
     return loops, n_used, radii, tails
 
 
@@ -435,9 +430,10 @@ def recurrence_search(plan: EvolutionPlan, horizon: float, coarse_dt: float = 0.
     """Scan for the first return of the loop to its initial state.
 
     Distance is the inhomogeneous half-order Sobolev norm of the difference.
-    A coarse scan locates candidate local minima after the trajectory has
-    clearly left the initial state; candidates are refined in time order and
-    the first one dipping below eps, 1e-3 times the initial norm, is reported.
+    A coarse scan at the multiples of ``coarse_dt`` up to the horizon locates
+    candidate local minima after the trajectory has clearly left the initial
+    state; candidates are refined in time order and the first one dipping
+    below eps, 1e-3 times the initial norm, is reported.
     Also reports the frequency vector (restricted Toeplitz eigenvalues) and
     the supremum of the Sobolev norm seen during the scan.
     """
@@ -455,7 +451,8 @@ def recurrence_search(plan: EvolutionPlan, horizon: float, coarse_dt: float = 0.
         loops = np.pad(loops, ((0, 0), (N - loops.shape[1] // 2,) * 2, (0, 0), (0, 0)))
         return sobolev_norm(loops - u0.with_cutoff(N).coeffs, 0.5), sobolev_norm(loops, 0.5)
 
-    ts = np.arange(0.0, horizon + coarse_dt, coarse_dt)
+    # the whole steps inside the horizon; the relative slack counts 0.3 / 0.1 as 3 steps
+    ts = coarse_dt * np.arange(math.floor(horizon / coarse_dt * (1.0 + 1e-9)) + 1)
     # block by block, so a long scan never holds more than one block of loops
     scanned = [measure(_block_loops(plan, block)[0]) for block in _time_blocks(plan, ts)]
     dists = np.concatenate([d for d, _ in scanned])

@@ -136,11 +136,12 @@ def validate_loop(
 ) -> GrassmannLoop:
     """Check the pointwise constraints and wrap into a GrassmannLoop."""
     check = constraint_residuals(d, k, series)
-    if check["hermitian"] > herm_tol:
+    # negated, so a NaN residual fails too
+    if not check["hermitian"] <= herm_tol:
         raise ValidationError(f"Hermitian residual {check['hermitian']:.3e} exceeds {herm_tol:.1e}")
-    if check["involution"] > sq_tol:
+    if not check["involution"] <= sq_tol:
         raise ValidationError(f"involution residual {check['involution']:.3e} exceeds {sq_tol:.1e}")
-    if check["trace"] > 1e-8:
+    if not check["trace"] <= 1e-8:
         raise ValidationError(f"trace residual {check['trace']:.3e} (target {d - 2 * k})")
     return GrassmannLoop(d, k, series, check)
 

@@ -19,13 +19,14 @@ generator's eigenbasis, where a step at time t is
 :attr:`IsometryModel.eigen_shift` with its rows phased by ``exp(-itL)``, as
 one block through :func:`emit`, the one loop that iterates any contraction
 here.  It steps the block in chunks and reads the means, norms and stops
-once per chunk.  Stops are read per step (:func:`first_stops`): a column's
-entries after its stop are 0, so callers cut each column at its stop, and
-the block narrows to the live columns at the end of the chunk where the
-stop falls.  A caller that can predict the last stop (the exact flow reads
-it off the spectral radii) has :func:`emit` read the norms just past it too,
-and the chunk ends there once every column has stopped, bit for bit as
-without it.  A real generator (``-cos``) keeps every step real.  The dense
+once per chunk.  It alone decides where a curve stops (its docstring
+states the rule) and returns each stop: a column's entries after its stop
+are 0, so callers cut each column at the returned stop, and the block
+narrows to the live columns at the end of the chunk where the stop falls.
+A caller that can predict the last stop (the exact flow reads it off the
+spectral radii) has :func:`emit` read the norms just past it too, and the
+chunk ends there once every column has stopped, bit for bit as without it.
+A real generator (``-cos``) keeps every step real.  The dense
 :meth:`IsometryModel.step` is the reference form.
 
 On the truncated space the backward shift and mean projection satisfy their
@@ -50,7 +51,6 @@ from .operators import hermitian_eigh, toeplitz_vector_section
 
 __all__ = [
     "emit",
-    "first_stops",
     "IsometryModel",
     "StabilityReport",
     "isometry_model",
@@ -95,22 +95,22 @@ def emit(
     phase: np.ndarray | None = None,
     predicted_stop: int | None = None,
 ):
-    """Means ``mean_map @ A^n v`` and curve norms ``||A^n v||`` for n = 0..n_max, stacked.
+    """Means ``mean_map @ A^n v``, curve norms ``||A^n v||`` for n = 0..n_max, and stops.
 
     ``v`` holds T curves iterated side by side, ``(dim, T)`` or ``(dim, g, T)``
     for curves of g columns each, whose norm is the root-sum-square of theirs.
     ``phase`` (broadcast against ``v``, with one entry per curve on its last
     axis) multiplies every step entrywise, so curve j follows
-    ``(diag(phase[..., j]) A)^n``.  Means have shape
-    ``(n+1,) + (mean_map @ v.reshape(dim, -1)).shape`` and norms ``(n+1, T)``.
+    ``(diag(phase[..., j]) A)^n``.  Means have shape ``(n+1,) + (mean_map @
+    v.reshape(dim, -1)).shape``, norms ``(n+1, T)`` and stops ``(T,)``.
     The block steps in chunks of ``CHUNK_STEPS`` steps (fewer where a chunk
     would pass ``CHUNK_ENTRIES`` entries), and each chunk's means and norms
-    are one batched product each.  With ``stop_tol`` a curve stops at its
-    :func:`first_stops` index, the first step from step 1 on whose norm is at
-    most ``stop_tol``: that step is recorded, every later entry is 0, the
-    block narrows to the live curves at the end of the chunk, and the
-    iteration ends once no curve is live.  Without it there are always
-    ``n_max + 1`` steps.  With ``stop_tol``, ``predicted_stop`` n reads the
+    are one batched product each.  The package's one stop rule: with
+    ``stop_tol`` a curve stops at the first step from step 1 on whose norm is
+    at most ``stop_tol``, else at ``n_max``: that step is recorded, every later
+    entry is 0, the block narrows to the live curves at the end of the chunk,
+    and the iteration ends once no curve is live.  Without it every curve
+    stops at ``n_max``.  With ``stop_tol``, ``predicted_stop`` n reads the
     norms once more after step ``n + STOP_SLACK``: if every live curve has
     stopped by then, the chunk ends there, so the block takes no step past it;
     else the chunk runs on as without a prediction.  Chunk ends, and so where
@@ -132,6 +132,7 @@ def emit(
     buf = np.empty((K + 1,) + v.shape, dtype=complex)
     buf[1] = v
     live = np.arange(v.shape[-1])
+    stops = np.full(v.shape[-1], n_max)
     chunks = []  # (first step, live curves, means (k, rows * g, live), norms (k, live))
     lo, steps = 0, n_max + 1
     # the step count after which the predicted stop is read (0: never)
@@ -165,6 +166,7 @@ def emit(
             stopped = below.any(axis=0)
             if stopped.any():
                 stop = np.where(stopped, below.argmax(axis=0), k)
+                stops[live[stopped]] = lo + stop[stopped]
                 after, cols = np.nonzero(np.arange(k)[:, None] > stop)
                 means[after, :, cols] = 0.0
                 norms[after, cols] = 0.0
@@ -181,16 +183,7 @@ def emit(
     for lo, cols, m, n in chunks:
         out_means[lo : lo + len(m), :, cols] = m[: steps - lo]
         out_norms[lo : lo + len(n), cols] = n[: steps - lo]
-    return out_means.reshape((steps,) + lead + (-1,)), out_norms
-
-
-def first_stops(norms: np.ndarray, tol: float) -> np.ndarray:
-    """Per column of ``(n+1, T)`` norms, the first step whose norm is at most ``tol``, else the last step."""
-    steps = norms.shape[0] - 1
-    if steps == 0:
-        return np.zeros(norms.shape[1], dtype=int)
-    below = norms[1:] <= tol
-    return np.where(below.any(axis=0), below.argmax(axis=0) + 1, steps)
+    return out_means.reshape((steps,) + lead + (-1,)), out_norms, stops
 
 
 @dataclass(frozen=True)
@@ -242,17 +235,6 @@ class IsometryModel:
         return vh[:, : -self.d] @ self.vecs[self.d :]
 
     @cached_property
-    def deflated_shift(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(Q*, eigen_shift Q)`` for an orthonormal basis ``Q`` of the eigenbasis
-        coordinates orthogonal to the constants' ``V[:d]*``, which S* annihilates.
-
-        ``(Q* diag(phases(t))) (eigen_shift Q)`` is then the compression of a step
-        at time t that carries its spectrum but for the constants' d zeros.
-        """
-        q = np.linalg.qr(self.eigen_mean_map.conj().T, mode="complete")[0][:, self.d :]
-        return q.conj().T, self.eigen_shift @ q
-
-    @cached_property
     def eigen_mean_map(self) -> np.ndarray:
         """``P_Sigma V``: the mean read off eigenbasis coordinates."""
         # complex even for a real generator: a mixed product costs twice a complex one per step
@@ -275,7 +257,7 @@ class IsometryModel:
         stop_tol: float | None = None,
         predicted_stop: int | None = None,
     ):
-        """Means ``(n+1, d, d, T)`` and norms ``(n+1, T)`` of ``step(t_j)^n x_j``.
+        """Means ``(n+1, d, d, T)``, norms ``(n+1, T)`` and stops ``(T,)`` of ``step(t_j)^n x_j``.
 
         ``x`` holds start vectors of length :attr:`dim`, ``(dim,)`` for one
         start at every time or ``(dim, T)`` for one start per time.  A start
@@ -284,7 +266,7 @@ class IsometryModel:
         theirs.  The iteration runs on eigenbasis coordinates ``V* x`` as one
         :func:`emit` block; ``V`` is an isometry onto a space that holds the
         starts and is invariant under the steps, so norms and means are those
-        of the dense steps.  ``stop_tol`` and ``predicted_stop`` are
+        of the dense steps.  ``stop_tol``, ``predicted_stop`` and the stops are
         :func:`emit`'s, and ``stop_tol`` acts on the curve norms.
         """
         phase = self.phases(times)
@@ -292,10 +274,10 @@ class IsometryModel:
         w = (self.vecs.conj().T @ x.reshape(len(self.vecs), -1)).reshape(n, self.d, -1)
         if x.ndim == 1:
             w = np.repeat(w, phase.shape[1], axis=2)
-        means, norms = emit(
+        means, norms, stops = emit(
             self.eigen_shift, self.eigen_mean_map, w, n_max, stop_tol, phase[:, None], predicted_stop
         )
-        return means.reshape(means.shape[0], self.d, self.d, -1), norms
+        return means.reshape(means.shape[0], self.d, self.d, -1), norms, stops
 
 
 def _standard_model(L: np.ndarray, d: int, N: int, t: float) -> IsometryModel:
@@ -315,12 +297,9 @@ def isometry_model(L: np.ndarray, t: float, d: int, N: int) -> IsometryModel:
 
 
 def model_at_time(model: IsometryModel, t: float) -> IsometryModel:
-    """Same generator, new time; shares the t-free eigendecomposition, eigen_shift and
-    eigen_mean_map, and deflated_shift where ``model`` has made it."""
+    """Same generator, new time; shares the t-free eigendecomposition, eigen_shift and eigen_mean_map."""
     out = replace(model, t=t)
     out.__dict__.update(eigen_shift=model.eigen_shift, eigen_mean_map=model.eigen_mean_map)
-    if "deflated_shift" in model.__dict__:
-        out.__dict__["deflated_shift"] = model.deflated_shift
     return out
 
 
@@ -396,14 +375,13 @@ def apply_u_sigma(model: IsometryModel, f, n_max: int) -> HardyElement:
 
     A contraction of the input by the telescoping norm balance.
     """
-    means, _ = model.iterate(_as_vector(model, f), [model.t], n_max)
+    means = model.iterate(_as_vector(model, f), [model.t], n_max)[0]
     return HardyElement(model.d, n_max, means[..., 0])
 
 
-def _reports(means: np.ndarray, norms: np.ndarray, stop_tol: float) -> list[StabilityReport]:
-    """One report per column of an iterated block, each cut at its own first stop."""
-    stops = first_stops(norms, stop_tol).tolist()
-    return [_report(means[: n + 1, ..., j], norms[: n + 1, j]) for j, n in enumerate(stops)]
+def _reports(means: np.ndarray, norms: np.ndarray, stops: np.ndarray) -> list[StabilityReport]:
+    """One report per column of an iterated block, each cut at its own stop."""
+    return [_report(means[: n + 1, ..., j], norms[: n + 1, j]) for j, n in enumerate(stops.tolist())]
 
 
 def _report(means: np.ndarray, norms: np.ndarray) -> StabilityReport:
@@ -431,7 +409,7 @@ def _report(means: np.ndarray, norms: np.ndarray) -> StabilityReport:
 
 def parseval_defect(model: IsometryModel, f, n_max: int, stop_tol: float = 0.0) -> StabilityReport:
     """Defect curve of the adjoint powers with the telescoping check."""
-    return _reports(*model.iterate(_as_vector(model, f), [model.t], n_max, stop_tol), stop_tol)[0]
+    return _reports(*model.iterate(_as_vector(model, f), [model.t], n_max, stop_tol))[0]
 
 
 def curve_verdict(settled: bool, slope: float) -> str:
@@ -455,7 +433,7 @@ def strong_stability_test(model: IsometryModel, vectors, n_max: int, tol: float 
     if not starts:
         raise ValueError("strong_stability_test needs at least one vector")
     x = np.stack(starts, axis=1)
-    reports = _reports(*model.iterate(x, np.full(x.shape[1], model.t), n_max, tol * 0.5), tol * 0.5)
+    reports = _reports(*model.iterate(x, np.full(x.shape[1], model.t), n_max, tol * 0.5))
     verdicts = [curve_verdict(rep.limit_estimate <= tol, rep.tail_slope_per_octave) for rep in reports]
     if all(v == "stable" for v in verdicts):
         verdict = "stable"
@@ -492,7 +470,7 @@ def zd_bo_norm_curve(u0: FourierSeries, times, Ns=(256, 512, 1024), checkpoint: 
         pu = project_plus(u0.with_cutoff(N)).coeffs.reshape(-1)
         norm0 = float(np.linalg.norm(pu))
         onset = None
-        for t, rep in zip(times, _reports(*base.iterate(pu, times, checkpoint, 1e-9), 1e-9)):
+        for t, rep in zip(times, _reports(*base.iterate(pu, times, checkpoint, 1e-9))):
             tail = rep.limit_estimate
             out_norm = float(np.sqrt(max(0.0, norm0**2 - tail**2)))
             deficit = norm0 - out_norm
@@ -531,7 +509,7 @@ def wold_decomposition_estimate(model: IsometryModel, budget: int, tol: float = 
         raise ValueError(f"budget must be >= 1, got {budget}")
     n, d = model.lam.size, model.d
     phase = model.phases([model.t])
-    rows, _ = emit(model.eigen_shift, model.eigen_mean_map, np.eye(n), budget - 1, phase=phase)
+    rows = emit(model.eigen_shift, model.eigen_mean_map, np.eye(n), budget - 1, phase=phase)[0]
     sv = np.linalg.svd(rows.reshape(budget * d, n), compute_uv=False)
     sv = np.repeat(np.concatenate([sv, np.zeros(max(0, n - sv.size))]), d)
     dim_u = int(np.count_nonzero(sv < tol))

@@ -182,6 +182,8 @@ FLOAT_LIST_KEYS = ("constant_axis", "stability_times", "zdbo_times")
         ("validate", "rank_tol = 2.0"),
         ("evolve", "tail_tol = 0"),
         ("stability", "tail_tol = -1e-12"),
+        ("stability", "stability_tol = -1"),
+        ("evolve", "constant_axis = 0, 0, 0\ndatum = constant"),
         # rank_tol >= 1 keeps no Hankel co-range: this degree-3 datum would evolve with energy 0.07, not 3
         ("evolve", "rank_tol = 2.0\nblaschke_zeros = 0.5, -0.3+0.3j, 0.2j\nN = 64"),
     ],
@@ -303,6 +305,23 @@ def test_cli_validate_flags_corrupted_loop(tmp_path):
     assert res.exit_code == 1
     assert "FAIL loop_file_constraints" in res.output
     assert "involution" in res.output
+
+
+def test_cli_validate_flags_a_nan_loop_file(tmp_path):
+    from hwmlab.grassmann import BlaschkeProduct, half_harmonic_map
+
+    payload = json.loads(loop_to_json(half_harmonic_map(BlaschkeProduct(0.0, (0.0,)), N=8)))
+    payload["coeffs"] = [[float("nan"), 0.0]] * len(payload["coeffs"])
+    nan_file = tmp_path / "nan_loop.json"
+    nan_file.write_text(json.dumps(payload))
+    cfg_file = tmp_path / "v.cfg"
+    cfg_file.write_text(f"experiment = validate\ndatum = file\nfile = {nan_file}\n")
+    out = tmp_path / "v"
+    res = CliRunner().invoke(main, ["validate", "--config", str(cfg_file), "--out", str(out)])
+    assert res.exit_code == 1, res.output
+    # the single check is the failed file check
+    lines = (out / "validate.txt").read_text().splitlines()[1:]
+    assert len(lines) == 1 and lines[0].startswith("FAIL loop_file_constraints"), lines
 
 
 def test_cli_seed_override_changes_output(tmp_path):

@@ -27,7 +27,6 @@ from hwmlab.stability import apply_u_sigma, emit, hwm_model, model_at_time, pars
 from hwmlab.evolution import (
     _block_loops,
     _check_block,
-    _modes,
     _spectra,
     _time_blocks,
     SlowDecayWarning,
@@ -103,8 +102,8 @@ def test_rational_model_rejects_hardy_element():
     f = project_plus(plan.source.with_cutoff(plan.N_op))
     assert f.coeffs.size == plan.model.dim
     # the analytic part lies in the frame: its output modes are the flow's at t = 0
-    modes, _ = _modes(plan, [0.0], 4)
-    assert np.max(np.abs(apply_u_sigma(plan.model, f, 4).coeffs - modes[:, 0])) < 1e-13
+    modes = plan.model.iterate(plan.pu0.reshape(-1), [0.0], 4)[0]
+    assert np.max(np.abs(apply_u_sigma(plan.model, f, 4).coeffs - modes[..., 0])) < 1e-13
     top = np.zeros_like(f.coeffs)
     top[-1] = np.eye(2)
     off = HardyElement(2, plan.N_op, top)
@@ -129,6 +128,11 @@ def test_mode_zero_frozen_exactly():
     base = fourier_coefficient(plan, 0.0, 0)
     for t in (0.3, 1.7, 9.0):
         assert np.array_equal(fourier_coefficient(plan, t, 0), base)
+    # mode 0 is the plan's mean bit for bit, returned as a copy that the caller may write
+    assert base.tobytes() == plan.mean0.tobytes()
+    want = plan.mean0.copy()
+    base += 1.0
+    assert plan.mean0.tobytes() == want.tobytes()
 
 
 def test_coefficients_at_time_zero_reproduce_datum():
@@ -376,11 +380,11 @@ def test_plan_modes_match_full_section_model(dk, twists, key):
     sv, r = plan.frame.singular_values, plan.frame.hankel_rank
     assert plan.frame.invariance_residual < 1e-12 * (sv[0] / sv[r - 1] if r else 1.0)
     times, n_max = np.array([0.0, 0.7, 2.9]), 24
-    got, _ = _modes(plan, times, n_max)
+    got = plan.model.iterate(plan.pu0.reshape(-1), times, n_max)[0]
     pu = project_plus(loop.series.with_cutoff(plan.N_op)).coeffs.reshape(-1)
     full = hwm_model(loop, 0.0, plan.N_op)
-    ref, _ = full.iterate(pu, times, n_max)
-    assert np.max(np.abs(got - ref.transpose(0, 3, 1, 2))) < 1e-12
+    ref = full.iterate(pu, times, n_max)[0]
+    assert np.max(np.abs(got - ref)) < 1e-12
     # both models' dense steps act alike on the analytic part, which lies in the frame
     for t in times:
         assert np.max(np.abs(plan.model.step(t) @ plan.pu0 - full.step(t) @ plan.pu0)) < 1e-12
@@ -441,7 +445,7 @@ def reference_solve(plan, t):
     if r >= 1.0:
         raise SpectralRadiusError(f"contraction spectral radius {r} >= 1 at t = {t}")
     # the d columns of the analytic part step as one curve
-    coeffs, norms = emit(A, F[: plan.d], (F.conj().T @ plan.pu0)[:, :, None], plan.N_out, plan.tail_tol)
+    coeffs, norms, _ = emit(A, F[: plan.d], (F.conj().T @ plan.pu0)[:, :, None], plan.N_out, plan.tail_tol)
     norms = norms[:, 0]
     # the flow conserves the mean: the emitted mode 0 is the datum's, up to rounding
     assert np.max(np.abs(coeffs[0] - plan.mean0)) < 1e-14
@@ -598,20 +602,32 @@ def test_lazy_loops_equal_the_eager_build(flow_plans, name):
         assert not s.diagnostics["mean"].flags.writeable and not s.coeffs.flags.writeable
 
 
-def test_cached_spectra_match_a_fresh_computation(flow_plans):
+def fresh_deflation(model, d):
+    """``EvolutionPlan.deflated_shift`` computed afresh from ``model``."""
+    q = np.linalg.qr(model.eigen_mean_map.conj().T, mode="complete")[0][:, d:]
+    return q.conj().T, model.eigen_shift @ q
+
+
+def test_cached_spectra_match_a_fresh_computation(flow_plans, monkeypatch):
     for plan in flow_plans.values():
         model = plan.model
-        q = np.linalg.qr(model.eigen_mean_map.conj().T, mode="complete")[0][:, plan.d :]
-        compressed = (q.conj().T * model.phases(FLOW_TIMES).T[:, None, :]) @ (model.eigen_shift @ q)
+        qh, shift_q = fresh_deflation(model, plan.d)
+        compressed = (qh * model.phases(FLOW_TIMES).T[:, None, :]) @ shift_q
         mu = np.concatenate([np.linalg.eigvals(compressed), np.zeros((FLOW_TIMES.size, plan.d))], axis=-1)
+        plan = dataclasses.replace(plan)  # a copy with nothing cached
+        qr, calls = np.linalg.qr, []
+        monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: calls.append(a) or qr(*a, **k))
         for _ in range(2):  # the second call reads the cached deflation
             got_mu, got_r = _spectra(plan, FLOW_TIMES)
             assert got_mu.tobytes() == mu.tobytes()
             assert got_r.tobytes() == np.max(np.abs(mu), axis=-1).tobytes()
-        # re-timed models share the deflation once it is made, and make none before
-        assert model_at_time(model, 0.3).deflated_shift is model.deflated_shift
-    fresh = hwm_model(soliton(0.5), 0.0, 8)
-    assert "deflated_shift" not in model_at_time(fresh, 0.3).__dict__
+        monkeypatch.undo()
+        # the plan makes its deflation once, and a plan with another model makes its own
+        assert len(calls) == 1
+        scaled = scaled_plan(plan, 0.5)
+        want = fresh_deflation(scaled.model, plan.d)
+        assert [x.tobytes() for x in scaled.deflated_shift] == [x.tobytes() for x in want]
+        assert not np.array_equal(scaled.deflated_shift[1], plan.deflated_shift[1])
 
 
 def scaled_plan(plan, scale):
@@ -719,6 +735,26 @@ def test_recurrence_search_matches_per_sample_series_bitwise():
     assert struct.pack("<d", res["distance"]) == struct.pack("<d", dist[0])
 
 
+@pytest.mark.parametrize(
+    "horizon, coarse_dt, count",
+    [(0.2, 0.1, 3), (0.3, 0.1, 4), (0.7, 0.3, 3), (13.0, 0.3, 44), (0.0, 0.5, 1)],
+)
+def test_recurrence_search_scans_within_its_horizon(horizon, coarse_dt, count, monkeypatch):
+    import hwmlab.evolution as evolution
+
+    plan = make_plan(soliton(0.5))
+    block_loops, seen = evolution._block_loops, []
+
+    def recording(plan, times):
+        seen.extend(times.tolist())
+        return block_loops(plan, times)
+
+    monkeypatch.setattr(evolution, "_block_loops", recording)
+    assert recurrence_search(plan, horizon, coarse_dt)["samples_scanned"] == count
+    # 3 * 0.1 rounds to 0.30000000000000004: the scan allows a relative slack of 1e-9
+    assert seen[:count] == (coarse_dt * np.arange(count)).tolist() and max(seen) <= horizon * (1 + 1e-9)
+
+
 def test_recurrence_search_builds_no_loop_objects(monkeypatch):
     import hwmlab.evolution as evolution
 
@@ -765,14 +801,15 @@ def test_make_plan_rejects_bad_tolerances_and_caps(kwargs, name):
     "call",
     [
         lambda plan, t: fourier_coefficient(plan, t, 2),
+        lambda plan, t: fourier_coefficient(plan, t, 0),
         intertwining_check,
         solve_at_time,
         lambda plan, t: solve_many(plan, [0.0, t, 1.0]),
         contraction_spectrum,
         lambda plan, t: parseval_defect(model_at_time(plan.model, t), plan.pu0, 8),
     ],
-    ids=["fourier_coefficient", "intertwining_check", "solve_at_time", "solve_many", "contraction_spectrum",
-         "parseval_defect"],
+    ids=["fourier_coefficient", "fourier_coefficient_mode_0", "intertwining_check", "solve_at_time", "solve_many",
+         "contraction_spectrum", "parseval_defect"],
 )
 def test_eigenbasis_paths_reject_non_finite_times(call, t):
     plan = make_plan(soliton(0.5))

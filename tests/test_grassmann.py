@@ -224,6 +224,16 @@ def test_validate_loop_rejects_bad_series(rng):
         validate_loop(2, 1, FourierSeries(2, 2, c))
 
 
+def test_nan_coefficients_fail_validation():
+    # a NaN residual compares false with every tolerance, so each check is a negated <=
+    with pytest.raises(ValidationError):
+        validate_loop(2, 1, FourierSeries(2, 1, np.full((3, 2, 2), np.nan)))
+    payload = json.loads(loop_to_json(half_harmonic_map(BlaschkeProduct(0.0, (0.0,)), N=4)))
+    payload["coeffs"] = [[float("nan"), 0.0]] * len(payload["coeffs"])
+    with pytest.raises(ValueError):
+        loop_from_json(json.dumps(payload))
+
+
 def test_serialization_roundtrip_bit_exact(rng):
     q = half_harmonic_map(random_blaschke(rng, 2), N=64)
     text = loop_to_json(q)

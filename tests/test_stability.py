@@ -16,7 +16,6 @@ from hwmlab.stability import (
     breaking_time,
     curve_verdict,
     emit,
-    first_stops,
     hwm_model,
     isometry_model,
     model_at_time,
@@ -50,7 +49,7 @@ def dense_curve(model, v, n_max, stop_tol=None):
     """
     rows = len(model.vecs)
     start = np.asarray(v, dtype=complex).reshape(rows, model.d, 1)
-    means, norms = emit(model.step(model.t), np.eye(model.d, rows), start, n_max, stop_tol)
+    means, norms, _ = emit(model.step(model.t), np.eye(model.d, rows), start, n_max, stop_tol)
     return means.reshape(len(means), model.d, model.d), norms[:, 0]
 
 
@@ -297,12 +296,12 @@ def test_emit_block_columns_follow_their_phased_steps():
     w0 = model.vecs.conj().T @ plan.pu0
     block = np.repeat(w0[:, :, None], times.size, axis=2)
     tol = 1e-3
-    means, norms = emit(model.eigen_shift, model.eigen_mean_map, block, 200, tol, phase[:, None])
+    means, norms, _ = emit(model.eigen_shift, model.eigen_mean_map, block, 200, tol, phase[:, None])
     means = means.reshape(norms.shape[0], 2, 2, times.size)
     for j, t in enumerate(times):
         # curve j is the eigenbasis image of the one-curve dense iteration at time t
         start = (model.vecs @ w0)[:, :, None]
-        single_means, single_norms = emit(model.step(t), np.eye(2, len(start)), start, 200, tol)
+        single_means, single_norms, _ = emit(model.step(t), np.eye(2, len(start)), start, 200, tol)
         n = single_norms.shape[0]
         assert np.max(np.abs(means[:n, :, :, j] - single_means)) < 1e-13
         assert np.max(np.abs(norms[:n, j] - single_norms[:, 0])) < 1e-13
@@ -379,15 +378,16 @@ def test_emit_steps_only_live_columns(kind, rng):
     times = model.t + np.array([0.0, 0.3, 0.6, 1.1])
     tol = 5e-7
     # iterate runs one (dim, g, T) block with (dim, 1, T) phases; g = 2 on the hwm vector section
-    means, norms = model.iterate(x, times, n_max, tol)
-    stops = first_stops(norms, tol)
+    means, norms, stops = model.iterate(x, times, n_max, tol)
     assert stops[1] == n_max and stops[2] == 1 and np.unique(stops).size == 3
     assert norms.shape[0] - 1 == stops.max()
-    full_means, full_norms = model.iterate(x, times, n_max)
-    assert full_norms.shape[0] == n_max + 1
+    full_means, full_norms, full_stops = model.iterate(x, times, n_max)
+    assert full_norms.shape[0] == n_max + 1 and (full_stops == n_max).all()
     for j, (n, t) in enumerate(zip(stops.tolist(), times)):
-        single_means, single_norms = model.iterate(x[:, j], [t], n_max, tol)
-        assert single_norms.shape[0] == n + 1
+        single_means, single_norms, single_stops = model.iterate(x[:, j], [t], n_max, tol)
+        assert single_norms.shape[0] == n + 1 and single_stops.tolist() == [n]
+        # the returned stop is the first step from step 1 on whose norm is at most tol
+        assert (norms[1:n, j] > tol).all() and (norms[n, j] <= tol or n == n_max)
         for m, nm in ((single_means[..., 0], single_norms[:, 0]), (full_means[..., j], full_norms[:, j])):
             assert np.max(np.abs(means[: n + 1, ..., j] - m[: n + 1])) < 1e-13
             assert np.max(np.abs(norms[: n + 1, j] - nm[: n + 1])) < 1e-13
@@ -471,19 +471,18 @@ K = CHUNK_STEPS
 def test_emit_matches_a_per_step_loop(kind, stops, n_max, stop_tol, rng):
     A, mean_map, v, phase = shift_case(stops, kind, rng)
     assert v.size * K <= CHUNK_ENTRIES  # the block steps in full chunks
-    got_means, got_norms = emit(A, mean_map, v, n_max, stop_tol, phase)
+    got_means, got_norms, got_stops = emit(A, mean_map, v, n_max, stop_tol, phase)
     want_means, want_norms = per_step_curves(A, mean_map, v, n_max, stop_tol, phase)
     assert got_means.shape == want_means.shape and got_norms.shape == want_norms.shape
     assert np.max(want_norms) < 4.0
     assert np.max(np.abs(got_means - want_means)) < 1e-13
     assert np.max(np.abs(got_norms - want_norms)) < 1e-13
     if stop_tol is None:
-        assert len(got_norms) == n_max + 1
+        assert len(got_norms) == n_max + 1 and got_stops.tolist() == [n_max] * len(stops)
         return
     # each curve stops at its given step, the run ends at the last stop, and nothing follows a stop
-    last = first_stops(got_norms, stop_tol)
     expected = [n_max if s is None or s > n_max else max(s, 1) for s in stops]
-    assert last.tolist() == expected and len(got_norms) == max(expected) + 1
+    assert got_stops.tolist() == expected and len(got_norms) == max(expected) + 1
     for j, s in enumerate(expected):
         assert not got_means[s + 1 :, ..., j :: len(stops)].any() and not got_norms[s + 1 :, j].any()
     # the steps after a stop are not 0 in the iteration itself
@@ -609,7 +608,7 @@ def test_hwm_model_matches_matrix_section_reference(case, rng):
     res = strong_stability_test(model, [early, probe], n_max, tol=tol)
     stops = []
     for v, rep, verdict in zip((early, probe), res["reports"], res["per_vector"]):
-        means, norms = (x[..., 0] for x in emit(step, mean_map, v[:, None], n_max, tol * 0.5))
+        means, norms = (x[..., 0] for x in emit(step, mean_map, v[:, None], n_max, tol * 0.5)[:2])
         stops.append(norms.size - 1)
         for r in (rep, parseval_defect(model, v, n_max, tol * 0.5)):
             assert r.n_steps == norms.size - 1
