@@ -169,17 +169,8 @@ def config_hash(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
-DEFAULT_TEXT = """\
-# hwmlab experiment configuration (flat key = value)
-experiment = validate
-d = 2
-k = 1
-N = 64
-datum = blaschke
-blaschke_degree = 1
-velocity = 0.0
-t0 = 0.0
-t1 = 10.0
-samples = 50
-seed = 42
-"""
+# every key at its default, a tuple as a comma list
+DEFAULT_TEXT = "# hwmlab experiment configuration (flat key = value)\n" + "".join(
+    f"{f.name} = {', '.join(map(str, f.default)) if isinstance(f.default, tuple) else f.default}\n"
+    for f in fields(ExperimentConfig)
+)

@@ -14,13 +14,14 @@ eigenbasis columns per output mode, with no step-size error; one stacked
 eigensolve, with the d constant directions that S* annihilates deflated
 (the deflation is made once per plan), guards the spectral radii, which
 also predict where the block's modes stop, so the block steps only about
-that far, each time to the stop :func:`~hwmlab.stability.emit` returns;
-the grid checks run once per octave of mode counts in a block of
-times.  A time's record holds read-only views of its block and builds its
-``GrassmannLoop`` only when read.  :func:`solve_at_time` is its one-time
-case.  The plan's eigen-data is an :class:`~hwmlab.stability.IsometryModel`,
-and its :meth:`~hwmlab.stability.IsometryModel.iterate` is the contraction
-path shared with the stability experiments.
+that far, and again to the mode cap only if a time has not stopped there,
+each time to the stop :func:`~hwmlab.stability.emit` returns; the grid
+checks run once per octave of mode counts in a block of times.  A time's
+record holds read-only views of its block and builds its ``GrassmannLoop``
+only when read.  :func:`solve_at_time` is its one-time case.  The plan's
+eigen-data is an :class:`~hwmlab.stability.IsometryModel`, and its
+:meth:`~hwmlab.stability.IsometryModel.iterate` is the contraction path
+shared with the stability experiments.
 """
 
 from __future__ import annotations
@@ -66,6 +67,8 @@ __all__ = [
 HARD_MODE_CAP = 4096
 # entries of the stacked (times, dim, dim) step matrices one solve block may hold
 SOLVE_BLOCK_ENTRIES = 1 << 18
+# a block first steps this many steps past its predicted stop
+STOP_SLACK = 2
 
 
 class SpectralRadiusError(RuntimeError):
@@ -231,7 +234,9 @@ def _block_loops(plan: EvolutionPlan, times: np.ndarray):
     The d columns of ``pu0`` step as one curve up to the stop :func:`emit` returns, and mode 0
     is the conserved ``mean0`` bit for bit.  Mode n of a time falls like its radius r**n, so the
     block's stop is predicted as the largest ``ceil(log(tail_tol / |pu0|) / log r)``, or the
-    model's dimension where r = 0 (a nilpotent step), and :func:`emit` reads it there first.
+    model's dimension where r = 0 (a nilpotent step).  The block steps ``STOP_SLACK`` past it,
+    and again to the cap only if some time has not stopped there.  The first run's chunks end
+    where the cap's would, and a miss is the cap's run, so every result is that of the cap's run.
     """
     _, radii = _spectra(plan, times)
     for i in np.flatnonzero(radii > 1.0 - 1e-3).tolist():
@@ -244,10 +249,14 @@ def _block_loops(plan: EvolutionPlan, times: np.ndarray):
     with np.errstate(divide="ignore"):
         reach = max(0, math.ceil(np.where(radii > 0.0, drop / np.log(radii), plan.model.lam.size).max()))
     # one step past the cap, so that a capped time's tail is the norm the cap drops
-    pu, n_max = plan.pu0.reshape(-1), plan.N_out + 1
-    means, norms, stops = plan.model.iterate(pu, times, n_max, plan.tail_tol, reach)
+    pu, cap = plan.pu0.reshape(-1), plan.N_out + 1
+    # the predicted horizon first, and the cap only if some time has not stopped there
+    for n_max in sorted({min(reach + STOP_SLACK, cap), cap}):
+        means, norms, stops = plan.model.iterate(pu, times, n_max, plan.tail_tol)
+        tails = norms[stops, np.arange(times.size)]
+        if (tails <= plan.tail_tol).all():
+            break
     n_used = np.minimum(stops, plan.N_out)
-    tails = norms[stops, np.arange(times.size)]
     for i in np.flatnonzero(tails > plan.tail_tol).tolist():
         warnings.warn(
             f"mode cap {plan.N_out} reached with tail {tails[i]:.2e} > {plan.tail_tol:.1e} at t = {times[i]}",
@@ -433,7 +442,9 @@ def recurrence_search(plan: EvolutionPlan, horizon: float, coarse_dt: float = 0.
     A coarse scan at the multiples of ``coarse_dt`` up to the horizon locates
     candidate local minima after the trajectory has clearly left the initial
     state; candidates are refined in time order and the first one dipping
-    below eps, 1e-3 times the initial norm, is reported.
+    below eps, 1e-3 times the initial norm, is reported.  A scan that stays
+    within eps returns at t = 0; one that leaves eps but not the arming
+    level finds no return.
     Also reports the frequency vector (restricted Toeplitz eigenvalues) and
     the supremum of the Sobolev norm seen during the scan.
     """
@@ -467,9 +478,12 @@ def recurrence_search(plan: EvolutionPlan, horizon: float, coarse_dt: float = 0.
         "sup_h_half": sup_norm,
         "samples_scanned": int(ts.size),
     }
-    if float(np.max(dists)) <= arm_level:
-        # trajectory never leaves the initial ball: trivially recurrent
+    farthest = float(np.max(dists))
+    if farthest <= eps:
+        # trajectory never leaves the eps ball: trivially recurrent
         result["t_star"], result["distance"] = float(ts[0]), float(dists[0])
+    if farthest <= arm_level:
+        # it never clearly leaves, so no return follows a departure
         return result
 
     # scipy.optimize alone costs most of the package import time

@@ -23,9 +23,6 @@ once per chunk.  It alone decides where a curve stops (its docstring
 states the rule) and returns each stop: a column's entries after its stop
 are 0, so callers cut each column at the returned stop, and the block
 narrows to the live columns at the end of the chunk where the stop falls.
-A caller that can predict the last stop (the exact flow reads it off the
-spectral radii) has :func:`emit` read the norms just past it too, and the
-chunk ends there once every column has stopped, bit for bit as without it.
 A real generator (``-cos``) keeps every step real.  The dense
 :meth:`IsometryModel.step` is the reference form.
 
@@ -74,8 +71,6 @@ PLATEAU_SLOPE = 1e-3
 CHUNK_STEPS = 32
 # ... or of fewer, so that a chunk holds at most this many entries (but one step at least)
 CHUNK_ENTRIES = 1 << 18
-# a predicted stop is first read this many steps past the prediction
-STOP_SLACK = 2
 
 
 def _curve_norms(v: np.ndarray) -> np.ndarray:
@@ -93,7 +88,6 @@ def emit(
     n_max: int,
     stop_tol: float | None = None,
     phase: np.ndarray | None = None,
-    predicted_stop: int | None = None,
 ):
     """Means ``mean_map @ A^n v``, curve norms ``||A^n v||`` for n = 0..n_max, and stops.
 
@@ -110,12 +104,7 @@ def emit(
     at most ``stop_tol``, else at ``n_max``: that step is recorded, every later
     entry is 0, the block narrows to the live curves at the end of the chunk,
     and the iteration ends once no curve is live.  Without it every curve
-    stops at ``n_max``.  With ``stop_tol``, ``predicted_stop`` n reads the
-    norms once more after step ``n + STOP_SLACK``: if every live curve has
-    stopped by then, the chunk ends there, so the block takes no step past it;
-    else the chunk runs on as without a prediction.  Chunk ends, and so where
-    the block narrows, stay where they are without it, so every result is the
-    same bit for bit.  A real ``A`` steps the complex block as one real
+    stops at ``n_max``.  A real ``A`` steps the complex block as one real
     product on its stacked real and imaginary parts.  Raises ValueError for
     ``n_max < 0`` or an empty block.
     """
@@ -135,29 +124,18 @@ def emit(
     stops = np.full(v.shape[-1], n_max)
     chunks = []  # (first step, live curves, means (k, rows * g, live), norms (k, live))
     lo, steps = 0, n_max + 1
-    # the step count after which the predicted stop is read (0: never)
-    peek = predicted_stop + STOP_SLACK + 1 if predicted_stop is not None and stop_tol is not None else 0
     while lo < steps:
         k = min(K, steps - lo)
         flat = buf.reshape(K + 1, dim, -1)
         if real_step:
             flat = flat.view(float)
-        norms = ()  # the norms read at the predicted stop, kept if the chunk ends there
         for j in range(2 if lo == 0 else 1, k + 1):
             np.matmul(A, flat[j - 1], out=flat[j])
             if phase is not None:
                 buf[j] *= phase
-            if lo + j == peek and j < k:
-                norms = _curve_norms(buf[1 : j + 1])
-                below = norms <= stop_tol
-                below[0] &= lo > 0
-                if below.any(axis=0).all():
-                    k = j
-                    break
         block = buf[1 : k + 1]
         means = (rows @ block.reshape(k, dim, -1)).reshape(k, -1, live.size)
-        if len(norms) != k:
-            norms = _curve_norms(block)
+        norms = _curve_norms(block)
         chunks.append((lo, live, means, norms))
         carry = buf[k]
         if stop_tol is not None:
@@ -249,14 +227,7 @@ class IsometryModel:
             raise ValueError(f"time must be finite, got t = {times.flat[bad[0]]}")
         return np.exp(-1j * np.outer(self.lam, times))
 
-    def iterate(
-        self,
-        x: np.ndarray,
-        times,
-        n_max: int,
-        stop_tol: float | None = None,
-        predicted_stop: int | None = None,
-    ):
+    def iterate(self, x: np.ndarray, times, n_max: int, stop_tol: float | None = None):
         """Means ``(n+1, d, d, T)``, norms ``(n+1, T)`` and stops ``(T,)`` of ``step(t_j)^n x_j``.
 
         ``x`` holds start vectors of length :attr:`dim`, ``(dim,)`` for one
@@ -266,17 +237,15 @@ class IsometryModel:
         theirs.  The iteration runs on eigenbasis coordinates ``V* x`` as one
         :func:`emit` block; ``V`` is an isometry onto a space that holds the
         starts and is invariant under the steps, so norms and means are those
-        of the dense steps.  ``stop_tol``, ``predicted_stop`` and the stops are
-        :func:`emit`'s, and ``stop_tol`` acts on the curve norms.
+        of the dense steps.  ``stop_tol`` and the stops are :func:`emit`'s, and
+        ``stop_tol`` acts on the curve norms.
         """
         phase = self.phases(times)
         n = self.lam.size
         w = (self.vecs.conj().T @ x.reshape(len(self.vecs), -1)).reshape(n, self.d, -1)
         if x.ndim == 1:
             w = np.repeat(w, phase.shape[1], axis=2)
-        means, norms, stops = emit(
-            self.eigen_shift, self.eigen_mean_map, w, n_max, stop_tol, phase[:, None], predicted_stop
-        )
+        means, norms, stops = emit(self.eigen_shift, self.eigen_mean_map, w, n_max, stop_tol, phase[:, None])
         return means.reshape(means.shape[0], self.d, self.d, -1), norms, stops
 
 
@@ -454,8 +423,8 @@ def zd_bo_norm_curve(u0: FourierSeries, times, Ns=(256, 512, 1024), checkpoint: 
     checkpoint must sit inside that plateau window, after the transient but
     before leakage; 1024 steps does this for cutoffs >= 256 and times <= 1.
     Reports ``norm = ||output||`` and ``deficit = ||Pi u0|| - norm`` per (t, N),
-    and the first crossing of the deficit threshold 1e-4 per cutoff as the
-    measured onset.
+    and per cutoff the smallest time whose deficit exceeds the threshold 1e-4,
+    in whatever order the times come, as the measured onset.
     All times of one cutoff run as one :meth:`IsometryModel.iterate` block, in
     real arithmetic when the generator is real; each time stops at its own norm <= 1e-9.
     """
@@ -469,13 +438,10 @@ def zd_bo_norm_curve(u0: FourierSeries, times, Ns=(256, 512, 1024), checkpoint: 
         base = zd_bo_model(N, u0)
         pu = project_plus(u0.with_cutoff(N)).coeffs.reshape(-1)
         norm0 = float(np.linalg.norm(pu))
-        onset = None
         for t, rep in zip(times, _reports(*base.iterate(pu, times, checkpoint, 1e-9))):
             tail = rep.limit_estimate
             out_norm = float(np.sqrt(max(0.0, norm0**2 - tail**2)))
             deficit = norm0 - out_norm
-            if onset is None and deficit > ONSET_THRESHOLD:
-                onset = float(t)
             rows.append(
                 {
                     "t": float(t),
@@ -488,7 +454,8 @@ def zd_bo_norm_curve(u0: FourierSeries, times, Ns=(256, 512, 1024), checkpoint: 
                     "telescope_residual": rep.telescope_residual,
                 }
             )
-        onsets[int(N)] = onset
+        crossed = (row["t"] for row in rows[-np.size(times) :] if row["deficit"] > ONSET_THRESHOLD)
+        onsets[int(N)] = min(crossed, default=None)
     return {"rows": rows, "onsets": onsets, "norm0": norm0, "threshold": ONSET_THRESHOLD}
 
 

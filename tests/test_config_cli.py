@@ -433,6 +433,9 @@ def test_default_text_is_the_default_config():
     # `hwmlab validate` without a config and the fresh template check one datum under one hash
     assert parse_config(DEFAULT_TEXT) == ExperimentConfig()
     assert config_hash(parse_config(DEFAULT_TEXT)) == config_hash(ExperimentConfig())
+    # the template names every key once, so init-config lists every option
+    keys = [line.partition("=")[0].strip() for line in DEFAULT_TEXT.splitlines() if not line.startswith("#")]
+    assert keys == [f.name for f in dataclasses.fields(ExperimentConfig)]
 
 
 def test_bench_console_prints_measured_crossover(tmp_path, capsys):

@@ -23,7 +23,7 @@ from hwmlab.grassmann import (
     validate_loop,
 )
 from hwmlab.operators import NotRationalError, key_identity_check
-from hwmlab.stability import apply_u_sigma, emit, hwm_model, model_at_time, parseval_defect
+from hwmlab.stability import IsometryModel, apply_u_sigma, emit, hwm_model, model_at_time, parseval_defect
 from hwmlab.evolution import (
     _block_loops,
     _check_block,
@@ -318,6 +318,15 @@ def test_recurrence_constant_datum():
     assert res["distance"] < res["eps"]
 
 
+def test_recurrence_short_soliton_horizons_find_no_return():
+    # the soliton moves away at once but has not armed by t = 0.1: no return, not a trivial one
+    plan = make_plan(soliton(0.5))
+    assert recurrence_search(plan, 0.0)["t_star"] == 0.0  # only t = 0 is scanned
+    for horizon in (0.05, 0.1, 0.3):
+        res = recurrence_search(plan, horizon)
+        assert res["t_star"] is None and res["distance"] is None, horizon
+
+
 def test_recurrence_soliton_period():
     v = 0.5
     plan = make_plan(soliton(v, N=12))
@@ -582,6 +591,37 @@ def test_flow_blocks_step_only_to_their_predicted_stop(flow_plans, monkeypatch):
         assert sum(read) <= last + 3, name
         if name == "soliton":  # a nilpotent step
             assert sum(read) <= plan.model.lam.size + 1
+
+
+def test_a_missed_prediction_reruns_to_the_cap_and_changes_no_bit(flow_plans, monkeypatch):
+    import hwmlab.evolution as evolution
+
+    real_iterate, steps = IsometryModel.iterate, []
+    monkeypatch.setattr(IsometryModel, "iterate", lambda *a: steps.append(a[3]) or real_iterate(*a))
+
+    def run(plan):
+        steps.clear()
+        loops, n_used, _, tails = _block_loops(plan, FLOW_TIMES)
+        return [a.tobytes() for a in (loops, n_used, tails)], list(steps)
+
+    missed = set()
+    for name, plan in flow_plans.items():
+        cap = plan.N_out + 1
+        want, calls = run(plan)
+        assert len(calls) == 1 and calls[0] < cap, name  # a hit: one short run
+        with monkeypatch.context() as m:
+            # radii of 1e-300 predict a stop at step 1, so the first run takes 3 steps
+            m.setattr(evolution, "_spectra", lambda plan, times: (None, np.full(times.size, 1e-300)))
+            got, calls = run(plan)
+        assert got == want and calls[0] == 3, name
+        if calls[1:]:
+            assert calls[1:] == [cap], name
+            missed.add(name)
+        with monkeypatch.context() as m:
+            m.setattr(evolution, "STOP_SLACK", 10**9)  # no prediction: one run to the cap
+            got, calls = run(plan)
+        assert got == want and calls == [cap], name
+    assert missed == {"generic", "embedded", "harmonic"}
 
 
 @pytest.mark.parametrize("name", ["soliton", "embedded"])

@@ -149,10 +149,10 @@ def defaulted_parameters(fn):
             yield arg.arg, None
 
 
-def calls_by_name():
-    """{called name: [(positional count, keyword names)]} of every call in src/, tests/ and perfbench/."""
+def calls_by_name(roots):
+    """{called name: [(positional count, keyword names)]} of every call in the ``roots`` directories."""
     calls = defaultdict(list)
-    for root in ("src", "tests", "perfbench"):
+    for root in roots:
         for path in sorted((REPO / root).rglob("*.py")):
             for node in ast.walk(ast.parse(path.read_text())):
                 if isinstance(node, ast.Call):
@@ -162,18 +162,44 @@ def calls_by_name():
     return calls
 
 
-def test_every_default_is_passed_somewhere():
-    # a default that no call overrides is a constant: an option only its definition knows about
-    calls = calls_by_name()
-    unpassed = []
+def unpassed_defaults(roots):
+    """``function.parameter`` of each defaulted package parameter that no call in ``roots`` passes."""
+    calls = calls_by_name(roots)
     for module, fn in package_functions():
         for name, index in defaulted_parameters(fn):
             # each CLI subcommand passes its runner the quiet flag through a getattr lookup
             if module == "experiments.py" and fn.name.startswith("run_") and name == "quiet":
                 continue
             if not any(name in kw or (index is not None and n > index) for n, kw in calls[fn.name]):
-                unpassed.append(f"{module}:{fn.name}({name})")
+                yield f"{fn.name}.{name}"
+
+
+def test_every_default_is_passed_somewhere():
+    # a default that no call overrides is a constant: an option only its definition knows about
+    unpassed = list(unpassed_defaults(("src", "tests", "perfbench")))
     assert not unpassed, unpassed
+
+
+# the defaulted parameters that only tests set: no run of the package or the benchmark passes them
+TEST_ONLY_DEFAULTS = {
+    "lax_isospectrality_check.N",
+    "conservation_report.N_rank",
+    "lax_residual.sign",
+    "lax_residual.plan",
+    "recurrence_search.coarse_dt",
+    "constraint_residuals.grid",
+    "half_harmonic_map.U",
+    "project_to_grassmann.sq_tol",
+    "project_to_grassmann.herm_tol",
+    "step_rk4.dt",
+    "parseval_defect.stop_tol",
+    "wold_decomposition_estimate.tol",
+}
+
+
+def test_only_the_listed_defaults_are_test_knobs():
+    # a new option that only tests set must join the list, and one a run comes to pass must leave it
+    assert set(unpassed_defaults(("src", "perfbench"))) == TEST_ONLY_DEFAULTS
 
 
 # the two private helpers another module shares: the row shift and the subspace check
