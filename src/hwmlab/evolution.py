@@ -329,43 +329,42 @@ def solve_at_time(plan: EvolutionPlan, t: float) -> TrajectorySample:
     return solve_many(plan, [t])[0]
 
 
-def lax_isospectrality_check(plan: EvolutionPlan, times, N: int | None = None) -> dict:
+def lax_isospectrality_check(plan: EvolutionPlan, times) -> dict:
     """Compare interior Toeplitz eigenvalues of evolved loops against t = 0.
 
     Interior means mu strictly inside (-0.95, 0.95), where finite sections
-    of involution-valued symbols carry the persistent spectrum.  The
-    eigenvalues come from the vector section; counts and ``interior_base``
-    are the matrix section's, each eigenvalue repeated d times.
+    of involution-valued symbols carry the persistent spectrum.  Each sample
+    and its t = 0 base are read on the vector section at cutoff
+    ``max(N_op, loop.N)``, which holds the whole evolved symbol; counts are
+    the matrix section's, each eigenvalue repeated d times.
     """
-    N = plan.N_op if N is None else N
 
-    def interior(series: FourierSeries) -> np.ndarray:
-        lam = np.linalg.eigvalsh(toeplitz_vector_section(series, N))
+    def interior(series: FourierSeries, N: int) -> np.ndarray:
+        lam = np.linalg.eigvalsh(toeplitz_vector_section(series, N))  # ascending
         return lam[(lam > -0.95) & (lam < 0.95)]
 
-    base = interior(plan.source)
     rows = []
     worst = 0.0
     for sample in solve_many(plan, times):
-        lam = interior(sample.loop.series)
+        N = max(plan.N_op, sample.loop.N)
+        base, lam = interior(plan.source, N), interior(sample.loop.series, N)
         m = min(base.size, lam.size)
-        gap = float(np.max(np.abs(np.sort(base)[:m] - np.sort(lam)[:m]))) if m else 0.0
+        gap = float(np.max(np.abs(base[:m] - lam[:m]))) if m else 0.0
         worst = max(worst, gap)
         rows.append(
             {"t": sample.t, "count": plan.d * lam.size, "count_base": plan.d * base.size, "max_gap": gap}
         )
-    return {"rows": rows, "max_gap": worst, "interior_base": np.repeat(np.sort(base), plan.d)}
+    return {"rows": rows, "max_gap": worst}
 
 
-def conservation_report(plan: EvolutionPlan, times, N_rank: int | None = None) -> list[dict]:
+def conservation_report(plan: EvolutionPlan, times) -> list[dict]:
     """Energy, mean, Schatten sums of the Hankel section, and Kronecker rank
     of the evolved loop at each requested time; each section is taken at
-    cutoff ``max(N_rank, loop.N)``, so it holds the whole evolved symbol."""
-    N_rank = plan.N_op if N_rank is None else N_rank
+    cutoff ``max(N_op, loop.N)``, so it holds the whole evolved symbol."""
     out = []
     for sample in solve_many(plan, times):
         loop = sample.loop
-        rank, sv = kronecker_rank(loop, max(N_rank, loop.N))
+        rank, sv = kronecker_rank(loop, max(plan.N_op, loop.N))
         row = {
             "t": sample.t,
             "energy": sample.diagnostics["energy"],
@@ -401,13 +400,7 @@ def intertwining_check(plan: EvolutionPlan, t: float) -> float:
     return worst
 
 
-def lax_residual(
-    u0: GrassmannLoop,
-    t: float,
-    h: float,
-    sign: int = +1,
-    plan: EvolutionPlan | None = None,
-) -> float:
+def lax_residual(plan: EvolutionPlan, t: float, h: float, sign: int = +1) -> float:
     """Central-difference defect of the Toeplitz evolution equation.
 
     Compares (T(t+h) - T(t-h)) / 2h with the commutator of the skew generator
@@ -417,8 +410,6 @@ def lax_residual(
     """
     if not 0.0 < h < np.inf:
         raise ValueError(f"h must be positive and finite, got {h}")
-    if plan is None:
-        plan = make_plan(u0)
     loops = {dt: solve_at_time(plan, t + dt).loop for dt in (-h, 0.0, h)}
     # an effective bandwidth at coarse tolerance keeps a usable interior block;
     # what falls outside it only pollutes at the 1e-8 scale, far below O(h^2)
@@ -431,7 +422,7 @@ def lax_residual(
     fd = (secs[h] - secs[-h]) / (2.0 * h)
     B = b_vector_section(loops[0.0], N, sign=sign)
     comm = B @ secs[0.0] - secs[0.0] @ B
-    keep = (N - margin + 1) * u0.d
+    keep = (N - margin + 1) * plan.d
     return float(np.linalg.norm((fd - comm)[:keep, :keep], ord=2))
 
 
@@ -441,10 +432,10 @@ def recurrence_search(plan: EvolutionPlan, horizon: float, coarse_dt: float = 0.
     Distance is the inhomogeneous half-order Sobolev norm of the difference.
     A coarse scan at the multiples of ``coarse_dt`` up to the horizon locates
     candidate local minima after the trajectory has clearly left the initial
-    state; candidates are refined in time order and the first one dipping
-    below eps, 1e-3 times the initial norm, is reported.  A scan that stays
-    within eps returns at t = 0; one that leaves eps but not the arming
-    level finds no return.
+    state, the last sample bracketed by the horizon; candidates are refined in
+    time order and the first one dipping below eps, 1e-3 times the initial
+    norm, is reported.  A scan that stays within eps returns at t = 0; one
+    that leaves eps but not the arming level finds no return.
     Also reports the frequency vector (restricted Toeplitz eigenvalues) and
     the supremum of the Sobolev norm seen during the scan.
     """
@@ -491,11 +482,15 @@ def recurrence_search(plan: EvolutionPlan, horizon: float, coarse_dt: float = 0.
 
     armed_from = int(np.argmax(dists > arm_level))
     refine_level = max(10.0 * eps, 1.5 * float(np.min(dists[armed_from:])))
-    for i in range(max(armed_from, 1), ts.size - 1):
-        if dists[i] <= refine_level and dists[i] <= dists[i - 1] and dists[i] <= dists[i + 1]:
+    # the last sample is a candidate too: the horizon brackets it, or the sample itself
+    # where the horizon falls on the grid, and nothing ahead of it is nearer
+    edges = np.append(ts, max(horizon, ts[-1]))
+    ahead = np.append(dists[1:], np.inf)
+    for i in range(max(armed_from, 1), ts.size):
+        if dists[i] <= refine_level and dists[i] <= dists[i - 1] and dists[i] <= ahead[i]:
             res = minimize_scalar(
                 lambda t: float(measure(_block_loops(plan, np.array([t], dtype=float))[0])[0][0]),
-                bounds=(float(ts[i - 1]), float(ts[i + 1])),
+                bounds=(float(edges[i - 1]), float(edges[i + 1])),
                 method="bounded",
                 options={"xatol": 1e-10},
             )

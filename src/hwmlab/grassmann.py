@@ -97,16 +97,16 @@ def _hermitian_part(vals: np.ndarray) -> np.ndarray:
     return 0.5 * (vals + vals.swapaxes(-2, -1).conj())
 
 
-def constraint_residuals(d: int, k: int, series, grid: int | None = None):
-    """Worst pointwise constraint residuals of a candidate loop on a grid.
+def constraint_residuals(d: int, k: int, series):
+    """Worst pointwise constraint residuals of a candidate loop on 4N+1 points.
 
-    The grid defaults to 4N+1 points: the involution constraint is quadratic
-    in the series, doubling the bandwidth to 2N.  A stack of series (see
+    The involution constraint is quadratic in the series, doubling the
+    bandwidth to 2N, which 4N+1 points resolve.  A stack of series (see
     :func:`series_stack`) gives one dict per series, each equal bit for bit
     to the call on that series alone.
     """
     N, coeffs = series_stack(series)
-    vals = evaluate_grid(coeffs, grid if grid is not None else 4 * N + 1)
+    vals = evaluate_grid(coeffs, 4 * N + 1)
     sq = grid_product(vals, vals)
     for i in range(d):
         sq[..., i, i] -= 1
@@ -229,10 +229,10 @@ def _offdiag_loop(b: BlaschkeProduct, diag: float, U: np.ndarray | None, N: int,
     return FourierSeries(2, N, coeffs)
 
 
-def half_harmonic_map(b: BlaschkeProduct, U: np.ndarray | None = None, N: int = 64) -> GrassmannLoop:
+def half_harmonic_map(b: BlaschkeProduct, N: int = 64) -> GrassmannLoop:
     """Stationary loop with off-diagonal Blaschke product, energy = degree:
-    :func:`traveling_profile` at speed 0, with its default tail tolerance."""
-    return traveling_profile(b, 0.0, U, N)
+    :func:`traveling_profile` at speed 0, unconjugated, with its default tail tolerance."""
+    return traveling_profile(b, 0.0, N=N)
 
 
 def traveling_profile(

@@ -95,10 +95,10 @@ class FourierSeries:
         out[lo + N : hi + N + 1] = self.coeffs[lo + self.N : hi + self.N + 1]
         return FourierSeries(self.d, N, out)
 
-    def is_hermitian_symbol(self, tol: float = 1e-12) -> bool:
-        """True when (U_n)* = U_{-n} for all modes, i.e. U(theta) is Hermitian."""
+    def is_hermitian_symbol(self) -> bool:
+        """True when (U_n)* = U_{-n} for all modes to 1e-12, i.e. U(theta) is Hermitian."""
         flipped = np.conj(np.transpose(self.coeffs[::-1], (0, 2, 1)))
-        return bool(np.max(np.abs(self.coeffs - flipped)) <= tol)
+        return bool(np.max(np.abs(self.coeffs - flipped)) <= 1e-12)
 
 
 @dataclass(frozen=True)
@@ -193,15 +193,9 @@ def mean(f) -> np.ndarray:
     raise TypeError(f"mean expects a FourierSeries or HardyElement, got {type(f)!r}")
 
 
-def fractional_derivative(f: FourierSeries, kind: str = "|D|") -> FourierSeries:
-    """Modewise derivative: |D| multiplies mode n by |n|, D by n."""
-    n = np.arange(-f.N, f.N + 1)
-    if kind == "|D|":
-        w = np.abs(n)
-    elif kind == "D":
-        w = n
-    else:
-        raise ValueError(f'kind must be "|D|" or "D", got {kind!r}')
+def fractional_derivative(f: FourierSeries) -> FourierSeries:
+    """Modewise derivative |D|: multiplies mode n by |n|."""
+    w = np.abs(np.arange(-f.N, f.N + 1))
     return FourierSeries(f.d, f.N, f.coeffs * w[:, None, None])
 
 

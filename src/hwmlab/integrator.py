@@ -170,10 +170,9 @@ def _wrap_step(start: IntegratorState, c, t: float, dt: float, steps: int) -> In
     return IntegratorState(loop=GrassmannLoop(d, k, series, check), t=t, dt=dt, stats=stats)
 
 
-def step_rk4(state: IntegratorState, dt: float | None = None) -> IntegratorState:
-    """One classical fourth-order step; optional per-step dt override."""
-    dt = state.dt if dt is None else dt
-    return _steps(state, 1, dt, state.t + dt)
+def step_rk4(state: IntegratorState) -> IntegratorState:
+    """One classical fourth-order step of the state's ``dt``."""
+    return _steps(state, 1, state.dt, state.t + state.dt)
 
 
 def _initial_state(u0: GrassmannLoop, dt: float) -> IntegratorState:

@@ -361,5 +361,5 @@ def b_vector_section(u, N: int, sign: int = +1) -> np.ndarray:
     sym = symbol_of(u)
     T = toeplitz_vector_section(sym, N)
     n = np.repeat(np.arange(N + 1.0), sym.d)
-    Tdu = toeplitz_vector_section(fractional_derivative(sym, "|D|"), N)
+    Tdu = toeplitz_vector_section(fractional_derivative(sym), N)
     return sign * (-0.5j * (T * n + n[:, None] * T) + 0.5j * Tdu)

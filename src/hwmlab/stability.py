@@ -291,7 +291,7 @@ def zd_bo_model(N: int, u0: FourierSeries) -> IsometryModel:
     """
     if u0.d != 1:
         raise ValueError("zero-dispersion model expects a scalar symbol (d = 1)")
-    if not u0.is_hermitian_symbol(1e-12):
+    if not u0.is_hermitian_symbol():
         raise ValueError("symbol must be real-valued on the circle")
     return _standard_model(2.0 * toeplitz_vector_section(u0, N), 1, N, 0.0)
 
@@ -376,9 +376,10 @@ def _report(means: np.ndarray, norms: np.ndarray) -> StabilityReport:
     )
 
 
-def parseval_defect(model: IsometryModel, f, n_max: int, stop_tol: float = 0.0) -> StabilityReport:
-    """Defect curve of the adjoint powers with the telescoping check."""
-    return _reports(*model.iterate(_as_vector(model, f), [model.t], n_max, stop_tol))[0]
+def parseval_defect(model: IsometryModel, f, n_max: int) -> StabilityReport:
+    """Defect curve of the adjoint powers with the telescoping check, to ``n_max``
+    steps or to the first step whose norm is exactly 0."""
+    return _reports(*model.iterate(_as_vector(model, f), [model.t], n_max, 0.0))[0]
 
 
 def curve_verdict(settled: bool, slope: float) -> str:
@@ -459,13 +460,14 @@ def zd_bo_norm_curve(u0: FourierSeries, times, Ns=(256, 512, 1024), checkpoint: 
     return {"rows": rows, "onsets": onsets, "norm0": norm0, "threshold": ONSET_THRESHOLD}
 
 
-def wold_decomposition_estimate(model: IsometryModel, budget: int, tol: float = 1e-6) -> dict:
+def wold_decomposition_estimate(model: IsometryModel, budget: int) -> dict:
     """Numerical split into norm-preserving and shift-like subspace dimensions.
 
     Stacks the emission rows ``P_Sigma (Sigma*)^j`` for j < budget; a unit
     vector's squared image under this map is exactly the norm it loses
-    within the budget, so singular values below tol flag directions that
-    keep essentially all their norm (the unitary part at this resolution).
+    within the budget, so singular values below 1e-6 flag directions that
+    keep essentially all their norm (the unitary part at this resolution;
+    count ``singular_values`` against another level for another one).
     The rows are the means :func:`emit` reads off the identity's columns in
     the eigenbasis ``V`` (step ``diag(phase) eigen_shift``); the unitary
     ``V*`` leaves the singular values unchanged.  Dimensions are
@@ -479,11 +481,5 @@ def wold_decomposition_estimate(model: IsometryModel, budget: int, tol: float = 
     rows = emit(model.eigen_shift, model.eigen_mean_map, np.eye(n), budget - 1, phase=phase)[0]
     sv = np.linalg.svd(rows.reshape(budget * d, n), compute_uv=False)
     sv = np.repeat(np.concatenate([sv, np.zeros(max(0, n - sv.size))]), d)
-    dim_u = int(np.count_nonzero(sv < tol))
-    return {
-        "dim_unitary": dim_u,
-        "dim_stable": n * d - dim_u,
-        "singular_values": sv,
-        "budget": budget,
-        "tol": tol,
-    }
+    dim_u = int(np.count_nonzero(sv < 1e-6))
+    return {"dim_unitary": dim_u, "dim_stable": n * d - dim_u, "singular_values": sv, "budget": budget}

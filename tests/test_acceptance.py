@@ -85,7 +85,7 @@ def test_criterion_3_trace_identity(rng):
     for j in range(20):
         kind = j % 4
         if kind == 0:
-            loop = half_harmonic_map(random_blaschke(rng, 1 + j % 3), U=random_unitary(rng), N=64)
+            loop = traveling_profile(random_blaschke(rng, 1 + j % 3), 0.0, random_unitary(rng), 64)
         elif kind == 1:
             v = 0.8 * rng.random()
             loop = traveling_profile(random_blaschke(rng, 1 + j % 2), v, N=64)
@@ -108,7 +108,7 @@ def test_criterion_4_conservation(criterion4_data):
     details = []
     for name, loop in criterion4_data.items():
         plan = make_plan(loop)
-        rows = conservation_report(plan, times, N_rank=24)
+        rows = conservation_report(plan, times)
         e = np.array([r["energy"] for r in rows])
         de = float(np.max(np.abs(e - e[0])))
         # the zeroth mode is the datum's mean, bit for bit, at every time
@@ -126,11 +126,11 @@ def test_criterion_5_isospectrality(criterion4_data):
     worst = 0.0
     for loop in criterion4_data.values():
         plan = make_plan(loop)
-        rep = lax_isospectrality_check(plan, (0.3, 1.7), N=48)
+        rep = lax_isospectrality_check(plan, (0.3, 1.7))
         worst = max(worst, rep["max_gap"])
     dt = time.time() - t0
     report(5, worst < 1e-6 and dt < 60.0,
-           f"interior eigenvalue drift {worst:.2e} at t in (0.3, 1.7), N=48 (tol 1e-6), {dt:.1f}s")
+           f"interior eigenvalue drift {worst:.2e} at t in (0.3, 1.7), N=max(N_op, loop.N) (tol 1e-6), {dt:.1f}s")
 
 
 def test_criterion_6_spectral_radius_bound(rng, criterion4_data):
@@ -168,11 +168,10 @@ def test_criterion_7_cross_method_agreement():
 
 def test_criterion_8_lax_residual_sign(criterion4_data):
     t0 = time.time()
-    loop = criterion4_data["generic"]
-    plan = make_plan(loop)
-    res = {h: lax_residual(loop, 0.5, h, sign=+1, plan=plan) for h in (1e-2, 5e-3)}
+    plan = make_plan(criterion4_data["generic"])
+    res = {h: lax_residual(plan, 0.5, h, sign=+1) for h in (1e-2, 5e-3)}
     ratio = res[1e-2] / res[5e-3]
-    wrong = lax_residual(loop, 0.5, 1e-2, sign=-1, plan=plan)
+    wrong = lax_residual(plan, 0.5, 1e-2, sign=-1)
     ok = 3.0 < ratio < 5.0 and wrong > 100.0 * res[1e-2]
     dt = time.time() - t0
     report(8, ok and dt < 60.0,

@@ -382,6 +382,17 @@ def test_validate_conserves_schatten_sums_of_a_spread_loop():
     assert [r for r in run_invariant_suite(cfg) if not r.passed] == []
 
 
+def test_cli_validate_reads_a_spread_loop_on_a_section_that_holds_it(tmp_path):
+    # at t1 = 3.5 the evolved loop reaches mode 79; on the plan's N_op = 14 section
+    # its interior spectrum drifted by 1.5e-4 and lax_isospectrality failed
+    cfg_file = tmp_path / "v.cfg"
+    cfg_file.write_text("experiment = validate\ndatum = random_rational\ntwists = 6\nseed = 3922829259\nt1 = 3.5\n")
+    out = tmp_path / "v"
+    res = CliRunner().invoke(main, ["validate", "--config", str(cfg_file), "--out", str(out), "--quiet"])
+    assert res.exit_code == 0, res.output
+    assert "FAIL" not in (out / "validate.txt").read_text()
+
+
 def test_cli_init_config_writes_atomically(tmp_path, monkeypatch):
     targets = []
     real_replace = os.replace

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hwmlab.config import ExperimentConfig
+from hwmlab.experiments import build_datum
 from hwmlab.hardy import FourierSeries, HardyElement, project_plus, sobolev_energy, sobolev_norm
 from hwmlab.grassmann import (
     TRAVELING_SIGN,
@@ -231,27 +233,42 @@ def test_tail_bound_honest(twist_plan):
 
 def test_isospectrality_time_zero(twist_plan):
     _, plan = twist_plan
-    rep = lax_isospectrality_check(plan, (0.0,), N=32)
+    rep = lax_isospectrality_check(plan, (0.0,))
     assert rep["max_gap"] < 1e-12
 
 
 def test_isospectrality_soliton_rotation():
     plan = make_plan(soliton(0.5, N=12))
-    rep = lax_isospectrality_check(plan, (1.0,), N=24)
+    rep = lax_isospectrality_check(plan, (1.0,))
     assert rep["max_gap"] < 1e-8
 
 
 def test_isospectrality_random_rational(twist_plan):
     _, plan = twist_plan
-    rep = lax_isospectrality_check(plan, (0.3, 1.7), N=48)
+    rep = lax_isospectrality_check(plan, (0.3, 1.7))
     assert rep["max_gap"] < 1e-6
     counts = {r["count"] for r in rep["rows"]}
     assert counts == {rep["rows"][0]["count_base"]}
 
 
+def narrow_section_plan():
+    """A datum whose loop at t = 3.5 reaches mode 79, far past its plan's N_op = 14."""
+    cfg = ExperimentConfig(datum="random_rational", twists=6, seed=3922829259)
+    return make_plan(build_datum(cfg), N_out=cfg.N_out, rank_tol=cfg.rank_tol, tail_tol=cfg.tail_tol)
+
+
+def test_isospectrality_reads_each_loop_on_a_section_that_holds_it():
+    # at N_op the section cuts the loop off and the interior spectrum drifts by 1.5e-4
+    plan = narrow_section_plan()
+    rep = lax_isospectrality_check(plan, (3.5,))
+    assert solve_at_time(plan, 3.5).loop.N > plan.N_op
+    assert rep["max_gap"] <= 1e-12
+    assert rep["rows"][0]["count"] == rep["rows"][0]["count_base"]
+
+
 def test_conservation_report(twist_plan):
     loop, plan = twist_plan
-    rows = conservation_report(plan, np.linspace(0.0, 10.0, 11), N_rank=16)
+    rows = conservation_report(plan, np.linspace(0.0, 10.0, 11))
     e0 = rows[0]["energy"]
     m0 = rows[0]["mean"]
     r0 = rows[0]["hankel_rank"]
@@ -274,23 +291,22 @@ def test_intertwining_identity(twist_plan):
 def test_lax_residual_second_order_and_sign():
     q = soliton(0.5, N=16)
     plan = make_plan(q)
-    res = {h: lax_residual(q, 0.5, h, sign=+1, plan=plan) for h in (1e-2, 5e-3)}
+    res = {h: lax_residual(plan, 0.5, h, sign=+1) for h in (1e-2, 5e-3)}
     assert res[1e-2] / res[5e-3] == pytest.approx(4.0, rel=0.15)
-    wrong = lax_residual(q, 0.5, 1e-2, sign=-1, plan=plan)
+    wrong = lax_residual(plan, 0.5, 1e-2, sign=-1)
     assert wrong > 1e3 * res[1e-2]
 
 
 def test_lax_residual_stationary_case():
-    q = half_harmonic_map(BlaschkeProduct(0.0, (0.0,)), N=8)
-    plan = make_plan(q)
-    assert lax_residual(q, 0.5, 1e-2, plan=plan) < 1e-10
+    plan = make_plan(half_harmonic_map(BlaschkeProduct(0.0, (0.0,)), N=8))
+    assert lax_residual(plan, 0.5, 1e-2) < 1e-10
 
 
 @pytest.mark.parametrize("h", [0.0, -1e-2, np.nan, np.inf])
 def test_lax_residual_rejects_bad_step(h):
-    q = half_harmonic_map(BlaschkeProduct(0.0, (0.0,)), N=8)
+    plan = make_plan(half_harmonic_map(BlaschkeProduct(0.0, (0.0,)), N=8))
     with pytest.raises(ValueError, match="^h must be positive and finite"):
-        lax_residual(q, 0.5, h)
+        lax_residual(plan, 0.5, h)
 
 
 @pytest.mark.parametrize(
@@ -334,6 +350,24 @@ def test_recurrence_soliton_period():
     assert res["t_star"] == pytest.approx(2 * np.pi / v, abs=1e-3)
     assert res["distance"] <= res["eps"]
     assert res["sup_h_half"] < 10.0
+
+
+@pytest.mark.parametrize("horizon, scanned", [(12.57, 252), (12.58, 252)])
+def test_recurrence_finds_a_return_in_the_last_interval(horizon, scanned):
+    # the return at 4 pi lies between the last sample, 12.55, and the horizon
+    plan = make_plan(soliton(0.5))
+    res = recurrence_search(plan, horizon)
+    assert res["samples_scanned"] == scanned
+    assert res["t_star"] == pytest.approx(4 * np.pi, abs=1e-6)
+    assert res["distance"] <= res["eps"]
+
+
+@pytest.mark.parametrize("horizon", [12.6, 13.0, 20.0])
+def test_recurrence_past_the_last_interval_keeps_its_bits(horizon):
+    res = recurrence_search(make_plan(soliton(0.5)), horizon)
+    assert struct.pack("<2d", res["t_star"], res["distance"]) == struct.pack(
+        "<2d", 12.566370614864944, 4.3801042210484733e-10
+    )
 
 
 def test_recurrence_commensurate_frequencies():

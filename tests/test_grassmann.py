@@ -141,7 +141,7 @@ def test_half_harmonic_constant_case():
 def test_energy_independent_of_conjugation(rng):
     b = random_blaschke(rng, 2)
     e0 = half_harmonic_map(b, N=64).energy()
-    e1 = half_harmonic_map(b, U=random_unitary(rng), N=64).energy()
+    e1 = traveling_profile(b, 0.0, random_unitary(rng), 64).energy()
     assert abs(e0 - e1) < 1e-12
 
 
@@ -332,10 +332,8 @@ def test_residuals_match_full_matrix_formulation_bitwise(rng, d):
     base[N] = (U * np.r_[-np.ones(k), np.ones(d - k)]) @ U.conj().T
     noise = rng.standard_normal((3,) + base.shape) + 1j * rng.standard_normal((3,) + base.shape)
     coeffs = np.concatenate([base[None], base + np.array([1e-12, 1e-3, 1.0])[:, None, None, None] * noise])
-    for grid in (None, 4 * N + 7):
-        got = [list(r.values()) for r in constraint_residuals(d, k, coeffs, grid=grid)]
-        ref = full_matrix_residuals(d, k, coeffs, grid if grid is not None else 4 * N + 1)
-        assert got == ref.tolist()
+    got = [list(r.values()) for r in constraint_residuals(d, k, coeffs)]
+    assert got == full_matrix_residuals(d, k, coeffs, 4 * N + 1).tolist()
     # the constant involution carries only rounding; the noisy ones violate every constraint
     assert max(got[0]) < 1e-14 and min(got[-1]) > 1e-2
 

@@ -124,14 +124,10 @@ def test_mean_of_ground_state_is_zero():
 
 def test_fractional_derivative_modes():
     u = series_from(2, 2, {0: SIGMA3, 1: E21, -1: E12})
-    du = fractional_derivative(u, "|D|")
+    du = fractional_derivative(u)
     assert np.max(np.abs(du.coeff(0))) == 0.0
     assert np.array_equal(du.coeff(1), E21)
     assert np.array_equal(du.coeff(-1), E12)
-    signed = fractional_derivative(u, "D")
-    assert np.array_equal(signed.coeff(-1), -E12)
-    with pytest.raises(ValueError):
-        fractional_derivative(u, "D^2")
 
 
 def test_energy_of_constant_is_zero():

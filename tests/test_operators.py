@@ -460,7 +460,7 @@ def test_b_operator_is_the_matrix_assembly(rng):
     N = 12
     T = build_toeplitz(loop, N)
     D = np.diag(np.repeat(np.arange(N + 1.0), 9))
-    Tdu = build_toeplitz(fractional_derivative(loop.series, "|D|"), N)
+    Tdu = build_toeplitz(fractional_derivative(loop.series), N)
     assert np.array_equal(build_b_operator(loop, N), -0.5j * (T @ D + D @ T) + 0.5j * Tdu)
 
 
