@@ -202,7 +202,7 @@ def run_stability(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False) -> 
     """Strong-stability verdicts for the flow model of the configured datum."""
     loop = build_datum(cfg)
     N = cfg.N
-    base = hwm_model(loop, 0.0, N)
+    base = hwm_model(loop, N)
     pu = project_plus(loop.series.with_cutoff(N)).coeffs
     norm0 = float(np.linalg.norm(pu))
     rng = rng_for(cfg)

@@ -216,9 +216,9 @@ def _offdiag_loop(b: BlaschkeProduct, diag: float, U: np.ndarray | None, N: int,
     s = np.sqrt(max(0.0, 1.0 - diag * diag))
     bc = blaschke_series(b, N, tail_tol)
     coeffs = np.zeros((2 * N + 1, 2, 2), dtype=complex)
-    coeffs[N, 0, 0] = diag
-    coeffs[N, 1, 1] = -diag
-    # += rather than =, so zero entries keep the +0.0 sign of 0 + x
+    # += and -= rather than =, so zero entries keep the +0.0 sign of 0 + x (-diag at diag = 0 too)
+    coeffs[N, 0, 0] += diag
+    coeffs[N, 1, 1] -= diag
     coeffs[N:, 1, 0] += s * bc
     coeffs[N::-1, 0, 1] += s * np.conj(bc)
     if U is not None:

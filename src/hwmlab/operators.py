@@ -107,14 +107,12 @@ class SubspaceFrame:
     in it.  ``t_restricted`` is the compression of the Toeplitz operator;
     because the subspace is invariant under it and under the backward shift,
     compressions agree with restrictions up to ``invariance_residual``.
+    The Hankel rank and singular values of the same section are
+    :func:`kronecker_rank`'s.
     """
 
-    d: int
-    N: int
     frame: np.ndarray
     t_restricted: np.ndarray
-    hankel_rank: int
-    singular_values: np.ndarray
     invariance_residual: float
 
     @property
@@ -226,7 +224,7 @@ def eig_hermitian(A: np.ndarray) -> SpectralData:
     ``near_edge_count`` counts the eigenvalues with |lambda| > 0.9.
     """
     herm_gap = np.max(np.abs(A - A.conj().T))
-    if herm_gap > 1e-10:
+    if not herm_gap <= 1e-10:
         raise ValueError(f"finite section is not Hermitian (gap {herm_gap:.2e})")
     lam, vecs = hermitian_eigh(A)
     residual = float(np.max(np.linalg.norm(A @ vecs - vecs * lam, axis=0)))
@@ -305,10 +303,9 @@ def invariant_subspace(u, N: int, rank_tol: float = 1e-8) -> SubspaceFrame:
     infinite dimensions); raises NotRationalError otherwise.  The frame
     spans the vector Hankel section's right singular vectors (its co-range),
     the d columns of the analytic part of the symbol and the d constant unit
-    vectors; the matrix-valued subspace is its lift.  ``hankel_rank`` and
-    ``singular_values`` count each singular value d times, as the matrix
-    section does.  The returned compression of the Toeplitz operator comes
-    with the measured invariance residual under it and the backward shift.
+    vectors; the matrix-valued subspace is its lift.  The returned
+    compression of the Toeplitz operator comes with the measured invariance
+    residual under it and the backward shift.
     """
     sym = symbol_of(u)
     d = sym.d
@@ -337,15 +334,7 @@ def invariant_subspace(u, N: int, rank_tol: float = 1e-8) -> SubspaceFrame:
     t_k = frame.conj().T @ tf
     res_t = np.linalg.norm(tf - frame @ t_k, ord=2)
     res_s = np.linalg.norm(sf - frame @ (frame.conj().T @ sf), ord=2)
-    return SubspaceFrame(
-        d=d,
-        N=N,
-        frame=frame,
-        t_restricted=t_k,
-        hankel_rank=d * r,
-        singular_values=np.repeat(sv, d),
-        invariance_residual=float(max(res_t, res_s)),
-    )
+    return SubspaceFrame(frame, t_k, float(max(res_t, res_s)))
 
 
 def b_vector_section(u, N: int, sign: int = +1) -> np.ndarray:

@@ -172,7 +172,7 @@ class IsometryModel:
     ``N`` the Hardy-space cutoff.  The generator acts on column vectors of
     the vector section, ``(N+1) d`` long and mode-major, and a matrix input
     runs as its d columns.  ``lam``/``vecs`` hold its eigendecomposition on
-    section coordinates, so the model can be re-timed without
+    section coordinates, so :func:`model_at_time` re-times a model without
     refactorizing: ``vecs`` has orthonormal columns, square for a generator
     on the whole section and ``frame @ V`` for an exact flow's invariant
     subspace, whose starts must lie in its span.  The backward shift S* moves
@@ -249,35 +249,35 @@ class IsometryModel:
         return means.reshape(means.shape[0], self.d, self.d, -1), norms, stops
 
 
-def _standard_model(L: np.ndarray, d: int, N: int, t: float) -> IsometryModel:
-    """Model from a Hermitian vector-section generator (real if L is)."""
+def _standard_model(L: np.ndarray, d: int, N: int) -> IsometryModel:
+    """Model at t = 0 from a Hermitian vector-section generator (real if L is), unchecked."""
     lam, vecs = hermitian_eigh(L if L.imag.any() else L.real)
-    return IsometryModel(d, N, lam, vecs, t=t)
+    return IsometryModel(d, N, lam, vecs)
 
 
-def isometry_model(L: np.ndarray, t: float, d: int, N: int) -> IsometryModel:
-    """Model from an explicit Hermitian generator on the vector section's coordinates."""
+def isometry_model(L: np.ndarray, d: int, N: int) -> IsometryModel:
+    """Model at t = 0 from an explicit Hermitian generator on the vector section's coordinates."""
     dim = (N + 1) * d
     if L.shape != (dim, dim):
         raise ValueError(f"generator must be {dim}x{dim}, got {L.shape}")
-    if np.max(np.abs(L - L.conj().T)) > 1e-10:
+    if not np.max(np.abs(L - L.conj().T)) <= 1e-10:
         raise ValueError("generator must be Hermitian")
-    return _standard_model(L, d, N, t)
+    return _standard_model(L, d, N)
 
 
 def model_at_time(model: IsometryModel, t: float) -> IsometryModel:
-    """Same generator, new time; shares the t-free eigendecomposition, eigen_shift and eigen_mean_map."""
+    """Same generator, new time (the one re-timing path); shares eigenpairs, eigen_shift and eigen_mean_map."""
     out = replace(model, t=t)
     out.__dict__.update(eigen_shift=model.eigen_shift, eigen_mean_map=model.eigen_mean_map)
     return out
 
 
-def hwm_model(u0: GrassmannLoop, t: float, N: int) -> IsometryModel:
-    """Flow model: L is the Toeplitz vector section of the initial loop.
+def hwm_model(u0: GrassmannLoop, N: int) -> IsometryModel:
+    """Flow model at t = 0: L is the Toeplitz vector section of the initial loop.
 
     Its lift is the matrix section, so a matrix input runs as its d columns.
     """
-    return _standard_model(toeplitz_vector_section(u0, N), u0.d, N, t)
+    return _standard_model(toeplitz_vector_section(u0, N), u0.d, N)
 
 
 def zd_bo_model(N: int, u0: FourierSeries) -> IsometryModel:
@@ -293,7 +293,7 @@ def zd_bo_model(N: int, u0: FourierSeries) -> IsometryModel:
         raise ValueError("zero-dispersion model expects a scalar symbol (d = 1)")
     if not u0.is_hermitian_symbol():
         raise ValueError("symbol must be real-valued on the circle")
-    return _standard_model(2.0 * toeplitz_vector_section(u0, N), 1, N, 0.0)
+    return _standard_model(2.0 * toeplitz_vector_section(u0, N), 1, N)
 
 
 def breaking_time(u0: FourierSeries) -> float:
@@ -334,7 +334,7 @@ def _as_vector(model: IsometryModel, f) -> np.ndarray:
         raise ValueError(f"expected a vector of length {model.dim}, got {vec.size}")
     cols = vec.reshape(len(model.vecs), model.d)
     residual = np.linalg.norm(cols - model.vecs @ (model.vecs.conj().T @ cols))
-    if residual > 1e-10 * np.linalg.norm(vec):
+    if not residual <= 1e-10 * np.linalg.norm(vec):
         raise ValueError(f"start lies off the model's subspace (residual {residual:.2e})")
     return vec
 

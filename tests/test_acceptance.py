@@ -183,7 +183,7 @@ def test_criterion_9_stability_dichotomy(criterion4_data):
     t0 = time.time()
     loop = criterion4_data["generic"]
     N = 48
-    base = hwm_model(loop, 0.0, N)
+    base = hwm_model(loop, N)
     pu = np.zeros((N + 1, 2, 2), dtype=complex)
     for n in range(loop.series.N + 1):
         pu[n] = loop.series.coeff(n)

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import struct
 import warnings
 
@@ -20,11 +21,12 @@ from hwmlab.grassmann import (
     loop_from_json,
     loop_to_json,
     pauli_encode,
+    random_blaschke,
     random_rational_loop,
     traveling_profile,
     validate_loop,
 )
-from hwmlab.operators import NotRationalError, key_identity_check
+from hwmlab.operators import NotRationalError, key_identity_check, kronecker_rank
 from hwmlab.stability import IsometryModel, apply_u_sigma, emit, hwm_model, model_at_time, parseval_defect
 from hwmlab.evolution import (
     _block_loops,
@@ -88,7 +90,7 @@ def test_plan_step_matches_retimed_model(kind):
     loop = soliton(0.5, N=12)
     plan = make_plan(loop)
     # both models run on the vector section: the plan's eigenvectors span its frame
-    model = plan.model if kind == "rational" else hwm_model(loop, 0.0, plan.N_op)
+    model = plan.model if kind == "rational" else hwm_model(loop, plan.N_op)
     rows = (plan.N_op + 1) * loop.d
     assert model.vecs.shape == (rows, plan.frame.dim if kind == "rational" else rows)
     for t in (0.0, 0.9, 3.7):
@@ -420,12 +422,12 @@ def test_plan_modes_match_full_section_model(dk, twists, key):
     plan = make_plan(loop)
     # a Hankel singular vector is known only to eps sigma_1 / sigma_r, which bounds the
     # residual of a well-conditioned datum by 1e-12 and scales it for an ill-conditioned one
-    sv, r = plan.frame.singular_values, plan.frame.hankel_rank
+    r, sv = kronecker_rank(loop, plan.N_op)
     assert plan.frame.invariance_residual < 1e-12 * (sv[0] / sv[r - 1] if r else 1.0)
     times, n_max = np.array([0.0, 0.7, 2.9]), 24
     got = plan.model.iterate(plan.pu0.reshape(-1), times, n_max)[0]
     pu = project_plus(loop.series.with_cutoff(plan.N_op)).coeffs.reshape(-1)
-    full = hwm_model(loop, 0.0, plan.N_op)
+    full = hwm_model(loop, plan.N_op)
     ref = full.iterate(pu, times, n_max)[0]
     assert np.max(np.abs(got - ref)) < 1e-12
     # both models' dense steps act alike on the analytic part, which lies in the frame
@@ -450,7 +452,23 @@ def test_plan_modes_match_full_section_model(dk, twists, key):
 )
 def test_random_rational_family_invariants(dk, twists, key):
     d, k = dk
-    loop = random_rational_loop(np.random.Generator(np.random.Philox(key=key)), d, k, twists=twists)
+    assert_family_invariants(random_rational_loop(np.random.Generator(np.random.Philox(key=key)), d, k, twists=twists))
+
+
+@settings(max_examples=40)
+@given(degree=st.integers(1, 3), v=st.floats(-0.95, 0.95), key=st.integers(0, 2**32 - 1))
+def test_traveling_profile_family_invariants(degree, v, key):
+    # zeros of radius <= 0.7; the Blaschke coefficients decay like max|a|^n, so the
+    # cutoff keeps the dropped tail near 1e-12
+    b = random_blaschke(np.random.Generator(np.random.Philox(key=key)), degree, max_radius=0.7)
+    a = max(abs(z) for z in b.zeros)
+    N = degree + math.ceil(math.log(1e-12) / math.log(a)) + 1
+    assert_family_invariants(traveling_profile(b, v, N=N))
+
+
+def assert_family_invariants(loop):
+    """JSON round trip, trace identity, and the conserved energy, constraint, mean
+    and contraction radius of the evolved loop at four times."""
     restored = loop_from_json(loop_to_json(loop)).series.coeffs
     assert restored.tobytes() == loop.series.coeffs.tobytes()
     e0 = sobolev_energy(loop.series)

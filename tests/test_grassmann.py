@@ -343,8 +343,8 @@ def offdiag_loop_reference(b, diag, U, N):
     s = np.sqrt(max(0.0, 1.0 - diag * diag))
     bc = blaschke_series(b, N)
     coeffs = np.zeros((2 * N + 1, 2, 2), dtype=complex)
-    coeffs[N, 0, 0] = diag
-    coeffs[N, 1, 1] = -diag
+    coeffs[N, 0, 0] += diag
+    coeffs[N, 1, 1] -= diag
     for n in range(N + 1):
         coeffs[N + n, 1, 0] += s * bc[n]
         coeffs[N - n, 0, 1] += s * np.conj(bc[n])
@@ -354,7 +354,8 @@ def offdiag_loop_reference(b, diag, U, N):
 
 
 @pytest.mark.parametrize("with_u", [False, True])
-# diag = 1 makes s = 0, so s * bc carries -0.0 entries that only += turns into +0.0
+# diag = 1 makes s = 0, so s * bc carries -0.0 entries that only += turns into +0.0;
+# diag = 0 makes -diag = -0.0, which only -= turns into +0.0
 @pytest.mark.parametrize("diag", [0.0, 0.4, -0.7, 1.0])
 @pytest.mark.parametrize(
     "b",

@@ -206,6 +206,14 @@ def test_eig_constant_sigma3():
     assert np.allclose(lam[2 * (N + 1) :], 1.0)
 
 
+def test_eig_hermitian_rejects_a_nan_section():
+    # a NaN gap fails every comparison, so the check asks for a gap of at most 1e-10
+    A = np.eye(4)
+    A[0, 1] = A[1, 0] = np.nan
+    with pytest.raises(ValueError, match="not Hermitian"):
+        eig_hermitian(A)
+
+
 def test_eig_edges_and_bound(rng):
     loop = random_rational_loop(rng, 2, 1, twists=2)
     N = 24
@@ -236,7 +244,7 @@ def test_eigensolves_fall_back_to_qr_iteration_when_eigh_fails(rng, monkeypatch)
     assert np.max(np.abs(lam - lam0)) < 1e-13
     # each Hermitian section solve takes it: spectrum, the stability models, the plan
     assert eig_hermitian(A).residual < 1e-13
-    model = hwm_model(loop, 0.5, 24)
+    model = hwm_model(loop, 24)
     assert np.array_equal(model.lam, lam)
     plan = make_plan(loop)
     assert plan.model.lam.size == plan.frame.dim
@@ -324,22 +332,20 @@ def test_invariant_subspace_constant_symbol():
     # a constant symbol's columns are constants: the frame is the d constant unit vectors
     frame = invariant_subspace(series_from(2, 1, {0: SIGMA3}), 6)
     assert frame.dim == 2
-    assert frame.hankel_rank == 0
     ident = invariant_subspace(series_from(2, 1, {0: np.eye(2, dtype=complex)}), 6)
     assert ident.dim == 2
 
 
 def test_invariant_subspace_ground_state():
     frame = invariant_subspace(ground_state(), 8)
-    assert frame.hankel_rank == 2
     assert frame.dim <= 4
     assert frame.invariance_residual < 1e-8
 
 
 def test_invariant_subspace_degree_two(rng):
     q = half_harmonic_map(random_blaschke(rng, 2, max_radius=0.35), N=48)
-    frame = invariant_subspace(q, 64)
-    assert frame.hankel_rank == 4
+    invariant_subspace(q, 64)  # raises NotRationalError without a clear gap at the rank cut
+    assert kronecker_rank(q, 64)[0] == 4
 
 
 def test_invariant_subspace_rejects_nonrational(rng):
@@ -385,7 +391,7 @@ def test_matrix_sections_are_lifted_vector_sections(case):
 
     frame = invariant_subspace(loop, N)
     rank, ref_frame, ref_spectrum, ref_residual = reference_invariant_subspace(loop.series, N)
-    assert frame.hankel_rank == rank
+    assert kronecker_rank(loop, N)[0] == rank
     # the matrix frame lies in the lift of the vector frame
     lift = np.kron(frame.frame, np.eye(d))
     assert np.linalg.norm(ref_frame - lift @ (lift.conj().T @ ref_frame), ord=2) < 1e-12

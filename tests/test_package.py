@@ -100,9 +100,8 @@ def test_no_package_path_builds_a_matrix_section():
 GRID_TRANSFORMS = {("hardy.py", "sample_padded"), ("hardy.py", "fit_padded")}
 
 
-def fft_users():
-    """(module file, outermost enclosing function or None) of every ``np.fft``
-    reference and FFT import in the package."""
+def owned_nodes():
+    """(module file, outermost enclosing function or None, node) of every syntax node in the package."""
     for path in sorted(Path(hwmlab.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
         owner = {}
@@ -111,15 +110,41 @@ def fft_users():
                 for node in ast.walk(fn):
                     owner.setdefault(node, fn.name)
         for node in ast.walk(tree):
-            is_attr = isinstance(node, ast.Attribute) and node.attr == "fft"
-            np_fft = is_attr and getattr(node.value, "id", None) in ("np", "numpy")
-            if np_fft or isinstance(node, (ast.Import, ast.ImportFrom)) and "fft" in ast.unparse(node):
-                yield path.name, owner.get(node)
+            yield path.name, owner.get(node), node
+
+
+def fft_users():
+    """(module file, outermost enclosing function or None) of every ``np.fft``
+    reference and FFT import in the package."""
+    for module, fn, node in owned_nodes():
+        is_attr = isinstance(node, ast.Attribute) and node.attr == "fft"
+        np_fft = is_attr and getattr(node.value, "id", None) in ("np", "numpy")
+        if np_fft or isinstance(node, (ast.Import, ast.ImportFrom)) and "fft" in ast.unparse(node):
+            yield module, fn
 
 
 def test_only_the_grid_pair_calls_the_fft():
     # one transform pair: every sample goes through sample_padded and every fit through fit_padded
     assert set(fft_users()) == GRID_TRANSFORMS
+
+
+def test_model_at_time_alone_sets_a_model_time():
+    # the builders make t = 0 models; re-timing is model_at_time's, so a time has one setter
+    builds, timed = set(), set()
+    for module, fn, node in owned_nodes():
+        if not isinstance(node, ast.Call):
+            continue
+        name = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+        keywords = {k.arg for k in node.keywords}
+        if name == "IsometryModel":
+            builds.add((module, fn))
+            # the fields run d, N, lam, vecs, t: a fifth positional argument is a time
+            if "t" in keywords or len(node.args) > 4:
+                timed.add((module, fn))
+        elif name == "replace" and "t" in keywords:
+            timed.add((module, fn))
+    assert builds == {("stability.py", "_standard_model"), ("evolution.py", "make_plan")}
+    assert timed == {("stability.py", "model_at_time")}
 
 
 def nested_for_loops(path):

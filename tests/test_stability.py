@@ -66,7 +66,7 @@ def dense_verdict(norms, tol, plateau_slope=1e-3):
 def flip_model():
     # two-mode scalar model whose contraction has eigenvalue exactly one
     L = (np.pi / 2) * np.array([[1.0, -1.0], [-1.0, 1.0]])
-    return isometry_model(L, 1.0, d=1, N=1)
+    return model_at_time(isometry_model(L, d=1, N=1), 1.0)
 
 
 def test_zd_bo_generator_is_tridiagonal():
@@ -104,17 +104,39 @@ def test_isometry_interior_columns():
 
 def test_model_at_time_reuses_the_eigenbasis_arrays(rng):
     loop = random_rational_loop(rng, 2, 1, twists=2)
-    base = hwm_model(loop, 0.0, 8)
+    base = hwm_model(loop, 8)
     m = model_at_time(base, 0.6)
     assert m.t == 0.6 and base.t == 0.0
     assert m.eigen_shift is base.eigen_shift
     assert m.eigen_mean_map is base.eigen_mean_map
     assert model_at_time(m, 1.1).eigen_shift is base.eigen_shift
-    # the re-timed model iterates as a freshly built one at that time
+    # the re-timed model iterates as an independent build re-timed to that time
     v = rng.standard_normal(base.dim) + 1j * rng.standard_normal(base.dim)
-    fresh = hwm_model(loop, 0.6, 8)
+    fresh = model_at_time(hwm_model(loop, 8), 0.6)
     got, want = m.iterate(v, [m.t], 12), fresh.iterate(v, [fresh.t], 12)
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_isometry_model_rejects_a_nan_generator():
+    # a NaN gap fails every comparison, so the check asks for a gap of at most 1e-10
+    L = np.eye(4)
+    L[0, 1] = L[1, 0] = np.nan
+    with pytest.raises(ValueError, match="Hermitian"):
+        isometry_model(L, d=1, N=3)
+
+
+def test_a_nan_start_is_rejected():
+    # likewise the subspace check asks for a residual of at most 1e-10 |start|
+    loop = traveling_profile(BlaschkeProduct(0.0, (0.0,)), 0.5, N=16)
+    plan = make_plan(loop)
+    start = np.full(plan.model.dim, np.nan, dtype=complex)
+    with pytest.raises(ValueError, match="off the model's subspace"):
+        apply_u_sigma(plan.model, start, 4)
+    model = hwm_model(loop, 16)
+    start = analytic_part_vector(loop, 16)
+    start[0] = np.nan
+    with pytest.raises(ValueError, match="off the model's subspace"):
+        strong_stability_test(model, [start], 64)
 
 
 def test_zero_step_defect_curve(rng):
@@ -158,7 +180,7 @@ def test_constants_are_fixed_points():
 
 def test_zero_generator_reproduces_input(rng):
     N = 12
-    m = isometry_model(np.zeros((N + 1, N + 1)), 1.0, d=1, N=N)
+    m = isometry_model(np.zeros((N + 1, N + 1)), d=1, N=N)
     v = rng.standard_normal(N + 1) + 1j * rng.standard_normal(N + 1)
     for n_max in (N, 2 * N):
         out = apply_u_sigma(m, v, n_max)
@@ -191,7 +213,7 @@ def test_hwm_model_matches_explicit_evolution():
     plan = make_plan(q)
     t = 0.9
     N = 16
-    model = model_at_time(hwm_model(q, 0.0, N), t)
+    model = model_at_time(hwm_model(q, N), t)
     out = apply_u_sigma(model, analytic_part_vector(q, N), 8)
     exact = solve_at_time(plan, t).loop.series
     for n in range(6):
@@ -202,7 +224,7 @@ def test_hwm_rational_models_stable():
     rng = np.random.Generator(np.random.Philox(key=11))
     loop = random_rational_loop(rng, 2, 1, twists=2)
     N = 48
-    base = hwm_model(loop, 0.0, N)
+    base = hwm_model(loop, N)
     vec = analytic_part_vector(loop, N)
     for t in (0.5, 1.0, 2.0):
         res = strong_stability_test(model_at_time(base, t), [vec], 2048, tol=1e-6)
@@ -216,7 +238,7 @@ def test_finite_model_verdict_matches_spectral_radius(rng):
     res = strong_stability_test(m, [np.array([0.0, 1.0])], 64, tol=1e-8)
     assert res["verdict"] == "unstable"
 
-    stable = isometry_model(np.zeros((4, 4)), 1.0, d=1, N=3)
+    stable = isometry_model(np.zeros((4, 4)), d=1, N=3)
     r2 = np.max(np.abs(np.linalg.eigvals(stable.step(stable.t))))
     assert r2 < 1.0
     v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
@@ -243,7 +265,7 @@ def test_zd_bo_unstable_verdict_at_plateau():
 
 
 def test_wold_trivial_for_plain_shift():
-    m = isometry_model(np.zeros((9, 9)), 1.0, d=1, N=8)
+    m = isometry_model(np.zeros((9, 9)), d=1, N=8)
     w = wold_decomposition_estimate(m, 16)
     assert w["dim_unitary"] == 0
     assert w["dim_stable"] == 9
@@ -251,7 +273,7 @@ def test_wold_trivial_for_plain_shift():
 
 def test_wold_hwm_model_trivial():
     q = traveling_profile(BlaschkeProduct(0.0, (0.0,)), 0.5, N=8)
-    m = model_at_time(hwm_model(q, 0.0, 12), 1.0)
+    m = model_at_time(hwm_model(q, 12), 1.0)
     w = wold_decomposition_estimate(m, 64)
     assert np.count_nonzero(w["singular_values"] < 1e-5) == 0
 
@@ -277,12 +299,12 @@ def test_coefficients_converge_with_generator(rng):
     base = rng.standard_normal((N + 1, N + 1))
     L = 0.5 * (base + base.T)
     v = rng.standard_normal(N + 1) + 1j * rng.standard_normal(N + 1)
-    ref = apply_u_sigma(isometry_model(L, 0.7, d=1, N=N), v, 12).coeffs
+    ref = apply_u_sigma(model_at_time(isometry_model(L, d=1, N=N), 0.7), v, 12).coeffs
     gaps = []
     for eps in (1e-2, 1e-4):
         pert = rng.standard_normal((N + 1, N + 1))
         Lp = L + eps * 0.5 * (pert + pert.T)
-        out = apply_u_sigma(isometry_model(Lp, 0.7, d=1, N=N), v, 12).coeffs
+        out = apply_u_sigma(model_at_time(isometry_model(Lp, d=1, N=N), 0.7), v, 12).coeffs
         gaps.append(float(np.max(np.abs(out - ref))))
     assert gaps[1] < 1e-1 * gaps[0]
 
@@ -536,7 +558,7 @@ def stability_case(kind):
     """A retimed model, its analytic-part vector (stops early) and the budget."""
     if kind == "hwm":
         q = traveling_profile(BlaschkeProduct(0.0, (0.0,)), 0.5, N=8)
-        return model_at_time(hwm_model(q, 0.0, 16), 0.9), analytic_part_vector(q, 16), 12
+        return model_at_time(hwm_model(q, 16), 0.9), analytic_part_vector(q, 16), 12
     m = model_at_time(zd_bo_model(48, minus_cosine()), 0.3)
     return m, project_plus(minus_cosine().with_cutoff(48)).coeffs.reshape(-1), 64
 
@@ -583,7 +605,7 @@ def test_hwm_model_matches_matrix_section_reference(case, rng):
 
     loop, N, t, n_max, tol = kronecker_oracle_loop(case), 16, 0.9, 16, 1e-6
     d = loop.d
-    model = model_at_time(hwm_model(loop, 0.0, N), t)
+    model = model_at_time(hwm_model(loop, N), t)
     # the dense reference on the matrix-valued space: its own section, eigh and backward shift
     lam, V = np.linalg.eigh(build_toeplitz(loop, N))
     step = (V * np.exp(-1j * t * lam)) @ V.conj().T @ shift_backward_matrix(d, N)
