@@ -51,7 +51,6 @@ from .evolution import (
     conservation_report,
     contraction_spectrum,
     fourier_coefficient,
-    lax_isospectrality_check,
     lax_residual,
     make_plan,
     recurrence_search,

@@ -373,6 +373,19 @@ def test_validate_default_config_passes_without_warnings():
     assert [r.name for r in results if not r.passed] == []
 
 
+def test_validate_solves_its_times_once(monkeypatch):
+    # t0 and t1 are solved in one block, whose report carries every conserved quantity
+    from hwmlab import evolution
+    from hwmlab.checks import run_invariant_suite
+
+    calls = []
+    real = evolution.solve_many
+    monkeypatch.setattr(evolution, "solve_many", lambda plan, times: calls.append(times) or real(plan, times))
+    results = run_invariant_suite(ExperimentConfig())
+    assert [r.name for r in results if not r.passed] == []
+    assert len(calls) == 1
+
+
 def test_validate_conserves_schatten_sums_of_a_spread_loop():
     # the evolved loop at t1 reaches mode 40, past the plan's N_op = 14: the
     # Schatten sums must be read off a section that holds all of it

@@ -23,6 +23,7 @@ from hwmlab.grassmann import (
     pauli_encode,
     random_blaschke,
     random_rational_loop,
+    random_unitary,
     traveling_profile,
     validate_loop,
 )
@@ -39,7 +40,6 @@ from hwmlab.evolution import (
     contraction_spectrum,
     fourier_coefficient,
     intertwining_check,
-    lax_isospectrality_check,
     lax_residual,
     make_plan,
     recurrence_search,
@@ -151,9 +151,7 @@ def test_fourier_coefficient_matches_solve_bitwise(twist_plan):
     for t in (0.7, 3.1):
         series = solve_at_time(plan, t).loop.series
         assert series.N >= 2
-        # the loop's zeroth mode is assembled as mode + adjoint - frozen mean
-        assert np.max(np.abs(fourier_coefficient(plan, t, 0) - series.coeff(0))) < 1e-13
-        for n in range(1, series.N + 1):
+        for n in range(series.N + 1):
             assert np.array_equal(fourier_coefficient(plan, t, n), series.coeff(n))
 
 
@@ -235,22 +233,22 @@ def test_tail_bound_honest(twist_plan):
 
 def test_isospectrality_time_zero(twist_plan):
     _, plan = twist_plan
-    rep = lax_isospectrality_check(plan, (0.0,))
-    assert rep["max_gap"] < 1e-12
+    (row,) = conservation_report(plan, (0.0,))
+    assert row["interior_gap"] < 1e-12
 
 
 def test_isospectrality_soliton_rotation():
     plan = make_plan(soliton(0.5, N=12))
-    rep = lax_isospectrality_check(plan, (1.0,))
-    assert rep["max_gap"] < 1e-8
+    (row,) = conservation_report(plan, (1.0,))
+    assert row["interior_gap"] < 1e-8
 
 
 def test_isospectrality_random_rational(twist_plan):
     _, plan = twist_plan
-    rep = lax_isospectrality_check(plan, (0.3, 1.7))
-    assert rep["max_gap"] < 1e-6
-    counts = {r["count"] for r in rep["rows"]}
-    assert counts == {rep["rows"][0]["count_base"]}
+    rows = conservation_report(plan, (0.3, 1.7))
+    assert max(r["interior_gap"] for r in rows) < 1e-6
+    counts = {r["interior_count"] for r in rows}
+    assert counts == {rows[0]["interior_count_base"]}
 
 
 def narrow_section_plan():
@@ -262,10 +260,25 @@ def narrow_section_plan():
 def test_isospectrality_reads_each_loop_on_a_section_that_holds_it():
     # at N_op the section cuts the loop off and the interior spectrum drifts by 1.5e-4
     plan = narrow_section_plan()
-    rep = lax_isospectrality_check(plan, (3.5,))
+    (row,) = conservation_report(plan, (3.5,))
     assert solve_at_time(plan, 3.5).loop.N > plan.N_op
-    assert rep["max_gap"] <= 1e-12
-    assert rep["rows"][0]["count"] == rep["rows"][0]["count_base"]
+    assert row["interior_gap"] <= 1e-12
+    assert row["interior_count"] == row["interior_count_base"]
+
+
+def test_conservation_report_reads_the_datum_spectrum_once_per_cutoff(monkeypatch):
+    # one section of the datum per distinct cutoff, and one per sample
+    from hwmlab import evolution
+
+    cfg = ExperimentConfig()
+    plan = make_plan(build_datum(cfg), N_out=cfg.N_out, rank_tol=cfg.rank_tol, tail_tol=cfg.tail_tol)
+    times = np.linspace(0.0, 10.0, 6)
+    cutoffs = {max(plan.N_op, s.loop.N) for s in solve_many(plan, times)}
+    sections = []
+    real = evolution.toeplitz_vector_section
+    monkeypatch.setattr(evolution, "toeplitz_vector_section", lambda u, N: sections.append(N) or real(u, N))
+    conservation_report(plan, times)
+    assert len(sections) == len(cutoffs) + times.size
 
 
 def test_conservation_report(twist_plan):
@@ -455,15 +468,36 @@ def test_random_rational_family_invariants(dk, twists, key):
     assert_family_invariants(random_rational_loop(np.random.Generator(np.random.Philox(key=key)), d, k, twists=twists))
 
 
+def random_traveling(degree, v, key, conjugate=False):
+    """A traveling profile with zeros of radius <= 0.7, conjugated by a random unitary
+    if asked; the Blaschke coefficients decay like max|a|^n, so the cutoff keeps the
+    dropped tail near 1e-12."""
+    rng = np.random.Generator(np.random.Philox(key=key))
+    b = random_blaschke(rng, degree, max_radius=0.7)
+    a = max(abs(z) for z in b.zeros)
+    N = degree + math.ceil(math.log(1e-12) / math.log(a)) + 1
+    return traveling_profile(b, v, random_unitary(rng) if conjugate else None, N)
+
+
 @settings(max_examples=40)
 @given(degree=st.integers(1, 3), v=st.floats(-0.95, 0.95), key=st.integers(0, 2**32 - 1))
 def test_traveling_profile_family_invariants(degree, v, key):
-    # zeros of radius <= 0.7; the Blaschke coefficients decay like max|a|^n, so the
-    # cutoff keeps the dropped tail near 1e-12
-    b = random_blaschke(np.random.Generator(np.random.Philox(key=key)), degree, max_radius=0.7)
-    a = max(abs(z) for z in b.zeros)
-    N = degree + math.ceil(math.log(1e-12) / math.log(a)) + 1
-    assert_family_invariants(traveling_profile(b, v, N=N))
+    assert_family_invariants(random_traveling(degree, v, key))
+
+
+@settings(max_examples=12)
+@given(
+    degree=st.integers(1, 3),
+    v=st.floats(-0.95, 0.95),
+    key=st.integers(0, 2**32 - 1),
+    embed=st.booleans(),
+    dk=st.integers(3, 4).flatmap(lambda d: st.tuples(st.just(d), st.integers(1, d - 1))),
+)
+def test_conjugated_traveling_family_invariants(degree, v, key, embed, dk):
+    # a conjugated datum's mean need not be exactly Hermitian, and the evolved mean
+    # must still be the datum's bit for bit
+    loop = random_traveling(degree, v, key, conjugate=True)
+    assert_family_invariants(embed_block(loop, *dk) if embed else loop)
 
 
 def assert_family_invariants(loop):
@@ -510,10 +544,9 @@ def reference_solve(plan, t):
     norms = norms[:, 0]
     # the flow conserves the mean: the emitted mode 0 is the datum's, up to rounding
     assert np.max(np.abs(coeffs[0] - plan.mean0)) < 1e-14
-    coeffs[0] = plan.mean0
     n = coeffs.shape[0] - 1
     series_coeffs = np.zeros((2 * n + 1, plan.d, plan.d), dtype=complex)
-    series_coeffs[n] = coeffs[0] + coeffs[0].conj().T - plan.mean0
+    series_coeffs[n] = plan.mean0
     series_coeffs[n + 1 :] = coeffs[1:]
     series_coeffs[:n] = coeffs[:0:-1].conj().transpose(0, 2, 1)
     return {"series": FourierSeries(plan.d, n, series_coeffs), "radius": r, "tail": norms[-1]}
