@@ -145,7 +145,8 @@ def make_plan(
     Restricts to the invariant subspace found from the Hankel singular
     values at cutoff ``N_op = max(2 bandwidth + 2, 8)`` and propagates
     NotRationalError if there is none.  ``rank_tol`` must be in (0, 1): at 1 or
-    more the frame keeps no Hankel co-range, at 0 or less every direction.
+    more the frame keeps no Hankel co-range, at 0 or less every direction.  A
+    NaN or infinite coefficient raises ValueError before the Hankel SVD.
     """
     if N_out < 1:
         raise ValueError(f"N_out must be at least 1, got {N_out}")
@@ -154,6 +155,8 @@ def make_plan(
     if not 0.0 < tail_tol < np.inf:
         raise ValueError(f"tail_tol must be positive and finite, got {tail_tol}")
     sym = u0.series
+    if not np.isfinite(sym.coeffs).all():
+        raise ValueError("u0 has a coefficient that is not finite")
     N_op = max(2 * bandwidth(sym) + 2, 8)
     d = u0.d
 
@@ -330,9 +333,9 @@ def solve_at_time(plan: EvolutionPlan, t: float) -> TrajectorySample:
 
 
 def conservation_report(plan: EvolutionPlan, times) -> list[dict]:
-    """The Lax pair's invariants of the evolved loop at each requested time: energy,
-    mean, Schatten sums of the Hankel section, Kronecker rank and interior Toeplitz
-    spectrum.
+    """The Lax pair's invariants of the evolved loop at each requested time: each row
+    extends the sample's diagnostics (energy, mean, ...) with the Schatten sums of the
+    Hankel section, Kronecker rank and interior Toeplitz spectrum.
 
     Each section is taken at cutoff ``max(N_op, loop.N)``, so it holds the whole evolved
     symbol.  Interior means mu strictly inside (-0.95, 0.95), where finite sections of
@@ -356,11 +359,7 @@ def conservation_report(plan: EvolutionPlan, times) -> list[dict]:
         m = min(base.size, lam.size)
         row = {
             "t": sample.t,
-            "energy": sample.diagnostics["energy"],
-            "mean": sample.diagnostics["mean"],
-            "constraint_residual": sample.diagnostics["constraint_residual"],
-            "spectral_radius": sample.diagnostics["spectral_radius"],
-            "n_modes_used": sample.diagnostics["n_modes_used"],
+            **sample.diagnostics,
             "hankel_rank": rank,
             "interior_gap": float(np.max(np.abs(base[:m] - lam[:m]))) if m else 0.0,
             "interior_count": plan.d * lam.size,

@@ -144,13 +144,7 @@ def trajectory_rows(plan, times):
     cols = _mean_cols(plan.d)
     rows = []
     for s, m in zip(samples, means.reshape(len(samples), len(cols)).tolist()):
-        row = {
-            "t": s.t,
-            "energy": s.diagnostics["energy"],
-            "constraint_residual": s.diagnostics["constraint_residual"],
-            "spectral_radius": s.diagnostics["spectral_radius"],
-            "n_modes_used": s.diagnostics["n_modes_used"],
-        }
+        row = {"t": s.t, **s.diagnostics}
         row.update(zip(cols, m))
         rows.append((row, s))
     return rows
@@ -240,10 +234,10 @@ def run_zdbo(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False) -> int:
         Ns=cfg.zdbo_cutoffs,
         checkpoint=cfg.zdbo_checkpoint,
     )
-    rows = []
-    for r in curve["rows"]:
-        verdict = curve_verdict(r["deficit"] <= curve["threshold"], r["tail_slope"])
-        rows.append({**{c: r[c] for c in ("t", "N", "norm", "deficit")}, "verdict": verdict})
+    rows = [
+        {**r, "verdict": curve_verdict(r["deficit"] <= curve["threshold"], r["tail_slope"])}
+        for r in curve["rows"]
+    ]
     write_text_atomic(out_dir / "zdbo_curve.csv", _csv(("t", "N", "norm", "deficit", "verdict"), rows, cfg))
     onsets = [v for v in curve["onsets"].values() if v is not None]
     all_detected = len(onsets) == len(curve["onsets"]) and bool(onsets)

@@ -213,27 +213,24 @@ def integrate(u0: GrassmannLoop, t_end: float, dt: float) -> IntegratorState:
     return _march(_initial_state(u0, dt), t_end, dt)
 
 
-def cross_validate(
-    u0: GrassmannLoop, t_end: float, dt: float, plan=None, n_checks: int = 8, N: int | None = None
-) -> dict:
+def cross_validate(u0: GrassmannLoop, t_end: float, dt: float, plan, n_checks: int, N: int | None = None) -> dict:
     """Max L^2 gap between the direct integrator and the resolvent evolution.
 
     Marches once with RK4 at spatial cutoff ``N`` (defaults to the datum's)
     through ``n_checks`` evenly spaced times, then compares the states there
-    with the exact loops of one :func:`~hwmlab.evolution.solve_many` call.
+    with the exact loops of one :func:`~hwmlab.evolution.solve_many` call on
+    ``plan``, the datum's :func:`~hwmlab.evolution.make_plan`.
     The cutoff must resolve the modes the flow populates, else the gap
     saturates at the truncation tail instead of shrinking like dt^4; a cutoff
     below the datum's, or fewer than one check, raises ValueError.
     """
-    from .evolution import make_plan, solve_many
+    from .evolution import solve_many
 
     if N is not None and N < u0.series.N:
         raise ValueError(f"cutoff N = {N} is below the datum's cutoff {u0.series.N}")
     _check_times(t_end, dt)
     if n_checks < 1:
         raise ValueError(f"n_checks must be at least 1, got {n_checks}")
-    if plan is None:
-        plan = make_plan(u0)
     if N is not None and N > u0.series.N:
         u0 = GrassmannLoop(u0.d, u0.k, u0.series.with_cutoff(N), u0.grid_check)
     states = [_initial_state(u0, dt)]

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hwmlab.config import ExperimentConfig
-from hwmlab.experiments import build_datum
+from hwmlab.experiments import build_datum, trajectory_rows
 from hwmlab.hardy import FourierSeries, HardyElement, project_plus, sobolev_energy, sobolev_norm
 from hwmlab.grassmann import (
     TRAVELING_SIGN,
@@ -295,6 +295,24 @@ def test_conservation_report(twist_plan):
         assert abs(row["I2"] - i2_0) < 1e-9
     # Schatten-2 sum in the per-column convention equals the energy
     assert abs(i2_0 - e0) < 1e-8
+
+
+def test_trajectory_and_conservation_rows_extend_the_sample_diagnostics(twist_plan, monkeypatch):
+    # every row carries its sample's diagnostics, the values themselves and not copies
+    from hwmlab import evolution
+
+    _, plan = twist_plan
+    times = np.linspace(0.0, 2.0, 3)
+    solved = []
+    real = evolution.solve_many
+    monkeypatch.setattr(evolution, "solve_many", lambda plan, times: solved.extend(real(plan, times)) or solved)
+    pairs = list(zip(conservation_report(plan, times), solved))
+    pairs += trajectory_rows(plan, times)
+    assert len(pairs) == 2 * times.size
+    for row, s in pairs:
+        assert row["t"] == s.t
+        for key, value in s.diagnostics.items():
+            assert row[key] is value
 
 
 def test_intertwining_identity(twist_plan):
@@ -919,6 +937,17 @@ def test_recurrence_search_builds_no_loop_objects(monkeypatch):
 def test_make_plan_rejects_bad_tolerances_and_caps(kwargs, name):
     with pytest.raises(ValueError, match=f"^{name} must be"):
         make_plan(soliton(0.5), **kwargs)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_make_plan_rejects_a_non_finite_datum(bad):
+    # a loop built directly skips validate_loop, so make_plan checks its coefficients itself
+    q = traveling_profile(BlaschkeProduct(0.0, (0.3,)), 0.5, N=32)
+    coeffs = q.series.coeffs.copy()
+    coeffs[q.N + 1, 0, 0] = bad
+    loop = GrassmannLoop(q.d, q.k, FourierSeries(q.d, q.N, coeffs), q.grid_check)
+    with pytest.raises(ValueError, match="^u0 has a coefficient that is not finite$"):
+        make_plan(loop)
 
 
 @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])

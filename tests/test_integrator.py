@@ -371,7 +371,7 @@ def test_march_to_50_takes_5000_steps():
 def test_cross_validate_rejects_cutoff_below_datum():
     q = traveling_profile(BlaschkeProduct(0.0, (0.0,)), 0.5, N=16)
     with pytest.raises(ValueError, match="below the datum's cutoff"):
-        cross_validate(q, 0.1, 1e-2, n_checks=1, N=8)
+        cross_validate(q, 0.1, 1e-2, plan=object(), n_checks=1, N=8)
 
 
 def test_integrate_rejects_bad_dt(rng):
@@ -385,7 +385,7 @@ def test_negative_end_time_is_rejected(rng):
     with pytest.raises(ValueError, match="t_end must be nonnegative"):
         integrate(loop, -1.0, 1e-2)
     with pytest.raises(ValueError, match="t_end must be nonnegative"):
-        cross_validate(loop, -0.5, 1e-2, n_checks=2)
+        cross_validate(loop, -0.5, 1e-2, plan=object(), n_checks=2)
 
 
 def test_nan_state_trips_blow_up_guard():
@@ -409,7 +409,7 @@ def test_non_finite_times_are_rejected(t_end, dt, message):
     with pytest.raises(ValueError, match=message):
         integrate(q, t_end, dt)
     with pytest.raises(ValueError, match=message):
-        cross_validate(q, t_end, dt, n_checks=2)
+        cross_validate(q, t_end, dt, plan=object(), n_checks=2)
 
 
 @pytest.mark.parametrize("dt", [5e-324, 1e-300, 1.0 / 2**53 / 1.5])
@@ -430,4 +430,4 @@ def test_step_counts_past_2_to_the_53_are_rejected_before_a_step(dt):
 def test_cross_validate_needs_a_check(n_checks):
     q = traveling_profile(BlaschkeProduct(0.0, (0.0,)), 0.5, N=16)
     with pytest.raises(ValueError, match="n_checks must be at least 1"):
-        cross_validate(q, 0.5, 1e-2, n_checks=n_checks)
+        cross_validate(q, 0.5, 1e-2, plan=object(), n_checks=n_checks)
