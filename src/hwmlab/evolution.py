@@ -16,10 +16,11 @@ eigensolve, with the d constant directions that S* annihilates deflated
 also predict where the block's modes stop, so the block steps only about
 that far, and again to the mode cap only if a time has not stopped there,
 each time to the stop :func:`~hwmlab.stability.emit` returns; the grid
-checks run once per octave of mode counts in a block of times.  A time's
-record holds read-only views of its block and builds its ``GrassmannLoop``
-only when read.  :func:`solve_at_time` is its one-time case.  The plan's
-eigen-data is an :class:`~hwmlab.stability.IsometryModel`, and its
+checks run per octave of mode counts in a block of times, in chunks under
+``BLOCK_ENTRIES``.  A time's record holds read-only views of its block and
+builds its ``GrassmannLoop`` only when read.  :func:`solve_at_time` is its
+one-time case.  The plan's eigen-data is an
+:class:`~hwmlab.stability.IsometryModel`, and its
 :meth:`~hwmlab.stability.IsometryModel.iterate` is the contraction path
 shared with the stability experiments.
 """
@@ -44,7 +45,7 @@ from .operators import (
     kronecker_rank,
     toeplitz_vector_section,
 )
-from .stability import IsometryModel, _as_vector
+from .stability import BLOCK_ENTRIES, IsometryModel, _as_vector
 
 __all__ = [
     "EvolutionPlan",
@@ -64,8 +65,6 @@ __all__ = [
 ]
 
 HARD_MODE_CAP = 4096
-# entries of the stacked (times, dim, dim) step matrices one solve block may hold
-SOLVE_BLOCK_ENTRIES = 1 << 18
 # a block first steps this many steps past its predicted stop
 STOP_SLACK = 2
 
@@ -223,9 +222,9 @@ def contraction_spectrum(plan: EvolutionPlan, t: float) -> np.ndarray:
 
 def _time_blocks(plan: EvolutionPlan, times) -> list[np.ndarray]:
     """``times`` as floats, cut so that no block stacks more than
-    ``SOLVE_BLOCK_ENTRIES`` step-matrix entries."""
+    ``BLOCK_ENTRIES`` step-matrix entries."""
     times = np.asarray(times, dtype=float).reshape(-1)
-    size = max(1, SOLVE_BLOCK_ENTRIES // plan.model.lam.size**2)
+    size = max(1, BLOCK_ENTRIES // plan.model.lam.size**2)
     return [times[lo : lo + size] for lo in range(0, times.size, size)]
 
 
@@ -277,15 +276,18 @@ def _block_loops(plan: EvolutionPlan, times: np.ndarray):
 def _check_block(plan: EvolutionPlan, loops: np.ndarray, n_used: np.ndarray):
     """Residual dicts and energies of :func:`_block_loops`' loops.  The times whose mode counts
     share an octave (all counts below 64 share one) are checked together, each loop
-    zero-padded to their widest cutoff n, on 4n+1 points."""
+    zero-padded to their widest cutoff n, on 4n+1 points, in chunks of T times (one at least)
+    whose ``(T, 4n+1, d, d)`` samples hold at most ``BLOCK_ENTRIES`` entries."""
     w = loops.shape[1] // 2
     checks, energies, octave = {}, np.empty(n_used.size), np.frexp(np.maximum(n_used, 32))[1]
     for e in np.unique(octave).tolist():
         cols = np.flatnonzero(octave == e)
         n = int(n_used[cols].max())
-        group = loops[cols, w - n : w + n + 1]
-        checks.update(zip(cols.tolist(), constraint_residuals(plan.d, plan.k, group)))
-        energies[cols] = sobolev_energy(group)
+        size = max(1, BLOCK_ENTRIES // ((4 * n + 1) * plan.d**2))
+        for chunk in (cols[lo : lo + size] for lo in range(0, cols.size, size)):
+            group = loops[chunk, w - n : w + n + 1]
+            checks.update(zip(chunk.tolist(), constraint_residuals(plan.d, plan.k, group)))
+            energies[chunk] = sobolev_energy(group)
     return checks, energies
 
 
@@ -301,8 +303,8 @@ def solve_many(plan: EvolutionPlan, times) -> list[TrajectorySample]:
     zero-padded array, made read-only; a time's record holds views of it (its
     coefficients, and its mean as ``diagnostics["mean"]``), and its ``loop`` is
     built only when read.  A time's modes, stepped in products over the block's
-    times, and its ``grid_check`` and energy, checked with the block's times in its
-    octave of mode counts (see :func:`_check_block`), depend by rounding on its block.
+    times, depend by rounding on its block; its ``grid_check`` and energy are its loop's,
+    zero-padded to the widest count of its octave in the block (see :func:`_check_block`).
     """
     samples = []
     for block in _time_blocks(plan, times):
@@ -316,7 +318,7 @@ def solve_many(plan: EvolutionPlan, times) -> list[TrajectorySample]:
             diagnostics = {
                 "energy": energy,
                 "mean": loops[j, w],
-                "constraint_residual": max(check["involution"], check["hermitian"], check["trace"]),
+                "constraint_residual": max(check.values()),
                 "spectral_radius": radius,
                 "tail_estimate": tail,
                 "n_modes_used": n,
@@ -425,8 +427,7 @@ def recurrence_search(plan: EvolutionPlan, horizon: float, coarse_dt: float = 0.
     time order and the first one dipping below eps, 1e-3 times the initial
     norm, is reported.  A scan that stays within eps returns at t = 0; one
     that leaves eps but not the arming level finds no return.
-    Also reports the frequency vector (restricted Toeplitz eigenvalues) and
-    the supremum of the Sobolev norm seen during the scan.
+    Also reports the supremum of the Sobolev norm seen during the scan.
     """
     if not 0.0 <= horizon < np.inf:
         raise ValueError(f"horizon must be nonnegative and finite, got {horizon}")
@@ -454,7 +455,6 @@ def recurrence_search(plan: EvolutionPlan, horizon: float, coarse_dt: float = 0.
         "t_star": None,
         "distance": None,
         "eps": eps,
-        "frequencies": plan.model.lam.copy(),
         "sup_h_half": sup_norm,
         "samples_scanned": int(ts.size),
     }

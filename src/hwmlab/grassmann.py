@@ -88,7 +88,7 @@ class GrassmannLoop:
         return sobolev_energy(self.series)
 
 
-_RESIDUAL_KEYS = ("involution", "hermitian", "trace", "coeff_symmetry")
+_RESIDUAL_KEYS = ("involution", "hermitian", "trace")
 
 
 def _hermitian_part(vals: np.ndarray) -> np.ndarray:
@@ -103,7 +103,8 @@ def constraint_residuals(d: int, k: int, series):
     The involution constraint is quadratic in the series, doubling the
     bandwidth to 2N, which 4N+1 points resolve.  A stack of series (see
     :func:`series_stack`) gives one dict per series, each equal bit for bit
-    to the call on that series alone.
+    to the call on that series alone.  The transform is exact on 4N+1 points, so
+    ``hermitian``, the largest sample of U - U^H, bounds its coefficients c_n - c_{-n}^H.
     """
     N, coeffs = series_stack(series)
     vals = evaluate_grid(coeffs, 4 * N + 1)
@@ -112,13 +113,11 @@ def constraint_residuals(d: int, k: int, series):
         sq[..., i, i] -= 1
     # |U_ij - conj(U_ji)| is symmetric in (i, j): the upper triangle, diagonal included, holds every value
     r, c = np.nonzero(np.arange(d)[:, None] <= np.arange(d))
-    lines = (-3, -2, -1)
     values = np.stack(
         [
-            np.abs(sq).max(axis=lines),
+            np.abs(sq).max(axis=(-3, -2, -1)),
             np.abs(vals[..., r, c] - vals[..., c, r].conj()).max(axis=(-2, -1)),
             np.abs(vals.trace(axis1=-2, axis2=-1).real - (d - 2 * k)).max(axis=-1),
-            np.abs(coeffs - coeffs[..., ::-1, :, :].swapaxes(-2, -1).conj()).max(axis=lines),
         ],
         axis=-1,
     )

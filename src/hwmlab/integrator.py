@@ -165,7 +165,7 @@ def _wrap_step(start: IntegratorState, c, t: float, dt: float, steps: int) -> In
     check = constraint_residuals(d, k, c)
     stats = dict(start.stats)
     stats["steps"] = stats.get("steps", 0) + steps
-    stats["constraint_drift"] = max(check["involution"], check["hermitian"])
+    stats["constraint_drift"] = max(check.values())
     stats["energy_drift"] = abs(sobolev_energy(series) - stats["energy0"])
     return IntegratorState(loop=GrassmannLoop(d, k, series, check), t=t, dt=dt, stats=stats)
 

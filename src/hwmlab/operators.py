@@ -188,18 +188,15 @@ def key_identity_check(u, N: int) -> dict:
     T = toeplitz_vector_section(sym, N)
     H = hankel_vector_section(sym, N)
     K = H.conj().T @ H
-    band = bandwidth(sym)
-    keep = _interior_rows(sym.d, N, band)
+    keep = _interior_rows(sym.d, N, bandwidth(sym))
     combo = T @ T + K - np.eye(T.shape[0])
     interior_residual = float(np.linalg.norm(combo[:keep, :keep], ord=2))
-    trace = float(np.trace(K).real)
-    trace_gap = abs(trace - sobolev_energy(sym))
+    trace, energy = float(np.trace(K).real), sobolev_energy(sym)
     return {
         "interior_residual": interior_residual,
-        "trace_gap": trace_gap,
+        "trace_gap": abs(trace - energy),
         "trace": trace,
-        "energy": sobolev_energy(sym),
-        "band": band,
+        "energy": energy,
     }
 
 

@@ -69,8 +69,8 @@ ONSET_THRESHOLD = 1e-4
 PLATEAU_SLOPE = 1e-3
 # emit reads means, norms and stops once per chunk of this many steps ...
 CHUNK_STEPS = 32
-# ... or of fewer, so that a chunk holds at most this many entries (but one step at least)
-CHUNK_ENTRIES = 1 << 18
+# ... or of fewer (one at least) past this: the most entries any stacked array of a solve holds
+BLOCK_ENTRIES = 1 << 18
 
 
 def _curve_norms(v: np.ndarray) -> np.ndarray:
@@ -98,7 +98,7 @@ def emit(
     ``(diag(phase[..., j]) A)^n``.  Means have shape ``(n+1,) + (mean_map @
     v.reshape(dim, -1)).shape``, norms ``(n+1, T)`` and stops ``(T,)``.
     The block steps in chunks of ``CHUNK_STEPS`` steps (fewer where a chunk
-    would pass ``CHUNK_ENTRIES`` entries), and each chunk's means and norms
+    would pass ``BLOCK_ENTRIES`` entries), and each chunk's means and norms
     are one batched product each.  The package's one stop rule: with
     ``stop_tol`` a curve stops at the first step from step 1 on whose norm is
     at most ``stop_tol``, else at ``n_max``: that step is recorded, every later
@@ -116,7 +116,7 @@ def emit(
     real_step = not np.iscomplexobj(A)
     dim, lead = len(v), mean_map.shape[:-1]
     rows = mean_map.reshape(-1, dim)
-    K = max(1, min(CHUNK_STEPS, CHUNK_ENTRIES // v.size))
+    K = max(1, min(CHUNK_STEPS, BLOCK_ENTRIES // v.size))
     # slot 0 holds the step before the chunk, slots 1..k the chunk's k steps
     buf = np.empty((K + 1,) + v.shape, dtype=complex)
     buf[1] = v
@@ -457,7 +457,7 @@ def zd_bo_norm_curve(u0: FourierSeries, times, Ns=(256, 512, 1024), checkpoint: 
             )
         crossed = (row["t"] for row in rows[-np.size(times) :] if row["deficit"] > ONSET_THRESHOLD)
         onsets[int(N)] = min(crossed, default=None)
-    return {"rows": rows, "onsets": onsets, "norm0": norm0, "threshold": ONSET_THRESHOLD}
+    return {"rows": rows, "onsets": onsets, "threshold": ONSET_THRESHOLD}
 
 
 def wold_decomposition_estimate(model: IsometryModel, budget: int) -> dict:
@@ -482,4 +482,4 @@ def wold_decomposition_estimate(model: IsometryModel, budget: int) -> dict:
     sv = np.linalg.svd(rows.reshape(budget * d, n), compute_uv=False)
     sv = np.repeat(np.concatenate([sv, np.zeros(max(0, n - sv.size))]), d)
     dim_u = int(np.count_nonzero(sv < 1e-6))
-    return {"dim_unitary": dim_u, "dim_stable": n * d - dim_u, "singular_values": sv, "budget": budget}
+    return {"dim_unitary": dim_u, "dim_stable": n * d - dim_u, "singular_values": sv}

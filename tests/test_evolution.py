@@ -628,7 +628,7 @@ def test_solve_many_blocks_long_time_arrays(flow_plans, monkeypatch):
 
     plan = flow_plans["generic"]
     whole = solve_many(plan, FLOW_TIMES)
-    monkeypatch.setattr(evolution, "SOLVE_BLOCK_ENTRIES", 7 * plan.frame.dim**2)
+    monkeypatch.setattr(evolution, "BLOCK_ENTRIES", 7 * plan.frame.dim**2)
     blocked = solve_many(plan, FLOW_TIMES)
     assert [s.t for s in blocked] == FLOW_TIMES.tolist()
     for a, b in zip(whole, blocked):
@@ -643,7 +643,7 @@ def test_solve_many_checks_each_time_block_once(flow_plans, monkeypatch, block_e
 
     plan = flow_plans["generic"]
     if block_entries:
-        monkeypatch.setattr(evolution, "SOLVE_BLOCK_ENTRIES", block_entries * plan.frame.dim**2)
+        monkeypatch.setattr(evolution, "BLOCK_ENTRIES", block_entries * plan.frame.dim**2)
     calls = {"constraint_residuals": 0, "sobolev_energy": 0}
     for name in calls:
         real = getattr(evolution, name)
@@ -656,7 +656,34 @@ def test_solve_many_checks_each_time_block_once(flow_plans, monkeypatch, block_e
     solve_many(plan, FLOW_TIMES)
     n_blocks = len(_time_blocks(plan, FLOW_TIMES))
     assert n_blocks == (1 if block_entries is None else 8)
-    assert calls == {"constraint_residuals": n_blocks, "sobolev_energy": n_blocks}
+    # the default budget checks each block in one call; the small one holds one time's samples
+    n_checks = n_blocks if block_entries is None else FLOW_TIMES.size
+    assert calls == {"constraint_residuals": n_checks, "sobolev_energy": n_checks}
+
+
+def test_grid_checks_stack_at_most_the_block_budget(flow_plans, monkeypatch):
+    import hwmlab.evolution as evolution
+
+    # a budget that still holds each plan's 50 step matrices in one block but not its grids:
+    # each check stacks at most BLOCK_ENTRIES sample entries, and every bit stays
+    whole = {name: solve_many(plan, FLOW_TIMES) for name, plan in flow_plans.items()}
+    monkeypatch.setattr(evolution, "BLOCK_ENTRIES", 2000)
+    real, stacked = evolution.constraint_residuals, []
+
+    def counted(d, k, loops):
+        stacked.append(len(loops) * (2 * loops.shape[1] - 1) * d * d)  # (T, 4n+1, d, d) samples
+        return real(d, k, loops)
+
+    monkeypatch.setattr(evolution, "constraint_residuals", counted)
+    for name, plan in flow_plans.items():
+        assert len(_time_blocks(plan, FLOW_TIMES)) == 1, name
+        for a, b in zip(whole[name], solve_many(plan, FLOW_TIMES), strict=True):
+            assert a.coeffs.tobytes() == b.coeffs.tobytes()
+            assert list(a.grid_check) == list(b.grid_check)
+            assert struct.pack("<3d", *a.grid_check.values()) == struct.pack("<3d", *b.grid_check.values())
+            for key, value in a.diagnostics.items():
+                assert np.asarray(value).tobytes() == np.asarray(b.diagnostics[key]).tobytes(), key
+    assert max(stacked) <= 2000 and len(stacked) > 2 * len(flow_plans)
 
 
 def test_solve_many_checks_each_octave_of_mode_counts_once(flow_plans, monkeypatch):
@@ -739,7 +766,7 @@ def test_lazy_loops_equal_the_eager_build(flow_plans, name):
         assert (s.loop.d, s.loop.k, s.loop.N) == (eager.d, eager.k, eager.N) == (plan.d, plan.k, n)
         assert s.loop.series.coeffs.tobytes() == eager.series.coeffs.tobytes()
         assert list(s.loop.grid_check) == list(eager.grid_check)
-        assert struct.pack("<4d", *s.loop.grid_check.values()) == struct.pack("<4d", *eager.grid_check.values())
+        assert struct.pack("<3d", *s.loop.grid_check.values()) == struct.pack("<3d", *eager.grid_check.values())
         # the mean is a read-only view of the block, equal to the loop's mode 0
         assert s.diagnostics["mean"].tobytes() == eager.series.coeff(0).tobytes()
         assert not s.diagnostics["mean"].flags.writeable and not s.coeffs.flags.writeable

@@ -318,7 +318,6 @@ def full_matrix_residuals(d, k, coeffs, M):
             np.abs(grid_product(vals, vals) - np.eye(d)).max(axis=lines),
             np.abs(vals - vals.swapaxes(-2, -1).conj()).max(axis=lines),
             np.abs(vals.trace(axis1=-2, axis2=-1).real - (d - 2 * k)).max(axis=-1),
-            np.abs(coeffs - coeffs[..., ::-1, :, :].swapaxes(-2, -1).conj()).max(axis=lines),
         ],
         axis=-1,
     )

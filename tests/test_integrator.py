@@ -113,7 +113,7 @@ def test_checked_state_residuals_are_constraint_residuals_bitwise(loop):
     for state in (step_rk4(fresh_state(loop, 1e-2)), integrate(loop, 0.05, 1e-2)):
         check = constraint_residuals(loop.d, loop.k, state.loop.series.coeffs)
         assert list(state.loop.grid_check) == list(check)
-        assert struct.pack("<4d", *state.loop.grid_check.values()) == struct.pack("<4d", *check.values())
+        assert struct.pack("<3d", *state.loop.grid_check.values()) == struct.pack("<3d", *check.values())
 
 
 def reference_march(c, steps):

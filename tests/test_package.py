@@ -97,6 +97,18 @@ def test_no_package_path_builds_a_matrix_section():
             assert (module, fn.name) in {("operators.py", "build_toeplitz"), ("operators.py", "build_hankel")}
 
 
+def test_one_budget_bounds_every_stacked_array():
+    # the emit chunk, the step-matrix blocks and the grid check's samples share one budget
+    budgets = []
+    for path in sorted(Path(hwmlab.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            budgets += [(path.name, t.id) for t in targets if getattr(t, "id", "").endswith("_ENTRIES")]
+    assert budgets == [("stability.py", "BLOCK_ENTRIES")]
+    names = {fn.name: {getattr(n, "id", None) for n in ast.walk(fn)} for _, fn in package_functions()}
+    assert all("BLOCK_ENTRIES" in names[fn] for fn in ("emit", "_time_blocks", "_check_block"))
+
+
 GRID_TRANSFORMS = {("hardy.py", "sample_padded"), ("hardy.py", "fit_padded")}
 
 

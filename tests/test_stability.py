@@ -9,7 +9,7 @@ from hwmlab.grassmann import BlaschkeProduct, random_rational_loop, traveling_pr
 from hwmlab.evolution import make_plan, solve_at_time
 from hwmlab.operators import build_toeplitz, shift_backward_matrix
 from hwmlab.stability import (
-    CHUNK_ENTRIES,
+    BLOCK_ENTRIES,
     CHUNK_STEPS,
     PLATEAU_SLOPE,
     apply_u_sigma,
@@ -501,7 +501,7 @@ K = CHUNK_STEPS
 )
 def test_emit_matches_a_per_step_loop(kind, stops, n_max, stop_tol, rng):
     A, mean_map, v, phase = shift_case(stops, kind, rng)
-    assert v.size * K <= CHUNK_ENTRIES  # the block steps in full chunks
+    assert v.size * K <= BLOCK_ENTRIES  # the block steps in full chunks
     got_means, got_norms, got_stops = emit(A, mean_map, v, n_max, stop_tol, phase)
     want_means, want_norms = per_step_curves(A, mean_map, v, n_max, stop_tol, phase)
     assert got_means.shape == want_means.shape and got_norms.shape == want_norms.shape
