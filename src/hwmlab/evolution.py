@@ -269,7 +269,7 @@ def _block_loops(plan: EvolutionPlan, times: np.ndarray):
     loops = np.empty((times.size, 2 * w + 1, plan.d, plan.d), dtype=complex)
     loops[:, w] = plan.mean0
     loops[:, w + 1 :] = means[1 : w + 1].transpose(3, 0, 1, 2)
-    loops[:, :w] = means[w:0:-1].conj().transpose(3, 0, 2, 1)
+    np.conjugate(means[w:0:-1].transpose(3, 0, 2, 1), out=loops[:, :w])
     return loops, n_used, radii, tails
 
 

@@ -11,11 +11,9 @@ Grid work runs through one transform pair on zero-padded entry-major spectra
 ``(d, d, ..., M)`` in FFT order, which :func:`pad_spectrum` makes of
 coefficients ``(..., 2N+1, d, d)`` and :func:`spectrum_coeffs` turns back:
 :func:`sample_padded` gives the values at M points and :func:`fit_padded` the
-cutoff-N spectrum of such values.  They are the package's only FFT calls.
-Each scales by M: on a power-of-two grid inside the transform, which gives the
-values of a separate pass bit for bit wherever the scaled value is a normal
-float, and as a pass of its own on any other grid.  Both write into a caller's
-buffer when given one.
+cutoff-N spectrum of such values.  They are the package's only FFT calls,
+and each scales by M inside the transform (``norm="forward"``) on every grid.
+Both write into a caller's buffer when given one.
 :func:`evaluate_grid` wraps them to sample coefficients as entry-major values
 ``(..., M, d, d)``, and :func:`fit_series` to fit such values back;
 :func:`grid_product` and :func:`grid_commutator` multiply the samples in
@@ -312,28 +310,19 @@ def spectrum_coeffs(spec: np.ndarray, N: int) -> np.ndarray:
 
 def sample_padded(spec: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Values at the M points theta_j = 2*pi*j/M of each zero-padded spectrum line
-    ``(..., M)``: an inverse FFT along the last axis, scaled by M (inside the
-    transform when M is a power of two), written into ``out`` if given."""
-    M = spec.shape[-1]
-    if not M & (M - 1):
-        return np.fft.ifft(spec, axis=-1, norm="forward", out=out)
-    values = np.fft.ifft(spec, axis=-1, out=out)
-    values *= M
-    return values
+    ``(..., M)``: an inverse FFT along the last axis, scaled by M inside the
+    transform, written into ``out`` if given."""
+    return np.fft.ifft(spec, axis=-1, norm="forward", out=out)
 
 
 def fit_padded(values: np.ndarray, N: int, out: np.ndarray | None = None) -> np.ndarray:
     """Zero-padded cutoff-N spectrum ``(..., M)`` of the values on each line
-    ``(..., M)``: an FFT along the last axis divided by M (inside the transform
-    when M is a power of two), the slots of modes beyond N zeroed, written into
-    ``out`` if given.  Raises ``ValueError`` when M < 2N+1."""
+    ``(..., M)``: an FFT along the last axis divided by M inside the transform,
+    the slots of modes beyond N zeroed, written into ``out`` if given.  Raises
+    ``ValueError`` when M < 2N+1."""
     M = values.shape[-1]
     _check_grid(M, N)
-    if not M & (M - 1):
-        spec = np.fft.fft(values, axis=-1, norm="forward", out=out)
-    else:
-        spec = np.fft.fft(values, axis=-1, out=out)
-        spec /= M
+    spec = np.fft.fft(values, axis=-1, norm="forward", out=out)
     spec[..., N + 1 : M - N] = 0.0
     return spec
 

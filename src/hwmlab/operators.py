@@ -324,7 +324,8 @@ def invariant_subspace(u, N: int, rank_tol: float = 1e-8) -> SubspaceFrame:
     pu = project_plus(sym.with_cutoff(N)).coeffs.reshape(-1, d)
     cols = np.column_stack([corange, pu, np.eye((N + 1) * d, d)])
     q, s, _ = np.linalg.svd(cols, full_matrices=False)
-    frame = q[:, s > 1e-10 * s[0]]
+    # rounding leaves the dropped values within a few eps s_0; a real direction can sit at 7e-11 s_0
+    frame = q[:, s > 1e-12 * s[0]]
 
     tf = toeplitz_vector_section(sym, N) @ frame
     sf = _shift_up(frame, d)

@@ -476,6 +476,19 @@ def test_plan_modes_match_full_section_model(dk, twists, key):
     assert np.all(np.abs(radii - full_radii)[live] < 1e-10)
 
 
+def test_frame_keeps_a_direction_far_above_rounding():
+    # seed 144's tenth frame direction has singular value 7.1e-11 s_0, five decades above
+    # rounding (1.6e-16 s_0); a frame without it flows off by 2.9e-11 per mode at t = 1
+    loop = random_rational_loop(np.random.default_rng(144), 4, 1, 6)
+    plan = make_plan(loop)
+    coeffs = solve_at_time(plan, 1.0).coeffs
+    w = len(coeffs) // 2
+    pu = project_plus(loop.series.with_cutoff(96)).coeffs.reshape(-1)
+    ref = hwm_model(loop, 96).iterate(pu, [1.0], w)[0][..., 0]
+    assert np.max(np.abs(coeffs[w:] - ref)) < 1e-14
+    assert plan.frame.dim == 10
+
+
 @given(
     dk=st.integers(2, 5).flatmap(lambda d: st.tuples(st.just(d), st.integers(1, d - 1))),
     twists=st.integers(1, 6),

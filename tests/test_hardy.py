@@ -177,13 +177,13 @@ def reference_evaluate_grid(f, M):
     spec = np.zeros((M, f.d, f.d), dtype=complex)
     for n in range(-f.N, f.N + 1):
         spec[n % M] += f.coeffs[n + f.N]
-    return np.fft.ifft(spec, axis=0) * M
+    return np.fft.ifft(spec, axis=0, norm="forward")
 
 
 def reference_fit_series(values, N):
     """The per-mode copy loop that the gathers replaced."""
     M = values.shape[0]
-    spec = np.fft.fft(values, axis=0) / M
+    spec = np.fft.fft(values, axis=0, norm="forward")
     out = np.zeros((2 * N + 1,) + values.shape[1:], dtype=complex)
     lo, hi = -(M // 2), (M - 1) // 2
     for n in range(-N, N + 1):
@@ -205,7 +205,7 @@ def test_grid_transforms_match_mode_loops(rng, d, N, M):
 
 @pytest.mark.parametrize("M", [16, 9])
 def test_padded_pair_writes_into_the_buffer_it_is_given(rng, M):
-    # on a power-of-two grid the transform scales, on an odd one a pass of its own
+    # the transform scales on every grid, a power of two or odd
     spec = pad_spectrum(random_series(rng, 2, 4).coeffs, M)
     buf = np.empty_like(spec)
     values = sample_padded(spec, out=buf)

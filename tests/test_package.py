@@ -140,6 +140,17 @@ def test_only_the_grid_pair_calls_the_fft():
     assert set(fft_users()) == GRID_TRANSFORMS
 
 
+def test_grid_pair_scales_one_way_on_every_grid():
+    # one pocketfft call each, scaled inside the transform: no branch on the grid size
+    pair = {fn.name: fn for module, fn in package_functions() if (module, fn.name) in GRID_TRANSFORMS}
+    assert set(pair) == {name for _, name in GRID_TRANSFORMS}
+    for name, fn in pair.items():
+        assert not any(isinstance(node, ast.If) for node in ast.walk(fn)), name
+        calls = [n for n in ast.walk(fn) if isinstance(n, ast.Call) and "np.fft." in ast.unparse(n.func)]
+        assert len(calls) == 1, name
+        assert "norm='forward'" in ast.unparse(calls[0]), name
+
+
 def test_model_at_time_alone_sets_a_model_time():
     # the builders make t = 0 models; re-timing is model_at_time's, so a time has one setter
     builds, timed = set(), set()
