@@ -36,14 +36,11 @@ from .grassmann import (
     validate_loop,
 )
 from .operators import (
-    SubspaceFrame,
     build_hankel,
     build_toeplitz,
-    eig_hermitian,
     invariant_subspace,
     key_identity_check,
     kronecker_rank,
-    schatten_norm,
 )
 from .evolution import (
     EvolutionPlan,

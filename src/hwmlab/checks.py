@@ -52,7 +52,7 @@ def run_invariant_suite(cfg: ExperimentConfig) -> list[CheckResult]:
         _below("loop_constraints", max(loop.grid_check.values()), 1e-10),
         _below("key_identity_interior", key["interior_residual"], 1e-9),
         _below("key_identity_trace", key["trace_gap"], 1e-9),
-        _below("invariant_subspace_residual", plan.frame.invariance_residual, 1e-8),
+        _below("invariant_subspace_residual", plan.invariance_residual, 1e-8),
         _below("flow_energy_conserved", abs(end["energy"] - start["energy"]), 1e-9),
         _below("flow_I1_conserved", abs(end["I1"] - start["I1"]), 1e-9),
         _below("flow_I2_conserved", abs(end["I2"] - start["I2"]), 1e-9),

@@ -37,7 +37,6 @@ import numpy as np
 from .hardy import FourierSeries, project_plus, sobolev_energy, sobolev_norm
 from .grassmann import GrassmannLoop, constraint_residuals
 from .operators import (
-    SubspaceFrame,
     b_vector_section,
     bandwidth,
     hermitian_eigh,
@@ -86,8 +85,10 @@ class EvolutionPlan:
     """Frozen eigen-data driving the flow of one initial loop.
 
     ``model`` is the contraction ``exp(-itT) S*`` on the invariant
-    subspace ``frame``: its eigenvectors are ``frame @ V`` for the
-    eigenvectors ``V`` of the frame's Toeplitz compression.  ``pu0`` holds
+    subspace of :func:`~hwmlab.operators.invariant_subspace`: its
+    eigenvectors are ``frame @ V`` for the eigenvectors ``V`` of the frame's
+    Toeplitz compression, so the frame's width is ``model.lam.size``, and
+    ``invariance_residual`` is the frame's.  ``pu0`` holds
     the initial analytic part's d columns on the vector section,
     ``((N_op + 1) d, d)``, and ``mean0`` the datum's zeroth mode.
     """
@@ -96,7 +97,7 @@ class EvolutionPlan:
     k: int
     N_op: int
     source: FourierSeries
-    frame: SubspaceFrame
+    invariance_residual: float
     model: IsometryModel
     pu0: np.ndarray
     mean0: np.ndarray
@@ -159,8 +160,7 @@ def make_plan(
     N_op = max(2 * bandwidth(sym) + 2, 8)
     d = u0.d
 
-    frame = invariant_subspace(u0, N_op, rank_tol=rank_tol)
-    t_small = frame.t_restricted
+    frame, t_small, invariance_residual = invariant_subspace(u0, N_op, rank_tol=rank_tol)
     pu0 = project_plus(sym.with_cutoff(N_op)).coeffs.reshape(-1, d)
 
     lam, vecs = hermitian_eigh(0.5 * (t_small + t_small.conj().T))
@@ -169,7 +169,7 @@ def make_plan(
         raise RuntimeError(f"restricted operator reconstruction residual {recon:.2e} exceeds 1e-10")
     if np.max(np.abs(lam)) > 1.0 + 1e-8:
         raise RuntimeError(f"restricted spectrum leaves [-1, 1]: max |lambda| = {np.max(np.abs(lam))}")
-    model = IsometryModel(d, N_op, lam, frame.frame @ vecs)
+    model = IsometryModel(d, N_op, lam, frame @ vecs)
     _as_vector(model, pu0)  # raises unless the analytic part lies in the model's subspace
 
     return EvolutionPlan(
@@ -177,7 +177,7 @@ def make_plan(
         k=u0.k,
         N_op=N_op,
         source=sym,
-        frame=frame,
+        invariance_residual=invariance_residual,
         model=model,
         pu0=pu0,
         mean0=sym.coeff(0).copy(),

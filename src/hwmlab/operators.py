@@ -21,8 +21,6 @@ there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .hardy import (
@@ -40,8 +38,6 @@ from .hardy import (
 from .grassmann import GrassmannLoop
 
 __all__ = [
-    "SpectralData",
-    "SubspaceFrame",
     "NotRationalError",
     "symbol_of",
     "bandwidth",
@@ -53,12 +49,10 @@ __all__ = [
     "apply_toeplitz_grid",
     "key_identity_check",
     "hermitian_eigh",
-    "eig_hermitian",
     "commutator_rank_one_check",
     "toeplitz_product_identity",
     "invariant_subspace",
     "kronecker_rank",
-    "schatten_norm",
     "b_vector_section",
 ]
 
@@ -82,42 +76,6 @@ def bandwidth(f: FourierSeries, tol: float = 1e-13) -> int:
     if live.size == 0:
         return 0
     return int(max(abs(live[0] - f.N), abs(live[-1] - f.N)))
-
-
-@dataclass(frozen=True)
-class SpectralData:
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    near_edge_count: int
-    residual: float
-
-    def interior(self, delta: float = 0.1) -> np.ndarray:
-        """Eigenvalues strictly inside (-1 + delta, 1 - delta)."""
-        lam = self.eigenvalues
-        return lam[(lam > -1.0 + delta) & (lam < 1.0 - delta)]
-
-
-@dataclass(frozen=True)
-class SubspaceFrame:
-    """Orthonormal frame of the minimal invariant subspace of the flow data.
-
-    Columns of ``frame`` live on the vector section and span ran(H*) plus
-    the columns of the analytic part of the symbol and the constants; the
-    matrix-valued subspace is its lift, the elements whose d columns all lie
-    in it.  ``t_restricted`` is the compression of the Toeplitz operator;
-    because the subspace is invariant under it and under the backward shift,
-    compressions agree with restrictions up to ``invariance_residual``.
-    The Hankel rank and singular values of the same section are
-    :func:`kronecker_rank`'s.
-    """
-
-    frame: np.ndarray
-    t_restricted: np.ndarray
-    invariance_residual: float
-
-    @property
-    def dim(self) -> int:
-        return self.frame.shape[1]
 
 
 def _vector_section(sym: FourierSeries, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -201,9 +159,14 @@ def key_identity_check(u, N: int) -> dict:
 
 
 def hermitian_eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.linalg.eigh(A)``, retried with LAPACK's QR iteration (scipy's driver
-    ``ev``) when that divide-and-conquer solve does not converge, as it can on
-    Toeplitz sections.  A solve that converges keeps numpy's bits."""
+    """The package's one Hermitian eigensolve: ``np.linalg.eigh(A)``, retried with
+    LAPACK's QR iteration (scipy's driver ``ev``) when that divide-and-conquer solve
+    does not converge, as it can on Toeplitz sections; a converged solve keeps numpy's
+    bits.  Both drivers read one triangle, so an ``A`` not Hermitian to 1e-10
+    entrywise, NaN included, raises ValueError before either runs."""
+    gap = np.max(np.abs(A - A.conj().T))
+    if not gap <= 1e-10:
+        raise ValueError(f"matrix is not Hermitian (gap {gap:.2e})")
     try:
         return np.linalg.eigh(A)
     except np.linalg.LinAlgError:
@@ -213,20 +176,6 @@ def hermitian_eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         import scipy.linalg
 
         return scipy.linalg.eigh(A, driver="ev")
-
-
-def eig_hermitian(A: np.ndarray) -> SpectralData:
-    """Eigendecomposition of a Hermitian-symbol finite section (a matrix or vector section's array).
-
-    ``near_edge_count`` counts the eigenvalues with |lambda| > 0.9.
-    """
-    herm_gap = np.max(np.abs(A - A.conj().T))
-    if not herm_gap <= 1e-10:
-        raise ValueError(f"finite section is not Hermitian (gap {herm_gap:.2e})")
-    lam, vecs = hermitian_eigh(A)
-    residual = float(np.max(np.linalg.norm(A @ vecs - vecs * lam, axis=0)))
-    near_edge = int(np.count_nonzero(np.abs(lam) > 0.9))
-    return SpectralData(lam, vecs, near_edge, residual)
 
 
 def commutator_rank_one_check(u, N: int, f: HardyElement) -> float:
@@ -280,29 +229,21 @@ def kronecker_rank(u, N: int, rank_tol: float = 1e-8) -> tuple[int, np.ndarray]:
     return rank, sv
 
 
-def schatten_norm(u, N: int, p: float) -> float:
-    """Schatten p-th power sum of the per-column Hankel singular values.
-
-    With p = 2 this is trace(H* H) in the vector-valued normalization, equal
-    to the symbol's half-order energy for involution-valued symbols.
-    """
-    if p < 1.0:
-        raise ValueError(f"need p >= 1, got {p}")
-    sv = np.linalg.svd(hankel_vector_section(u, N), compute_uv=False)
-    return float(np.sum(sv**p))
-
-
-def invariant_subspace(u, N: int, rank_tol: float = 1e-8) -> SubspaceFrame:
-    """Orthonormal frame for ran(H*) + span{analytic symbol, constants} on the vector section.
+def invariant_subspace(u, N: int, rank_tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray, float]:
+    """``(frame, t_restricted, invariance_residual)`` for ran(H*) + span{analytic symbol,
+    constants} on the vector section.
 
     Requires a clear spectral gap in the Hankel singular values, a ratio of
     at least 1e3 at the rank cut (the finite rank dichotomy is exact only in
-    infinite dimensions); raises NotRationalError otherwise.  The frame
-    spans the vector Hankel section's right singular vectors (its co-range),
-    the d columns of the analytic part of the symbol and the d constant unit
-    vectors; the matrix-valued subspace is its lift.  The returned
-    compression of the Toeplitz operator comes with the measured invariance
-    residual under it and the backward shift.
+    infinite dimensions); raises NotRationalError otherwise.  The orthonormal
+    columns of ``frame`` span the vector Hankel section's right singular
+    vectors (its co-range), the d columns of the analytic part of the symbol
+    and the d constant unit vectors; the matrix-valued subspace is its lift,
+    the elements whose d columns all lie in it.  ``t_restricted`` is the
+    compression of the Toeplitz operator; the subspace is invariant under it
+    and the backward shift, so compression and restriction agree up to the
+    measured ``invariance_residual``.  The Hankel rank and singular values of
+    the same section are :func:`kronecker_rank`'s.
     """
     sym = symbol_of(u)
     d = sym.d
@@ -332,7 +273,7 @@ def invariant_subspace(u, N: int, rank_tol: float = 1e-8) -> SubspaceFrame:
     t_k = frame.conj().T @ tf
     res_t = np.linalg.norm(tf - frame @ t_k, ord=2)
     res_s = np.linalg.norm(sf - frame @ (frame.conj().T @ sf), ord=2)
-    return SubspaceFrame(frame, t_k, float(max(res_t, res_s)))
+    return frame, t_k, float(max(res_t, res_s))
 
 
 def b_vector_section(u, N: int, sign: int = +1) -> np.ndarray:

@@ -27,7 +27,7 @@ from hwmlab.grassmann import (
     traveling_profile,
     validate_loop,
 )
-from hwmlab.operators import NotRationalError, key_identity_check, kronecker_rank
+from hwmlab.operators import NotRationalError, invariant_subspace, key_identity_check, kronecker_rank
 from hwmlab.stability import IsometryModel, apply_u_sigma, emit, hwm_model, model_at_time, parseval_defect
 from hwmlab.evolution import (
     _block_loops,
@@ -70,13 +70,13 @@ def twist_plan():
 
 def test_plan_constant_datum():
     plan = make_plan(constant_loop())
-    assert plan.frame.dim == 2
+    assert plan.model.lam.size == 2
     assert np.allclose(np.sort(plan.model.lam), [-1.0, 1.0])
 
 
 def test_plan_ground_state_dimension():
     plan = make_plan(half_harmonic_map(BlaschkeProduct(0.0, (0.0,)), N=8))
-    assert plan.frame.dim <= 4
+    assert plan.model.lam.size <= 4
     assert np.max(np.abs(plan.model.lam)) <= 1.0 + 1e-8
 
 
@@ -92,7 +92,7 @@ def test_plan_step_matches_retimed_model(kind):
     # both models run on the vector section: the plan's eigenvectors span its frame
     model = plan.model if kind == "rational" else hwm_model(loop, plan.N_op)
     rows = (plan.N_op + 1) * loop.d
-    assert model.vecs.shape == (rows, plan.frame.dim if kind == "rational" else rows)
+    assert model.vecs.shape == (rows, plan.model.lam.size if kind == "rational" else rows)
     for t in (0.0, 0.9, 3.7):
         # the retimed model's eigenbasis step, the form every iteration runs on
         m = model_at_time(model, t)
@@ -111,9 +111,9 @@ def test_rational_model_rejects_hardy_element():
     top = np.zeros_like(f.coeffs)
     top[-1] = np.eye(2)
     off = HardyElement(2, plan.N_op, top)
-    frame = plan.frame.frame
+    vecs = plan.model.vecs  # an orthonormal basis of the frame
     cols = top.reshape(-1, 2)
-    assert np.linalg.norm(cols - frame @ (frame.conj().T @ cols)) > 0.5
+    assert np.linalg.norm(cols - vecs @ (vecs.conj().T @ cols)) > 0.5
     with pytest.raises(ValueError, match="off the model's subspace"):
         apply_u_sigma(plan.model, off, 4)
     with pytest.raises(ValueError, match="length"):
@@ -454,7 +454,7 @@ def test_plan_modes_match_full_section_model(dk, twists, key):
     # a Hankel singular vector is known only to eps sigma_1 / sigma_r, which bounds the
     # residual of a well-conditioned datum by 1e-12 and scales it for an ill-conditioned one
     r, sv = kronecker_rank(loop, plan.N_op)
-    assert plan.frame.invariance_residual < 1e-12 * (sv[0] / sv[r - 1] if r else 1.0)
+    assert plan.invariance_residual < 1e-12 * (sv[0] / sv[r - 1] if r else 1.0)
     times, n_max = np.array([0.0, 0.7, 2.9]), 24
     got = plan.model.iterate(plan.pu0.reshape(-1), times, n_max)[0]
     pu = project_plus(loop.series.with_cutoff(plan.N_op)).coeffs.reshape(-1)
@@ -486,7 +486,7 @@ def test_frame_keeps_a_direction_far_above_rounding():
     pu = project_plus(loop.series.with_cutoff(96)).coeffs.reshape(-1)
     ref = hwm_model(loop, 96).iterate(pu, [1.0], w)[0][..., 0]
     assert np.max(np.abs(coeffs[w:] - ref)) < 1e-14
-    assert plan.frame.dim == 10
+    assert plan.model.lam.size == 10
 
 
 @given(
@@ -560,7 +560,7 @@ def test_embedded_datum_evolves(twist_plan):
 def reference_solve(plan, t):
     """Reference solve: per time one step matrix, one eigensolve and one
     mode loop, on frame coordinates of the dense section step."""
-    F = plan.frame.frame
+    F = invariant_subspace(plan.source, plan.N_op)[0]
     A = F.conj().T @ plan.model.step(t) @ F
     # S* annihilates the constants, at frame coordinates F[:d]*: their d zeros are exact,
     # and the rest of the spectrum is that of the compression to their complement
@@ -641,7 +641,7 @@ def test_solve_many_blocks_long_time_arrays(flow_plans, monkeypatch):
 
     plan = flow_plans["generic"]
     whole = solve_many(plan, FLOW_TIMES)
-    monkeypatch.setattr(evolution, "BLOCK_ENTRIES", 7 * plan.frame.dim**2)
+    monkeypatch.setattr(evolution, "BLOCK_ENTRIES", 7 * plan.model.lam.size**2)
     blocked = solve_many(plan, FLOW_TIMES)
     assert [s.t for s in blocked] == FLOW_TIMES.tolist()
     for a, b in zip(whole, blocked):
@@ -656,7 +656,7 @@ def test_solve_many_checks_each_time_block_once(flow_plans, monkeypatch, block_e
 
     plan = flow_plans["generic"]
     if block_entries:
-        monkeypatch.setattr(evolution, "BLOCK_ENTRIES", block_entries * plan.frame.dim**2)
+        monkeypatch.setattr(evolution, "BLOCK_ENTRIES", block_entries * plan.model.lam.size**2)
     calls = {"constraint_residuals": 0, "sobolev_energy": 0}
     for name in calls:
         real = getattr(evolution, name)

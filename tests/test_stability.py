@@ -5,7 +5,7 @@ import pytest
 
 from hwmlab.config import ExperimentConfig
 from hwmlab.hardy import FourierSeries, project_plus
-from hwmlab.grassmann import BlaschkeProduct, random_rational_loop, traveling_profile
+from hwmlab.grassmann import BlaschkeProduct, GrassmannLoop, random_rational_loop, traveling_profile
 from hwmlab.evolution import make_plan, solve_at_time
 from hwmlab.operators import build_toeplitz, shift_backward_matrix
 from hwmlab.stability import (
@@ -123,6 +123,17 @@ def test_isometry_model_rejects_a_nan_generator():
     L[0, 1] = L[1, 0] = np.nan
     with pytest.raises(ValueError, match="Hermitian"):
         isometry_model(L, d=1, N=3)
+
+
+def test_hwm_model_rejects_a_loop_whose_section_is_not_hermitian():
+    # a soliton with one mode-(+1) entry raised by 1e-6, built past validation: eigh reads
+    # one triangle, so an unchecked solve gives a generator with eigenvalue -1.00000087
+    base = traveling_profile(BlaschkeProduct(0.0, (0.0,)), 0.5, N=16)
+    coeffs = base.series.coeffs.copy()
+    coeffs[base.N + 1, 1, 0] += 1e-6
+    loop = GrassmannLoop(base.d, base.k, FourierSeries(base.d, base.N, coeffs), base.grid_check)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        hwm_model(loop, 8)
 
 
 def test_a_nan_start_is_rejected():
