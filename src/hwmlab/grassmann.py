@@ -17,6 +17,9 @@ from .hardy import (
     evaluate_grid,
     fit_series,
     grid_product,
+    pad_spectrum,
+    product_block,
+    sample_padded,
     series_stack,
     sobolev_energy,
 )
@@ -102,28 +105,33 @@ def constraint_residuals(d: int, k: int, series):
 
     The involution constraint is quadratic in the series, doubling the
     bandwidth to 2N, which 4N+1 points resolve.  A stack of series (see
-    :func:`series_stack`) gives one dict per series, each equal bit for bit
-    to the call on that series alone.  The transform is exact on 4N+1 points, so
-    ``hermitian``, the largest sample of U - U^H, bounds its coefficients c_n - c_{-n}^H.
+    :func:`series_stack`) gives a list of one dict per series, in C order over
+    the stack axes, each equal bit for bit to the call on that series alone.
+    The transform is exact on 4N+1 points, so ``hermitian``, the largest sample
+    of U - U^H, bounds its coefficients c_n - c_{-n}^H.  The samples are the
+    padded spectrum's entry block transformed in place, and U^2 is formed one
+    row at a time (the :func:`product_block` of a row block and the block), so
+    the check holds one full block and one row block.
     """
     N, coeffs = series_stack(series)
-    vals = evaluate_grid(coeffs, 4 * N + 1)
-    sq = grid_product(vals, vals)
+    U = pad_spectrum(coeffs, 4 * N + 1)
+    # every residual is a modulus, so the sign of a zero sample (see evaluate_grid) never shows
+    sample_padded(U, out=U)
+    rows = []
     for i in range(d):
-        sq[..., i, i] -= 1
-    # |U_ij - conj(U_ji)| is symmetric in (i, j): the upper triangle, diagonal included, holds every value
-    r, c = np.nonzero(np.arange(d)[:, None] <= np.arange(d))
-    values = np.stack(
-        [
-            np.abs(sq).max(axis=(-3, -2, -1)),
-            np.abs(vals[..., r, c] - vals[..., c, r].conj()).max(axis=(-2, -1)),
-            np.abs(vals.trace(axis1=-2, axis2=-1).real - (d - 2 * k)).max(axis=-1),
-        ],
-        axis=-1,
-    )
+        row = product_block(U[i : i + 1], U)[0]
+        row[i] -= 1
+        worst = np.abs(row).max(axis=(0, -1))
+        # |U_ic - conj(U_ci)| is symmetric in (i, c): the columns c >= i of each row hold every
+        # value; taken in the row's own buffer once its U^2 residual is read
+        herm = np.subtract(U[i, i:], np.conjugate(U[i:, i], out=row[i:]), out=row[i:])
+        rows.append((worst, np.abs(herm).max(axis=(0, -1))))
+    involution, hermitian = np.max(rows, axis=0)
+    trace = np.abs(U.trace().real - (d - 2 * k)).max(axis=-1)
+    values = np.stack([involution, hermitian, trace], axis=-1)
     if values.ndim == 1:
         return dict(zip(_RESIDUAL_KEYS, values.tolist()))
-    return [dict(zip(_RESIDUAL_KEYS, row)) for row in values.tolist()]
+    return [dict(zip(_RESIDUAL_KEYS, row)) for row in values.reshape(-1, 3).tolist()]
 
 
 def validate_loop(
@@ -172,8 +180,12 @@ class BlaschkeProduct:
 
     def __post_init__(self):
         zs = tuple(complex(a) for a in self.zeros)
-        if any(abs(a) >= 1.0 for a in zs):
-            raise ValueError("all Blaschke zeros must lie strictly inside the unit disk")
+        if not np.isfinite(self.phase):
+            raise ValueError(f"the Blaschke phase must be finite, got {self.phase}")
+        # negated, so a NaN zero fails too
+        for a in zs:
+            if not abs(a) < 1.0:
+                raise ValueError(f"all Blaschke zeros must lie strictly inside the unit disk, got {a}")
         object.__setattr__(self, "zeros", zs)
 
     @property
@@ -249,7 +261,8 @@ def traveling_profile(
     residuals; a cutoff whose dropped Blaschke tail exceeds ``tail_tol``
     raises CutoffTooSmallError.
     """
-    if abs(v) >= 1.0:
+    # negated, so a NaN speed fails too
+    if not abs(v) < 1.0:
         raise ValueError(f"speed parameter must satisfy |v| < 1, got {v}")
     # + 0.0 turns -0.0 into 0.0, so v = -0.0 gives the v = 0 loop bit for bit
     return validate_loop(2, 1, _offdiag_loop(b, float(v) + 0.0, U, N, tail_tol))

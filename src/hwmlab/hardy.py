@@ -17,7 +17,8 @@ Both write into a caller's buffer when given one.
 :func:`evaluate_grid` wraps them to sample coefficients as entry-major values
 ``(..., M, d, d)``, and :func:`fit_series` to fit such values back;
 :func:`grid_product` and :func:`grid_commutator` multiply the samples in
-between, and :func:`block_commutator` a stacked pair of their entry blocks.
+between, :func:`product_block` two entry blocks (a row block included) and
+:func:`block_commutator` a stacked pair of them.
 Every helper that knows both M and N rejects a grid of M < 2N+1 points.
 """
 
@@ -46,6 +47,7 @@ __all__ = [
     "sample_padded",
     "fit_padded",
     "evaluate_grid",
+    "product_block",
     "grid_product",
     "grid_commutator",
     "block_commutator",
@@ -233,16 +235,21 @@ def l2_norm(f) -> float:
 
 
 def _entry_blocks(a: np.ndarray, b: np.ndarray):
-    """The ``(d, d, ...)`` entry views of samples a and b, broadcast as in ``np.matmul``."""
-    if a.shape != b.shape:
-        a, b = np.broadcast_arrays(a, b)
+    """The ``(rows, cols, ...)`` entry views of samples a and b, their leading stack axes
+    broadcast as in ``np.matmul``."""
+    if a.shape[-1] != b.shape[-2]:
+        raise ValueError(f"cannot multiply samples of shapes {a.shape} and {b.shape}")
+    stack = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    a, b = (np.broadcast_to(x, stack + x.shape[-2:]) for x in (a, b))
     return (x.transpose(x.ndim - 2, x.ndim - 1, *range(x.ndim - 2)) for x in (a, b))
 
 
-def _product_block(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Entry block of ``a @ b`` from entry blocks a and b: d multiply-adds of whole
-    blocks ``a[i, j] * b[j, k]`` over every (i, k), summed over j = 0..d-1 in order."""
-    acc = np.multiply(a[:, 0, None], b[None, 0], out=np.empty(a.shape, np.result_type(a, b)))
+def product_block(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Entry block of ``a @ b`` from entry blocks a ``(n, m, ...)`` and b ``(m, p, ...)`` with
+    equal trailing axes: m multiply-adds of whole blocks ``a[i, j] * b[j, k]`` over every
+    (i, k), summed over j = 0..m-1 in order.  A row block ``a[i:i+1]`` gives row i alone."""
+    out = np.empty(a.shape[:1] + b.shape[1:], np.result_type(a, b))
+    acc = np.multiply(a[:, 0, None], b[None, 0], out=out)
     for j in range(1, a.shape[1]):
         acc += a[:, j, None] * b[None, j]
     return acc
@@ -251,10 +258,10 @@ def _product_block(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def grid_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pointwise matrix product of grid samples, ``a @ b`` broadcast as in ``np.matmul``.
 
-    Taken as d multiply-adds of whole entry blocks, summed over j = 0..d-1,
-    and returned entry major like :func:`evaluate_grid`.
+    Taken as the :func:`product_block` of their entry blocks, summed over
+    j in order, and returned entry major like :func:`evaluate_grid`.
     """
-    out = _product_block(*_entry_blocks(a, b))
+    out = product_block(*_entry_blocks(a, b))
     return out.transpose(*range(2, out.ndim), 0, 1)
 
 

@@ -166,6 +166,25 @@ def test_traveling_profile_rejects_fast():
         traveling_profile(BlaschkeProduct(0.0, (0.0,)), 1.0, N=8)
 
 
+@pytest.mark.parametrize(
+    "make, named",
+    [
+        (lambda: BlaschkeProduct(0.0, (np.nan,)), r"unit disk, got \(nan\+0j\)"),
+        (lambda: BlaschkeProduct(0.0, (complex(0.1, np.nan),)), r"unit disk, got \(0\.1\+nanj\)"),
+        (lambda: BlaschkeProduct(np.nan, (0.3,)), "phase must be finite, got nan"),
+        (lambda: BlaschkeProduct(np.inf, ()), "phase must be finite, got inf"),
+        (lambda: traveling_profile(BlaschkeProduct(0.0, (0.2,)), np.nan, N=16), r"\|v\| < 1, got nan"),
+    ],
+    ids=["nan-zero", "nan-imaginary-zero", "nan-phase", "inf-phase", "nan-speed"],
+)
+def test_non_finite_blaschke_data_and_speeds_fail_at_construction(make, named):
+    # abs(nan) >= 1 is False: a NaN used to pass these checks and fail later, in the grid
+    # check or the cutoff's tail guard, under a name that did not say which input was bad
+    with pytest.raises(ValueError, match=named) as raised:
+        make()
+    assert raised.type is ValueError
+
+
 def test_loop_validation_residuals(rng):
     q = half_harmonic_map(random_blaschke(rng, 2), N=64)
     assert q.grid_check["involution"] < 1e-10

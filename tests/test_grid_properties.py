@@ -133,6 +133,73 @@ def test_grid_product_broadcasts_against_identity(d, stack, M, seed):
     assert np.array_equal(grid_product(eye, a), a)
 
 
+@pytest.mark.parametrize(
+    "a_shape, b_shape",
+    [
+        ((5, 7, 1, 3), (5, 7, 3, 3)),  # a row block against a square block
+        ((4, 3, 2), (4, 2, 4)),  # rectangular entries
+        ((2, 1, 6, 3, 2), (5, 1, 2, 3)),  # stack axes broadcast both ways
+        ((3, 3), (6, 3, 3)),  # one matrix against a stack
+        ((6, 1, 4), (4, 1)),  # a column
+    ],
+)
+def test_grid_product_broadcasts_as_matmul(a_shape, b_shape):
+    # only the leading stack axes broadcast: the entry axes are each operand's own
+    a, b = gaussian(7, a_shape), gaussian(8, b_shape)
+    expected = np.matmul(a, b)
+    got = grid_product(a, b)
+    assert got.shape == expected.shape
+    assert np.max(np.abs(got - expected)) <= 8 * EPS * np.max(np.abs(a)) * np.max(np.abs(b)) * a_shape[-1]
+
+
+def test_grid_product_rejects_mismatched_entry_axes():
+    with pytest.raises(ValueError, match="cannot multiply"):
+        grid_product(gaussian(1, (4, 3, 2)), gaussian(2, (4, 3, 4)))
+
+
+def reference_constraint_residuals(d, k, coeffs):
+    """The sample-major check that the row-block one replaced, kept as a bitwise reference:
+    the full U^2 - I of the samples, the upper triangle of U - U^H and the trace."""
+    N = (coeffs.shape[-3] - 1) // 2
+    vals = evaluate_grid(coeffs, 4 * N + 1)
+    sq = grid_product(vals, vals)
+    for i in range(d):
+        sq[..., i, i] -= 1
+    r, c = np.nonzero(np.arange(d)[:, None] <= np.arange(d))
+    return np.stack(
+        [
+            np.abs(sq).max(axis=(-3, -2, -1)),
+            np.abs(vals[..., r, c] - vals[..., c, r].conj()).max(axis=(-2, -1)),
+            np.abs(vals.trace(axis1=-2, axis2=-1).real - (d - 2 * k)).max(axis=-1),
+        ],
+        axis=-1,
+    )
+
+
+@pytest.mark.parametrize("stack", [(), (3,), (2, 4)])
+@pytest.mark.parametrize("N", [0, 1, 7, 20])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_constraint_residuals_match_sample_major_reference_bitwise(d, N, stack):
+    rng = np.random.Generator(np.random.Philox(key=1000 * d + 10 * N + len(stack)))
+    shape = stack + (2 * N + 1, d, d)
+    # constant involutions of every rank plus noise from 1e-14 to 1, with -0.0 in
+    # real and imaginary parts and whole entries of -0.0
+    signs = np.where(np.arange(d) < rng.integers(0, d + 1, stack + (1,)), -1.0, 1.0)
+    coeffs = gaussian(int(rng.integers(2**32)), shape) * 10.0 ** rng.uniform(-14, 0, stack + (1, 1, 1))
+    coeffs[..., N, :, :] += signs[..., None, :] * np.eye(d)
+    coeffs.real[rng.random(shape) < 0.2] = -0.0
+    coeffs.imag[rng.random(shape) < 0.2] = -0.0
+    coeffs[rng.random(shape) < 0.1] = complex(-0.0, -0.0)
+    for k in range(d + 1):
+        got = constraint_residuals(d, k, coeffs)
+        got = [got] if not stack else got
+        expected = reference_constraint_residuals(d, k, coeffs).reshape(-1, 3)
+        assert len(got) == len(expected)
+        for check, row in zip(got, expected.tolist()):
+            assert list(check) == ["involution", "hermitian", "trace"]
+            assert struct.pack("<3d", *check.values()) == struct.pack("<3d", *row)
+
+
 @given(d=dims, N=st.integers(0, 8), extra=st.integers(0, 9), seed=seeds)
 def test_evaluate_then_fit_round_trip(d, N, extra, seed):
     f = FourierSeries(d, N, gaussian(seed, (2 * N + 1, d, d)))

@@ -197,6 +197,11 @@ def test_hardy_has_no_nested_loop():
     assert not list(nested_for_loops(Path(hwmlab.__file__).parent / "hardy.py"))
 
 
+def test_grassmann_has_no_nested_loop():
+    # the grid check forms U^2 from whole row blocks, one loop over the rows
+    assert not list(nested_for_loops(Path(hwmlab.__file__).parent / "grassmann.py"))
+
+
 def defaulted_parameters(fn):
     """(name, positional index or None) of each parameter of ``fn`` that has a default."""
     args = fn.args
