@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .hardy import (
     FourierSeries,
-    HardyElement,
     evaluate_grid,
     fit_series,
     fractional_derivative,

@@ -161,7 +161,7 @@ def make_plan(
     d = u0.d
 
     frame, t_small, invariance_residual = invariant_subspace(u0, N_op, rank_tol=rank_tol)
-    pu0 = project_plus(sym.with_cutoff(N_op)).coeffs.reshape(-1, d)
+    pu0 = project_plus(sym.with_cutoff(N_op)).reshape(-1, d)
 
     lam, vecs = hermitian_eigh(0.5 * (t_small + t_small.conj().T))
     recon = float(np.linalg.norm((vecs * lam) @ vecs.conj().T - t_small, ord=2))

@@ -199,11 +199,11 @@ def run_stability(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False) -> 
     loop = build_datum(cfg)
     N = cfg.N
     base = hwm_model(loop, N)
-    pu = project_plus(loop.series.with_cutoff(N)).coeffs
+    pu = project_plus(loop.series.with_cutoff(N))
     norm0 = float(np.linalg.norm(pu))
     rng = rng_for(cfg)
     probe = np.zeros((N + 1, cfg.d, cfg.d), dtype=complex)
-    probe[:4] = rng.standard_normal((4, cfg.d, cfg.d)) + 1j * rng.standard_normal((4, cfg.d, cfg.d))
+    probe[:4] = rng.standard_normal(probe[:4].shape) + 1j * rng.standard_normal(probe[:4].shape)
     probe /= np.linalg.norm(probe)
     vectors = [pu.reshape(-1), probe.reshape(-1)]
     rows = []

@@ -16,9 +16,12 @@ and each scales by M inside the transform (``norm="forward"``) on every grid.
 Both write into a caller's buffer when given one.
 :func:`evaluate_grid` wraps them to sample coefficients as entry-major values
 ``(..., M, d, d)``, and :func:`fit_series` to fit such values back;
-:func:`grid_product` and :func:`grid_commutator` multiply the samples in
-between, :func:`product_block` two entry blocks (a row block included) and
+:func:`grid_product` multiplies the samples in between,
+:func:`product_block` two entry blocks (a row block included) and
 :func:`block_commutator` a stacked pair of them.
+An analytic element F(z) = sum_{n=0}^N F_n z^n is its ``(N+1, d, d)``
+coefficient array; :func:`project_plus` gives one, and the shifts and
+:func:`reproduce_check` take them.
 Every helper that knows both M and N rejects a grid of M < 2N+1 points.
 """
 
@@ -30,7 +33,6 @@ import numpy as np
 
 __all__ = [
     "FourierSeries",
-    "HardyElement",
     "series_stack",
     "project_plus",
     "project_minus",
@@ -41,7 +43,6 @@ __all__ = [
     "sobolev_energy",
     "half_norm_sq",
     "sobolev_norm",
-    "l2_norm",
     "pad_spectrum",
     "spectrum_coeffs",
     "sample_padded",
@@ -49,21 +50,11 @@ __all__ = [
     "evaluate_grid",
     "product_block",
     "grid_product",
-    "grid_commutator",
     "block_commutator",
     "fit_series",
     "shift_backward_matrix",
     "reproduce_check",
 ]
-
-
-def _as_coeff_array(coeffs, count: int, d: int) -> np.ndarray:
-    arr = np.asarray(coeffs, dtype=complex)
-    if arr.shape != (count, d, d):
-        raise ValueError(f"expected coefficient array of shape {(count, d, d)}, got {arr.shape}")
-    arr = arr.copy()
-    arr.flags.writeable = False
-    return arr
 
 
 @dataclass(frozen=True)
@@ -79,7 +70,12 @@ class FourierSeries:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", _as_coeff_array(self.coeffs, 2 * self.N + 1, self.d))
+        arr = np.array(self.coeffs, dtype=complex, order="C")
+        shape = (2 * self.N + 1, self.d, self.d)
+        if arr.shape != shape:
+            raise ValueError(f"expected coefficient array of shape {shape}, got {arr.shape}")
+        arr.flags.writeable = False
+        object.__setattr__(self, "coeffs", arr)
 
     def coeff(self, n: int) -> np.ndarray:
         """Coefficient of mode n (zero matrix outside the cutoff)."""
@@ -101,45 +97,6 @@ class FourierSeries:
         return bool(np.max(np.abs(self.coeffs - flipped)) <= 1e-12)
 
 
-@dataclass(frozen=True)
-class HardyElement:
-    """Analytic (nonnegative-frequency) truncated series F(z) = sum_{n=0}^N F_n z^n."""
-
-    d: int
-    N: int
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _as_coeff_array(self.coeffs, self.N + 1, self.d))
-
-    def coeff(self, n: int) -> np.ndarray:
-        if n < 0 or n > self.N:
-            return np.zeros((self.d, self.d), dtype=complex)
-        return self.coeffs[n]
-
-    def with_cutoff(self, N: int) -> "HardyElement":
-        """Pad with zeros or truncate to cutoff N."""
-        out = np.zeros((N + 1, self.d, self.d), dtype=complex)
-        m = min(N, self.N)
-        out[: m + 1] = self.coeffs[: m + 1]
-        return HardyElement(self.d, N, out)
-
-    def eval_at(self, z: complex) -> np.ndarray:
-        """Horner evaluation of the polynomial at a point of the closed disk."""
-        acc = np.zeros((self.d, self.d), dtype=complex)
-        for c in self.coeffs[::-1]:
-            acc = acc * z + c
-        return acc
-
-    def to_series(self, N: int | None = None) -> FourierSeries:
-        """Embed into a two-sided series (negative modes zero)."""
-        N = self.N if N is None else N
-        out = np.zeros((2 * N + 1, self.d, self.d), dtype=complex)
-        m = min(N, self.N)
-        out[N : N + m + 1] = self.coeffs[: m + 1]
-        return FourierSeries(self.d, N, out)
-
-
 def series_stack(f) -> tuple[int, np.ndarray]:
     """Cutoff and coefficients of one series, or of a ``(..., 2N+1, d, d)``
     coefficient array, whose leading axes are the stack."""
@@ -152,9 +109,10 @@ def series_stack(f) -> tuple[int, np.ndarray]:
     raise TypeError(f"expected a FourierSeries or a coefficient array, got {type(f).__name__}")
 
 
-def project_plus(f: FourierSeries) -> HardyElement:
-    """Analytic projection: keep modes n >= 0, drop n < 0."""
-    return HardyElement(f.d, f.N, f.coeffs[f.N :])
+def project_plus(f: FourierSeries) -> np.ndarray:
+    """Analytic projection: the ``(N+1, d, d)`` coefficients of modes n >= 0, a
+    read-only view of ``f.coeffs``."""
+    return f.coeffs[f.N :]
 
 
 def project_minus(f: FourierSeries) -> FourierSeries:
@@ -164,11 +122,11 @@ def project_minus(f: FourierSeries) -> FourierSeries:
     return FourierSeries(f.d, f.N, out)
 
 
-def shift_forward(f: HardyElement) -> HardyElement:
-    """Multiply by z.  The top mode is dropped."""
-    out = np.zeros_like(f.coeffs)
-    out[1:] = f.coeffs[:-1]
-    return HardyElement(f.d, f.N, out)
+def shift_forward(f: np.ndarray) -> np.ndarray:
+    """Multiply the analytic element f by z.  The top mode is dropped."""
+    out = np.zeros_like(f)
+    out[1:] = f[:-1]
+    return out
 
 
 def _shift_up(x: np.ndarray, rows: int) -> np.ndarray:
@@ -179,18 +137,16 @@ def _shift_up(x: np.ndarray, rows: int) -> np.ndarray:
     return out
 
 
-def shift_backward(f: HardyElement) -> HardyElement:
-    """(F(z) - F(0)) / z, the backward shift."""
-    return HardyElement(f.d, f.N, _shift_up(f.coeffs, 1))
+def shift_backward(f: np.ndarray) -> np.ndarray:
+    """(F(z) - F(0)) / z, the backward shift of the analytic element f."""
+    return _shift_up(f, 1)
 
 
-def mean(f) -> np.ndarray:
+def mean(f: FourierSeries) -> np.ndarray:
     """Zeroth Fourier coefficient (projection onto constants)."""
-    if isinstance(f, HardyElement):
-        return f.coeffs[0].copy()
     if isinstance(f, FourierSeries):
         return f.coeffs[f.N].copy()
-    raise TypeError(f"mean expects a FourierSeries or HardyElement, got {type(f)!r}")
+    raise TypeError(f"mean expects a FourierSeries, got {type(f)!r}")
 
 
 def fractional_derivative(f: FourierSeries) -> FourierSeries:
@@ -225,13 +181,6 @@ def sobolev_norm(f, s: float = 0.5):
     w = 1.0 + n ** (2.0 * s)
     out = np.sqrt(np.sum(w * np.sum(np.abs(coeffs) ** 2, axis=(-2, -1)), axis=-1))
     return float(out) if np.ndim(out) == 0 else out
-
-
-def l2_norm(f) -> float:
-    """L^2 norm under the normalized measure (Parseval on coefficients)."""
-    if isinstance(f, (FourierSeries, HardyElement)):
-        return float(np.sqrt(np.sum(np.abs(f.coeffs) ** 2)))
-    raise TypeError(f"l2_norm expects a FourierSeries or HardyElement, got {type(f)!r}")
 
 
 def _entry_blocks(a: np.ndarray, b: np.ndarray):
@@ -273,16 +222,6 @@ def block_commutator(pair: np.ndarray) -> np.ndarray:
         acc += pair[:, :, j, None] * pair[::-1, None, j]
     acc[0] -= acc[1]
     return acc[0]
-
-
-def grid_commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pointwise commutator ``a @ b - b @ a`` of grid samples, entry major.
-
-    The :func:`block_commutator` of their stacked entry blocks, so the result
-    equals ``grid_product(a, b) - grid_product(b, a)`` bit for bit.
-    """
-    out = block_commutator(np.stack(list(_entry_blocks(a, b))))
-    return out.transpose(*range(2, out.ndim), 0, 1)
 
 
 def _check_grid(M: int, N: int) -> None:
@@ -367,17 +306,18 @@ def shift_backward_matrix(d: int, N: int) -> np.ndarray:
     return np.eye((N + 1) * d * d, k=d * d)
 
 
-def reproduce_check(f: HardyElement, z: complex) -> np.ndarray:
+def reproduce_check(f: np.ndarray, z: complex) -> np.ndarray:
     """Evaluate F(z) through the resolvent identity F(z) = M((I - z S*)^{-1} F).
 
     Solves the linear system on the truncated space rather than summing the
-    Taylor series, so agreement with :meth:`HardyElement.eval_at` is a real
-    check of the reproducing formula.  F runs as its d columns on the vector
-    section, where S* moves rows up by d and M keeps the first d rows.
+    Taylor series, so agreement with a Horner evaluation of the polynomial is
+    a real check of the reproducing formula.  F, an ``(N+1, d, d)`` analytic
+    element, runs as its d columns on the vector section, where S* moves rows
+    up by d and M keeps the first d rows.
     Rejects |z| >= 1.
     """
     if abs(z) >= 1.0:
         raise ValueError(f"reproduce_check needs |z| < 1, got |z| = {abs(z)}")
-    d, n = f.d, (f.N + 1) * f.d
+    d, n = f.shape[-1], f.shape[0] * f.shape[-1]
     A = np.eye(n) - z * _shift_up(np.eye(n), d)
-    return np.linalg.solve(A, f.coeffs.reshape(n, d))[:d]
+    return np.linalg.solve(A, f.reshape(n, d))[:d]

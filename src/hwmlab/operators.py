@@ -25,7 +25,6 @@ import numpy as np
 
 from .hardy import (
     FourierSeries,
-    HardyElement,
     _shift_up,
     evaluate_grid,
     fit_series,
@@ -124,14 +123,16 @@ def _interior_rows(d: int, N: int, band: int) -> int:
     return (N - band + 1) * d
 
 
-def apply_toeplitz_grid(u, f: HardyElement) -> HardyElement:
-    """Independent route for T_U F: multiply on a dealiased grid of 3 (2N+1) points, project back."""
+def apply_toeplitz_grid(u, f: np.ndarray) -> np.ndarray:
+    """Independent route for T_U F on an ``(n+1, d, d)`` analytic element: multiply on a
+    dealiased grid of 3 (2N+1) points, N = max(cutoff of U, n), and project back to modes 0..n."""
     sym = symbol_of(u)
-    N = max(sym.N, f.N)
+    n = f.shape[0] - 1
+    N = max(sym.N, n)
     M = 3 * (2 * N + 1)
-    prod = grid_product(evaluate_grid(sym.with_cutoff(N), M), evaluate_grid(f.to_series(N), M))
-    series = FourierSeries(sym.d, N, fit_series(prod, N))
-    return HardyElement(sym.d, f.N, project_plus(series).with_cutoff(f.N).coeffs)
+    embedded = np.pad(f, ((N, N - n), (0, 0), (0, 0)))
+    prod = grid_product(evaluate_grid(sym.with_cutoff(N), M), evaluate_grid(embedded, M))
+    return fit_series(prod, N)[N : N + n + 1]
 
 
 def key_identity_check(u, N: int) -> dict:
@@ -178,18 +179,21 @@ def hermitian_eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return scipy.linalg.eigh(A, driver="ev")
 
 
-def commutator_rank_one_check(u, N: int, f: HardyElement) -> float:
+def commutator_rank_one_check(u, N: int, f: np.ndarray) -> float:
     """Residual of [S*, T_U] F = (S* analytic-part-of-U) F_0 on the interior modes.
 
-    F runs as its d columns on the vector section.
+    F, an ``(N+1, d, d)`` analytic element, runs as its d columns on the vector
+    section; any other shape raises ``ValueError``.
     """
     sym = symbol_of(u)
     d = sym.d
+    if np.shape(f) != (N + 1, d, d):
+        raise ValueError(f"expected F of shape {(N + 1, d, d)}, got {np.shape(f)}")
     T = toeplitz_vector_section(sym, N)
-    cols = f.with_cutoff(N).coeffs.reshape(-1, d)
+    cols = f.reshape(-1, d)
     lhs = _shift_up(T @ cols, d) - T @ _shift_up(cols, d)
-    pu = project_plus(sym.with_cutoff(N + 1)).coeffs[1:]  # backward shift of the analytic part
-    rhs = pu.reshape(-1, d) @ f.coeff(0)
+    pu = project_plus(sym.with_cutoff(N + 1))[1:]  # backward shift of the analytic part
+    rhs = pu.reshape(-1, d) @ f[0]
     keep = _interior_rows(d, N, bandwidth(sym) + 1)
     return float(np.linalg.norm((lhs - rhs)[:keep]))
 
@@ -262,7 +266,7 @@ def invariant_subspace(u, N: int, rank_tol: float = 1e-8) -> tuple[np.ndarray, n
     # sigma_i / sigma_1 weights keep a singular vector, known only to eps sigma_1 / sigma_i,
     # from tilting the frame's other directions by more than eps; sv[:1] also serves r = 0
     corange = Vh[:r].conj().T * (sv[:r] / sv[:1])
-    pu = project_plus(sym.with_cutoff(N)).coeffs.reshape(-1, d)
+    pu = project_plus(sym.with_cutoff(N)).reshape(-1, d)
     cols = np.column_stack([corange, pu, np.eye((N + 1) * d, d)])
     q, s, _ = np.linalg.svd(cols, full_matrices=False)
     # rounding leaves the dropped values within a few eps s_0; a real direction can sit at 7e-11 s_0

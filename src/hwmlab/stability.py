@@ -42,7 +42,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .hardy import FourierSeries, HardyElement, evaluate_grid, project_plus
+from .hardy import FourierSeries, evaluate_grid, project_plus
 from .grassmann import GrassmannLoop
 from .operators import hermitian_eigh, toeplitz_vector_section
 
@@ -323,10 +323,6 @@ class StabilityReport:
 
 
 def _as_vector(model: IsometryModel, f) -> np.ndarray:
-    if isinstance(f, HardyElement):
-        if f.d != model.d:
-            raise ValueError("element dimension does not match the model")
-        f = f.with_cutoff(model.N).coeffs
     vec = np.asarray(f, dtype=complex).reshape(-1)
     if vec.size != model.dim:
         raise ValueError(f"expected a vector of length {model.dim}, got {vec.size}")
@@ -337,13 +333,13 @@ def _as_vector(model: IsometryModel, f) -> np.ndarray:
     return vec
 
 
-def apply_u_sigma(model: IsometryModel, f, n_max: int) -> HardyElement:
-    """Output element with coefficients P_Sigma (Sigma*)^n F, n = 0..n_max.
+def apply_u_sigma(model: IsometryModel, f, n_max: int) -> np.ndarray:
+    """Output element, the ``(n_max+1, d, d)`` coefficients P_Sigma (Sigma*)^n F, n = 0..n_max.
 
     A contraction of the input by the telescoping norm balance.
     """
     means = model.iterate(_as_vector(model, f), [model.t], n_max)[0]
-    return HardyElement(model.d, n_max, means[..., 0])
+    return means[..., 0]
 
 
 def _reports(means: np.ndarray, norms: np.ndarray, stops: np.ndarray) -> list[StabilityReport]:
@@ -435,7 +431,7 @@ def zd_bo_norm_curve(u0: FourierSeries, times, Ns=(256, 512, 1024), checkpoint: 
     onsets = {}
     for N in Ns:
         base = zd_bo_model(N, u0)
-        pu = project_plus(u0.with_cutoff(N)).coeffs.reshape(-1)
+        pu = project_plus(u0.with_cutoff(N)).reshape(-1)
         norm0 = float(np.linalg.norm(pu))
         for t, rep in zip(times, _reports(*base.iterate(pu, times, checkpoint, 1e-9))):
             tail = rep.limit_estimate

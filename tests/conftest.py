@@ -23,13 +23,20 @@ def random_series(rng, d, N, hermitian=False, scale=1.0):
 
 
 def random_hardy(rng, d, N, zero_top=False):
-    from hwmlab.hardy import HardyElement
-
+    """A random ``(N+1, d, d)`` analytic element."""
     c = rng.standard_normal((N + 1, d, d)) + 1j * rng.standard_normal((N + 1, d, d))
     c /= np.sqrt(c.size)
     if zero_top:
         c[-1] = 0.0
-    return HardyElement(d, N, c)
+    return c
+
+
+def horner(c, z):
+    """Horner evaluation of the analytic element c at a point of the closed disk."""
+    acc = np.zeros(c.shape[1:], dtype=complex)
+    for cn in c[::-1]:
+        acc = acc * z + cn
+    return acc
 
 
 # derandomized, so Tier-1 runs the same examples every time; no example database on disk

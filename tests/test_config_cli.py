@@ -288,6 +288,19 @@ def test_cli_numerical_failure_exits_1(tmp_path, monkeypatch):
     assert "Usage" not in res.output
 
 
+@pytest.mark.parametrize("N", [1, 2])
+def test_cli_stability_runs_below_the_probe_width(tmp_path, N):
+    # the random probe fills modes 0..3, or all N+1 modes when there are fewer
+    cfg_file = tmp_path / "small.cfg"
+    cfg_file.write_text(f"N = {N}\nblaschke_zeros = 0\n")
+    out = tmp_path / "o"
+    res = CliRunner().invoke(main, ["stability", "--config", str(cfg_file), "--out", str(out), "--quiet"])
+    assert res.exit_code == 0, res.output
+    rows = [line for line in (out / "stability.csv").read_text().splitlines() if not line.startswith("#")]
+    assert rows[0] == "t,N,norm,deficit,verdict"
+    assert [row.split(",")[-1] for row in rows[1:]] == ["stable"] * 3
+
+
 def test_cli_validate_flags_corrupted_loop(tmp_path):
     from hwmlab.grassmann import BlaschkeProduct, half_harmonic_map
 

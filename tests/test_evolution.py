@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from hwmlab.config import ExperimentConfig
 from hwmlab.experiments import build_datum, trajectory_rows
-from hwmlab.hardy import FourierSeries, HardyElement, project_plus, sobolev_energy, sobolev_norm
+from hwmlab.hardy import FourierSeries, project_plus, sobolev_energy, sobolev_norm
 from hwmlab.grassmann import (
     TRAVELING_SIGN,
     BlaschkeProduct,
@@ -104,15 +104,14 @@ def test_rational_model_rejects_hardy_element():
     # the plan's model takes section coordinates, but only elements of its frame
     plan = make_plan(soliton(0.5, N=12))
     f = project_plus(plan.source.with_cutoff(plan.N_op))
-    assert f.coeffs.size == plan.model.dim
+    assert f.size == plan.model.dim
     # the analytic part lies in the frame: its output modes are the flow's at t = 0
     modes = plan.model.iterate(plan.pu0.reshape(-1), [0.0], 4)[0]
-    assert np.max(np.abs(apply_u_sigma(plan.model, f, 4).coeffs - modes[..., 0])) < 1e-13
-    top = np.zeros_like(f.coeffs)
-    top[-1] = np.eye(2)
-    off = HardyElement(2, plan.N_op, top)
+    assert np.max(np.abs(apply_u_sigma(plan.model, f, 4) - modes[..., 0])) < 1e-13
+    off = np.zeros_like(f)
+    off[-1] = np.eye(2)
     vecs = plan.model.vecs  # an orthonormal basis of the frame
-    cols = top.reshape(-1, 2)
+    cols = off.reshape(-1, 2)
     assert np.linalg.norm(cols - vecs @ (vecs.conj().T @ cols)) > 0.5
     with pytest.raises(ValueError, match="off the model's subspace"):
         apply_u_sigma(plan.model, off, 4)
@@ -457,7 +456,7 @@ def test_plan_modes_match_full_section_model(dk, twists, key):
     assert plan.invariance_residual < 1e-12 * (sv[0] / sv[r - 1] if r else 1.0)
     times, n_max = np.array([0.0, 0.7, 2.9]), 24
     got = plan.model.iterate(plan.pu0.reshape(-1), times, n_max)[0]
-    pu = project_plus(loop.series.with_cutoff(plan.N_op)).coeffs.reshape(-1)
+    pu = project_plus(loop.series.with_cutoff(plan.N_op)).reshape(-1)
     full = hwm_model(loop, plan.N_op)
     ref = full.iterate(pu, times, n_max)[0]
     assert np.max(np.abs(got - ref)) < 1e-12
@@ -483,7 +482,7 @@ def test_frame_keeps_a_direction_far_above_rounding():
     plan = make_plan(loop)
     coeffs = solve_at_time(plan, 1.0).coeffs
     w = len(coeffs) // 2
-    pu = project_plus(loop.series.with_cutoff(96)).coeffs.reshape(-1)
+    pu = project_plus(loop.series.with_cutoff(96)).reshape(-1)
     ref = hwm_model(loop, 96).iterate(pu, [1.0], w)[0][..., 0]
     assert np.max(np.abs(coeffs[w:] - ref)) < 1e-14
     assert plan.model.lam.size == 10

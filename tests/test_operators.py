@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from hwmlab.hardy import FourierSeries, HardyElement, fractional_derivative, project_plus, sobolev_energy
+from hwmlab.hardy import FourierSeries, fractional_derivative, project_plus, sobolev_energy
 from hwmlab.grassmann import (
     BlaschkeProduct,
     embed_block,
@@ -169,11 +171,12 @@ def test_toeplitz_action_matches_grid_route(rng):
     T = build_toeplitz(loop.series, N)
     for _ in range(5):
         f = random_hardy(rng, 2, N)
-        via_matrix = T @ f.coeffs.reshape(-1)
+        via_matrix = T @ f.reshape(-1)
         via_grid = apply_toeplitz_grid(loop.series, f)
         band = bandwidth(loop.series)
         keep = (N - band + 1) * 4
-        gap = np.abs(via_matrix - via_grid.coeffs.reshape(-1))[:keep]
+        assert via_grid.shape == f.shape
+        gap = np.abs(via_matrix - via_grid.reshape(-1))[:keep]
         assert np.max(gap) < 1e-10
 
 
@@ -272,8 +275,7 @@ def test_interior_eigenvalue_count_stabilizes(rng):
 def test_commutator_annihilates_meanless(rng):
     u = random_series(rng, 2, 2, hermitian=True)
     N = 10
-    f = random_hardy(rng, 2, N)
-    c = f.coeffs.copy()
+    c = random_hardy(rng, 2, N)
     c[0] = 0.0
     T = build_toeplitz(u, N)
     S = shift_backward_matrix(2, N)
@@ -288,7 +290,7 @@ def test_commutator_rank_one_for_identity_mean(rng):
     N = 10
     c = np.zeros((N + 1, 2, 2), dtype=complex)
     c[0] = np.eye(2)
-    residual = commutator_rank_one_check(u, N, HardyElement(2, N, c))
+    residual = commutator_rank_one_check(u, N, c)
     assert residual < 1e-13
 
 
@@ -307,6 +309,13 @@ def test_identities_reject_cutoff_below_bandwidth(rng):
         key_identity_check(u, 2)
     with pytest.raises(ValueError, match="exceeds cutoff"):
         commutator_rank_one_check(u, 3, random_hardy(rng, 2, 3))
+
+
+def test_commutator_rank_one_rejects_a_wrongly_shaped_element(rng):
+    u = random_series(rng, 2, 2, hermitian=True)
+    for f in (random_hardy(rng, 2, 9), random_hardy(rng, 2, 11), random_hardy(rng, 3, 10)):
+        with pytest.raises(ValueError, match=re.escape(f"(11, 2, 2), got {f.shape}")):
+            commutator_rank_one_check(u, 10, f)
 
 
 def test_product_identity_constant_left(rng):
@@ -363,7 +372,7 @@ def reference_invariant_subspace(sym, N, rank_tol=1e-8):
     r = int(np.count_nonzero(sv > rank_tol * sv[0])) if sv.size and sv[0] > 0.0 else 0
     ident = np.zeros((N + 1, d, d), dtype=complex)
     ident[0] = np.eye(d)
-    pu = project_plus(sym.with_cutoff(N)).coeffs.reshape(-1)
+    pu = project_plus(sym.with_cutoff(N)).reshape(-1)
     cols = np.column_stack([Vh[:r].conj().T, pu, ident.reshape(-1)])
     q, s, _ = np.linalg.svd(cols, full_matrices=False)
     frame = q[:, s > 1e-10 * s[0]]

@@ -202,6 +202,19 @@ def test_grassmann_has_no_nested_loop():
     assert not list(nested_for_loops(Path(hwmlab.__file__).parent / "grassmann.py"))
 
 
+def test_fourier_series_is_the_one_coefficient_type():
+    # an analytic element is its (N+1, d, d) array, not a second wrapper type
+    package = Path(hwmlab.__file__).parent
+    tree = ast.parse((package / "hardy.py").read_text())
+    dataclasses = [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and any("dataclass" in ast.unparse(dec) for dec in node.decorator_list)
+    ]
+    assert dataclasses == ["FourierSeries"]
+    assert not [path.name for path in package.glob("*.py") if "HardyElement" in path.read_text()]
+
+
 def defaulted_parameters(fn):
     """(name, positional index or None) of each parameter of ``fn`` that has a default."""
     args = fn.args
